@@ -3,13 +3,12 @@
 
 from maslov import (
     FiniteFunction,
+    IdempotentMeasure,
     convex_combination,
     dirac,
     integrate,
-    measure_to_simplex,
     normalize,
     pointwise_sup,
-    simplex_to_measure,
     space,
     support,
 )
@@ -35,7 +34,6 @@ print("0*delta_a (+) -1*delta_b:", combo)
 # the pointwise supremum of measures is again a measure
 print("sup:", pointwise_sup([normalize(X, {"a": 0, "b": -2}), normalize(X, {"a": -1, "b": 0})]))
 
-# measures over an n-point space are exactly the normalized coordinate
-# tuples (a tropical simplex); the chart is a bijection
-coords = measure_to_simplex(mu)
-print("chart:", coords, "-> back:", simplex_to_measure(coords, X) == mu)
+# measures over an n-point space are exactly the weight tuples with maximum
+# 0 (a tropical simplex): the weights in point order are the coordinates
+print("coordinates:", mu.weights, "-> back:", IdempotentMeasure(X, mu.weights) == mu)

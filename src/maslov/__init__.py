@@ -27,14 +27,11 @@ from .core import (
 )
 from .measures import (
     IdempotentMeasure,
-    SimplexPoint,
     convex_combination,
     dirac,
     integrate,
-    measure_to_simplex,
     normalize,
     pointwise_sup,
-    simplex_to_measure,
     support,
 )
 from .functor import (
@@ -50,7 +47,6 @@ from .monad import (
     FuzzySet,
     OuterMeasure,
     dirac_lift,
-    eval_functional,
     flatten_measure,
     fuzzy_embed,
     hyperspace_embed,

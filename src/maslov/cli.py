@@ -148,11 +148,7 @@ def cmd_hyper(args) -> int:
 def cmd_fuzzy(args) -> int:
     objs, ctx = _load([args.grades])
     chi = mio.decode(objs[0], ctx, "function")
-    try:
-        fuzzy = FuzzySet(chi.space, chi.values)
-    except ValueError as exc:
-        raise mio.DocumentError(str(exc)) from None
-    _emit(mio.measure_doc(fuzzy_embed(fuzzy), ctx))
+    _emit(mio.measure_doc(fuzzy_embed(FuzzySet(chi.space, chi.values)), ctx))
     return 0
 
 

@@ -6,15 +6,17 @@ order, so identical objects always serialize to identical bytes.  Points
 of product-like spaces serialize as arrays of labels; since JSON object
 keys must be strings, measures over such spaces switch from an atom
 object to a list of [point, weight] pairs.
+
+This module is the decoder.  schemas/document.schema.json describes the
+same format for other tools; nothing here reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .convexity import PointCloudSpace
 from .core import (
@@ -30,18 +32,6 @@ from .functor import PointMap
 from .measures import IdempotentMeasure
 from .monad import OuterMeasure
 from .openness import CoverPair, MilyutinLevel
-
-KINDS = (
-    "space",
-    "metric_space",
-    "measure",
-    "map",
-    "function",
-    "outer_measure",
-    "coupling",
-    "cloud",
-    "cover_levels",
-)
 
 
 class DocumentError(ValueError):
@@ -64,23 +54,19 @@ def encode_weight(w: float) -> Any:
 
 
 def decode_weight(v: Any) -> float:
+    """A JSON number or "-inf"; the constructors reject NaN and +inf."""
     if v == "-inf":
         return NEG_INF
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DocumentError(f"weights must be numbers or \"-inf\", got {v!r}")
-    w = float(v)
-    if math.isnan(w) or w == math.inf:
-        raise DocumentError(f"weights must be finite or -inf, got {v!r}")
-    return w
+    return float(v)
 
 
 def decode_value(v: Any) -> float:
+    """A JSON number; the constructors reject NaN and infinities."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DocumentError(f"function values must be numbers, got {v!r}")
-    x = float(v)
-    if not math.isfinite(x):
-        raise DocumentError(f"function values must be finite, got {v!r}")
-    return x
+    return float(v)
 
 
 def encode_label(label: Label) -> Any:
@@ -133,7 +119,6 @@ class Context:
     """Named spaces shared by a set of documents."""
 
     spaces: dict[str, FiniteSpace] = field(default_factory=dict)
-    metrics: dict[str, MetricSpace] = field(default_factory=dict)
 
     def register(self, name: str, space: FiniteSpace) -> FiniteSpace:
         known = self.spaces.get(name)
@@ -170,16 +155,20 @@ class Context:
         return _content_name(space)
 
 
+def _named_space(obj: Mapping[str, Any], ctx: Context) -> FiniteSpace:
+    """Register the space that a space or metric_space document names."""
+    points = obj.get("points")
+    if not isinstance(points, list):
+        raise DocumentError(f"{obj.get('kind')} document needs a points array")
+    return ctx.register(str(obj.get("name", "X")), infer_space([decode_label(p) for p in points]))
+
+
 def build_context(objs: Sequence[Mapping[str, Any]]) -> Context:
     """First pass over a document set: register every named space."""
     ctx = Context()
     for obj in objs:
-        kind = obj.get("kind")
-        if kind == "space":
-            ctx.register(str(obj.get("name", "X")), infer_space([decode_label(p) for p in obj["points"]]))
-        elif kind == "metric_space":
-            ms = decode_metric_space(obj, ctx)
-            ctx.metrics[str(obj.get("name", "X"))] = ms
+        if obj.get("kind") in ("space", "metric_space"):
+            _named_space(obj, ctx)
     return ctx
 
 
@@ -191,17 +180,42 @@ def _require(obj: Mapping[str, Any], kind: str, *keys: str) -> None:
             raise DocumentError(f"{kind} document is missing {key!r}")
 
 
-def _atoms_to_pairs(atoms: Any) -> list[tuple[Label, Any]]:
-    if isinstance(atoms, dict):
-        return [(decode_label(k), v) for k, v in atoms.items()]
-    if isinstance(atoms, list):
-        pairs = []
-        for entry in atoms:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise DocumentError("atom lists contain [point, weight] pairs")
-            pairs.append((decode_label(entry[0]), entry[1]))
-        return pairs
-    raise DocumentError("atoms must be an object or a list of pairs")
+def _entries(obj: Any, what: str) -> dict[Label, Any]:
+    """Read a {point: x} object or a [[point, x], ...] list; no point twice."""
+    if isinstance(obj, dict):
+        pairs = [(decode_label(k), v) for k, v in obj.items()]
+    elif isinstance(obj, list):
+        if not all(isinstance(entry, list) and len(entry) == 2 for entry in obj):
+            raise DocumentError(f"{what} lists contain [point, value] pairs")
+        pairs = [(decode_label(p), v) for p, v in obj]
+    else:
+        raise DocumentError(f"{what} must be an object or a list of pairs")
+    table: dict[Label, Any] = {}
+    for p, v in pairs:
+        if p in table:
+            raise DocumentError(f"{what}: point {p!r} appears twice")
+        table[p] = v
+    return table
+
+
+def _table(
+    obj: Any, ctx: Context, ref: Any, entry: Callable[[Any], Any], what: str
+) -> tuple[FiniteSpace, tuple]:
+    """Decode a dense point table into a tuple in the canonical order of its space.
+
+    The space reference is resolved with the table's points, so an unknown
+    name takes the table's order.  A point named twice, a point outside the
+    space and a point of the space the table leaves out are all errors.
+    """
+    table = _entries(obj, what)
+    space = ctx.resolve(ref, list(table))
+    unknown = [p for p in table if p not in space]
+    if unknown:
+        raise DocumentError(f"{what}: points outside the space {unknown!r}")
+    missing = [p for p in space.points if p not in table]
+    if missing:
+        raise DocumentError(f"{what}: no entry for points {missing!r}")
+    return space, tuple(entry(table[p]) for p in space.points)
 
 
 def _pairs_to_atoms(pairs: Sequence[tuple[Label, Any]]) -> Any:
@@ -220,15 +234,7 @@ def measure_doc(mu: IdempotentMeasure, ctx: Context | None = None) -> dict:
 
 def decode_measure(obj: Mapping[str, Any], ctx: Context) -> IdempotentMeasure:
     _require(obj, "measure", "space", "atoms")
-    pairs = _atoms_to_pairs(obj["atoms"])
-    space = ctx.resolve(obj["space"], [p for p, _ in pairs])
-    table = {p: decode_weight(v) for p, v in pairs}
-    try:
-        return IdempotentMeasure(space, tuple(table[p] for p in space.points))
-    except KeyError as exc:
-        raise DocumentError(f"atom table missing point {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    return IdempotentMeasure(*_table(obj["atoms"], ctx, obj["space"], decode_weight, "atoms"))
 
 
 # ------------------------------------------------------------------ functions
@@ -241,15 +247,7 @@ def function_doc(phi: FiniteFunction, ctx: Context | None = None) -> dict:
 
 def decode_function(obj: Mapping[str, Any], ctx: Context) -> FiniteFunction:
     _require(obj, "function", "space", "values")
-    pairs = _atoms_to_pairs(obj["values"])
-    space = ctx.resolve(obj["space"], [p for p, _ in pairs])
-    table = {p: decode_value(v) for p, v in pairs}
-    try:
-        return FiniteFunction(space, tuple(table[p] for p in space.points))
-    except KeyError as exc:
-        raise DocumentError(f"value table missing point {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    return FiniteFunction(*_table(obj["values"], ctx, obj["space"], decode_value, "values"))
 
 
 # ------------------------------------------------------------------ spaces
@@ -259,8 +257,8 @@ def space_doc(space: FiniteSpace, name: str = "X") -> dict:
 
 
 def decode_space(obj: Mapping[str, Any], ctx: Context) -> FiniteSpace:
-    _require(obj, "space", "points")
-    return ctx.register(str(obj.get("name", "X")), infer_space([decode_label(p) for p in obj["points"]]))
+    _require(obj, "space")
+    return _named_space(obj, ctx)
 
 
 def metric_space_doc(ms: MetricSpace, name: str = "X") -> dict:
@@ -273,15 +271,12 @@ def metric_space_doc(ms: MetricSpace, name: str = "X") -> dict:
 
 
 def decode_metric_space(obj: Mapping[str, Any], ctx: Context) -> MetricSpace:
-    _require(obj, "metric_space", "points", "dist")
-    space = ctx.register(str(obj.get("name", "X")), infer_space([decode_label(p) for p in obj["points"]]))
+    _require(obj, "metric_space", "dist")
     dist = obj["dist"]
-    if not isinstance(dist, list):
+    if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise DocumentError("dist must be a matrix (list of rows)")
-    try:
-        return MetricSpace(space, tuple(tuple(decode_value(v) for v in row) for row in dist))
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    rows = tuple(tuple(decode_value(v) for v in row) for row in dist)
+    return MetricSpace(_named_space(obj, ctx), rows)
 
 
 # ------------------------------------------------------------------ maps
@@ -300,21 +295,13 @@ def map_doc(f: PointMap, ctx: Context | None = None) -> dict:
 
 def decode_map(obj: Mapping[str, Any], ctx: Context) -> PointMap:
     _require(obj, "map", "source", "target", "table")
-    pairs = _atoms_to_pairs(obj["table"])
-    source = ctx.resolve(obj["source"], [p for p, _ in pairs])
-    table = {p: decode_label(v) for p, v in pairs}
+    source, images = _table(obj["table"], ctx, obj["source"], decode_label, "table")
     if "target_points" in obj:
-        target = ctx.resolve(obj["target"], [decode_label(p) for p in obj["target_points"]])
+        target_points = [decode_label(p) for p in obj["target_points"]]
     else:
-        image: list[Label] = []
-        for x in source.points:
-            if x in table and table[x] not in image:
-                image.append(table[x])
-        target = ctx.resolve(obj["target"], image)
-    try:
-        return PointMap(source, target, table)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+        target_points = list(dict.fromkeys(images))
+    target = ctx.resolve(obj["target"], target_points)
+    return PointMap(source, target, dict(zip(source.points, images)))
 
 
 # ------------------------------------------------------------------ outer measures
@@ -341,24 +328,13 @@ def decode_outer(obj: Mapping[str, Any], ctx: Context) -> OuterMeasure:
         raise DocumentError("components must be a nonempty list")
     inner = []
     weights = []
-    space: FiniteSpace | None = None
     for comp in comps:
         if not isinstance(comp, dict) or "weight" not in comp or "atoms" not in comp:
             raise DocumentError("each component needs weight and atoms")
-        pairs = _atoms_to_pairs(comp["atoms"])
-        space = ctx.resolve(obj["space"], [p for p, _ in pairs]) if space is None else space
-        table = {p: decode_weight(v) for p, v in pairs}
-        if set(table) != set(space.points):
-            raise DocumentError("component atom table disagrees with the space")
-        try:
-            inner.append(IdempotentMeasure(space, tuple(table[p] for p in space.points)))
-        except ValueError as exc:
-            raise DocumentError(f"bad component: {exc}") from None
+        space, atoms = _table(comp["atoms"], ctx, obj["space"], decode_weight, "atoms")
+        inner.append(IdempotentMeasure(space, atoms))
         weights.append(decode_weight(comp["weight"]))
-    try:
-        return OuterMeasure(space, tuple(inner), tuple(weights))  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    return OuterMeasure(space, tuple(inner), tuple(weights))
 
 
 # ------------------------------------------------------------------ couplings
@@ -386,20 +362,14 @@ def coupling_doc(mu: IdempotentMeasure, ctx: Context | None = None) -> dict:
 def decode_coupling(obj: Mapping[str, Any], ctx: Context) -> IdempotentMeasure:
     _require(obj, "coupling", "rows", "cols", "table")
     table = obj["table"]
-    if not isinstance(table, dict) or not table:
-        raise DocumentError("coupling table must be a nonempty nested object")
-    row_pts = list(table.keys())
-    col_sets = [list(row.keys()) for row in table.values() if isinstance(row, dict)]
-    if len(col_sets) != len(row_pts) or any(cs != col_sets[0] for cs in col_sets):
-        raise DocumentError("coupling table must be dense with consistent columns")
-    rows = ctx.resolve(obj["rows"], row_pts)
-    cols = ctx.resolve(obj["cols"], col_sets[0])
-    prod = product_space(rows, cols)
-    weights = tuple(decode_weight(table[x][y]) for x in rows.points for y in cols.points)
-    try:
-        return IdempotentMeasure(prod, weights)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    if not isinstance(table, dict) or not all(isinstance(row, dict) for row in table.values()):
+        raise DocumentError("coupling table must be a nested object")
+    rows, row_tables = _table(table, ctx, obj["rows"], dict, "coupling rows")
+    weights: list[float] = []
+    for row in row_tables:
+        cols, ws = _table(row, ctx, obj["cols"], decode_weight, "coupling columns")
+        weights.extend(ws)
+    return IdempotentMeasure(product_space(rows, cols), tuple(weights))
 
 
 # ------------------------------------------------------------------ clouds
@@ -410,19 +380,16 @@ def cloud_doc(cloud: PointCloudSpace, ctx: Context | None = None) -> dict:
     return {"kind": "cloud", "space": ctx.name_of(cloud.space), "embed": _pairs_to_atoms(pairs)}
 
 
+def _coords(v: Any) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise DocumentError("cloud coordinates must be arrays")
+    return tuple(decode_value(x) for x in v)
+
+
 def decode_cloud(obj: Mapping[str, Any], ctx: Context) -> PointCloudSpace:
     _require(obj, "cloud", "space", "embed")
-    pairs = _atoms_to_pairs(obj["embed"])
-    space = ctx.resolve(obj["space"], [p for p, _ in pairs])
-    embed = {}
-    for p, coords in pairs:
-        if not isinstance(coords, list):
-            raise DocumentError("cloud coordinates must be arrays")
-        embed[p] = tuple(decode_value(v) for v in coords)
-    try:
-        return PointCloudSpace(space, embed)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    space, coords = _table(obj["embed"], ctx, obj["space"], _coords, "embed")
+    return PointCloudSpace(space, dict(zip(space.points, coords)))
 
 
 # ------------------------------------------------------------------ cover levels
@@ -465,19 +432,10 @@ def decode_cover_levels(obj: Mapping[str, Any], ctx: Context) -> list[MilyutinLe
                 raise DocumentError("each cover pair needs U and V")
             alpha = entry.get("alpha")
             if alpha is not None:
-                if not isinstance(alpha, (dict, list)):
-                    raise DocumentError("alpha must be an object or a list of pairs")
-                alpha = {p: decode_weight(v) for p, v in _atoms_to_pairs(alpha)}
-            try:
-                pairs.append(
-                    CoverPair(
-                        frozenset(decode_label(u) for u in entry["U"]),
-                        frozenset(decode_label(v) for v in entry["V"]),
-                        alpha,
-                    )
-                )
-            except ValueError as exc:
-                raise DocumentError(str(exc)) from None
+                alpha = {p: decode_weight(v) for p, v in _entries(alpha, "alpha").items()}
+            U = frozenset(decode_label(u) for u in entry["U"])
+            V = frozenset(decode_label(v) for v in entry["V"])
+            pairs.append(CoverPair(U, V, alpha))
         out.append(MilyutinLevel(tuple(pairs)))
     return out
 
@@ -496,12 +454,18 @@ _DECODERS = {
 
 
 def decode(obj: Mapping[str, Any], ctx: Context, expect: str | None = None):
+    """Decode one document; every validation failure raises DocumentError."""
     kind = obj.get("kind")
-    if kind not in KINDS:
+    if kind not in _DECODERS:
         raise DocumentError(f"unknown document kind {kind!r}")
     if expect is not None and kind != expect:
         raise DocumentError(f"expected a {expect} document, got {kind!r}")
-    return _DECODERS[kind](obj, ctx)
+    try:
+        return _DECODERS[kind](obj, ctx)
+    except DocumentError:
+        raise
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def dumps(doc: Any) -> str:

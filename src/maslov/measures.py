@@ -19,8 +19,6 @@ from .core import (
     as_weight,
 )
 
-SimplexPoint = tuple[float, ...]
-
 
 @dataclass(frozen=True)
 class IdempotentMeasure:
@@ -117,18 +115,3 @@ def pointwise_sup(measures: Iterable[IdempotentMeasure]) -> IdempotentMeasure:
     if any(m.space != sp for m in ms):
         raise ValueError("measures live on different spaces")
     return IdempotentMeasure(sp, tuple(max(col) for col in zip(*(m.weights for m in ms))))
-
-
-def simplex_to_measure(coords: Sequence[float], space: FiniteSpace) -> IdempotentMeasure:
-    """Chart a normalized coordinate tuple (max = 0) as a measure."""
-    c = tuple(as_weight(v) for v in coords)
-    if len(c) != len(space):
-        raise ValueError("coordinate count must equal the number of points")
-    if max(c) != 0.0:
-        raise ValueError("simplex coordinates must have maximum exactly 0")
-    return IdempotentMeasure(space, c)
-
-
-def measure_to_simplex(mu: IdempotentMeasure) -> SimplexPoint:
-    """Inverse chart: the weight tuple in canonical point order."""
-    return mu.weights

@@ -55,15 +55,10 @@ class OuterMeasure:
         object.__setattr__(self, "weights", w)
 
 
-def eval_functional(phi: FiniteFunction, mu: IdempotentMeasure) -> float:
-    """φ̄(μ) = μ(φ): evaluation of a measure against a test function."""
-    return integrate(mu, phi)
-
-
 def outer_eval(M: OuterMeasure, phi: FiniteFunction) -> float:
     """M(φ̄): the outer measure applied to the evaluation functional of φ."""
     return max(
-        lam + eval_functional(phi, m)
+        lam + integrate(m, phi)
         for lam, m in zip(M.weights, M.inner)
         if lam > NEG_INF
     )

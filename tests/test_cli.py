@@ -1,9 +1,15 @@
+import importlib.resources as res
 import io as std_io
 import json
 import math
 from pathlib import Path
 
 import pytest
+
+try:
+    import jsonschema
+except ImportError:  # optional test dependency; the schema checks skip without it
+    jsonschema = None
 
 import maslov.cli as cli
 import maslov.io as mio
@@ -12,6 +18,7 @@ from maslov import (
     FiniteFunction,
     IdempotentMeasure,
     LawReport,
+    MetricSpace,
     MilyutinLevel,
     OuterMeasure,
     PointCloudSpace,
@@ -26,17 +33,41 @@ from maslov import (
 
 X2 = space("ab")
 
+SCHEMA = json.loads(res.files("maslov.schemas").joinpath("document.schema.json").read_text())
+KINDS = SCHEMA["properties"]["kind"]["enum"]
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA) if jsonschema else None
+
+
+def documents(out):
+    """The documents in a CLI result: the result itself, or those nested in it."""
+    if isinstance(out, dict) and out.get("kind") in KINDS:
+        yield out
+    elif isinstance(out, (dict, list)):
+        for value in out.values() if isinstance(out, dict) else out:
+            yield from documents(value)
+
+
+def check_schema(doc) -> None:
+    if VALIDATOR is not None:
+        VALIDATOR.validate(doc)
+
 
 def write(tmp_path: Path, name: str, doc) -> str:
+    """Write a document for a CLI call; every document written must match the schema."""
+    check_schema(doc)
     p = tmp_path / name
     p.write_text(mio.dumps(doc), encoding="utf-8")
     return str(p)
 
 
 def run(capsys, argv):
+    """Run the CLI; every document it prints must match the schema."""
     code = cli.main(argv)
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out else None)
+    result = json.loads(out) if out else None
+    for doc in documents(result):
+        check_schema(doc)
+    return code, result
 
 
 class TestRoundTrip:
@@ -115,10 +146,17 @@ class TestRoundTrip:
 
 
 class TestSchemas:
-    def test_documents_validate_against_shipped_schemas(self):
-        jsonschema = pytest.importorskip("jsonschema")
-        import importlib.resources as res
+    """The one shipped schema; write() and run() also check every CLI document."""
 
+    BAD = {
+        "missing atoms": {"kind": "measure", "space": "X"},
+        "unknown kind": {"kind": "volume", "space": "X", "atoms": {"a": 0.0}},
+        "inf weight": {"kind": "measure", "space": "X", "atoms": {"a": 0.0, "b": "inf"}},
+    }
+
+    def test_documents_validate_against_shipped_schemas(self):
+        pytest.importorskip("jsonschema")
+        jsonschema.Draft202012Validator.check_schema(SCHEMA)
         samples = {
             "space": mio.space_doc(X2),
             "metric_space": mio.metric_space_doc(
@@ -134,11 +172,48 @@ class TestSchemas:
                 [MilyutinLevel((CoverPair(frozenset("ab"), frozenset("ab")),))], X2
             ),
         }
-        for kind, doc in samples.items():
-            schema = json.loads(
-                res.files("maslov.schemas").joinpath(f"{kind}.schema.json").read_text()
-            )
-            jsonschema.validate(doc, schema)
+        assert sorted(samples) == sorted(KINDS)
+        product = mio.measure_doc(tensor(dirac(X2, "a"), normalize(space("uv"), {"u": 0, "v": -2})))
+        assert isinstance(product["atoms"], list)
+        for doc in [*samples.values(), product]:
+            VALIDATOR.validate(doc)
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_documents_rejected(self, case):
+        pytest.importorskip("jsonschema")
+        doc = self.BAD[case]
+        assert not VALIDATOR.is_valid(doc)
+        with pytest.raises(mio.DocumentError):
+            mio.decode(doc, mio.Context())
+
+
+class TestMalformedTables:
+    REPEATED = {"kind": "measure", "space": "X", "atoms": [["a", 0], ["b", -1], ["b", -3]]}
+    OUTSIDE = {
+        "kind": "measure",
+        "space": {"name": "X", "points": ["a", "b"]},
+        "atoms": {"a": 0, "b": -1, "zzz": 5},
+    }
+
+    def test_repeated_point_rejected(self):
+        ctx = mio.Context()
+        ctx.register("X", X2)
+        with pytest.raises(mio.DocumentError, match="twice"):
+            mio.decode(self.REPEATED, ctx, "measure")
+
+    def test_point_outside_inline_space_rejected(self):
+        with pytest.raises(mio.DocumentError, match="outside the space"):
+            mio.decode(self.OUTSIDE, mio.Context(), "measure")
+
+    @pytest.mark.parametrize("case", ["REPEATED", "OUTSIDE"])
+    def test_cli_exits_one(self, tmp_path, capsys, case):
+        # the metric document makes X = {a, b} a known space
+        ms = write(tmp_path, "ms.json", mio.metric_space_doc(metric_closure(X2, [[0, 1], [1, 0]]), "X"))
+        bad = write(tmp_path, "bad.json", getattr(self, case))
+        good = write(tmp_path, "good.json", mio.measure_doc(dirac(X2, "a")))
+        code, out = run(capsys, ["dist", ms, bad, good])
+        assert code == 1
+        assert out is None
 
 
 class TestCommands:
@@ -198,6 +273,21 @@ class TestCommands:
         assert code == 0
         assert out["dhat"] == 0.5
         assert abs(out["oracle"] - 0.5) <= 2 * out["step"]
+
+    def test_dist_validates_the_metric_once(self, tmp_path, capsys, monkeypatch):
+        ms = write(tmp_path, "ms.json", mio.metric_space_doc(metric_closure(X2, [[0, 1], [1, 0]]), "M"))
+        mu = write(tmp_path, "mu.json", mio.measure_doc(IdempotentMeasure(X2, (0.0, -0.5))))
+        calls = []
+        validate = MetricSpace.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(MetricSpace, "__post_init__", counting)
+        code, _ = run(capsys, ["dist", ms, mu, mu])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_sup_hyper_fuzzy(self, tmp_path, capsys):
         m1 = write(tmp_path, "m1.json", mio.measure_doc(normalize(X2, {"a": 0, "b": -2})))

@@ -1,0 +1,27 @@
+import sys
+
+from maslov import laws
+
+
+def test_max_points_reaches_every_suite(monkeypatch):
+    drawn = []
+    rand_space = laws.rand_space
+
+    def recording(rng, max_points, prefix="p"):
+        drawn.append((sys._getframe(1).f_code.co_name, max_points))
+        return rand_space(rng, max_points, prefix)
+
+    monkeypatch.setattr(laws, "rand_space", recording)
+    reports = laws.run_all_laws(seed=5, cases=10, max_points=1)
+    assert all(r.ok for r in reports.values())
+    suites = {name for name, _ in drawn}
+    assert suites == {
+        "check_maslov_axioms",
+        "check_monad_laws",
+        "check_algebra_laws",
+        "check_tensor_laws",
+        "check_hyperspace_laws",
+        "check_functor_laws",
+        "check_preimage_intersection",
+    }
+    assert {m for _, m in drawn} == {1}

@@ -11,12 +11,10 @@ from maslov import (
     convex_combination,
     dirac,
     integrate,
-    measure_to_simplex,
     normalize,
     pointwise_max,
     pointwise_sup,
     pushforward,
-    simplex_to_measure,
     space,
     support,
 )
@@ -153,25 +151,6 @@ class TestPointwiseSup:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             pointwise_sup([])
-
-
-class TestSimplexChart:
-    def test_vertex(self):
-        assert simplex_to_measure((0.0, NEG_INF), X2) == dirac(X2, "a")
-
-    def test_interior_point(self):
-        assert simplex_to_measure((-1.0, 0.0), X2).weights == (-1.0, 0.0)
-
-    @given(weight_tables(3))
-    def test_round_trip(self, raw):
-        mu = normalize(X3, raw)
-        assert simplex_to_measure(measure_to_simplex(mu), X3) == mu
-
-    def test_rejects_bad_coordinates(self):
-        with pytest.raises(ValueError):
-            simplex_to_measure((0.0,), X2)
-        with pytest.raises(ValueError):
-            simplex_to_measure((-1.0, -2.0), X2)
 
 
 class TestFunctionalSeparation:

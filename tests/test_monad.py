@@ -17,12 +17,12 @@ from maslov import (
     convex_combination,
     dirac,
     dirac_lift,
-    eval_functional,
     flatten_measure,
     fuzzy_embed,
     hyperspace_embed,
     hyperspace_square,
     hyperspace_union,
+    integrate,
     map_outer,
     marginal,
     multiply,
@@ -48,30 +48,30 @@ def measures_on(sp):
 class TestEvalFunctional:
     def test_dirac(self):
         phi = FiniteFunction(X2, (1.0, 4.0))
-        assert eval_functional(phi, dirac(X2, "b")) == 4.0
+        assert integrate(dirac(X2, "b"), phi) == 4.0
 
     @given(measures_on(X2), st.tuples(dyadic, dyadic), dyadic)
     def test_shift_commutes(self, mu, vals, lam):
         phi = FiniteFunction(X2, vals)
-        assert eval_functional(phi.shift(lam), mu) == lam + eval_functional(phi, mu)
+        assert integrate(mu, phi.shift(lam)) == lam + integrate(mu, phi)
 
     @given(measures_on(X2), st.tuples(dyadic, dyadic), st.tuples(dyadic, dyadic))
     def test_max_commutes(self, mu, v1, v2):
         from maslov import pointwise_max
 
         phi, psi = FiniteFunction(X2, v1), FiniteFunction(X2, v2)
-        assert eval_functional(pointwise_max(phi, psi), mu) == max(
-            eval_functional(phi, mu), eval_functional(psi, mu)
+        assert integrate(mu, pointwise_max(phi, psi)) == max(
+            integrate(mu, phi), integrate(mu, psi)
         )
 
     @given(measures_on(X2), measures_on(X2), st.sampled_from([0.0, -0.75, NEG_INF]))
     def test_affine_in_the_measure(self, mu1, mu2, lam2):
         combo = convex_combination(0.0, mu1, lam2, mu2)
         for phi in function_grid(X2):
-            rhs = eval_functional(phi, mu1)
+            rhs = integrate(mu1, phi)
             if lam2 > NEG_INF:
-                rhs = max(rhs, lam2 + eval_functional(phi, mu2))
-            assert eval_functional(phi, combo) == rhs
+                rhs = max(rhs, lam2 + integrate(mu2, phi))
+            assert integrate(combo, phi) == rhs
 
 
 class TestMultiply:
@@ -86,7 +86,7 @@ class TestMultiply:
         assert out.weights == (-1.0, 0.0)
         # defining identity, brute-forced over a function grid
         for phi in function_grid(X2):
-            assert eval_functional(phi, out) == outer_eval(M, phi)
+            assert integrate(out, phi) == outer_eval(M, phi)
 
     def test_constant_family(self):
         M = OuterMeasure(X2, (dirac(X2, "b"), dirac(X2, "b")), (0.0, -1.0))
@@ -172,7 +172,7 @@ class TestHyperspace:
     def test_integral_is_max_over_set(self):
         A = ClosedSet(X2, frozenset(["a", "b"]))
         phi = FiniteFunction(X2, (1.0, 4.0))
-        assert eval_functional(phi, hyperspace_embed(A)) == 4.0
+        assert integrate(hyperspace_embed(A), phi) == 4.0
 
     def test_embedding_is_injective_up_to_five_points(self):
         import itertools
@@ -222,7 +222,7 @@ class TestFuzzy:
                 phi(p) + (math.log(g) if g > 0 else NEG_INF)
                 for p, g in zip(X2.points, chi.grades)
             )
-            assert eval_functional(phi, mu) == expected
+            assert integrate(mu, phi) == expected
 
     def test_singleton(self):
         assert fuzzy_embed(FuzzySet(X2, (1.0, 0.0))) == dirac(X2, "a")
