@@ -10,7 +10,7 @@ construction boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -110,9 +110,28 @@ class FiniteSpace:
 
 @dataclass(frozen=True)
 class ProductSpace(FiniteSpace):
-    """A product of finite spaces; points are tuples, row-major in factor order."""
+    """A product of finite spaces; points are tuples, row-major in factor order.
 
+    The points are derived from the factors, never passed in, so they are
+    always the full cartesian product.  Labels and distinctness follow from
+    the validated factors and are not checked again.
+    """
+
+    points: tuple[Label, ...] = field(init=False)
     factors: tuple[FiniteSpace, ...]
+
+    def __post_init__(self) -> None:
+        factors = tuple(self.factors)
+        if len(factors) < 2:
+            raise ValueError("a product needs at least two factors")
+        if not all(isinstance(f, FiniteSpace) for f in factors):
+            raise ValueError("the factors of a product must be finite spaces")
+        points: list[Label] = [()]
+        for f in factors:
+            points = [(*p, q) for p in points for q in f.points]
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
 
     def axis(self, k: int) -> FiniteSpace:
         if not 0 <= k < len(self.factors):
@@ -122,12 +141,7 @@ class ProductSpace(FiniteSpace):
 
 def product_space(*factors: FiniteSpace) -> ProductSpace:
     """The full cartesian product with row-major canonical point order."""
-    if len(factors) < 2:
-        raise ValueError("a product needs at least two factors")
-    points: list[Label] = [()]
-    for f in factors:
-        points = [(*p, q) for p in points for q in f.points]
-    return ProductSpace(points=tuple(points), factors=tuple(factors))
+    return ProductSpace(factors)
 
 
 def _atomic_factors(space: FiniteSpace) -> tuple[FiniteSpace, ...]:
@@ -209,39 +223,53 @@ def pointwise_max(phi: FiniteFunction, psi: FiniteFunction) -> FiniteFunction:
 
 @dataclass(frozen=True)
 class MetricSpace:
-    """A finite space with a genuine metric, stored as a dense table."""
+    """A finite space with a genuine metric, stored as a dense table.
+
+    `dist` is the public tuple table.  The validated float64 array behind it
+    is kept private and read-only for the kernels; `matrix` returns a
+    writable copy.
+    """
 
     space: FiniteSpace
     dist: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         n = len(self.space)
-        rows = tuple(tuple(float(v) for v in row) for row in self.dist)
+        rows = [tuple(r) for r in self.dist]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("distance table must be square over the space")
-        for i in range(n):
-            if rows[i][i] != 0.0:
+        d = np.array(rows, dtype=float)
+        if d.shape != (n, n):
+            raise TypeError("distances must be numbers")
+        # The first defect in row-major (i, j) order decides the message,
+        # with the diagonal checked first in each row.
+        bad_diag = np.diagonal(d) != 0.0
+        bad_range = ~np.isfinite(d) | (d < 0.0)
+        bad_sym = d != d.T
+        bad_zero = (d == 0.0) & ~np.eye(n, dtype=bool)
+        bad_rows = bad_diag | (bad_range | bad_sym | bad_zero).any(axis=1)
+        if bad_rows.any():
+            i = int(np.argmax(bad_rows))
+            if bad_diag[i]:
                 raise ValueError("distance from a point to itself must be 0")
-            for j in range(n):
-                v = rows[i][j]
-                if not math.isfinite(v) or v < 0.0:
-                    raise ValueError("distances must be finite and nonnegative")
-                if v != rows[j][i]:
-                    raise ValueError("distance table must be symmetric")
-                if i != j and v == 0.0:
-                    raise ValueError("distinct points must be at positive distance")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if rows[i][j] > rows[i][k] + rows[k][j]:
-                        raise ValueError(
-                            "triangle inequality fails; run metric_closure on the raw table"
-                        )
-        object.__setattr__(self, "dist", rows)
+            j = int(np.argmax(bad_range[i] | bad_sym[i] | bad_zero[i]))
+            if bad_range[i, j]:
+                raise ValueError("distances must be finite and nonnegative")
+            if bad_sym[i, j]:
+                raise ValueError("distance table must be symmetric")
+            raise ValueError("distinct points must be at positive distance")
+        for k in range(n):
+            if (d > d[:, k, None] + d[None, k, :]).any():
+                raise ValueError(
+                    "triangle inequality fails; run metric_closure on the raw table"
+                )
+        d.flags.writeable = False
+        object.__setattr__(self, "_table", d)
+        object.__setattr__(self, "dist", tuple(map(tuple, d.tolist())))
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(self.dist, dtype=float)
+        return self._table.copy()  # type: ignore[attr-defined]
 
     def d(self, x: Label, y: Label) -> float:
         return self.dist[self.space.index(x)][self.space.index(y)]
@@ -268,13 +296,11 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
         raise ValueError("raw dissimilarities must be symmetric")
     if (np.diag(d) != 0).any():
         raise ValueError("raw dissimilarities must vanish on the diagonal")
+    # Floyd-Warshall; row and column k do not change in step k, so one
+    # array step per k makes the same comparisons as the in-place loop.
     for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                via = d[i, k] + d[k, j]
-                if via < d[i, j]:
-                    d[i, j] = via
-    return MetricSpace(space, tuple(tuple(row) for row in d.tolist()))
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return MetricSpace(space, d.tolist())
 
 
 def space(labels: Iterable[str]) -> FiniteSpace:

@@ -59,14 +59,21 @@ def decode_weight(v: Any) -> float:
         return NEG_INF
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DocumentError(f"weights must be numbers or \"-inf\", got {v!r}")
-    return float(v)
+    return _as_float(v)
 
 
 def decode_value(v: Any) -> float:
     """A JSON number; the constructors reject NaN and infinities."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DocumentError(f"function values must be numbers, got {v!r}")
-    return float(v)
+    return _as_float(v)
+
+
+def _as_float(v: int | float) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        raise DocumentError("a JSON integer is too large for a float") from None
 
 
 def encode_label(label: Label) -> Any:

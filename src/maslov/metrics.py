@@ -30,18 +30,26 @@ _SLACK_EPS = 1e-9
 
 
 def maxmin_gap(
-    dist: Sequence[Sequence[float]], n: int, lam: Sequence[float], kap: Sequence[float]
+    dist: Sequence[Sequence[float]] | np.ndarray, n: int, lam: Sequence[float], kap: Sequence[float]
 ) -> float:
-    """Closed-form dual gap on raw weight vectors over a (pseudo)distance table."""
-    sup_l = [i for i, w in enumerate(lam) if w > NEG_INF]
-    sup_k = [j for j, w in enumerate(kap) if w > NEG_INF]
-    if not sup_l or not sup_k:
+    """Closed-form dual gap on raw weight vectors over a (pseudo)distance table.
+
+    Each term is (λ_i - κ_j) + n·d_ij, associated in that order, so the
+    result does not depend on how the table is stored.
+    """
+    d = np.asarray(dist, dtype=float)
+    a = np.array(lam, dtype=float)
+    b = np.array(kap, dtype=float)
+    sup_l = a > NEG_INF
+    sup_k = b > NEG_INF
+    if not sup_l.any() or not sup_k.any():
         raise ValueError("weight vectors must each have a finite entry")
 
-    def one_sided(rows, cols, a, b):
-        return max(min(a[i] - b[j] + n * dist[i][j] for j in cols) for i in rows)
+    def one_sided(x, y, sub):
+        return ((x[:, None] - y[None, :]) + n * sub).min(axis=1).max()
 
-    return max(one_sided(sup_l, sup_k, lam, kap), one_sided(sup_k, sup_l, kap, lam))
+    return float(max(one_sided(a[sup_l], b[sup_k], d[np.ix_(sup_l, sup_k)]),
+                     one_sided(b[sup_k], a[sup_l], d[np.ix_(sup_k, sup_l)])))
 
 
 def _check_pair(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> None:
@@ -54,7 +62,7 @@ def _check_pair(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMea
 def dhat(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
     """sup |μ(φ) - ν(φ)| over n-Lipschitz φ, via the closed form."""
     _check_pair(n, X, mu, nu)
-    return maxmin_gap(X.dist, n, mu.weights, nu.weights)
+    return maxmin_gap(X._table, n, mu.weights, nu.weights)  # type: ignore[attr-defined]
 
 
 def dtilde(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:

@@ -135,10 +135,20 @@ def projection(prod: ProductSpace, axis: int) -> PointMap:
 
 
 def marginal(mu: IdempotentMeasure, axis: int) -> IdempotentMeasure:
-    """Pushforward along the axis projection: max over the complementary fibers."""
+    """Max over the complementary fibers; equals the pushforward along projection.
+
+    Row-major order makes the fiber of a coordinate a set of strided runs:
+    first reduce each run over the later axes, then stride over the earlier.
+    """
     if not isinstance(mu.space, ProductSpace):
         raise ValueError("marginals require a measure on a declared product space")
-    return pushforward(projection(mu.space, axis), mu)
+    fac = mu.space.axis(axis)
+    run = math.prod(len(f) for f in mu.space.factors[axis + 1:])
+    w = mu.weights
+    if run > 1:
+        w = tuple(max(w[s:s + run]) for s in range(0, len(w), run))
+    m = len(fac)
+    return IdempotentMeasure(fac, tuple(max(w[c::m]) for c in range(m)))
 
 
 def flatten_measure(mu: IdempotentMeasure) -> IdempotentMeasure:

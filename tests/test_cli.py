@@ -216,6 +216,34 @@ class TestMalformedTables:
         assert out is None
 
 
+class TestOversizedIntegers:
+    HUGE = -(10**400)  # a JSON integer beyond the float range
+
+    def test_decode_rejects(self):
+        ctx = mio.Context()
+        ctx.register("X", X2)
+        doc = {"kind": "measure", "space": "X", "atoms": {"a": 0, "b": self.HUGE}}
+        with pytest.raises(mio.DocumentError, match="too large"):
+            mio.decode(doc, ctx, "measure")
+        doc = {"kind": "function", "space": "X", "values": {"a": 0, "b": -self.HUGE}}
+        with pytest.raises(mio.DocumentError, match="too large"):
+            mio.decode(doc, ctx, "function")
+
+    def test_cli_exits_one(self, tmp_path, capsys):
+        m = tmp_path / "m.json"
+        m.write_text(
+            '{"kind": "measure", "space": {"name": "X", "points": ["a", "b"]},'
+            ' "atoms": {"a": 0, "b": -1' + "0" * 400 + "}}",
+            encoding="utf-8",
+        )
+        f = write(tmp_path, "f.json", mio.function_doc(FiniteFunction(X2, (0.0, 0.0))))
+        code = cli.main(["integrate", str(m), f])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 class TestCommands:
     def test_integrate(self, tmp_path, capsys):
         m = write(tmp_path, "m.json", mio.measure_doc(normalize(X2, {"a": -1, "b": 0})))
@@ -288,6 +316,17 @@ class TestCommands:
         code, _ = run(capsys, ["dist", ms, mu, mu])
         assert code == 0
         assert len(calls) == 1
+
+    def test_dist_names_the_first_metric_defect(self, tmp_path, capsys):
+        # (0, 1) breaks symmetry before (1, 1) breaks the zero diagonal
+        doc = {"kind": "metric_space", "name": "M", "points": ["a", "b"], "dist": [[0, 1], [2, 1]]}
+        ms = write(tmp_path, "ms.json", doc)
+        mu = write(tmp_path, "mu.json", mio.measure_doc(IdempotentMeasure(X2, (0.0, -0.5))))
+        code = cli.main(["dist", ms, mu, mu])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: distance table must be symmetric\n"
 
     def test_sup_hyper_fuzzy(self, tmp_path, capsys):
         m1 = write(tmp_path, "m1.json", mio.measure_doc(normalize(X2, {"a": 0, "b": -2})))

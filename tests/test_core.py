@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,8 @@ from maslov import (
     FiniteFunction,
     FiniteSpace,
     MetricSpace,
+    ProductSpace,
+    flatten_space,
     metric_closure,
     odot,
     oplus,
@@ -84,6 +87,47 @@ class TestFiniteSpace:
         assert P.factors == (X, Y)
 
 
+class TestProductSpaceInvariant:
+    def test_points_cannot_be_passed(self):
+        X, Y = space("ab"), space("uv")
+        with pytest.raises(TypeError):
+            ProductSpace(points=(("a", "u"),), factors=(X, Y))
+        with pytest.raises(ValueError):
+            dataclasses.replace(product_space(X, Y), points=(("a", "u"),))
+
+    def test_points_follow_the_factors(self):
+        X, Y, Z = space("ab"), space("uvw"), space("c")
+        P = ProductSpace((X, Y, Z))
+        assert P == product_space(X, Y, Z)
+        assert P.points == tuple(itertools.product(X.points, Y.points, Z.points))
+        assert [P.index(p) for p in P.points] == list(range(len(P)))
+
+    def test_rejects_bad_factors(self):
+        with pytest.raises(ValueError, match="at least two factors"):
+            ProductSpace((space("ab"),))
+        with pytest.raises(ValueError, match="finite spaces"):
+            ProductSpace((space("ab"), ("u", "v")))
+
+    def test_nested_products(self):
+        A, B, C = space("ab"), space("xy"), space("u")
+        left = product_space(product_space(A, B), C)
+        assert left.points == (
+            (("a", "x"), "u"), (("a", "y"), "u"), (("b", "x"), "u"), (("b", "y"), "u"),
+        )
+        again = product_space(product_space(A, B), C)
+        assert left == again and hash(left) == hash(again)
+        assert left != product_space(A, product_space(B, C))
+        assert left != product_space(A, B, C)
+        assert left != FiniteSpace(left.points)
+
+        flat, table = flatten_space(left)
+        assert flat == product_space(A, B, C)
+        assert table == {p: (*p[0], p[1]) for p in left.points}
+        flat_r, table_r = flatten_space(product_space(A, product_space(B, C)))
+        assert flat_r == flat
+        assert table_r == {(a, (b, c)): (a, b, c) for a, b, c in flat.points}
+
+
 class TestFiniteFunction:
     def test_rejects_infinite_values(self):
         X = space("ab")
@@ -155,3 +199,52 @@ class TestMetricClosure:
             assert isinstance(closed, MetricSpace)  # constructor enforces the axioms
             expected = brute_force_shortest_paths(raw, n)
             assert [list(row) for row in closed.dist] == expected
+
+
+class TestMetricSpaceValidation:
+    SYMMETRIC = "distance table must be symmetric"
+    DIAGONAL = "distance from a point to itself must be 0"
+    RANGE = "distances must be finite and nonnegative"
+    POSITIVE = "distinct points must be at positive distance"
+    TRIANGLE = "triangle inequality fails"
+    NAN, INF = math.nan, math.inf
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            # one defect
+            ([[1, 1], [1, 0]], DIAGONAL),
+            ([[NAN, 1], [1, 0]], DIAGONAL),
+            ([[0, -1], [-1, 0]], RANGE),
+            ([[0, INF], [INF, 0]], RANGE),
+            ([[0, NAN], [NAN, 0]], RANGE),
+            ([[0, 1], [2, 0]], SYMMETRIC),
+            ([[0, 0], [0, 0]], POSITIVE),
+            ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], TRIANGLE),
+            # several defects: the first in row-major order, diagonal first in a row
+            ([[0, 1], [2, 1]], SYMMETRIC),
+            ([[0, 1], [NAN, 0]], SYMMETRIC),
+            ([[0, 1, 1], [2, 0, 1], [1, 1, 5]], SYMMETRIC),
+            ([[0, 2, -1], [1, 0, 1], [-1, 1, 0]], SYMMETRIC),
+            ([[0, 1, 1], [1, 0, 0], [1, 0, 7]], POSITIVE),
+            ([[0, 1, 1], [1, 3, -1], [1, -1, 0]], DIAGONAL),
+            ([[0, 1, 1], [1, 0, -1], [1, 2, 9]], RANGE),
+            ([[0, 0, 1], [0, 3, 1], [1, 1, 0]], POSITIVE),
+            ([[0, 9, 1], [9, 0, 1], [1, 1, 0]], TRIANGLE),
+        ],
+    )
+    def test_first_defect_names_the_error(self, table, message):
+        X = FiniteSpace(tuple(f"p{i}" for i in range(len(table))))
+        with pytest.raises(ValueError, match=message):
+            MetricSpace(X, table)
+
+    def test_not_square(self):
+        with pytest.raises(ValueError, match="square"):
+            MetricSpace(space("ab"), ((0.0, 1.0), (1.0,)))
+
+    def test_matrix_is_a_copy(self):
+        X = metric_closure(space("abc"), [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        m = X.matrix
+        m[0, 2] = 99.0
+        assert X.matrix[0, 2] == 2.0 and X.d("a", "c") == 2.0
+        assert X.matrix is not X.matrix
