@@ -38,20 +38,12 @@ class PointCloudSpace:
     embed: Mapping[Label, TropicalPoint]
 
     def __post_init__(self) -> None:
-        missing = [p for p in self.space.points if p not in self.embed]
-        if missing:
-            raise ValueError(f"embedding undefined on {missing!r}")
-        dims = set()
-        table = {}
-        for p in self.space.points:
-            q = tuple(float(v) for v in self.embed[p])
-            if any(not math.isfinite(v) for v in q):
-                raise ValueError("cloud points must have finite coordinates")
-            dims.add(len(q))
-            table[p] = q
-        if len(dims) != 1:
+        coords = [tuple(map(float, q)) for q in self.space.dense(self.embed, "embed")]
+        if not all(math.isfinite(v) for q in coords for v in q):
+            raise ValueError("cloud points must have finite coordinates")
+        if len({len(q) for q in coords}) != 1:
             raise ValueError("inconsistent coordinate dimensions")
-        object.__setattr__(self, "embed", table)
+        object.__setattr__(self, "embed", dict(zip(self.space.points, coords)))
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +21,8 @@ MaxPlusWeight = float
 
 # Point labels are strings, or tuples of labels on product-like spaces.
 Label = Union[str, tuple]
+
+_REQUIRED: Any = object()  # dense(): a point the table leaves out is an error
 
 
 def as_weight(value: float) -> float:
@@ -91,6 +93,37 @@ class FiniteSpace:
         if len(set(self.points)) != len(self.points):
             raise ValueError("point labels must be pairwise distinct")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+
+    def require(self, labels: Iterable[Label], what: str) -> None:
+        """Reject labels outside the space, listed in input order."""
+        outside = [p for p in labels if p not in self._index]  # type: ignore[attr-defined]
+        if outside:
+            raise ValueError(f"{what}: points outside the space {outside!r}")
+
+    def subset(self, labels: Iterable[Label], what: str) -> frozenset[Label]:
+        """The labels as a set of points; a label outside the space is an error."""
+        labels = tuple(labels)
+        self.require(labels, what)
+        return frozenset(labels)
+
+    def dense(self, table: Mapping[Label, Any], what: str, default: Any = _REQUIRED) -> tuple:
+        """The entries of a label-keyed table as a tuple in canonical point order.
+
+        A key outside the space is an error.  A point the table leaves out
+        gets `default`, or is an error when no default is given.
+        """
+        if default is _REQUIRED:
+            try:
+                values = tuple(map(table.__getitem__, self.points))
+                if len(table) == len(values):  # every point found and no other key
+                    return values
+            except KeyError:
+                pass
+        self.require(table, what)
+        if default is _REQUIRED:
+            missing = [p for p in self.points if p not in table]
+            raise ValueError(f"{what}: no entry for points {missing!r}")
+        return tuple(table.get(p, default) for p in self.points)
 
     def index(self, label: Label) -> int:
         try:
@@ -191,13 +224,8 @@ class FiniteFunction:
 
     @classmethod
     def from_mapping(cls, space: FiniteSpace, table: Mapping[Label, float]) -> "FiniteFunction":
-        missing = [p for p in space.points if p not in table]
-        if missing:
-            raise ValueError(f"missing values for {missing!r}")
-        unknown = [k for k in table if k not in space]
-        if unknown:
-            raise ValueError(f"values for unknown points {unknown!r}")
-        return cls(space, tuple(float(table[p]) for p in space.points))
+        """A function from a table naming every point of the space once."""
+        return cls(space, space.dense(table, "values"))
 
     @classmethod
     def constant(cls, space: FiniteSpace, c: float) -> "FiniteFunction":

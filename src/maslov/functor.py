@@ -18,16 +18,9 @@ class PointMap:
     table: Mapping[Label, Label]
 
     def __post_init__(self) -> None:
-        missing = [p for p in self.source.points if p not in self.table]
-        if missing:
-            raise ValueError(f"map undefined on {missing!r}")
-        extra = [k for k in self.table if k not in self.source]
-        if extra:
-            raise ValueError(f"map defined on unknown points {extra!r}")
-        bad = [v for v in self.table.values() if v not in self.target]
-        if bad:
-            raise ValueError(f"map values outside the target: {bad!r}")
-        object.__setattr__(self, "table", {p: self.table[p] for p in self.source.points})
+        images = self.source.dense(self.table, "map")
+        self.target.require(images, "map values")
+        object.__setattr__(self, "table", dict(zip(self.source.points, images)))
 
     def __call__(self, x: Label) -> Label:
         if x not in self.source:
@@ -46,14 +39,11 @@ class PointMap:
         return frozenset(x for x in self.source.points if self.table[x] == y)
 
     def preimage(self, B: Iterable[Label]) -> frozenset[Label]:
-        bs = frozenset(B)
-        unknown = [b for b in bs if b not in self.target]
-        if unknown:
-            raise ValueError(f"unknown points {unknown!r}")
+        bs = self.target.subset(B, "preimage")
         return frozenset(x for x in self.source.points if self.table[x] in bs)
 
     def image(self, A: Iterable[Label] | None = None) -> frozenset[Label]:
-        pts = self.source.points if A is None else tuple(A)
+        pts = self.source.points if A is None else self.source.subset(A, "image")
         return frozenset(self.table[x] for x in pts)
 
     @property
@@ -93,10 +83,7 @@ def precompose(phi: FiniteFunction, f: PointMap) -> FiniteFunction:
 
 def lies_in_subspace(mu: IdempotentMeasure, A: Iterable[Label]) -> bool:
     """Whether the support of μ is contained in the given point set."""
-    pts = frozenset(A)
-    unknown = [a for a in pts if a not in mu.space]
-    if unknown:
-        raise ValueError(f"unknown points {unknown!r}")
+    pts = mu.space.subset(A, "subspace")
     return all(w == NEG_INF or p in pts for p, w in zip(mu.space.points, mu.weights))
 
 

@@ -216,13 +216,7 @@ def _table(
     """
     table = _entries(obj, what)
     space = ctx.resolve(ref, list(table))
-    unknown = [p for p in table if p not in space]
-    if unknown:
-        raise DocumentError(f"{what}: points outside the space {unknown!r}")
-    missing = [p for p in space.points if p not in table]
-    if missing:
-        raise DocumentError(f"{what}: no entry for points {missing!r}")
-    return space, tuple(entry(table[p]) for p in space.points)
+    return space, tuple(map(entry, space.dense(table, what)))
 
 
 def _pairs_to_atoms(pairs: Sequence[tuple[Label, Any]]) -> Any:

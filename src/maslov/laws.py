@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Union
 
 from .convexity import PointCloudSpace, algebra_law_check, barycenter, hull_membership
 from .core import NEG_INF, FiniteFunction, FiniteSpace, pointwise_max
@@ -44,15 +44,23 @@ class LawReport:
         return "ok" if self.ok else f"violated: {self.counterexample}"
 
 
+# A checker's seed: an int or str seeds a fresh generator; a Random is drawn from.
+Seed = Union[int, str, random.Random]
+
+
+def _rng(seed: Seed) -> random.Random:
+    return seed if isinstance(seed, random.Random) else random.Random(seed)
+
+
 def _fail(name: str, cases: int, message: str) -> LawReport:
     return LawReport(name=name, cases=cases, ok=False, counterexample=message)
 
 
 # ---------------------------------------------------------------- generators
 
-def rand_weight(rng: random.Random, ninf_prob: float = 0.2) -> float:
-    """A dyadic weight in [-4, 0], or -inf with the given probability."""
-    if rng.random() < ninf_prob:
+def rand_weight(rng: random.Random) -> float:
+    """A dyadic weight in [-4, 0], or -inf with probability 0.2."""
+    if rng.random() < 0.2:
         return NEG_INF
     return -rng.randrange(0, 17) / 4.0
 
@@ -90,8 +98,9 @@ def rand_surjection(rng: random.Random, source: FiniteSpace, target: FiniteSpace
     return PointMap(source, target, table)
 
 
-def rand_outer(rng: random.Random, space: FiniteSpace, max_inner: int = 3) -> OuterMeasure:
-    k = rng.randint(1, max_inner)
+def rand_outer(rng: random.Random, space: FiniteSpace) -> OuterMeasure:
+    """An outer measure with one to three inner measures."""
+    k = rng.randint(1, 3)
     inner = tuple(rand_measure(rng, space) for _ in range(k))
     raw = [rand_weight(rng) for _ in range(k)]
     if max(raw) == NEG_INF:
@@ -101,11 +110,9 @@ def rand_outer(rng: random.Random, space: FiniteSpace, max_inner: int = 3) -> Ou
     return OuterMeasure(space, inner, weights)
 
 
-def rand_nested(
-    rng: random.Random, space: FiniteSpace, max_outer: int = 2
-) -> list[tuple[float, OuterMeasure]]:
-    """A finitely-supported measure over outer measures, normalized."""
-    k = rng.randint(1, max_outer)
+def rand_nested(rng: random.Random, space: FiniteSpace) -> list[tuple[float, OuterMeasure]]:
+    """A normalized measure over one or two outer measures."""
+    k = rng.randint(1, 2)
     raw = [rand_weight(rng) for _ in range(k)]
     if max(raw) == NEG_INF:
         raw[rng.randrange(k)] = 0.0
@@ -130,25 +137,26 @@ def rand_cloud(rng: random.Random, space: FiniteSpace, dim: int = 3) -> PointClo
     )
 
 
-def separating_family(space: FiniteSpace, scale: float = 4.0) -> list[FiniteFunction]:
-    """Indicator-like functions: 0 at one point, -scale elsewhere.
+def separating_family(space: FiniteSpace) -> list[FiniteFunction]:
+    """Indicator-like functions: 0 at one point, -4 elsewhere.
 
-    Scaled past the weight spread they recover atom weights one by one;
-    the unscaled family does not separate weights below -1.
+    Scaled past the weight spread of rand_weight they recover atom weights
+    one by one; a {0, -1} family does not separate weights below -1.
     """
     out = []
     for i in range(len(space)):
         out.append(
-            FiniteFunction(space, tuple(0.0 if j == i else -scale for j in range(len(space))))
+            FiniteFunction(space, tuple(0.0 if j == i else -4.0 for j in range(len(space))))
         )
     return out
 
 
 # ------------------------------------------------------------------ checkers
 
-def check_maslov_axioms(rng: random.Random, cases: int, max_points: int = 5) -> LawReport:
+def check_maslov_axioms(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Normalization, shift homogeneity and max-additivity of the integral."""
     name = "maslov"
+    rng = _rng(seed)
     for k in range(cases):
         space = rand_space(rng, max_points)
         mu = rand_measure(rng, space)
@@ -166,10 +174,10 @@ def check_maslov_axioms(rng: random.Random, cases: int, max_points: int = 5) -> 
     return LawReport(name, cases, True)
 
 
-def check_monad_laws(seed: int = 0, cases: int = 200, max_points: int = 4) -> LawReport:
+def check_monad_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Both unit laws, the defining mixing identity, and associativity."""
     name = "monad"
-    rng = random.Random(seed)
+    rng = _rng(seed)
     for k in range(cases):
         space = rand_space(rng, max_points)
         mu = rand_measure(rng, space)
@@ -200,12 +208,13 @@ def check_monad_laws(seed: int = 0, cases: int = 200, max_points: int = 4) -> La
     return LawReport(name, cases, True)
 
 
-def check_algebra_laws(rng: random.Random, cases: int, max_points: int = 4, dim: int = 3) -> LawReport:
+def check_algebra_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Barycenter laws: unit, mixing compatibility, and span membership."""
     name = "algebra"
+    rng = _rng(seed)
     for k in range(cases):
         space = rand_space(rng, max_points)
-        cloud = rand_cloud(rng, space, dim)
+        cloud = rand_cloud(rng, space)
         for p in space.points:
             if barycenter(cloud, dirac(space, p)) != cloud.point(p):
                 return _fail(name, k, f"barycenter of a Dirac differs from the point {p!r}")
@@ -222,9 +231,10 @@ def check_algebra_laws(rng: random.Random, cases: int, max_points: int = 4, dim:
     return LawReport(name, cases, True)
 
 
-def check_tensor_laws(rng: random.Random, cases: int, max_points: int = 3) -> LawReport:
+def check_tensor_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Tensor marginals recover the factors; tensor is associative."""
     name = "tensor"
+    rng = _rng(seed)
     for k in range(cases):
         X = rand_space(rng, max_points, "x")
         Y = rand_space(rng, max_points, "y")
@@ -241,9 +251,10 @@ def check_tensor_laws(rng: random.Random, cases: int, max_points: int = 3) -> La
     return LawReport(name, cases, True)
 
 
-def check_hyperspace_laws(rng: random.Random, cases: int, max_points: int = 5) -> LawReport:
+def check_hyperspace_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """The set-family mixing square commutes; singletons embed as Diracs."""
     name = "hyperspace"
+    rng = _rng(seed)
     for k in range(cases):
         space = rand_space(rng, max_points)
         family = [rand_closed_set(rng, space) for _ in range(rng.randint(1, 3))]
@@ -256,9 +267,10 @@ def check_hyperspace_laws(rng: random.Random, cases: int, max_points: int = 5) -
     return LawReport(name, cases, True)
 
 
-def check_functor_laws(rng: random.Random, cases: int, max_points: int = 4) -> LawReport:
+def check_functor_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Identity/composition functoriality and the support image law."""
     name = "functor"
+    rng = _rng(seed)
     for k in range(cases):
         X = rand_space(rng, max_points, "x")
         Y = rand_space(rng, max_points, "y")
@@ -275,9 +287,10 @@ def check_functor_laws(rng: random.Random, cases: int, max_points: int = 4) -> L
     return LawReport(name, cases, True)
 
 
-def check_preimage_intersection(rng: random.Random, cases: int, max_points: int = 4) -> LawReport:
+def check_preimage_intersection(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Support containment commutes with preimages and intersections."""
     name = "preimage"
+    rng = _rng(seed)
     for k in range(cases):
         X = rand_space(rng, max_points, "x")
         Y = rand_space(rng, max_points, "y")
@@ -294,7 +307,8 @@ def check_preimage_intersection(rng: random.Random, cases: int, max_points: int 
     return LawReport(name, cases, True)
 
 
-_CHECKERS: dict[str, Callable[[random.Random, int, int], LawReport]] = {
+_CHECKERS: dict[str, Callable[[Seed, int, int], LawReport]] = {
+    "monad": check_monad_laws,
     "maslov": check_maslov_axioms,
     "algebra": check_algebra_laws,
     "tensor": check_tensor_laws,
@@ -305,8 +319,5 @@ _CHECKERS: dict[str, Callable[[random.Random, int, int], LawReport]] = {
 
 
 def run_all_laws(seed: int = 0, cases: int = 200, max_points: int = 4) -> dict[str, LawReport]:
-    """Run every law suite with one seed; deterministic for fixed arguments."""
-    reports = {"monad": check_monad_laws(seed=seed, cases=cases, max_points=max_points)}
-    for name, checker in _CHECKERS.items():
-        reports[name] = checker(random.Random(f"{seed}/{name}"), cases, max_points)
-    return reports
+    """Run every law suite, each on its own stream "<seed>/<suite>"."""
+    return {name: check(f"{seed}/{name}", cases, max_points) for name, check in _CHECKERS.items()}

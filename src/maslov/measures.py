@@ -61,14 +61,10 @@ def normalize(
     weight must be finite.
     """
     if isinstance(raw, Mapping):
-        unknown = [k for k in raw if k not in space]
-        if unknown:
-            raise ValueError(f"weights for unknown points {unknown!r}")
-        table = [as_weight(raw.get(p, NEG_INF)) for p in space.points]
-    else:
-        table = [as_weight(v) for v in raw]
-        if len(table) != len(space):
-            raise ValueError("one weight per point required")
+        raw = space.dense(raw, "weights", default=NEG_INF)
+    table = [as_weight(v) for v in raw]
+    if len(table) != len(space):
+        raise ValueError("one weight per point required")
     top = max(table)
     if top == NEG_INF:
         raise ValueError("cannot normalize: all weights are -inf")

@@ -27,6 +27,7 @@ from .measures import IdempotentMeasure
 from .monad import OuterMeasure
 
 _SLACK_EPS = 1e-9
+_GRID_CAP = 4_000_000
 
 
 def maxmin_gap(
@@ -78,7 +79,6 @@ def grid_gap(
     *,
     step: float = 0.01,
     radius: float,
-    max_cells: int = 4_000_000,
 ) -> float:
     """Brute-force dual gap: sweep value vectors on a grid of spacing `step`.
 
@@ -106,8 +106,8 @@ def grid_gap(
     cells = 1
     for a in axes:
         cells *= a.size
-    if cells > max_cells:
-        raise ValueError(f"oracle grid has {cells} cells, above the cap {max_cells}")
+    if cells > _GRID_CAP:
+        raise ValueError(f"oracle grid has {cells} cells, above the cap {_GRID_CAP}")
 
     vs: list[np.ndarray] = [np.zeros(())]  # pinned base point
     for i, a in enumerate(axes):
@@ -152,16 +152,11 @@ def dhat_oracle(
     nu: IdempotentMeasure,
     *,
     step: float = 0.01,
-    radius: float | None = None,
-    max_cells: int = 4_000_000,
 ) -> float:
     """Grid-sweep evaluation of the dual gap, independent of the closed form."""
     _check_pair(n, X, mu, nu)
-    if radius is None:
-        radius = max(default_radius(n, X, mu, nu), step)
-    return grid_gap(
-        X.dist, n, mu.weights, nu.weights, step=step, radius=radius, max_cells=max_cells
-    )
+    radius = max(default_radius(n, X, mu, nu), step)
+    return grid_gap(X.dist, n, mu.weights, nu.weights, step=step, radius=radius)
 
 
 def inner_distance_table(

@@ -168,12 +168,9 @@ class ClosedSet:
     members: frozenset[Label]
 
     def __post_init__(self) -> None:
-        members = frozenset(self.members)
+        members = self.space.subset(self.members, "closed set")
         if not members:
             raise ValueError("closed sets are nonempty")
-        unknown = [m for m in members if m not in self.space]
-        if unknown:
-            raise ValueError(f"unknown points {unknown!r}")
         object.__setattr__(self, "members", members)
 
 
@@ -235,10 +232,8 @@ class FuzzySet:
 
     @classmethod
     def from_mapping(cls, space: FiniteSpace, table: Mapping[Label, float]) -> "FuzzySet":
-        unknown = [k for k in table if k not in space]
-        if unknown:
-            raise ValueError(f"grades for unknown points {unknown!r}")
-        return cls(space, tuple(float(table.get(p, 0.0)) for p in space.points))
+        """A fuzzy set from a grade table; points it leaves out get grade 0."""
+        return cls(space, space.dense(table, "grades", default=0.0))
 
 
 def fuzzy_embed(chi: FuzzySet) -> IdempotentMeasure:

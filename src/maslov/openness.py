@@ -234,7 +234,8 @@ class TightPattern:
     fixed: tuple[tuple[tuple[Label, Label], float], ...]
 
 
-_PATTERN_CAP = 4
+_PATTERN_CAP = 4  # points per side in tight_patterns
+_FAMILY_CAP = 12  # cells in indicator_family, which coupling_gap tests against
 
 
 def tight_patterns(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> Iterator[TightPattern]:
@@ -284,10 +285,10 @@ def pattern_max_coupling(
     return IdempotentMeasure(prod, weights)
 
 
-def indicator_family(space: FiniteSpace, cap: int = 12) -> list[FiniteFunction]:
+def indicator_family(space: FiniteSpace) -> list[FiniteFunction]:
     """All {0, -1}-valued test functions on a space (2^|space| of them)."""
-    if len(space) > cap:
-        raise ValueError(f"indicator family is capped at {cap} points")
+    if len(space) > _FAMILY_CAP:
+        raise ValueError(f"indicator family is capped at {_FAMILY_CAP} points")
     return [
         FiniteFunction(space, values)
         for values in itertools.product((0.0, -1.0), repeat=len(space))
@@ -352,21 +353,19 @@ def coupling_gap(
     mu1: IdempotentMeasure,
     mu2: IdempotentMeasure,
     target: IdempotentMeasure,
-    family: Sequence[FiniteFunction] | None = None,
 ) -> GapResult:
     """Best approximation of a target coupling by feasible couplings.
 
     Minimizes, over all couplings with the prescribed marginals, the
     maximum over the test family of |ν(φ) - target(φ)|.  The feasible set
     is a union of tight-pattern boxes; each box is solved exactly and the
-    best box wins.  The default family is every {0, -1}-valued function on
+    best box wins.  The test family is every {0, -1}-valued function on
     the product, which separates support patterns.
     """
     prod = product_space(mu1.space, mu2.space)
     if target.space != prod:
         raise ValueError("target must live on the product of the marginal spaces")
-    if family is None:
-        family = indicator_family(prod)
+    family = indicator_family(prod)
     targets = [integrate(target, phi) for phi in family]
     values = [
         {cell: phi(cell) for cell in prod.points}
@@ -488,9 +487,7 @@ def milyutin_build(
     used = levels[:depth]
     for i, level in enumerate(used):
         for pair in level.pairs:
-            unknown = [p for p in pair.V if p not in base]
-            if unknown:
-                raise ValueError(f"level {i} mentions unknown points {unknown!r}")
+            base.require(pair.V, f"level {i}")
         covered = frozenset().union(*(pair.U for pair in level.pairs))
         if covered != frozenset(base.points):
             raise ValueError(f"level {i} does not cover the base space")

@@ -33,6 +33,20 @@ from maslov import (
 
 X2 = space("ab")
 
+# `maslov check-laws --seed 0 --cases 50`, byte for byte: key order is monad first.
+CHECK_LAWS_SEED0_CASES50 = """{
+  "seed": 0,
+  "cases": 50,
+  "monad": "ok",
+  "maslov": "ok",
+  "algebra": "ok",
+  "tensor": "ok",
+  "hyperspace": "ok",
+  "functor": "ok",
+  "preimage": "ok"
+}
+"""
+
 SCHEMA = json.loads(res.files("maslov.schemas").joinpath("document.schema.json").read_text())
 KINDS = SCHEMA["properties"]["kind"]["enum"]
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA) if jsonschema else None
@@ -445,6 +459,10 @@ class TestCommands:
         assert code == 0
         assert out["monad"] == "ok"
         assert out["maslov"] == "ok"
+
+    def test_check_laws_golden(self, capsys):
+        assert cli.main(["check-laws", "--seed", "0", "--cases", "50"]) == 0
+        assert capsys.readouterr().out == CHECK_LAWS_SEED0_CASES50
 
     def test_check_laws_violation_exit_code(self, capsys, monkeypatch):
         import maslov.cli as cli_mod

@@ -1,3 +1,5 @@
+import inspect
+import random
 import sys
 
 from maslov import laws
@@ -25,3 +27,19 @@ def test_max_points_reaches_every_suite(monkeypatch):
         "check_preimage_intersection",
     }
     assert {m for _, m in drawn} == {1}
+
+
+def test_checkers_share_one_signature():
+    signatures = {name: inspect.signature(check) for name, check in laws._CHECKERS.items()}
+    assert list(signatures)[0] == "monad"
+    assert len(signatures) == 7
+    assert len(set(signatures.values())) == 1
+    params = signatures["monad"].parameters.values()
+    assert [(p.name, p.default) for p in params] == [("seed", 0), ("cases", 200), ("max_points", 4)]
+
+
+def test_seed_forms():
+    rng = random.Random(3)
+    assert laws._rng(rng) is rng
+    for seed in (7, "7/monad"):
+        assert laws._rng(seed).getstate() == random.Random(seed).getstate()

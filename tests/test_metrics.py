@@ -196,7 +196,7 @@ class TestNonexpansion:
             kap = [NEG_INF, NEG_INF] + list(N.weights)
             closed = maxmin_gap(ground, 1, lam, kap)
             radius = max(max(row) for row in ground) + 1.0
-            grid = grid_gap(ground, 1, lam, kap, step=0.05, radius=radius, max_cells=4_000_000)
+            grid = grid_gap(ground, 1, lam, kap, step=0.05, radius=radius)
             assert abs(closed - grid) <= 0.1
 
 
