@@ -213,7 +213,7 @@ def cmd_counterexample(args) -> int:
         l = math.inf if args.l == "inf" else float(args.l)
     except ValueError:
         raise mio.DocumentError("--l must be a positive integer or 'inf'") from None
-    if l != math.inf and (l < 1 or l != int(l)):
+    if l != math.inf and not (l >= 1 and l.is_integer()):  # NaN fails l >= 1
         raise mio.DocumentError("--l must be a positive integer or 'inf'")
     mu1, mu2, target = counterexample_instance(l)
     result = coupling_gap(mu1, mu2, target)

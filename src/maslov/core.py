@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence, Union
 
-import numpy as np
+# numpy is imported inside the array kernels (MetricSpace validation and
+# metric_closure), so a process that builds no metric space never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 NEG_INF = float("-inf")
 
@@ -262,6 +265,8 @@ class MetricSpace:
     dist: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         n = len(self.space)
         rows = [tuple(r) for r in self.dist]
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -314,6 +319,8 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     it; the closure is idempotent on tables that already satisfy the
     triangle inequality.
     """
+    import numpy as np
+
     n = len(space)
     d = np.array(raw, dtype=float)
     if d.shape != (n, n):

@@ -137,7 +137,10 @@ class Context:
         return known
 
     def resolve(self, ref: Any, points: Sequence[Label] | None = None) -> FiniteSpace:
-        """Resolve a space reference: a known name, or a name backed by points."""
+        """Resolve a space reference: an inline space, a known name, or a new
+        name backed by `points`.  The points are used only for a new name;
+        checking a table against a known space is left to `FiniteSpace.dense`.
+        """
         if isinstance(ref, dict):
             name = ref.get("name", "X")
             pts = [decode_label(p) for p in ref.get("points", [])]
@@ -145,10 +148,7 @@ class Context:
         if not isinstance(ref, str):
             raise DocumentError(f"space references must be names, got {ref!r}")
         if ref in self.spaces:
-            space = self.spaces[ref]
-            if points is not None and set(points) != set(space.points):
-                raise DocumentError(f"table points disagree with space {ref!r}")
-            return space
+            return self.spaces[ref]
         if points is None:
             raise DocumentError(f"unknown space {ref!r} and no points to derive it from")
         return self.register(ref, infer_space(list(points)))
@@ -299,9 +299,11 @@ def decode_map(obj: Mapping[str, Any], ctx: Context) -> PointMap:
     source, images = _table(obj["table"], ctx, obj["source"], decode_label, "table")
     if "target_points" in obj:
         target_points = [decode_label(p) for p in obj["target_points"]]
+        target = ctx.resolve(obj["target"], target_points)
+        target.dense(dict.fromkeys(target_points), "target_points")
     else:
-        target_points = list(dict.fromkeys(images))
-    target = ctx.resolve(obj["target"], target_points)
+        # a new target name takes the images; a known one need not be covered
+        target = ctx.resolve(obj["target"], list(dict.fromkeys(images)))
     return PointMap(source, target, dict(zip(source.points, images)))
 
 

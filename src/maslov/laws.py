@@ -52,6 +52,15 @@ def _rng(seed: Seed) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
+def _start(seed: Seed, cases: int, max_points: int) -> random.Random:
+    """Check a checker's bounds and return its generator."""
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
+    if max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
+    return _rng(seed)
+
+
 def _fail(name: str, cases: int, message: str) -> LawReport:
     return LawReport(name=name, cases=cases, ok=False, counterexample=message)
 
@@ -156,7 +165,7 @@ def separating_family(space: FiniteSpace) -> list[FiniteFunction]:
 def check_maslov_axioms(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Normalization, shift homogeneity and max-additivity of the integral."""
     name = "maslov"
-    rng = _rng(seed)
+    rng = _start(seed, cases, max_points)
     for k in range(cases):
         space = rand_space(rng, max_points)
         mu = rand_measure(rng, space)
@@ -177,7 +186,7 @@ def check_maslov_axioms(seed: Seed = 0, cases: int = 200, max_points: int = 4) -
 def check_monad_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Both unit laws, the defining mixing identity, and associativity."""
     name = "monad"
-    rng = _rng(seed)
+    rng = _start(seed, cases, max_points)
     for k in range(cases):
         space = rand_space(rng, max_points)
         mu = rand_measure(rng, space)
@@ -211,7 +220,7 @@ def check_monad_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> L
 def check_algebra_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Barycenter laws: unit, mixing compatibility, and span membership."""
     name = "algebra"
-    rng = _rng(seed)
+    rng = _start(seed, cases, max_points)
     for k in range(cases):
         space = rand_space(rng, max_points)
         cloud = rand_cloud(rng, space)
@@ -234,7 +243,7 @@ def check_algebra_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) ->
 def check_tensor_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Tensor marginals recover the factors; tensor is associative."""
     name = "tensor"
-    rng = _rng(seed)
+    rng = _start(seed, cases, max_points)
     for k in range(cases):
         X = rand_space(rng, max_points, "x")
         Y = rand_space(rng, max_points, "y")
@@ -254,7 +263,7 @@ def check_tensor_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> 
 def check_hyperspace_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """The set-family mixing square commutes; singletons embed as Diracs."""
     name = "hyperspace"
-    rng = _rng(seed)
+    rng = _start(seed, cases, max_points)
     for k in range(cases):
         space = rand_space(rng, max_points)
         family = [rand_closed_set(rng, space) for _ in range(rng.randint(1, 3))]
@@ -270,7 +279,7 @@ def check_hyperspace_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4)
 def check_functor_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Identity/composition functoriality and the support image law."""
     name = "functor"
-    rng = _rng(seed)
+    rng = _start(seed, cases, max_points)
     for k in range(cases):
         X = rand_space(rng, max_points, "x")
         Y = rand_space(rng, max_points, "y")
@@ -290,7 +299,7 @@ def check_functor_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) ->
 def check_preimage_intersection(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
     """Support containment commutes with preimages and intersections."""
     name = "preimage"
-    rng = _rng(seed)
+    rng = _start(seed, cases, max_points)
     for k in range(cases):
         X = rand_space(rng, max_points, "x")
         Y = rand_space(rng, max_points, "y")

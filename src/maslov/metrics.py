@@ -18,13 +18,15 @@ distance needs.
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import NEG_INF, MetricSpace
 from .measures import IdempotentMeasure
 from .monad import OuterMeasure
+
+# numpy is imported inside the two array kernels, as in core.
+if TYPE_CHECKING:
+    import numpy as np
 
 _SLACK_EPS = 1e-9
 _GRID_CAP = 4_000_000
@@ -38,6 +40,8 @@ def maxmin_gap(
     Each term is (λ_i - κ_j) + n·d_ij, associated in that order, so the
     result does not depend on how the table is stored.
     """
+    import numpy as np
+
     d = np.asarray(dist, dtype=float)
     a = np.array(lam, dtype=float)
     b = np.array(kap, dtype=float)
@@ -88,6 +92,8 @@ def grid_gap(
     grid-step of additive slack so the rounded optimizer stays on the
     grid; this keeps the oracle within one step of the true supremum.
     """
+    import numpy as np
+
     m = len(lam)
     if len(kap) != m or len(dist) != m:
         raise ValueError("inconsistent table sizes")

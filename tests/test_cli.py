@@ -118,6 +118,21 @@ class TestRoundTrip:
         back = mio.decode(mio.map_doc(f), mio.Context(), "map")
         assert back == f
 
+    def test_map_into_a_named_target(self):
+        ctx = mio.Context()
+        ctx.register("X", X2)
+        ctx.register("Y", space("uv"))
+        doc = {"kind": "map", "source": "X", "target": "Y", "table": {"a": "u", "b": "u"}}
+        f = PointMap(X2, space("uv"), {"a": "u", "b": "u"})
+        assert mio.decode(doc, ctx, "map") == f
+        assert mio.decode({**doc, "target_points": ["v", "u"]}, ctx, "map") == f
+        with pytest.raises(mio.DocumentError, match=r"^target_points: no entry for points \['v'\]$"):
+            mio.decode({**doc, "target_points": ["u"]}, ctx, "map")
+        with pytest.raises(mio.DocumentError, match=r"^target_points: points outside the space \['w'\]$"):
+            mio.decode({**doc, "target_points": ["u", "v", "w"]}, ctx, "map")
+        with pytest.raises(mio.DocumentError, match=r"^map values: points outside the space \['w'\]$"):
+            mio.decode({**doc, "table": {"a": "u", "b": "w"}}, ctx, "map")
+
     def test_metric_space(self):
         ms = metric_closure(space("abc"), [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
         back = mio.decode(mio.metric_space_doc(ms, "M"), mio.Context(), "metric_space")
@@ -431,6 +446,12 @@ class TestCommands:
         assert code == 0
         assert out["gap"] == 0.0
 
+    def test_counterexample_rejects_nan(self, capsys):
+        assert cli.main(["counterexample", "--l", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --l must be a positive integer or 'inf'\n"
+
     def test_milyutin(self, tmp_path, capsys):
         Y = space("abc")
         ms = write(
@@ -463,6 +484,21 @@ class TestCommands:
     def test_check_laws_golden(self, capsys):
         assert cli.main(["check-laws", "--seed", "0", "--cases", "50"]) == 0
         assert capsys.readouterr().out == CHECK_LAWS_SEED0_CASES50
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-points", "0"], "max_points must be at least 1, got 0"),
+            (["--cases", "-3"], "cases must be at least 1, got -3"),
+            (["--cases", "0"], "cases must be at least 1, got 0"),
+        ],
+        ids=["max-points 0", "cases -3", "cases 0"],
+    )
+    def test_check_laws_bounds(self, capsys, flags, message):
+        assert cli.main(["check-laws", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_check_laws_violation_exit_code(self, capsys, monkeypatch):
         import maslov.cli as cli_mod

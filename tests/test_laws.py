@@ -2,6 +2,8 @@ import inspect
 import random
 import sys
 
+import pytest
+
 from maslov import laws
 
 
@@ -43,3 +45,12 @@ def test_seed_forms():
     assert laws._rng(rng) is rng
     for seed in (7, "7/monad"):
         assert laws._rng(seed).getstate() == random.Random(seed).getstate()
+
+
+@pytest.mark.parametrize("suite", [*laws._CHECKERS, "all"])
+def test_bounds_rejected(suite):
+    check = laws._CHECKERS.get(suite, laws.run_all_laws)
+    with pytest.raises(ValueError, match="^cases must be at least 1, got 0$"):
+        check(seed=0, cases=0)
+    with pytest.raises(ValueError, match="^max_points must be at least 1, got 0$"):
+        check(seed=0, cases=5, max_points=0)

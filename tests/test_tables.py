@@ -44,6 +44,12 @@ def inline_measure(atoms):
     return mio.decode(doc, mio.Context(), "measure")
 
 
+def named_measure(atoms):
+    ctx = mio.Context()
+    ctx.register("X", X)
+    return mio.decode({"kind": "measure", "space": "X", "atoms": atoms}, ctx, "measure")
+
+
 # site: (what, call with the outside label "zz", call leaving point "b" out,
 #        the result that call must give, or None when leaving a point out is an error)
 SITES = {
@@ -119,13 +125,19 @@ SITES = {
         lambda: inline_measure({"a": 0}),
         None,
     ),
+    "io named space": (
+        "atoms",
+        lambda: named_measure({"a": 0, "b": -1, "zz": 5}),
+        lambda: named_measure({"a": 0}),
+        None,
+    ),
 }
 
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_label_outside_the_space(site):
     what, outside, _, _ = SITES[site]
-    error = mio.DocumentError if site == "io" else ValueError
+    error = mio.DocumentError if site.startswith("io") else ValueError
     with pytest.raises(error) as info:
         outside()
     assert str(info.value) == f"{what}: points outside the space ['zz']"
@@ -137,7 +149,7 @@ def test_point_left_out(site):
     if default is not None:
         assert left_out() == default
         return
-    error = mio.DocumentError if site == "io" else ValueError
+    error = mio.DocumentError if site.startswith("io") else ValueError
     with pytest.raises(error) as info:
         left_out()
     assert str(info.value) == f"{what}: no entry for points ['b']"
