@@ -1,6 +1,6 @@
 """Command-line front end: JSON documents in, JSON results out.
 
-Exit codes: 0 success, 1 validation or schema error, 2 infeasible
+Exit codes: 0 success, 1 usage, validation or schema error, 2 infeasible
 instance, 3 law violation found by check-laws.  A file argument of "-"
 reads the document from standard input.
 """
@@ -259,8 +259,16 @@ def cmd_check_laws(args) -> int:
     return 0 if all(r.ok for r in reports.values()) else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, like every other input error."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maslov",
         description="Max-plus (idempotent) measure toolkit over finite spaces.",
     )

@@ -18,7 +18,7 @@ measure-valued selection supported inside fibers.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -33,7 +33,7 @@ from .core import (
     product_space,
 )
 from .functor import PointMap, lift_along_surjection, pushforward
-from .measures import IdempotentMeasure, dirac, integrate
+from .measures import IdempotentMeasure, dirac
 from .monad import marginal
 
 
@@ -285,14 +285,23 @@ def pattern_max_coupling(
     return IdempotentMeasure(prod, weights)
 
 
-def indicator_family(space: FiniteSpace) -> list[FiniteFunction]:
-    """All {0, -1}-valued test functions on a space (2^|space| of them)."""
+def _indicator_values(space: FiniteSpace) -> list[tuple[float, ...]]:
     if len(space) > _FAMILY_CAP:
         raise ValueError(f"indicator family is capped at {_FAMILY_CAP} points")
-    return [
-        FiniteFunction(space, values)
-        for values in itertools.product((0.0, -1.0), repeat=len(space))
-    ]
+    return list(itertools.product((0.0, -1.0), repeat=len(space)))
+
+
+def indicator_family(space: FiniteSpace) -> list[FiniteFunction]:
+    """All {0, -1}-valued test functions on a space (2^|space| of them)."""
+    return [FiniteFunction(space, values) for values in _indicator_values(space)]
+
+
+def _integrals(weights: Sequence[float], columns: Sequence[Sequence[float]]) -> list[float]:
+    """`integrate` against every test function at once: per function, the
+    max over the finite weights w_c of φ_c + w_c, in point order."""
+    return list(map(max, zip(*(
+        [v + w for v in column] for w, column in zip(weights, columns) if w > NEG_INF
+    ))))
 
 
 @dataclass(frozen=True)
@@ -305,8 +314,10 @@ class GapResult:
 def _box_gap(
     fixed: Mapping[tuple[Label, Label], float],
     caps: Mapping[tuple[Label, Label], float],
+    A: Mapping[tuple[Label, Label], float],
     targets: Sequence[float],
-    values: Sequence[Mapping[tuple[Label, Label], float]],
+    shifted: Mapping[tuple[Label, Label], Sequence[float]],
+    thresholds: Mapping[tuple[Label, Label], Sequence[float]],
 ) -> tuple[float, dict[tuple[Label, Label], float]]:
     """Exact minimum of max_φ |ν(φ) - target_φ| over one pattern box.
 
@@ -314,37 +325,23 @@ def _box_gap(
     every upper constraint is λ_c(t) = min(cap_c, t + A_c) with
     A_c = min_φ (target_φ - φ_c); it is monotone in t, so the box optimum
     is the least t at which the lower constraints hold, solvable per test
-    function in closed form.
+    function in closed form.  `shifted[c]` holds cap_c + φ_c and
+    `thresholds[c]` the least t at which free cell c alone reaches
+    target_φ, one entry per test function; neither depends on the box.
+    A box pins at least one cell (a normalized marginal has a weight-0
+    point), and every pinned value is a finite cap.
     """
-    cells = list(caps)
-    A = {
-        c: min(m - phi[c] for m, phi in zip(targets, values))
-        for c in cells
-    }
-    t_min = 0.0
-    for c, v in fixed.items():
-        if v > NEG_INF:
-            t_min = max(t_min, v - A[c])
-
-    for m, phi in zip(targets, values):
-        w_fixed = max((v + phi[c] for c, v in fixed.items() if v > NEG_INF), default=NEG_INF)
-        best = m - w_fixed if w_fixed > NEG_INF else math.inf
-        for c in cells:
-            if c in fixed:
-                continue
-            u = caps[c]
-            if u == NEG_INF:
-                continue
-            sat = u - A[c]
-            t1 = (m - A[c] - phi[c]) / 2.0
-            thr = t1 if t1 <= sat else (m - u - phi[c])
-            if thr < best:
-                best = thr
-        t_min = max(t_min, best)
+    t_min = max(0.0, *(v - A[c] for c, v in fixed.items()))
+    # per test function, the least t at which some cell, pinned or free,
+    # lifts ν(φ) to target_φ - t
+    w_fixed = map(max, zip(*(shifted[c] for c in fixed)))
+    free = (thresholds[c] for c in caps if c not in fixed and caps[c] > NEG_INF)
+    best = map(min, zip(map(operator.sub, targets, w_fixed), *free))
+    t_min = max(t_min, max(best))
 
     coupling = {
         c: (fixed[c] if c in fixed else min(caps[c], t_min + A[c]))
-        for c in cells
+        for c in caps
     }
     return t_min, coupling
 
@@ -357,38 +354,77 @@ def coupling_gap(
     """Best approximation of a target coupling by feasible couplings.
 
     Minimizes, over all couplings with the prescribed marginals, the
-    maximum over the test family of |ν(φ) - target(φ)|.  The feasible set
-    is a union of tight-pattern boxes; each box is solved exactly and the
-    best box wins.  The test family is every {0, -1}-valued function on
-    the product, which separates support patterns.
+    maximum over the test family of |ν(φ) - target(φ)|.  The test family
+    is every {0, -1}-valued function on the product, which separates
+    support patterns.
+
+    The feasible set is the union of the tight-pattern boxes, and a box
+    depends only on its fixed set F (the pinned cells with their values).
+    Every pinned value equals its cell's cap min(row weight, column
+    weight), so F ⊆ F′ implies box(F′) ⊆ box(F): the least gap over the
+    union is the least gap over the inclusion-minimal fixed sets, and
+    those are solved first.  Ties go to the first pattern, in the order
+    of `tight_patterns`, whose box attains the least gap, as if every
+    box were solved in that order.  So the distinct fixed sets are then
+    walked in that order; a larger set's gap is at least that of every
+    minimal set inside it, and it is solved only if none of those lies
+    above the least gap.  (Tied boxes share their optimal coupling in
+    exact arithmetic, but in floating point it can differ in the last
+    place from box to box, so the rule shows in the output.)
     """
     prod = product_space(mu1.space, mu2.space)
     if target.space != prod:
         raise ValueError("target must live on the product of the marginal spaces")
-    family = indicator_family(prod)
-    targets = [integrate(target, phi) for phi in family]
-    values = [
-        {cell: phi(cell) for cell in prod.points}
-        for phi in family
-    ]
+    family = _indicator_values(prod)
+    columns = list(zip(*family))
+    targets = _integrals(target.weights, columns)
     caps = {
         (x, y): min(mu1.weight(x), mu2.weight(y))
         for (x, y) in prod.points
     }
+    # per cell, one entry per test function: cap_c + φ_c, and the least t
+    # at which the cell, left free, alone reaches target_φ
+    A, shifted, thresholds = {}, {}, {}
+    for c, column in zip(prod.points, columns):
+        a = A[c] = min(map(operator.sub, targets, column))
+        u = caps[c]
+        if u == NEG_INF:
+            continue
+        shifted[c] = [u + v for v in column]
+        sat = u - a
+        thr = []
+        for m, v in zip(targets, column):
+            t1 = (m - a - v) / 2.0
+            thr.append(t1 if t1 <= sat else (m - u - v))
+        thresholds[c] = thr
 
-    best: tuple[float, dict] | None = None
-    for pattern in tight_patterns(mu1, mu2):
-        solved = _box_gap(dict(pattern.fixed), caps, targets, values)
-        if best is None or solved[0] < best[0]:
-            best = solved
-    if best is None:
+    def solve(fixed):
+        return _box_gap(dict(fixed), caps, A, targets, shifted, thresholds)
+
+    # the distinct fixed sets, in the order of their first patterns
+    boxes = {p.fixed: frozenset(p.fixed) for p in tight_patterns(mu1, mu2)}
+    if not boxes:
         raise InfeasibleError("no feasible coupling for the given marginals")
+    solved = {
+        fixed: solve(fixed)
+        for fixed, F in boxes.items()
+        if not any(G < F for G in boxes.values())
+    }
+    gap = min(t for t, _ in solved.values())
+    above = [boxes[fixed] for fixed, (t, _) in solved.items() if t > gap]
+    for fixed, F in boxes.items():
+        if fixed not in solved:
+            if any(G < F for G in above):
+                continue
+            solved[fixed] = solve(fixed)
+        if solved[fixed][0] == gap:
+            table = solved[fixed][1]
+            break
 
-    gap, table = best
     coupling = IdempotentMeasure(prod, tuple(table[c] for c in prod.points))
-    deviations = [abs(integrate(coupling, phi) - m) for phi, m in zip(family, targets)]
-    witness = family[max(range(len(family)), key=lambda i: deviations[i])]
-    return GapResult(gap=gap, coupling=coupling, phi=witness)
+    deviations = [abs(n - m) for n, m in zip(_integrals(coupling.weights, columns), targets)]
+    witness = family[max(range(len(family)), key=deviations.__getitem__)]
+    return GapResult(gap=gap, coupling=coupling, phi=FiniteFunction(prod, witness))
 
 
 def counterexample_instance(

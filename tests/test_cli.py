@@ -47,6 +47,9 @@ CHECK_LAWS_SEED0_CASES50 = """{
 }
 """
 
+# Golden stdout, byte for byte, for the coupling-gap commands.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 SCHEMA = json.loads(res.files("maslov.schemas").joinpath("document.schema.json").read_text())
 KINDS = SCHEMA["properties"]["kind"]["enum"]
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA) if jsonschema else None
@@ -485,6 +488,25 @@ class TestCommands:
         assert cli.main(["check-laws", "--seed", "0", "--cases", "50"]) == 0
         assert capsys.readouterr().out == CHECK_LAWS_SEED0_CASES50
 
+    def test_couplings_gap_golden(self, tmp_path, capsys):
+        # ties (0,0,1 | 0,0,2) give 96 tight patterns
+        X, Y = space(["x1", "x2", "x3"]), space(["y1", "y2", "y3"])
+        mu1 = write(tmp_path, "mu1.json", mio.measure_doc(IdempotentMeasure(X, (0.0, 0.0, -0.75))))
+        mu2 = write(tmp_path, "mu2.json", mio.measure_doc(IdempotentMeasure(Y, (0.0, 0.0, -1.5))))
+        NI = -math.inf
+        weights = (-0.25, NI, -1.5, -2.25, 0.0, -2.5, NI, -3.5, -1.25)
+        target = write(
+            tmp_path, "t.json", mio.measure_doc(IdempotentMeasure(product_space(X, Y), weights))
+        )
+        assert cli.main(["couplings", mu1, mu2, "--gap", target]) == 0
+        golden = (GOLDEN / "couplings_gap_ties.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
+    def test_counterexample_golden(self, capsys):
+        assert cli.main(["counterexample", "--l", "7"]) == 0
+        golden = (GOLDEN / "counterexample_l7.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -559,6 +581,45 @@ class TestErrorPaths:
         code, out = run(capsys, ["integrate", "-", f])
         assert code == 0
         assert out == {"value": 5.0}
+
+
+class TestUsageErrors:
+    """Argument errors exit 1, like every other input error; 2 means infeasible."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check-laws", "--cases", "abc"], "argument --cases: invalid int value: 'abc'"),
+            (["counterexample", "--l", "-inf"], "argument --l: expected one argument"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ],
+        ids=["cases abc", "l -inf", "unknown command"],
+    )
+    def test_exit_one(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.split("\nerror: ")
+        assert usage.startswith("usage: maslov")
+        assert error.startswith(message)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: maslov")
+
+    def test_infeasible_check_exits_two(self, tmp_path, capsys):
+        X, Y = space("ab"), space("uv")
+        mu1 = write(tmp_path, "mu1.json", mio.measure_doc(normalize(X, {"a": 0, "b": -1})))
+        mu2 = write(tmp_path, "mu2.json", mio.measure_doc(normalize(Y, {"u": 0, "v": -1})))
+        # both marginals of the Dirac at (a, u) put -inf on b and v
+        c = write(tmp_path, "c.json", mio.coupling_doc(dirac(product_space(X, Y), ("a", "u"))))
+        code, out = run(capsys, ["couplings", mu1, mu2, "--check", c])
+        assert code == 2
+        assert out == {"feasible": False}
 
 
 class TestDeterminism:

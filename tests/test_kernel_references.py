@@ -1,24 +1,31 @@
-"""The array kernels against plain loop references.
+"""The fast kernels against plain loop references.
 
 The kernels perform the same IEEE operations (max, min, +, -, n·d) in the
 same association order as the loops below, so every comparison here is
 exact: `==` on tuples and floats, `np.array_equal` on tables, and the same
-error message where the reference raises.
+error message where the reference raises.  The coupling gap solves fewer
+boxes than its reference, one per tight pattern, and must still return
+the same gap, coupling and witness.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maslov import (
     NEG_INF,
     FiniteSpace,
     IdempotentMeasure,
+    InfeasibleError,
     MetricSpace,
+    coupling_gap,
+    counterexample_instance,
     dhat,
+    integrate,
     marginal,
     maxmin_gap,
     metric_closure,
@@ -26,8 +33,10 @@ from maslov import (
     product_space,
     projection,
     pushforward,
+    dirac,
     space,
 )
+from maslov.openness import GapResult, indicator_family, tight_patterns
 
 
 # ------------------------------------------------------------ references
@@ -95,6 +104,72 @@ def _maxmin_gap_loop(dist, n, lam, kap):
 
 def _marginal_by_projection(mu, axis):
     return pushforward(projection(mu.space, axis), mu)
+
+
+def _box_gap_loop(fixed, caps, targets, values):
+    """One pattern box, solved from scratch: the closed form per test function."""
+    cells = list(caps)
+    A = {
+        c: min(m - phi[c] for m, phi in zip(targets, values))
+        for c in cells
+    }
+    t_min = 0.0
+    for c, v in fixed.items():
+        if v > NEG_INF:
+            t_min = max(t_min, v - A[c])
+
+    for m, phi in zip(targets, values):
+        w_fixed = max((v + phi[c] for c, v in fixed.items() if v > NEG_INF), default=NEG_INF)
+        best = m - w_fixed if w_fixed > NEG_INF else math.inf
+        for c in cells:
+            if c in fixed:
+                continue
+            u = caps[c]
+            if u == NEG_INF:
+                continue
+            sat = u - A[c]
+            t1 = (m - A[c] - phi[c]) / 2.0
+            thr = t1 if t1 <= sat else (m - u - phi[c])
+            if thr < best:
+                best = thr
+        t_min = max(t_min, best)
+
+    coupling = {
+        c: (fixed[c] if c in fixed else min(caps[c], t_min + A[c]))
+        for c in cells
+    }
+    return t_min, coupling
+
+
+def _coupling_gap_loop(mu1, mu2, target):
+    """Every tight pattern's box solved in turn; the first strictly best wins."""
+    prod = product_space(mu1.space, mu2.space)
+    if target.space != prod:
+        raise ValueError("target must live on the product of the marginal spaces")
+    family = indicator_family(prod)
+    targets = [integrate(target, phi) for phi in family]
+    values = [
+        {cell: phi(cell) for cell in prod.points}
+        for phi in family
+    ]
+    caps = {
+        (x, y): min(mu1.weight(x), mu2.weight(y))
+        for (x, y) in prod.points
+    }
+
+    best = None
+    for pattern in tight_patterns(mu1, mu2):
+        solved = _box_gap_loop(dict(pattern.fixed), caps, targets, values)
+        if best is None or solved[0] < best[0]:
+            best = solved
+    if best is None:
+        raise InfeasibleError("no feasible coupling for the given marginals")
+
+    gap, table = best
+    coupling = IdempotentMeasure(prod, tuple(table[c] for c in prod.points))
+    deviations = [abs(integrate(coupling, phi) - m) for phi, m in zip(family, targets)]
+    witness = family[max(range(len(family)), key=lambda i: deviations[i])]
+    return GapResult(gap=gap, coupling=coupling, phi=witness)
 
 
 def _outcome(fn, *args):
@@ -287,3 +362,109 @@ class TestMarginalMatchesProjection:
         mu = normalize(P, _weights(gen, len(P), False))
         for axis in range(2):
             assert marginal(mu, axis) == _marginal_by_projection(mu, axis)
+
+
+# -------------------------------------------------------- coupling gap
+
+def _gap_triple(result):
+    return result.gap, result.coupling.weights, result.phi.values
+
+
+@st.composite
+def _gap_instances(draw):
+    """2x2 to 3x3 marginals on a weak order of tie levels, -inf allowed.
+
+    Each point of either marginal gets a level (0 is weight 0, deeper is
+    lower, None is -inf), shared by rows and columns so ties cross them;
+    each marginal has a point at level 0.  With `scale` 3 every value is
+    divided by 3, so + and - round.
+    """
+    scale = draw(st.sampled_from([1.0, 3.0]))
+    steps = draw(st.lists(st.integers(1, 6), min_size=2, max_size=2))
+    levels = [0.0, -steps[0] / 4.0 / scale, -(steps[0] + steps[1]) / 4.0 / scale]
+    level = st.sampled_from((0, 1, 2, None))
+
+    def marginal(prefix):
+        n = draw(st.integers(2, 3))
+        picks = draw(st.lists(level, min_size=n, max_size=n))
+        picks[draw(st.integers(0, n - 1))] = 0
+        sp = _labels(prefix, n)
+        return IdempotentMeasure(sp, tuple(NEG_INF if k is None else levels[k] for k in picks))
+
+    mu1, mu2 = marginal("x"), marginal("y")
+    prod = product_space(mu1.space, mu2.space)
+    cell = st.one_of(st.none(), st.integers(-16, 0))
+    raw = draw(st.lists(cell, min_size=len(prod), max_size=len(prod)))
+    raw[draw(st.integers(0, len(prod) - 1))] = 0
+    target = IdempotentMeasure(prod, tuple(NEG_INF if k is None else k / 4.0 / scale for k in raw))
+    return mu1, mu2, target
+
+
+# Weak orders of the six weights x1 x2 x3 y1 y2 y3 (level 0 is weight 0,
+# deeper is lower), keyed by their number of tight patterns.
+TIE_TEMPLATES = {
+    9: (0, 1, 1, 0, 2, 2),
+    12: (0, 1, 3, 0, 2, 2),
+    18: (0, 0, 1, 0, 2, 2),
+    24: (0, 0, 2, 0, 1, 1),
+    36: (0, 0, 1, 0, 1, 2),
+    54: (0, 0, 1, 0, 1, 1),
+    96: (0, 0, 1, 0, 0, 2),
+}
+
+
+class TestCouplingGapMatchesLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(_gap_instances())
+    def test_tie_templates(self, instance):
+        assert _gap_triple(coupling_gap(*instance)) == _gap_triple(_coupling_gap_loop(*instance))
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    @pytest.mark.parametrize("patterns", sorted(TIE_TEMPLATES))
+    def test_three_by_three_templates(self, patterns, scale):
+        rng = random.Random(patterns)
+        template = TIE_TEMPLATES[patterns]
+        levels = [0.0]
+        for _ in range(max(template)):
+            levels.append(levels[-1] - rng.randint(1, 6) / 4.0 / scale)
+        X, Y = _labels("x", 3), _labels("y", 3)
+        mu1 = IdempotentMeasure(X, tuple(levels[k] for k in template[:3]))
+        mu2 = IdempotentMeasure(Y, tuple(levels[k] for k in template[3:]))
+        assert sum(1 for _ in tight_patterns(mu1, mu2)) == patterns
+        prod = product_space(X, Y)
+        raw = [
+            -rng.randint(0, 16) / 4.0 / scale if rng.random() < 0.7 else NEG_INF
+            for _ in prod.points
+        ]
+        raw[rng.randrange(len(raw))] = 0.0
+        target = IdempotentMeasure(prod, tuple(raw))
+        assert _gap_triple(coupling_gap(mu1, mu2, target)) == _gap_triple(
+            _coupling_gap_loop(mu1, mu2, target)
+        )
+
+    def test_tie_decided_by_rounding(self):
+        # The first pattern's box is not minimal and ties with the minimal
+        # ones at the least gap.  In exact arithmetic tied boxes share their
+        # optimal coupling, but here t + A_c lands an ulp below a cap, so
+        # that box must win, as it does in the reference.
+        X, Y = _labels("x", 2), _labels("y", 2)
+        mu1 = IdempotentMeasure(X, (-0.25 / 3, 0.0))
+        mu2 = IdempotentMeasure(Y, (0.0, -0.25 / 3))
+        target = IdempotentMeasure(product_space(X, Y), (0.0, NEG_INF, 0.0, NEG_INF))
+        got = _gap_triple(coupling_gap(mu1, mu2, target))
+        assert got == _gap_triple(_coupling_gap_loop(mu1, mu2, target))
+        assert got[1] == (-0.25 / 3, -0.25 / 3, 0.0, -0.08333333333333337)
+
+    def test_uniform_three_by_three_corner(self):
+        # 729 patterns, 15 minimal boxes, the least gap 1 tied among them
+        X, Y = _labels("x", 3), _labels("y", 3)
+        u1, u2 = normalize(X, [0.0] * 3), normalize(Y, [0.0] * 3)
+        corner = dirac(product_space(X, Y), ("x0", "y0"))
+        assert _gap_triple(coupling_gap(u1, u2, corner)) == _gap_triple(
+            _coupling_gap_loop(u1, u2, corner)
+        )
+
+    def test_counterexample_instances(self):
+        for l in [*range(1, 101), math.inf]:
+            instance = counterexample_instance(l)
+            assert _gap_triple(coupling_gap(*instance)) == _gap_triple(_coupling_gap_loop(*instance))

@@ -80,6 +80,7 @@ def test_only_metric_commands_load_numpy(tmp_path):
         ["zeta", o],
         ["hyper", ind],
         ["couplings", mu, nu, "--gap", target],
+        ["counterexample", "--l", "7"],
         ["check-laws", "--cases", "3"],
     ]
     loaded = run_fresh(calls)
