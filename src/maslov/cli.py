@@ -16,7 +16,6 @@ from typing import Any, Sequence
 from . import io as mio
 from .convexity import barycenter
 from .functor import lift_along_surjection, pushforward
-from .laws import run_all_laws
 from .measures import integrate, pointwise_sup
 from .metrics import dhat, dhat_oracle, dtilde
 from .monad import ClosedSet, FuzzySet, fuzzy_embed, hyperspace_embed, marginal, multiply, tensor
@@ -252,6 +251,9 @@ def cmd_milyutin(args) -> int:
 
 
 def cmd_check_laws(args) -> int:
+    # the law harness loads only for this command
+    from .laws import run_all_laws
+
     reports = run_all_laws(seed=args.seed, cases=args.cases, max_points=args.max_points)
     out = {"seed": args.seed, "cases": args.cases}
     out.update({name: report.status for name, report in reports.items()})

@@ -20,8 +20,6 @@ if TYPE_CHECKING:
 
 NEG_INF = float("-inf")
 
-MaxPlusWeight = float
-
 # Point labels are strings, or tuples of labels on product-like spaces.
 Label = Union[str, tuple]
 
@@ -240,9 +238,6 @@ class FiniteFunction:
     def shift(self, c: float) -> "FiniteFunction":
         """c ⊙ φ: add the constant c to every value."""
         return FiniteFunction(self.space, tuple(v + c for v in self.values))
-
-    def scale(self, a: float) -> "FiniteFunction":
-        return FiniteFunction(self.space, tuple(a * v for v in self.values))
 
 
 def pointwise_max(phi: FiniteFunction, psi: FiniteFunction) -> FiniteFunction:

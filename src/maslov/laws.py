@@ -107,29 +107,26 @@ def rand_surjection(rng: random.Random, source: FiniteSpace, target: FiniteSpace
     return PointMap(source, target, table)
 
 
+def _rand_top_weights(rng: random.Random, k: int) -> tuple[float, ...]:
+    """k weights of a measure over measures, shifted so the largest is 0."""
+    raw = [rand_weight(rng) for _ in range(k)]
+    if max(raw) == NEG_INF:
+        raw[rng.randrange(k)] = 0.0
+    top = max(raw)
+    return tuple(w - top if w > NEG_INF else NEG_INF for w in raw)
+
+
 def rand_outer(rng: random.Random, space: FiniteSpace) -> OuterMeasure:
     """An outer measure with one to three inner measures."""
     k = rng.randint(1, 3)
     inner = tuple(rand_measure(rng, space) for _ in range(k))
-    raw = [rand_weight(rng) for _ in range(k)]
-    if max(raw) == NEG_INF:
-        raw[rng.randrange(k)] = 0.0
-    top = max(raw)
-    weights = tuple(w - top if w > NEG_INF else NEG_INF for w in raw)
-    return OuterMeasure(space, inner, weights)
+    return OuterMeasure(space, inner, _rand_top_weights(rng, k))
 
 
 def rand_nested(rng: random.Random, space: FiniteSpace) -> list[tuple[float, OuterMeasure]]:
     """A normalized measure over one or two outer measures."""
-    k = rng.randint(1, 2)
-    raw = [rand_weight(rng) for _ in range(k)]
-    if max(raw) == NEG_INF:
-        raw[rng.randrange(k)] = 0.0
-    top = max(raw)
-    return [
-        (w - top if w > NEG_INF else NEG_INF, rand_outer(rng, space))
-        for w in raw
-    ]
+    weights = _rand_top_weights(rng, rng.randint(1, 2))
+    return [(w, rand_outer(rng, space)) for w in weights]
 
 
 def rand_closed_set(rng: random.Random, space: FiniteSpace) -> ClosedSet:

@@ -239,37 +239,39 @@ _FAMILY_CAP = 12  # cells in indicator_family, which coupling_gap tests against
 
 
 def tight_patterns(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> Iterator[TightPattern]:
-    """Enumerate the value-consistent tight patterns for two marginals."""
+    """Enumerate the tight patterns for two marginals.
+
+    Each finite row x picks a column y with b[y] >= a[x], and each finite
+    column y a row x with a[x] >= b[y].  A cell picked both ways has
+    a[x] = b[y], so every choice is a pattern and every pinned value is
+    its cell cap.  Rows, columns and pinned cells come in point order.
+    """
     xs, ys = mu1.space.points, mu2.space.points
     if len(xs) > _PATTERN_CAP or len(ys) > _PATTERN_CAP:
         raise ValueError(f"tight-pattern enumeration is capped at {_PATTERN_CAP}x{_PATTERN_CAP}")
-    a = {x: mu1.weight(x) for x in xs}
-    b = {y: mu2.weight(y) for y in ys}
-    finite_rows = [x for x in xs if a[x] > NEG_INF]
-    finite_cols = [y for y in ys if b[y] > NEG_INF]
-    row_choices = {x: [y for y in ys if b[y] >= a[x]] for x in finite_rows}
-    col_choices = {y: [x for x in xs if a[x] >= b[y]] for y in finite_cols}
-
-    for row_pick in itertools.product(*(row_choices[x] for x in finite_rows)):
-        rows = dict(zip(finite_rows, row_pick))
-        for col_pick in itertools.product(*(col_choices[y] for y in finite_cols)):
-            cols = dict(zip(finite_cols, col_pick))
-            fixed: dict[tuple[Label, Label], float] = {}
-            ok = True
-            for x, y in rows.items():
-                fixed[(x, y)] = a[x]
-            for y, x in cols.items():
-                cell = (x, y)
-                if cell in fixed and fixed[cell] != b[y]:
-                    ok = False
-                    break
-                fixed[cell] = b[y]
-            if not ok:
-                continue
+    a, b = mu1.weights, mu2.weights
+    m = len(ys)
+    # cell k = i*m + j is (xs[i], ys[j]), in the product's point order
+    cells = [(x, y) for x in xs for y in ys]
+    row_choices = [
+        [i * m + j for j in range(m) if b[j] >= a[i]] for i in range(len(xs)) if a[i] > NEG_INF
+    ]
+    col_choices = [
+        [i * m + j for i in range(len(xs)) if a[i] >= b[j]] for j in range(m) if b[j] > NEG_INF
+    ]
+    col_picks = [
+        (tuple((y, x) for x, y in map(cells.__getitem__, pick)), {k: b[k % m] for k in pick})
+        for pick in itertools.product(*col_choices)
+    ]
+    for pick in itertools.product(*row_choices):
+        rows = tuple(map(cells.__getitem__, pick))
+        row_fixed = {k: a[k // m] for k in pick}
+        for cols, col_fixed in col_picks:
+            fixed = {**row_fixed, **col_fixed}
             yield TightPattern(
-                rows=tuple(sorted(rows.items(), key=lambda kv: mu1.space.index(kv[0]))),
-                cols=tuple(sorted(cols.items(), key=lambda kv: mu2.space.index(kv[0]))),
-                fixed=tuple(sorted(fixed.items(), key=lambda kv: (mu1.space.index(kv[0][0]), mu2.space.index(kv[0][1])))),
+                rows=rows,
+                cols=cols,
+                fixed=tuple((cells[k], fixed[k]) for k in sorted(fixed)),
             )
 
 

@@ -24,31 +24,28 @@ from maslov import (
     PointMap,
     barycenter,
     bicommutative_lift,
-    check_monad_laws,
     counterexample_gap,
     dhat,
     dhat_oracle,
     dirac,
     dtilde,
-    flatten_measure,
     hull_membership,
     hyperspace_embed,
-    hyperspace_square,
     integrate,
     lift_open_collapse,
     marginal,
     metric_closure,
     milyutin_build,
     normalize,
-    pointwise_max,
     pushforward,
     space,
     support,
     tensor,
-    tensor_many,
     weight_distance,
 )
+from maslov.core import pointwise_max
 from maslov.laws import (
+    check_monad_laws,
     rand_closed_set,
     rand_cloud,
     rand_function,
@@ -57,7 +54,7 @@ from maslov.laws import (
     rand_outer,
     rand_space,
 )
-from maslov.monad import ClosedSet
+from maslov.monad import ClosedSet, flatten_measure, hyperspace_square, tensor_many
 
 
 def criterion(number: int, text: str):
@@ -332,7 +329,7 @@ def test_criterion_10_retraction_witness():
 
 @criterion(11, "preimage and intersection containment equivalences exact on 200 instances")
 def test_criterion_11_preimage_and_intersection():
-    from maslov import lies_in_subspace
+    from maslov.functor import lies_in_subspace
 
     rng = random.Random(1011)
     for _ in range(200):

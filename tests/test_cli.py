@@ -17,7 +17,6 @@ from maslov import (
     CoverPair,
     FiniteFunction,
     IdempotentMeasure,
-    LawReport,
     MetricSpace,
     MilyutinLevel,
     OuterMeasure,
@@ -30,6 +29,7 @@ from maslov import (
     space,
     tensor,
 )
+from maslov.laws import LawReport
 
 X2 = space("ab")
 
@@ -502,6 +502,16 @@ class TestCommands:
         golden = (GOLDEN / "couplings_gap_ties.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == golden
 
+    def test_couplings_enumerate_golden(self, tmp_path, capsys):
+        # the weak order (0,1,3 | 0,2,2) gives 12 tight patterns
+        X, Y = space(["x1", "x2", "x3"]), space(["y1", "y2", "y3"])
+        mu1 = write(tmp_path, "mu1.json", mio.measure_doc(IdempotentMeasure(X, (0.0, -0.5, -1.5))))
+        mu2 = write(tmp_path, "mu2.json", mio.measure_doc(IdempotentMeasure(Y, (0.0, -1.0, -1.0))))
+        assert cli.main(["couplings", mu1, mu2, "--enumerate"]) == 0
+        golden = (GOLDEN / "couplings_enumerate_ties.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+        assert len(json.loads(golden)["patterns"]) == 12
+
     def test_counterexample_golden(self, capsys):
         assert cli.main(["counterexample", "--l", "7"]) == 0
         golden = (GOLDEN / "counterexample_l7.json").read_text(encoding="utf-8")
@@ -523,12 +533,12 @@ class TestCommands:
         assert captured.err == f"error: {message}\n"
 
     def test_check_laws_violation_exit_code(self, capsys, monkeypatch):
-        import maslov.cli as cli_mod
+        import maslov.laws as laws_mod
 
         def fake(seed, cases, max_points):
             return {"monad": LawReport("monad", 1, False, "fabricated failure")}
 
-        monkeypatch.setattr(cli_mod, "run_all_laws", fake)
+        monkeypatch.setattr(laws_mod, "run_all_laws", fake)
         code, out = run(capsys, ["check-laws"])
         assert code == 3
         assert out["monad"].startswith("violated")

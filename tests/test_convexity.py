@@ -10,7 +10,6 @@ from maslov import (
     IdempotentMeasure,
     OuterMeasure,
     PointCloudSpace,
-    affine_map_check,
     algebra_law_check,
     barycenter,
     dirac,
@@ -21,6 +20,7 @@ from maslov import (
     space,
     support,
 )
+from maslov.convexity import affine_map_check
 from maslov.core import FiniteFunction
 from maslov.laws import rand_cloud, rand_outer, rand_space
 

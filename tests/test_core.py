@@ -12,15 +12,14 @@ from maslov import (
     FiniteSpace,
     MetricSpace,
     ProductSpace,
-    flatten_space,
     metric_closure,
     odot,
     oplus,
-    pointwise_max,
     product_space,
     space,
     weight_distance,
 )
+from maslov.core import flatten_space, pointwise_max
 
 
 class TestSemiring:

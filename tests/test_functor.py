@@ -11,16 +11,14 @@ from maslov import (
     IdempotentMeasure,
     PointMap,
     dirac,
-    identity_map,
     integrate,
-    lies_in_subspace,
     lift_along_surjection,
     normalize,
-    precompose,
     pushforward,
     space,
     support,
 )
+from maslov.functor import identity_map, lies_in_subspace, precompose
 from maslov.laws import rand_map, rand_measure, rand_space, rand_surjection
 
 X3 = space("abc")

@@ -5,9 +5,12 @@ same association order as the loops below, so every comparison here is
 exact: `==` on tuples and floats, `np.array_equal` on tables, and the same
 error message where the reference raises.  The coupling gap solves fewer
 boxes than its reference, one per tight pattern, and must still return
-the same gap, coupling and witness.
+the same gap, coupling and witness.  Tight-pattern enumeration is
+compared with the loop that checks every doubly picked cell for
+consistency and sorts rows, columns and pinned cells by label index.
 """
 
+import itertools
 import math
 import random
 
@@ -27,16 +30,16 @@ from maslov import (
     dhat,
     integrate,
     marginal,
-    maxmin_gap,
     metric_closure,
     normalize,
     product_space,
-    projection,
     pushforward,
     dirac,
     space,
 )
-from maslov.openness import GapResult, indicator_family, tight_patterns
+from maslov.metrics import maxmin_gap
+from maslov.monad import projection
+from maslov.openness import GapResult, TightPattern, indicator_family, tight_patterns
 
 
 # ------------------------------------------------------------ references
@@ -170,6 +173,42 @@ def _coupling_gap_loop(mu1, mu2, target):
     deviations = [abs(integrate(coupling, phi) - m) for phi, m in zip(family, targets)]
     witness = family[max(range(len(family)), key=lambda i: deviations[i])]
     return GapResult(gap=gap, coupling=coupling, phi=witness)
+
+
+def _tight_patterns_loop(mu1, mu2):
+    """The label-keyed enumeration with a consistency check per pattern."""
+    xs, ys = mu1.space.points, mu2.space.points
+    a = {x: mu1.weight(x) for x in xs}
+    b = {y: mu2.weight(y) for y in ys}
+    finite_rows = [x for x in xs if a[x] > NEG_INF]
+    finite_cols = [y for y in ys if b[y] > NEG_INF]
+    row_choices = {x: [y for y in ys if b[y] >= a[x]] for x in finite_rows}
+    col_choices = {y: [x for x in xs if a[x] >= b[y]] for y in finite_cols}
+
+    for row_pick in itertools.product(*(row_choices[x] for x in finite_rows)):
+        rows = dict(zip(finite_rows, row_pick))
+        for col_pick in itertools.product(*(col_choices[y] for y in finite_cols)):
+            cols = dict(zip(finite_cols, col_pick))
+            fixed = {}
+            ok = True
+            for x, y in rows.items():
+                fixed[(x, y)] = a[x]
+            for y, x in cols.items():
+                cell = (x, y)
+                if cell in fixed and fixed[cell] != b[y]:
+                    ok = False
+                    break
+                fixed[cell] = b[y]
+            if not ok:
+                continue
+            yield TightPattern(
+                rows=tuple(sorted(rows.items(), key=lambda kv: mu1.space.index(kv[0]))),
+                cols=tuple(sorted(cols.items(), key=lambda kv: mu2.space.index(kv[0]))),
+                fixed=tuple(sorted(
+                    fixed.items(),
+                    key=lambda kv: (mu1.space.index(kv[0][0]), mu2.space.index(kv[0][1])),
+                )),
+            )
 
 
 def _outcome(fn, *args):
@@ -468,3 +507,56 @@ class TestCouplingGapMatchesLoop:
         for l in [*range(1, 101), math.inf]:
             instance = counterexample_instance(l)
             assert _gap_triple(coupling_gap(*instance)) == _gap_triple(_coupling_gap_loop(*instance))
+
+
+# --------------------------------------------------------- tight patterns
+
+@st.composite
+def _pattern_marginals(draw):
+    """1x1 to 4x4 marginals on a weak order of tie levels, -inf allowed.
+
+    Each point gets one of four levels (0 and three lower ones) or -inf,
+    and each marginal has a point at weight 0.  The levels are sums of
+    quarter steps divided by 1, 3, 7 or 10, so most are not dyadic.
+    """
+    scale = draw(st.sampled_from([1.0, 3.0, 7.0, 10.0]))
+    steps = draw(st.lists(st.integers(1, 6), min_size=3, max_size=3))
+    levels = [0.0, *(-sum(steps[:k]) / 4.0 / scale for k in (1, 2, 3)), NEG_INF]
+
+    def marginal(prefix):
+        n = draw(st.integers(1, 4))
+        weights = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        weights[draw(st.integers(0, n - 1))] = 0.0
+        return IdempotentMeasure(_labels(prefix, n), tuple(weights))
+
+    return marginal("x"), marginal("y")
+
+
+class TestTightPatternsMatchLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(_pattern_marginals())
+    def test_tie_levels(self, marginals):
+        assert list(tight_patterns(*marginals)) == list(_tight_patterns_loop(*marginals))
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    @pytest.mark.parametrize("patterns", sorted(TIE_TEMPLATES))
+    def test_three_by_three_templates(self, patterns, scale):
+        template = TIE_TEMPLATES[patterns]
+        levels = [0.0, -0.25 / scale, -0.75 / scale, -1.5 / scale]
+        mu1 = IdempotentMeasure(_labels("x", 3), tuple(levels[k] for k in template[:3]))
+        mu2 = IdempotentMeasure(_labels("y", 3), tuple(levels[k] for k in template[3:]))
+        got = list(tight_patterns(mu1, mu2))
+        assert len(got) == patterns
+        assert got == list(_tight_patterns_loop(mu1, mu2))
+
+    def test_uniform_three_by_three(self):
+        u1 = normalize(_labels("x", 3), [0.0] * 3)
+        u2 = normalize(_labels("y", 3), [0.0] * 3)
+        got = list(tight_patterns(u1, u2))
+        assert len(got) == 729
+        assert got == list(_tight_patterns_loop(u1, u2))
+
+    def test_counterexample_instances(self):
+        for l in [*range(1, 21), math.inf]:
+            mu1, mu2, _ = counterexample_instance(l)
+            assert list(tight_patterns(mu1, mu2)) == list(_tight_patterns_loop(mu1, mu2))

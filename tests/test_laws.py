@@ -54,3 +54,32 @@ def test_bounds_rejected(suite):
         check(seed=0, cases=0)
     with pytest.raises(ValueError, match="^max_points must be at least 1, got 0$"):
         check(seed=0, cases=5, max_points=0)
+
+
+def _rand_nested_inline(rng, space):
+    """rand_nested with rand_outer's weight normalisation written out in both."""
+    def outer(rng, space):
+        k = rng.randint(1, 3)
+        inner = tuple(laws.rand_measure(rng, space) for _ in range(k))
+        raw = [laws.rand_weight(rng) for _ in range(k)]
+        if max(raw) == laws.NEG_INF:
+            raw[rng.randrange(k)] = 0.0
+        top = max(raw)
+        weights = tuple(w - top if w > laws.NEG_INF else laws.NEG_INF for w in raw)
+        return laws.OuterMeasure(space, inner, weights)
+
+    k = rng.randint(1, 2)
+    raw = [laws.rand_weight(rng) for _ in range(k)]
+    if max(raw) == laws.NEG_INF:
+        raw[rng.randrange(k)] = 0.0
+    top = max(raw)
+    return [(w - top if w > laws.NEG_INF else laws.NEG_INF, outer(rng, space)) for w in raw]
+
+
+def test_nested_draws_keep_their_order():
+    # the same values from the same draws, and the generator left in the same state
+    for seed in range(300):
+        got, want = random.Random(seed), random.Random(seed)
+        space = laws.rand_space(random.Random(-seed), 3)
+        assert laws.rand_nested(got, space) == _rand_nested_inline(want, space)
+        assert got.getstate() == want.getstate()

@@ -12,12 +12,12 @@ from maslov import (
     dirac,
     integrate,
     normalize,
-    pointwise_max,
     pointwise_sup,
     pushforward,
     space,
     support,
 )
+from maslov.core import pointwise_max
 
 X2 = space("ab")
 X3 = space("abc")

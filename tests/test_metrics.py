@@ -14,17 +14,14 @@ from maslov import (
     dhat_oracle,
     dirac,
     dtilde,
-    grid_gap,
-    maxmin_gap,
     metric_closure,
     normalize,
-    outer_dtilde,
     pushforward,
     space,
     weight_distance,
 )
 from maslov.laws import rand_measure
-from maslov.metrics import inner_distance_table
+from maslov.metrics import grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
 
 X2 = space("ab")
 M2 = metric_closure(X2, [[0, 1], [1, 0]])

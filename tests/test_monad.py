@@ -16,26 +16,28 @@ from maslov import (
     PointMap,
     convex_combination,
     dirac,
-    dirac_lift,
-    flatten_measure,
     fuzzy_embed,
     hyperspace_embed,
-    hyperspace_square,
-    hyperspace_union,
     integrate,
-    map_outer,
     marginal,
     multiply,
     normalize,
-    outer_dirac,
-    outer_eval,
     product_space,
     pushforward,
     space,
     tensor,
-    tensor_many,
 )
 from maslov.laws import check_monad_laws, rand_measure, rand_outer, rand_space
+from maslov.monad import (
+    dirac_lift,
+    flatten_measure,
+    hyperspace_square,
+    hyperspace_union,
+    map_outer,
+    outer_dirac,
+    outer_eval,
+    tensor_many,
+)
 
 X2 = space("ab")
 X3 = space("abc")
@@ -57,7 +59,7 @@ class TestEvalFunctional:
 
     @given(measures_on(X2), st.tuples(dyadic, dyadic), st.tuples(dyadic, dyadic))
     def test_max_commutes(self, mu, v1, v2):
-        from maslov import pointwise_max
+        from maslov.core import pointwise_max
 
         phi, psi = FiniteFunction(X2, v1), FiniteFunction(X2, v2)
         assert integrate(mu, pointwise_max(phi, psi)) == max(

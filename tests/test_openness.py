@@ -19,9 +19,7 @@ from maslov import (
     counterexample_gap,
     counterexample_instance,
     dirac,
-    factor_surjection,
     lift_open_collapse,
-    lift_open_surjection,
     marginal,
     metric_closure,
     milyutin_build,
@@ -36,6 +34,7 @@ from maslov import (
     weight_distance,
 )
 from maslov.laws import rand_measure, rand_space, rand_surjection
+from maslov.openness import factor_surjection, lift_open_surjection
 
 
 def collapse_3to2():

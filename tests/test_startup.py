@@ -1,14 +1,19 @@
-"""Only metric-space work loads numpy.
+"""Only metric-space work loads numpy, only `check-laws` the law harness.
 
 Max-plus operations on weight tuples need no arrays, so a fresh process
 that imports the package and runs the CLI on such documents never imports
-numpy; `maslov dist` builds a MetricSpace and does.
+numpy; `maslov dist` builds a MetricSpace and does.  The package re-exports
+a fixed set of names, and every name that the README, the demos and the
+benchmark import from it must resolve.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import maslov.io as mio
@@ -41,12 +46,16 @@ print(json.dumps(loaded))
 """
 
 
-def run_fresh(calls):
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_fresh(calls):
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(calls)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -94,3 +103,108 @@ def test_dist_loads_numpy(tmp_path):
     mu = write(tmp_path, "mu.json", mio.measure_doc(dirac(X, "a")))
     nu = write(tmp_path, "nu.json", mio.measure_doc(dirac(X, "b")))
     assert run_fresh([["dist", ms, mu, nu]]) == [False, ["dist", 0, True]]
+
+
+# Prints which of numpy and maslov.laws `import maslov.cli` loaded, then, per
+# call, the exit code and whether maslov.laws was loaded after it.
+CHILD_LAWS = """
+import contextlib, io, json, sys
+import maslov.cli as cli
+loaded = [sorted({"numpy", "maslov.laws"} & set(sys.modules))]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded.append([argv[0], code, "maslov.laws" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_check_laws_loads_the_harness(tmp_path):
+    X = space("ab")
+    mu = write(tmp_path, "mu.json", mio.measure_doc(normalize(X, {"a": -1, "b": 0})))
+    phi = write(tmp_path, "phi.json", mio.function_doc(FiniteFunction(X, (3.0, 5.0))))
+    calls = [["integrate", mu, phi], ["counterexample", "--l", "2"], ["check-laws", "--cases", "2"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_LAWS, json.dumps(calls)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [],  # `import maslov.cli` loads neither
+        ["integrate", 0, False],
+        ["counterexample", 0, False],
+        ["check-laws", 0, True],
+    ]
+
+
+PUBLIC = {
+    # core types
+    "FiniteSpace", "ProductSpace", "MetricSpace", "InfeasibleError",
+    # names that the README, demos/ and perfbench/ import from the package
+    "NEG_INF", "FiniteFunction", "metric_closure", "odot", "oplus", "product_space",
+    "space", "weight_distance",
+    "IdempotentMeasure", "convex_combination", "dirac", "integrate", "normalize",
+    "pointwise_sup", "support",
+    "PointMap", "lift_along_surjection", "pushforward",
+    "ClosedSet", "FuzzySet", "OuterMeasure", "fuzzy_embed", "hyperspace_embed",
+    "marginal", "multiply", "tensor",
+    "PointCloudSpace", "algebra_law_check", "barycenter", "hull_membership",
+    "dhat", "dhat_oracle", "dtilde",
+    "CollapseMap", "CoverPair", "MilyutinLevel", "bicommutative_lift", "coupling_feasible",
+    "coupling_gap", "counterexample_gap", "counterexample_instance", "lift_open_collapse",
+    "milyutin_build", "pattern_max_coupling", "tight_patterns",
+}
+
+
+def test_public_names():
+    import maslov
+
+    names = {
+        name for name, value in vars(maslov).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(PUBLIC) == 49
+    assert names == PUBLIC
+
+
+def readme_python():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks
+    return blocks
+
+
+def imported_from_maslov():
+    """(name, where) for every `from maslov import name` in the callers."""
+    sources = [("README.md", block) for block in readme_python()]
+    for folder in ("demos", "perfbench"):
+        sources += [
+            (f"{folder}/{p.name}", p.read_text(encoding="utf-8"))
+            for p in sorted((ROOT / folder).glob("*.py"))
+        ]
+    found = set()
+    for where, source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "maslov" and node.level == 0:
+                found.update((alias.name, where) for alias in node.names)
+    return sorted(found)
+
+
+def test_callers_imports_resolve():
+    found = imported_from_maslov()
+    assert {where.split("/")[0] for _, where in found} == {"README.md", "demos", "perfbench"}
+    missing = []
+    for name, where in found:
+        try:
+            exec(f"from maslov import {name}", {})
+        except ImportError:
+            missing.append((name, where))
+    assert missing == []
+
+
+def test_readme_block_runs():
+    proc = subprocess.run(
+        [sys.executable, "-c", "\n".join(readme_python())],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -21,12 +21,12 @@ from maslov import (
     PointMap,
     dirac,
     hyperspace_embed,
-    lies_in_subspace,
     metric_closure,
     milyutin_build,
     normalize,
     space,
 )
+from maslov.functor import lies_in_subspace
 
 X = space("ab")
 Y = space("uv")
