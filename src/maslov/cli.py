@@ -45,12 +45,22 @@ def _read_json(path: str) -> Any:
         raise mio.DocumentError(f"{path}: {exc}") from None
 
 
-def _load(paths: Sequence[str]) -> tuple[list[Any], mio.Context]:
-    objs = [_read_json(p) for p in paths]
-    for obj in objs:
-        if not isinstance(obj, dict):
-            raise mio.DocumentError("every document must be a JSON object")
-    return objs, mio.build_context(objs)
+def _documents(*specs: tuple[str | None, str]) -> list[Any]:
+    """Read, check and decode documents given as (path, kind) pairs.
+
+    Returns the context and then one decoded object per pair, in argument
+    order; a None path (an option not given) decodes to None.  Every
+    document is read and checked before the context is built from all of
+    them, and every one is decoded before any command computes.
+    """
+    objs = [None if path is None else _read_json(path) for path, _ in specs]
+    if not all(obj is None or isinstance(obj, dict) for obj in objs):
+        raise mio.DocumentError("every document must be a JSON object")
+    ctx = mio.build_context([obj for obj in objs if obj is not None])
+    return [ctx] + [
+        None if obj is None else mio.decode(obj, ctx, kind)
+        for obj, (_, kind) in zip(objs, specs)
+    ]
 
 
 def _emit(doc: Any) -> None:
@@ -58,64 +68,51 @@ def _emit(doc: Any) -> None:
 
 
 def cmd_integrate(args) -> int:
-    objs, ctx = _load([args.measure, args.function])
-    mu = mio.decode(objs[0], ctx, "measure")
-    phi = mio.decode(objs[1], ctx, "function")
+    _, mu, phi = _documents((args.measure, "measure"), (args.function, "function"))
     _emit({"value": integrate(mu, phi)})
     return 0
 
 
 def cmd_push(args) -> int:
-    objs, ctx = _load([args.map, args.measure])
-    f = mio.decode(objs[0], ctx, "map")
-    mu = mio.decode(objs[1], ctx, "measure")
+    ctx, f, mu = _documents((args.map, "map"), (args.measure, "measure"))
     _emit(mio.measure_doc(pushforward(f, mu), ctx))
     return 0
 
 
 def cmd_lift(args) -> int:
-    objs, ctx = _load([args.map, args.measure])
-    f = mio.decode(objs[0], ctx, "map")
-    nu = mio.decode(objs[1], ctx, "measure")
+    ctx, f, nu = _documents((args.map, "map"), (args.measure, "measure"))
     _emit(mio.measure_doc(lift_along_surjection(f, nu), ctx))
     return 0
 
 
 def cmd_tensor(args) -> int:
-    objs, ctx = _load([args.left, args.right])
-    mu = mio.decode(objs[0], ctx, "measure")
-    nu = mio.decode(objs[1], ctx, "measure")
+    ctx, mu, nu = _documents((args.left, "measure"), (args.right, "measure"))
     _emit(mio.measure_doc(tensor(mu, nu), ctx))
     return 0
 
 
 def cmd_zeta(args) -> int:
-    objs, ctx = _load([args.outer])
-    M = mio.decode(objs[0], ctx, "outer_measure")
+    ctx, M = _documents((args.outer, "outer_measure"))
     _emit(mio.measure_doc(multiply(M), ctx))
     return 0
 
 
 def cmd_marginal(args) -> int:
-    objs, ctx = _load([args.measure])
-    mu = mio.decode(objs[0], ctx, "measure")
+    ctx, mu = _documents((args.measure, "measure"))
     _emit(mio.measure_doc(marginal(mu, args.axis), ctx))
     return 0
 
 
 def cmd_barycenter(args) -> int:
-    objs, ctx = _load([args.cloud, args.measure])
-    cloud = mio.decode(objs[0], ctx, "cloud")
-    mu = mio.decode(objs[1], ctx, "measure")
+    _, cloud, mu = _documents((args.cloud, "cloud"), (args.measure, "measure"))
     _emit({"point": list(barycenter(cloud, mu))})
     return 0
 
 
 def cmd_dist(args) -> int:
-    objs, ctx = _load([args.metric, args.left, args.right])
-    X = mio.decode(objs[0], ctx, "metric_space")
-    mu = mio.decode(objs[1], ctx, "measure")
-    nu = mio.decode(objs[2], ctx, "measure")
+    _, X, mu, nu = _documents(
+        (args.metric, "metric_space"), (args.left, "measure"), (args.right, "measure")
+    )
     value = dhat(args.n, X, mu, nu)
     out: dict[str, Any] = {"n": args.n, "dhat": value, "dtilde": dtilde(args.n, X, mu, nu)}
     if args.oracle:
@@ -126,15 +123,13 @@ def cmd_dist(args) -> int:
 
 
 def cmd_sup(args) -> int:
-    objs, ctx = _load(args.measures)
-    measures = [mio.decode(o, ctx, "measure") for o in objs]
+    ctx, *measures = _documents(*((path, "measure") for path in args.measures))
     _emit(mio.measure_doc(pointwise_sup(measures), ctx))
     return 0
 
 
 def cmd_hyper(args) -> int:
-    objs, ctx = _load([args.indicator])
-    chi = mio.decode(objs[0], ctx, "function")
+    ctx, chi = _documents((args.indicator, "function"))
     if any(v not in (0.0, 1.0) for v in chi.values):
         raise mio.DocumentError("hyper expects a 0/1 indicator function")
     members = frozenset(p for p, v in zip(chi.space.points, chi.values) if v == 1.0)
@@ -145,44 +140,37 @@ def cmd_hyper(args) -> int:
 
 
 def cmd_fuzzy(args) -> int:
-    objs, ctx = _load([args.grades])
-    chi = mio.decode(objs[0], ctx, "function")
+    ctx, chi = _documents((args.grades, "function"))
     _emit(mio.measure_doc(fuzzy_embed(FuzzySet(chi.space, chi.values)), ctx))
     return 0
 
 
 def cmd_lift_open(args) -> int:
-    objs, ctx = _load([args.map, args.anchor, *args.sequence])
-    f = CollapseMap(mio.decode(objs[0], ctx, "map"))
-    mu0 = mio.decode(objs[1], ctx, "measure")
-    nus = [mio.decode(o, ctx, "measure") for o in objs[2:]]
-    lifts = lift_open_collapse(f, mu0, nus)
+    ctx, f, mu0, *nus = _documents(
+        (args.map, "map"), (args.anchor, "measure"), *((path, "measure") for path in args.sequence)
+    )
+    lifts = lift_open_collapse(CollapseMap(f), mu0, nus)
     _emit({"lifts": [mio.measure_doc(m, ctx) for m in lifts]})
     return 0
 
 
 def cmd_bicommute(args) -> int:
-    objs, ctx = _load([args.map, args.measure, args.coupling])
-    f = CollapseMap(mio.decode(objs[0], ctx, "map"))
-    mu = mio.decode(objs[1], ctx, "measure")
-    nu = mio.decode(objs[2], ctx, "coupling")
-    _emit(mio.coupling_doc(bicommutative_lift(f, mu, nu), ctx))
+    ctx, f, mu, nu = _documents(
+        (args.map, "map"), (args.measure, "measure"), (args.coupling, "coupling")
+    )
+    _emit(mio.coupling_doc(bicommutative_lift(CollapseMap(f), mu, nu), ctx))
     return 0
 
 
 def cmd_couplings(args) -> int:
-    paths = [args.left, args.right]
-    if args.check:
-        paths.append(args.check)
-    if args.gap:
-        paths.append(args.gap)
-    objs, ctx = _load(paths)
-    mu1 = mio.decode(objs[0], ctx, "measure")
-    mu2 = mio.decode(objs[1], ctx, "measure")
+    ctx, mu1, mu2, coupling, target = _documents(
+        (args.left, "measure"),
+        (args.right, "measure"),
+        (args.check, "coupling"),
+        (args.gap, "measure"),
+    )
     out: dict[str, Any] = {}
-    rest = objs[2:]
-    if args.check:
-        coupling = mio.decode(rest.pop(0), ctx, "coupling")
+    if coupling is not None:
         out["feasible"] = coupling_feasible(coupling, mu1, mu2)
     if args.enumerate:
         patterns = []
@@ -195,8 +183,7 @@ def cmd_couplings(args) -> int:
                 }
             )
         out["patterns"] = patterns
-    if args.gap:
-        target = mio.decode(rest.pop(0), ctx, "measure")
+    if target is not None:
         result = coupling_gap(mu1, mu2, target)
         out["gap"] = result.gap
         out["witness_phi"] = mio.function_doc(result.phi, ctx)
@@ -231,9 +218,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_milyutin(args) -> int:
-    objs, ctx = _load([args.metric, args.covers])
-    Y = mio.decode(objs[0], ctx, "metric_space")
-    levels = mio.decode(objs[1], ctx, "cover_levels")
+    ctx, Y, levels = _documents((args.metric, "metric_space"), (args.covers, "cover_levels"))
     X, f, selection = milyutin_build(Y, levels, args.depth)
     cover_name = f"cover({ctx.name_of(Y.space)})"
     ctx.register(cover_name, X)

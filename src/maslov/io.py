@@ -90,6 +90,13 @@ def decode_label(obj: Any) -> Label:
     raise DocumentError(f"labels must be strings or nonempty arrays, got {obj!r}")
 
 
+def _label_array(obj: Any, what: str) -> list[Label]:
+    """A JSON array of labels; a string or an object is not read as one."""
+    if not isinstance(obj, list):
+        raise DocumentError(f"{what} must be an array of labels")
+    return [decode_label(p) for p in obj]
+
+
 def _try_product(points: Sequence[Label]) -> ProductSpace | None:
     if len(points) < 1 or not all(isinstance(p, tuple) for p in points):
         return None
@@ -143,7 +150,7 @@ class Context:
         """
         if isinstance(ref, dict):
             name = ref.get("name", "X")
-            pts = [decode_label(p) for p in ref.get("points", [])]
+            pts = _label_array(ref.get("points"), "inline space points")
             return self.register(str(name), infer_space(pts))
         if not isinstance(ref, str):
             raise DocumentError(f"space references must be names, got {ref!r}")
@@ -164,10 +171,8 @@ class Context:
 
 def _named_space(obj: Mapping[str, Any], ctx: Context) -> FiniteSpace:
     """Register the space that a space or metric_space document names."""
-    points = obj.get("points")
-    if not isinstance(points, list):
-        raise DocumentError(f"{obj.get('kind')} document needs a points array")
-    return ctx.register(str(obj.get("name", "X")), infer_space([decode_label(p) for p in points]))
+    points = _label_array(obj.get("points"), f"{obj.get('kind')} document points")
+    return ctx.register(str(obj.get("name", "X")), infer_space(points))
 
 
 def build_context(objs: Sequence[Mapping[str, Any]]) -> Context:
@@ -298,7 +303,7 @@ def decode_map(obj: Mapping[str, Any], ctx: Context) -> PointMap:
     _require(obj, "map", "source", "target", "table")
     source, images = _table(obj["table"], ctx, obj["source"], decode_label, "table")
     if "target_points" in obj:
-        target_points = [decode_label(p) for p in obj["target_points"]]
+        target_points = _label_array(obj["target_points"], "target_points")
         target = ctx.resolve(obj["target"], target_points)
         target.dense(dict.fromkeys(target_points), "target_points")
     else:
@@ -436,8 +441,8 @@ def decode_cover_levels(obj: Mapping[str, Any], ctx: Context) -> list[MilyutinLe
             alpha = entry.get("alpha")
             if alpha is not None:
                 alpha = {p: decode_weight(v) for p, v in _entries(alpha, "alpha").items()}
-            U = frozenset(decode_label(u) for u in entry["U"])
-            V = frozenset(decode_label(v) for v in entry["V"])
+            U = frozenset(_label_array(entry["U"], "U"))
+            V = frozenset(_label_array(entry["V"], "V"))
             pairs.append(CoverPair(U, V, alpha))
         out.append(MilyutinLevel(tuple(pairs)))
     return out

@@ -2,8 +2,9 @@
 
 Three computational devices live here:
 
-* sequence lifting through a collapse map (one doubled fiber), plus the
-  factorization of an arbitrary finite surjection into collapses;
+* sequence lifting through a finite surjection in closed form, with the
+  collapse map (one doubled fiber) as its special case, plus the
+  factorization of a surjection into collapses;
 * lifting of couplings through a collapse applied to both coordinates,
   with the two characteristic identities checked exactly;
 * the max-marginal coupling correspondence: feasibility, tight-pattern
@@ -18,6 +19,7 @@ measure-valued selection supported inside fibers.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -32,7 +34,7 @@ from .core import (
     as_weight,
     product_space,
 )
-from .functor import PointMap, lift_along_surjection, pushforward
+from .functor import PointMap, pushforward
 from .measures import IdempotentMeasure, dirac
 from .monad import marginal
 
@@ -78,46 +80,12 @@ def lift_open_collapse(
 ) -> list[IdempotentMeasure]:
     """Lift a sequence of target measures through a collapse, anchored at μ0.
 
-    The doubled-fiber atom with the larger μ0-weight tracks the image
-    weight exactly; the other is clipped at its own μ0-weight.  Every lift
-    pushes forward to its ν_k exactly, and the lifts converge to μ0
-    (atomwise in the exponential weight metric) whenever ν_k converges to
-    the image of μ0.
-
-    `nu0`, when given, must equal the pushforward of μ0 exactly.
+    The one-doubled-fiber case of `lift_open_surjection`, with its checks
+    and guarantees: the doubled-fiber atom with the larger μ0-weight (the
+    first in source order on a tie) tracks the image weight exactly; the
+    other is clipped at its own μ0-weight.
     """
-    pm = f.map
-    if mu0.space != pm.source:
-        raise ValueError("anchor measure does not live on the source")
-    push0 = pushforward(pm, mu0)
-    if nu0 is not None and nu0 != push0:
-        raise InfeasibleError("marginal mismatch: nu0 differs from the image of mu0")
-    p, q = f.doubled
-    if mu0.weight(p) >= mu0.weight(q):
-        hi, lo = p, q
-    else:
-        hi, lo = q, p
-    alpha_lo = mu0.weight(lo)
-    y1 = pm.table[hi]
-
-    lifts = []
-    for nu_k in nu_seq:
-        if nu_k.space != pm.target:
-            raise ValueError("sequence measures must live on the target")
-        beta1 = nu_k.weight(y1)
-        weights = []
-        for x in pm.source.points:
-            if x == hi:
-                weights.append(beta1)
-            elif x == lo:
-                weights.append(min(beta1, alpha_lo))
-            else:
-                weights.append(nu_k.weight(pm.table[x]))
-        mu_k = IdempotentMeasure(pm.source, tuple(weights))
-        if pushforward(pm, mu_k) != nu_k:
-            raise ValueError("lift failed to reproduce its marginal")
-        lifts.append(mu_k)
-    return lifts
+    return lift_open_surjection(f.map, mu0, nu_seq, nu0)
 
 
 def factor_surjection(f: PointMap) -> tuple[list[CollapseMap], PointMap]:
@@ -152,24 +120,52 @@ def lift_open_surjection(
     nu_seq: Sequence[IdempotentMeasure],
     nu0: IdempotentMeasure | None = None,
 ) -> list[IdempotentMeasure]:
-    """Lift a sequence through an arbitrary finite surjection.
+    """Lift a sequence of target measures through a finite surjection, anchored at μ0.
 
-    Composes the per-collapse lifts along the factorization of f; each
-    stage anchors at the pushforward of μ0 reached so far, so the final
-    lifts push to ν_k exactly and converge to μ0.
+    In each fiber of f, the first source point in source order with the
+    largest μ0-weight tracks the image weight ν_k(f x) exactly; every other
+    point x is clipped at its own μ0-weight, min(ν_k(f x), μ0(x)).  Every
+    lift pushes forward to its ν_k exactly, and the lifts converge to μ0
+    (atomwise in the exponential weight metric) whenever ν_k converges to
+    the image of μ0.
+
+    This is the composite of the collapse lifts along `factor_surjection`,
+    in closed form.  Each collapse merges a point into the first point r of
+    its fiber.  Lifting back through it, the one of the two with the larger
+    anchor weight (r on a tie) keeps r's lifted weight, and the other is
+    clipped at its anchor weight.  The anchor weight of r there is the
+    largest μ0-weight among r and the points merged into it earlier, so the
+    point never clipped is the first with the largest μ0-weight, and every
+    other point x ends at min(ν_k(f x), μ0(x)).
+
+    `nu0`, when given, must equal the pushforward of μ0 exactly.
     """
     if mu0.space != f.source:
         raise ValueError("anchor measure does not live on the source")
     if nu0 is not None and nu0 != pushforward(f, mu0):
         raise InfeasibleError("marginal mismatch: nu0 differs from the image of mu0")
-    collapses, relabel = factor_surjection(f)
-    anchors = [mu0]
-    for c in collapses:
-        anchors.append(pushforward(c.map, anchors[-1]))
-    seq = [lift_along_surjection(relabel, nu_k) for nu_k in nu_seq]
-    for c, anchor in zip(reversed(collapses), reversed(anchors[:-1])):
-        seq = lift_open_collapse(c, anchor, seq)
-    return seq
+    if not f.is_surjective:
+        raise ValueError("lift requires a surjective map")
+    images = [f.table[x] for x in f.source.points]
+    # per target point, the index of its fiber's tracking point
+    tracking: dict[Label, int] = {}
+    for i, y in enumerate(images):
+        if y not in tracking or mu0.weights[i] > mu0.weights[tracking[y]]:
+            tracking[y] = i
+    caps = list(mu0.weights)
+    for i in tracking.values():
+        caps[i] = math.inf  # never clipped
+
+    lifts = []
+    for nu_k in nu_seq:
+        if nu_k.space != f.target:
+            raise ValueError("sequence measures must live on the target")
+        weights = tuple(min(nu_k.weight(y), cap) for y, cap in zip(images, caps))
+        mu_k = IdempotentMeasure(f.source, weights)
+        if pushforward(f, mu_k) != nu_k:
+            raise ValueError("lift failed to reproduce its marginal")
+        lifts.append(mu_k)
+    return lifts
 
 
 def bicommutative_lift(
@@ -532,7 +528,6 @@ def milyutin_build(
 
     # Point of X: (y, copy index at level 1, ..., copy index at level depth).
     points: list[Label] = []
-    fiber_choices: dict[Label, list[tuple[str, ...]]] = {}
     for y in base.points:
         per_level = []
         for level in used:
@@ -540,9 +535,7 @@ def milyutin_build(
             if not choices:
                 raise ValueError(f"empty fiber over {y!r}")
             per_level.append(choices)
-        combos = [tuple(c) for c in itertools.product(*per_level)]
-        fiber_choices[y] = combos
-        points.extend((y, *combo) for combo in combos)
+        points.extend((y, *combo) for combo in itertools.product(*per_level))
 
     X = FiniteSpace(tuple(points))
     f = PointMap(X, base, {p: p[0] for p in X.points})

@@ -512,6 +512,25 @@ class TestCommands:
         assert capsys.readouterr().out == golden
         assert len(json.loads(golden)["patterns"]) == 12
 
+    def test_lift_open_golden(self, tmp_path, capsys):
+        # the doubled fiber {x0, x2} ties in mu0, and x3 is a -inf atom
+        src, tgt = space(["x0", "x1", "x2", "x3"]), space(["y1", "y2", "y3"])
+        table = {"x0": "y1", "x1": "y2", "x2": "y1", "x3": "y3"}
+        f = write(tmp_path, "f.json", mio.map_doc(PointMap(src, tgt, table)))
+        mu0 = write(
+            tmp_path, "mu0.json",
+            mio.measure_doc(IdempotentMeasure(src, (-0.5, 0.0, -0.5, -math.inf))),
+        )
+        nus = [
+            write(tmp_path, f"nu{k}.json", mio.measure_doc(IdempotentMeasure(tgt, weights)))
+            for k, weights in enumerate(
+                [(-0.25, 0.0, -math.inf), (-4.0 / 3.0, -0.75, 0.0), (0.0, -math.inf, -2.0)]
+            )
+        ]
+        assert cli.main(["lift-open", f, mu0, *nus]) == 0
+        golden = (GOLDEN / "lift_open_ties.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
     def test_counterexample_golden(self, capsys):
         assert cli.main(["counterexample", "--l", "7"]) == 0
         golden = (GOLDEN / "counterexample_l7.json").read_text(encoding="utf-8")
@@ -591,6 +610,48 @@ class TestErrorPaths:
         code, out = run(capsys, ["integrate", "-", f])
         assert code == 0
         assert out == {"value": 5.0}
+
+
+class TestLabelArrays:
+    """A string or object where the schema wants an array of labels exits 1;
+    it is not iterated as a sequence of labels."""
+
+    MEASURE = {"kind": "measure", "space": "X", "atoms": {"a": 0, "b": -1}}
+
+    def call(self, tmp_path, capsys, command, *docs):
+        paths = []
+        for i, doc in enumerate(docs):
+            p = tmp_path / f"d{i}.json"
+            p.write_text(json.dumps(doc), encoding="utf-8")
+            paths.append(str(p))
+        code = cli.main([command, *paths])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if VALIDATOR is not None:
+            assert not all(VALIDATOR.is_valid(doc) for doc in docs)
+        return code, captured.err
+
+    def test_target_points(self, tmp_path, capsys):
+        f = {"kind": "map", "source": "X", "target": "Y", "target_points": "uv",
+             "table": {"a": "u", "b": "v"}}
+        code, err = self.call(tmp_path, capsys, "push", f, self.MEASURE)
+        assert code == 1
+        assert "target_points must be an array" in err
+
+    def test_inline_space_points(self, tmp_path, capsys):
+        mu = {"kind": "measure", "space": {"name": "X", "points": {"a": 0, "b": 1}},
+              "atoms": {"a": 0, "b": -1}}
+        code, err = self.call(tmp_path, capsys, "sup", mu)
+        assert code == 1
+        assert "inline space points must be an array" in err
+
+    def test_cover_pair_sets(self, tmp_path, capsys):
+        ms = mio.metric_space_doc(metric_closure(X2, [[0, 1], [1, 0]]), "Y")
+        covers = {"kind": "cover_levels", "space": "Y",
+                  "levels": [[{"U": "a", "V": "ab"}, {"U": ["b"], "V": ["a", "b"]}]]}
+        code, err = self.call(tmp_path, capsys, "milyutin", ms, covers)
+        assert code == 1
+        assert "U must be an array" in err
 
 
 class TestUsageErrors:

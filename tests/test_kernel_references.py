@@ -8,6 +8,8 @@ boxes than its reference, one per tight pattern, and must still return
 the same gap, coupling and witness.  Tight-pattern enumeration is
 compared with the loop that checks every doubly picked cell for
 consistency and sorts rows, columns and pinned cells by label index.
+The closed-form open lift is compared with the per-collapse lift,
+composed along `factor_surjection` for an arbitrary surjection.
 """
 
 import itertools
@@ -21,14 +23,18 @@ from hypothesis import strategies as st
 
 from maslov import (
     NEG_INF,
+    CollapseMap,
     FiniteSpace,
     IdempotentMeasure,
     InfeasibleError,
     MetricSpace,
+    PointMap,
     coupling_gap,
     counterexample_instance,
     dhat,
     integrate,
+    lift_along_surjection,
+    lift_open_collapse,
     marginal,
     metric_closure,
     normalize,
@@ -39,7 +45,14 @@ from maslov import (
 )
 from maslov.metrics import maxmin_gap
 from maslov.monad import projection
-from maslov.openness import GapResult, TightPattern, indicator_family, tight_patterns
+from maslov.openness import (
+    GapResult,
+    TightPattern,
+    factor_surjection,
+    indicator_family,
+    lift_open_surjection,
+    tight_patterns,
+)
 
 
 # ------------------------------------------------------------ references
@@ -209,6 +222,46 @@ def _tight_patterns_loop(mu1, mu2):
                     key=lambda kv: (mu1.space.index(kv[0][0]), mu2.space.index(kv[0][1])),
                 )),
             )
+
+
+def _lift_open_collapse_loop(f, mu0, nu_seq):
+    """The per-collapse lift: of the doubled pair, the point with the larger
+    anchor weight (the first on a tie) takes the merged weight, and the
+    other that weight clipped at its own anchor weight."""
+    pm = f.map
+    p, q = f.doubled
+    if mu0.weight(p) >= mu0.weight(q):
+        hi, lo = p, q
+    else:
+        hi, lo = q, p
+    alpha_lo = mu0.weight(lo)
+    y1 = pm.table[hi]
+    lifts = []
+    for nu_k in nu_seq:
+        beta1 = nu_k.weight(y1)
+        weights = []
+        for x in pm.source.points:
+            if x == hi:
+                weights.append(beta1)
+            elif x == lo:
+                weights.append(min(beta1, alpha_lo))
+            else:
+                weights.append(nu_k.weight(pm.table[x]))
+        lifts.append(IdempotentMeasure(pm.source, tuple(weights)))
+    return lifts
+
+
+def _lift_open_composed(f, mu0, nu_seq):
+    """The collapse lifts composed along `factor_surjection`, each stage
+    anchored at the image of μ0 reached so far."""
+    collapses, relabel = factor_surjection(f)
+    anchors = [mu0]
+    for c in collapses:
+        anchors.append(pushforward(c.map, anchors[-1]))
+    seq = [lift_along_surjection(relabel, nu_k) for nu_k in nu_seq]
+    for c, anchor in zip(reversed(collapses), reversed(anchors[:-1])):
+        seq = _lift_open_collapse_loop(c, anchor, seq)
+    return seq
 
 
 def _outcome(fn, *args):
@@ -560,3 +613,53 @@ class TestTightPatternsMatchLoop:
         for l in [*range(1, 21), math.inf]:
             mu1, mu2, _ = counterexample_instance(l)
             assert list(tight_patterns(mu1, mu2)) == list(_tight_patterns_loop(mu1, mu2))
+
+
+# ------------------------------------------------------------- open lifts
+
+@st.composite
+def _tie_measure(draw, space):
+    """A measure on a weak order of four tie levels, -inf allowed.
+
+    The levels are sums of quarter steps divided by 1, 3, 7 or 10, so most
+    are not dyadic; one point sits at weight 0.
+    """
+    scale = draw(st.sampled_from([1.0, 3.0, 7.0, 10.0]))
+    steps = draw(st.lists(st.integers(1, 6), min_size=3, max_size=3))
+    levels = [0.0, *(-sum(steps[:k]) / 4.0 / scale for k in (1, 2, 3)), NEG_INF]
+    n = len(space)
+    weights = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    weights[draw(st.integers(0, n - 1))] = 0.0
+    return IdempotentMeasure(space, tuple(weights))
+
+
+@st.composite
+def _open_lift_instances(draw, collapse):
+    """A surjection of 1-8 source points (a collapse when `collapse`), an
+    anchor and 1-4 target measures, the first of them the anchor's image."""
+    n = draw(st.integers(2 if collapse else 1, 8))
+    m = n - 1 if collapse else draw(st.integers(1, n))
+    X, Y = _labels("x", n), _labels("y", m)
+    # every target point once, the rest anywhere, in a shuffled order
+    images = draw(st.permutations(
+        [*range(m), *draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))]
+    ))
+    f = PointMap(X, Y, {x: Y.points[j] for x, j in zip(X.points, images)})
+    mu0 = draw(_tie_measure(X))
+    nus = [pushforward(f, mu0), *draw(st.lists(_tie_measure(Y), min_size=0, max_size=3))]
+    return f, mu0, nus
+
+
+class TestOpenLiftMatchesComposedCollapses:
+    @settings(max_examples=300, deadline=None)
+    @given(_open_lift_instances(collapse=False))
+    def test_surjections(self, instance):
+        f, mu0, nus = instance
+        assert lift_open_surjection(f, mu0, nus) == _lift_open_composed(f, mu0, nus)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_open_lift_instances(collapse=True))
+    def test_collapses(self, instance):
+        f, mu0, nus = instance
+        c = CollapseMap(f)
+        assert lift_open_collapse(c, mu0, nus, nu0=nus[0]) == _lift_open_collapse_loop(c, mu0, nus)
