@@ -148,10 +148,11 @@ class ProductSpace(FiniteSpace):
 
     The points are derived from the factors, never passed in, so they are
     always the full cartesian product.  Labels and distinctness follow from
-    the validated factors and are not checked again.
+    the validated factors and are not checked again, and equality and
+    hashing go through the factors alone.
     """
 
-    points: tuple[Label, ...] = field(init=False)
+    points: tuple[Label, ...] = field(init=False, compare=False)
     factors: tuple[FiniteSpace, ...]
 
     def __post_init__(self) -> None:
@@ -187,24 +188,16 @@ def _atomic_factors(space: FiniteSpace) -> tuple[FiniteSpace, ...]:
     return (space,)
 
 
-def _flatten_label(space: FiniteSpace, label: Label) -> tuple:
-    if isinstance(space, ProductSpace):
-        flat: tuple = ()
-        for f, part in zip(space.factors, label):  # type: ignore[arg-type]
-            flat = flat + _flatten_label(f, part)
-        return flat
-    return (label,)
-
-
 def flatten_space(space: ProductSpace) -> tuple[ProductSpace, dict[Label, Label]]:
     """Collapse nested product structure: ((x,y),z) points become (x,y,z).
 
     Returns the flat product over the atomic factors and the relabeling
-    table realizing the canonical identification.
+    table realizing the canonical identification.  Both products are
+    row-major over the same atomic factors, so the identification keeps
+    the point order.
     """
     flat = product_space(*_atomic_factors(space))
-    table = {p: _flatten_label(space, p) for p in space.points}
-    return flat, table
+    return flat, dict(zip(space.points, flat.points))
 
 
 @dataclass(frozen=True)

@@ -106,13 +106,10 @@ def _try_product(points: Sequence[Label]) -> ProductSpace | None:
     k = arity.pop()
     if k < 2:
         return None
-    factors = []
-    for axis in range(k):
-        seen: list[Label] = []
-        for p in points:
-            if p[axis] not in seen:  # type: ignore[index]
-                seen.append(p[axis])  # type: ignore[index]
-        factors.append(infer_space(seen))
+    factors = [
+        infer_space(list(dict.fromkeys(p[axis] for p in points)))  # type: ignore[index]
+        for axis in range(k)
+    ]
     candidate = product_space(*factors)
     if candidate.points == tuple(points):
         return candidate

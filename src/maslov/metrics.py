@@ -97,23 +97,24 @@ def grid_gap(
     m = len(lam)
     if len(kap) != m or len(dist) != m:
         raise ValueError("inconsistent table sizes")
+    if not (0 < step < math.inf and 0 < radius < math.inf):  # NaN fails both
+        raise ValueError("step and radius must be finite and positive")
     if m == 1:
         return 0.0
-    if step <= 0 or radius <= 0:
-        raise ValueError("step and radius must be positive")
 
+    # The grid is sized before any axis is built: a tiny step must neither
+    # allocate an axis past the cap nor overflow bound / step.
     slack = step + _SLACK_EPS
-    axes: list[np.ndarray] = []
+    ks: list[int] = []
     for i in range(1, m):
         bound = min(radius + step, n * dist[0][i] + slack)
-        k = int(math.floor(bound / step + 1e-9))
-        axes.append(np.arange(-k, k + 1, dtype=float) * step)
-
-    cells = 1
-    for a in axes:
-        cells *= a.size
+        if bound > _GRID_CAP * step:
+            raise ValueError(f"oracle grid has over {_GRID_CAP} cells on axis {i} alone")
+        ks.append(int(math.floor(bound / step + 1e-9)))
+    cells = math.prod(2 * k + 1 for k in ks)
     if cells > _GRID_CAP:
         raise ValueError(f"oracle grid has {cells} cells, above the cap {_GRID_CAP}")
+    axes = [np.arange(-k, k + 1, dtype=float) * step for k in ks]
 
     vs: list[np.ndarray] = [np.zeros(())]  # pinned base point
     for i, a in enumerate(axes):

@@ -118,14 +118,10 @@ def tensor_many(measures: Sequence[IdempotentMeasure]) -> IdempotentMeasure:
     """Left-associated tensor over a flat product of all the factors."""
     if len(measures) < 2:
         raise ValueError("tensor_many needs at least two measures")
-    prod = product_space(*(m.space for m in measures))
-    weights = []
-    for point in prod.points:
-        w = 0.0
-        for m, part in zip(measures, point):
-            w = w + m.weight(part)
-        weights.append(w)
-    return IdempotentMeasure(prod, tuple(weights))
+    weights: tuple[float, ...] = (0.0,)
+    for m in measures:
+        weights = tuple(w + v for w in weights for v in m.weights)
+    return IdempotentMeasure(product_space(*(m.space for m in measures)), weights)
 
 
 def projection(prod: ProductSpace, axis: int) -> PointMap:
@@ -152,12 +148,15 @@ def marginal(mu: IdempotentMeasure, axis: int) -> IdempotentMeasure:
 
 
 def flatten_measure(mu: IdempotentMeasure) -> IdempotentMeasure:
-    """Transport μ along the canonical identification ((x,y),z) = (x,y,z)."""
+    """Transport μ along the canonical identification ((x,y),z) = (x,y,z).
+
+    The nested and the flat product list their points in the same
+    row-major order, so the weights carry over unchanged.
+    """
     if not isinstance(mu.space, ProductSpace):
         raise ValueError("only measures on product spaces can be flattened")
-    flat, table = flatten_space(mu.space)
-    relabel = PointMap(mu.space, flat, table)
-    return pushforward(relabel, mu)
+    flat, _ = flatten_space(mu.space)
+    return IdempotentMeasure(flat, mu.weights)
 
 
 @dataclass(frozen=True)

@@ -527,33 +527,32 @@ def milyutin_build(
             raise ValueError(f"level {i} does not cover the base space")
 
     # Point of X: (y, copy index at level 1, ..., copy index at level depth).
+    # Its weight in s(y) is the sum of the copies' alpha at y, left to right;
+    # the copies of U-sets around y weigh 0, so no fiber is empty.
     points: list[Label] = []
+    own: list[float] = []
     for y in base.points:
-        per_level = []
-        for level in used:
-            choices = [str(k) for k, pair in enumerate(level.pairs) if y in pair.V]
-            if not choices:
-                raise ValueError(f"empty fiber over {y!r}")
-            per_level.append(choices)
-        points.extend((y, *combo) for combo in itertools.product(*per_level))
+        per_level = [
+            [
+                (str(k), pair.alpha[y])  # type: ignore[index]
+                for k, pair in enumerate(level.pairs)
+                if y in pair.V
+            ]
+            for level in used
+        ]
+        for combo in itertools.product(*per_level):
+            points.append((y, *(k for k, _ in combo)))
+            w = 0.0
+            for _, a in combo:
+                w = w + a
+            own.append(w)
 
     X = FiniteSpace(tuple(points))
     f = PointMap(X, base, {p: p[0] for p in X.points})
 
     selection: dict[Label, IdempotentMeasure] = {}
     for y in base.points:
-        weights = []
-        for p in X.points:
-            if p[0] != y:
-                weights.append(NEG_INF)
-                continue
-            w = 0.0
-            for i, k in enumerate(p[1:]):
-                w = w + used[i].pairs[int(k)].alpha[y]  # type: ignore[index]
-            weights.append(w)
-        if max(weights) == NEG_INF:
-            raise ValueError(f"empty fiber over {y!r}")
-        s_y = IdempotentMeasure(X, tuple(weights))
+        s_y = IdempotentMeasure(X, tuple(w if p[0] == y else NEG_INF for p, w in zip(points, own)))
         if pushforward(f, s_y) != dirac(base, y):
             raise ValueError("selection failed to project to the point it covers")
         selection[y] = s_y

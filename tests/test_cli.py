@@ -360,6 +360,30 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: distance table must be symmetric\n"
 
+    @pytest.mark.parametrize("points", ["a", "ab"])
+    @pytest.mark.parametrize("step", ["-1", "0", "nan", "inf"])
+    def test_dist_oracle_rejects_bad_steps(self, tmp_path, capsys, step, points):
+        X = space(points)
+        M = metric_closure(X, [[0.0 if i == j else 1.0 for j in range(len(X))] for i in range(len(X))])
+        ms = write(tmp_path, "ms.json", mio.metric_space_doc(M, "M"))
+        mu = write(tmp_path, "mu.json", mio.measure_doc(dirac(X, "a")))
+        code = cli.main(["dist", ms, mu, mu, "--oracle", "--step", step])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: step ")
+
+    @pytest.mark.parametrize("step", ["1e-12", "1e-320"])
+    def test_dist_oracle_caps_tiny_steps(self, tmp_path, capsys, step):
+        # the grid is sized before it is built, so a tiny step allocates nothing
+        ms = write(tmp_path, "ms.json", mio.metric_space_doc(metric_closure(X2, [[0, 1], [1, 0]]), "M"))
+        mu = write(tmp_path, "mu.json", mio.measure_doc(IdempotentMeasure(X2, (0.0, -0.5))))
+        code = cli.main(["dist", ms, mu, mu, "--oracle", "--step", step])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: oracle grid has over 4000000 cells on axis 1 alone\n"
+
     def test_sup_hyper_fuzzy(self, tmp_path, capsys):
         m1 = write(tmp_path, "m1.json", mio.measure_doc(normalize(X2, {"a": 0, "b": -2})))
         m2 = write(tmp_path, "m2.json", mio.measure_doc(normalize(X2, {"a": -1, "b": 0})))
@@ -449,8 +473,9 @@ class TestCommands:
         assert code == 0
         assert out["gap"] == 0.0
 
-    def test_counterexample_rejects_nan(self, capsys):
-        assert cli.main(["counterexample", "--l", "nan"]) == 1
+    @pytest.mark.parametrize("l", ["nan", "1e400", "Infinity"])
+    def test_counterexample_rejects_nan(self, capsys, l):
+        assert cli.main(["counterexample", "--l", l]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --l must be a positive integer or 'inf'\n"

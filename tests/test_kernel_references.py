@@ -10,6 +10,10 @@ compared with the loop that checks every doubly picked cell for
 consistency and sorts rows, columns and pinned cells by label index.
 The closed-form open lift is compared with the per-collapse lift,
 composed along `factor_surjection` for an arbitrary surjection.
+Flattening and `tensor_many` read the row-major point order of a product
+instead of its labels; they are compared with the label-walking relabel
+and the per-coordinate weight lookups, and `infer_space` must rebuild
+every nested product from its point list.
 """
 
 import itertools
@@ -29,6 +33,7 @@ from maslov import (
     InfeasibleError,
     MetricSpace,
     PointMap,
+    ProductSpace,
     coupling_gap,
     counterexample_instance,
     dhat,
@@ -43,8 +48,10 @@ from maslov import (
     dirac,
     space,
 )
+from maslov.core import flatten_space
+from maslov.io import infer_space
 from maslov.metrics import maxmin_gap
-from maslov.monad import projection
+from maslov.monad import flatten_measure, projection, tensor_many
 from maslov.openness import (
     GapResult,
     TightPattern,
@@ -262,6 +269,45 @@ def _lift_open_composed(f, mu0, nu_seq):
     for c, anchor in zip(reversed(collapses), reversed(anchors[:-1])):
         seq = _lift_open_collapse_loop(c, anchor, seq)
     return seq
+
+
+def _atomic_factors_loop(space):
+    if isinstance(space, ProductSpace):
+        return tuple(a for f in space.factors for a in _atomic_factors_loop(f))
+    return (space,)
+
+
+def _flatten_label_loop(space, label):
+    """A nested product label as the tuple of its atomic coordinates."""
+    if isinstance(space, ProductSpace):
+        flat = ()
+        for f, part in zip(space.factors, label):
+            flat = flat + _flatten_label_loop(f, part)
+        return flat
+    return (label,)
+
+
+def _flatten_space_loop(space):
+    flat = product_space(*_atomic_factors_loop(space))
+    return flat, {p: _flatten_label_loop(space, p) for p in space.points}
+
+
+def _flatten_measure_loop(mu):
+    """Transport along the relabel map by a pushforward."""
+    flat, table = _flatten_space_loop(mu.space)
+    return pushforward(PointMap(mu.space, flat, table), mu)
+
+
+def _tensor_many_loop(measures):
+    """Per point of the flat product, sum the weights looked up by label."""
+    prod = product_space(*(m.space for m in measures))
+    weights = []
+    for point in prod.points:
+        w = 0.0
+        for m, part in zip(measures, point):
+            w = w + m.weight(part)
+        weights.append(w)
+    return IdempotentMeasure(prod, tuple(weights))
 
 
 def _outcome(fn, *args):
@@ -663,3 +709,88 @@ class TestOpenLiftMatchesComposedCollapses:
         f, mu0, nus = instance
         c = CollapseMap(f)
         assert lift_open_collapse(c, mu0, nus, nu0=nus[0]) == _lift_open_collapse_loop(c, mu0, nus)
+
+
+# ------------------------------------------------------------- products
+
+@st.composite
+def _nested_products(draw, max_factors=4, max_points=4):
+    """A product of 2 to `max_factors` string-labelled factors, nested at random.
+
+    Each factor lists its labels in a drawn order, so sorting them would
+    change the order.
+    """
+    n = draw(st.integers(2, max_factors))
+    parts = []
+    for c in "abcd"[:n]:
+        labels = _labels(c, draw(st.integers(1, max_points))).points
+        parts.append(FiniteSpace(tuple(draw(st.permutations(labels)))))
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        j = draw(st.integers(i + 2, len(parts)))
+        parts[i:j] = [product_space(*parts[i:j])]
+    return parts[0]
+
+
+@st.composite
+def _measure_on(draw, space):
+    """A measure with -inf atoms and weights k/1, k/3, k/7 or k/10, one at 0."""
+    scale = draw(st.sampled_from([1.0, 3.0, 7.0, 10.0]))
+    n = len(space)
+    weights = draw(st.lists(
+        st.one_of(st.just(NEG_INF), st.integers(-12, 0).map(lambda k: k / scale)),
+        min_size=n, max_size=n,
+    ))
+    weights[draw(st.integers(0, n - 1))] = 0.0
+    return IdempotentMeasure(space, tuple(weights))
+
+
+@st.composite
+def _tensor_factors(draw):
+    """Two to four measures, each on a flat space or on a small nested product."""
+    spaces = draw(st.lists(
+        st.one_of(
+            st.integers(1, 4).map(lambda n: _labels("x", n)),
+            _nested_products(max_factors=3, max_points=2),
+        ),
+        min_size=2, max_size=4,
+    ))
+    return [draw(_measure_on(sp)) for sp in spaces]
+
+
+class TestProductsMatchLabelWalks:
+    @settings(max_examples=200, deadline=None)
+    @given(_nested_products())
+    def test_flatten_space(self, P):
+        flat, table = flatten_space(P)
+        flat_r, table_r = _flatten_space_loop(P)
+        assert flat == flat_r and flat.points == flat_r.points
+        assert table == table_r and list(table) == list(table_r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_nested_products().flatmap(_measure_on))
+    def test_flatten_measure(self, mu):
+        out, ref = flatten_measure(mu), _flatten_measure_loop(mu)
+        assert out == ref and out.space.points == ref.space.points
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tensor_factors())
+    def test_tensor_many(self, measures):
+        assert tensor_many(measures) == _tensor_many_loop(measures)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_nested_products())
+    def test_infer_space_rebuilds_the_product(self, P):
+        assert infer_space(list(P.points)) == P
+
+    def test_equality_goes_through_the_factors(self):
+        A, B, C = _labels("a", 2), _labels("b", 3), _labels("c", 1)
+        P = product_space(product_space(A, B), C)
+        Q = product_space(product_space(_labels("a", 2), _labels("b", 3)), _labels("c", 1))
+        assert P == Q and hash(P) == hash(Q)
+        assert P != product_space(A, B, C)
+        # the same tuple points on a plain space, or on a product of other factors
+        assert P != FiniteSpace(P.points) and FiniteSpace(P.points) != P
+        AB = FiniteSpace(product_space(A, B).points)
+        R = product_space(AB, C)
+        assert R.points == P.points and R != P
