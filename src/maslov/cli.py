@@ -33,15 +33,30 @@ from .openness import (
 )
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for k in keys if keys.count(k) > 1)
+        raise mio.DocumentError(f"key {repeated!r} repeated in an object")
+    return obj
+
+
+def _no_constant(name: str) -> None:
+    raise mio.DocumentError(f"{name} is not a JSON number")
+
+
 def _read_json(path: str) -> Any:
+    """Read a document strictly: no repeated key in any object, no NaN or Infinity."""
+    strict = {"object_pairs_hook": _unique_keys, "parse_constant": _no_constant}
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, **strict)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, **strict)
     except json.JSONDecodeError as exc:
         raise mio.DocumentError(f"{path}: invalid JSON ({exc})") from None
-    except OSError as exc:
+    except (mio.DocumentError, OSError) as exc:
         raise mio.DocumentError(f"{path}: {exc}") from None
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import NEG_INF, FiniteSpace, Label
+from .core import NEG_INF, FiniteSpace, Label, combine
 from .measures import IdempotentMeasure
 from .monad import OuterMeasure, multiply
 
@@ -61,12 +61,7 @@ def barycenter(cloud: PointCloudSpace, mu: IdempotentMeasure) -> TropicalPoint:
     """
     if mu.space != cloud.space:
         raise ValueError("measure does not live on the cloud's space")
-    coords = []
-    for k in range(cloud.dim):
-        coords.append(
-            max(w + cloud.embed[p][k] for p, w in zip(mu.space.points, mu.weights) if w > NEG_INF)
-        )
-    return tuple(coords)
+    return combine(mu.weights, cloud.embed.values())
 
 
 def algebra_law_check(cloud: PointCloudSpace, M: OuterMeasure) -> bool:
@@ -79,11 +74,7 @@ def algebra_law_check(cloud: PointCloudSpace, M: OuterMeasure) -> bool:
     if M.base != cloud.space:
         raise ValueError("outer measure does not live over the cloud's space")
     left = barycenter(cloud, multiply(M))
-    inner_pts = [barycenter(cloud, m) for m in M.inner]
-    right = tuple(
-        max(lam + q[k] for lam, q in zip(M.weights, inner_pts) if lam > NEG_INF)
-        for k in range(cloud.dim)
-    )
+    right = combine(M.weights, (barycenter(cloud, m) for m in M.inner))
     return left == right
 
 
@@ -106,7 +97,7 @@ def hull_membership(
         raise ValueError("generators must have finite coordinates")
     q = _check_point(x, dim)
     lam = tuple(min(q[k] - g[k] for k in range(dim)) for g in gens)
-    combo = tuple(max(lam[i] + gens[i][k] for i in range(len(gens))) for k in range(dim))
+    combo = combine(lam, gens)
     if combo == q:
         return True, lam
     return False, None

@@ -58,6 +58,23 @@ def odot(a: float, b: float) -> float:
     return as_weight(as_weight(a) + as_weight(b))
 
 
+def combine(
+    coefficients: Iterable[float], vectors: Iterable[Sequence[float]]
+) -> tuple[float, ...]:
+    """The max-plus linear combination ⊕_i c_i ⊙ v_i of equal-length vectors:
+    entry k is the max of c_i + v_i[k] over the finite c_i, -inf if none is."""
+    vectors = tuple(vectors)
+    out = [NEG_INF] * (len(vectors[0]) if vectors else 0)
+    for c, v in zip(coefficients, vectors):
+        if c == NEG_INF:
+            continue
+        for k, x in enumerate(v):
+            s = c + x
+            if s > out[k]:
+                out[k] = s
+    return tuple(out)
+
+
 def weight_distance(a: float, b: float) -> float:
     """The exponential-scale metric |e^a - e^b| on weights, with e^-inf = 0."""
     return abs(math.exp(as_weight(a)) - math.exp(as_weight(b)))

@@ -132,6 +132,8 @@ class Context:
     spaces: dict[str, FiniteSpace] = field(default_factory=dict)
 
     def register(self, name: str, space: FiniteSpace) -> FiniteSpace:
+        if not isinstance(name, str):
+            raise DocumentError(f"space names must be strings, got {name!r}")
         known = self.spaces.get(name)
         if known is None:
             self.spaces[name] = space
@@ -146,9 +148,8 @@ class Context:
         checking a table against a known space is left to `FiniteSpace.dense`.
         """
         if isinstance(ref, dict):
-            name = ref.get("name", "X")
             pts = _label_array(ref.get("points"), "inline space points")
-            return self.register(str(name), infer_space(pts))
+            return self.register(ref.get("name", "X"), infer_space(pts))
         if not isinstance(ref, str):
             raise DocumentError(f"space references must be names, got {ref!r}")
         if ref in self.spaces:
@@ -169,7 +170,7 @@ class Context:
 def _named_space(obj: Mapping[str, Any], ctx: Context) -> FiniteSpace:
     """Register the space that a space or metric_space document names."""
     points = _label_array(obj.get("points"), f"{obj.get('kind')} document points")
-    return ctx.register(str(obj.get("name", "X")), infer_space(points))
+    return ctx.register(obj.get("name", "X"), infer_space(points))
 
 
 def build_context(objs: Sequence[Mapping[str, Any]]) -> Context:
@@ -423,7 +424,9 @@ def cover_levels_doc(levels: Sequence[MilyutinLevel], space: FiniteSpace, name: 
 
 
 def decode_cover_levels(obj: Mapping[str, Any], ctx: Context) -> list[MilyutinLevel]:
-    _require(obj, "cover_levels", "levels")
+    _require(obj, "cover_levels", "space", "levels")
+    if not isinstance(obj["space"], str):
+        raise DocumentError(f"cover_levels space must be a space name, got {obj['space']!r}")
     levels = obj["levels"]
     if not isinstance(levels, list) or not levels:
         raise DocumentError("levels must be a nonempty list")

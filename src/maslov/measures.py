@@ -17,6 +17,7 @@ from .core import (
     FiniteSpace,
     Label,
     as_weight,
+    combine,
 )
 
 
@@ -96,10 +97,7 @@ def convex_combination(
         raise ValueError("combination weights must satisfy max(λ1, λ2) = 0")
     if mu1.space != mu2.space:
         raise ValueError("measures live on different spaces")
-    return IdempotentMeasure(
-        mu1.space,
-        tuple(max(lam1 + a, lam2 + b) for a, b in zip(mu1.weights, mu2.weights)),
-    )
+    return IdempotentMeasure(mu1.space, combine((lam1, lam2), (mu1.weights, mu2.weights)))
 
 
 def pointwise_sup(measures: Iterable[IdempotentMeasure]) -> IdempotentMeasure:
@@ -110,4 +108,4 @@ def pointwise_sup(measures: Iterable[IdempotentMeasure]) -> IdempotentMeasure:
     sp = ms[0].space
     if any(m.space != sp for m in ms):
         raise ValueError("measures live on different spaces")
-    return IdempotentMeasure(sp, tuple(max(col) for col in zip(*(m.weights for m in ms))))
+    return IdempotentMeasure(sp, combine((0.0,) * len(ms), (m.weights for m in ms)))

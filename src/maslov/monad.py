@@ -21,6 +21,7 @@ from .core import (
     Label,
     ProductSpace,
     as_weight,
+    combine,
     flatten_space,
     product_space,
 )
@@ -70,15 +71,7 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
     weight(x) = max_i (outer weight i + inner_i weight at x); the result
     satisfies multiply(M)(φ) = M(φ̄) for every φ.
     """
-    out = [NEG_INF] * len(M.base)
-    for lam, m in zip(M.weights, M.inner):
-        if lam == NEG_INF:
-            continue
-        for j, w in enumerate(m.weights):
-            v = lam + w
-            if v > out[j]:
-                out[j] = v
-    return IdempotentMeasure(M.base, tuple(out))
+    return IdempotentMeasure(M.base, combine(M.weights, (m.weights for m in M.inner)))
 
 
 def outer_dirac(mu: IdempotentMeasure) -> OuterMeasure:
@@ -109,9 +102,7 @@ def map_outer(f: PointMap, M: OuterMeasure) -> OuterMeasure:
 
 def tensor(mu: IdempotentMeasure, nu: IdempotentMeasure) -> IdempotentMeasure:
     """The sum-weight coupling on the product: weight(x,y) = μ(x) + ν(y)."""
-    prod = product_space(mu.space, nu.space)
-    weights = tuple(a + b for a in mu.weights for b in nu.weights)
-    return IdempotentMeasure(prod, weights)
+    return tensor_many([mu, nu])
 
 
 def tensor_many(measures: Sequence[IdempotentMeasure]) -> IdempotentMeasure:

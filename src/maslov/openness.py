@@ -32,6 +32,7 @@ from .core import (
     MetricSpace,
     ProductSpace,
     as_weight,
+    combine,
     product_space,
 )
 from .functor import PointMap, pushforward
@@ -55,12 +56,11 @@ class CollapseMap:
             raise ValueError("a collapse map drops exactly one point")
         if not f.is_surjective:
             raise ValueError("a collapse map must be surjective")
-        doubled = [y for y in f.target.points if len(f.fiber(y)) == 2]
-        if len(doubled) != 1:
-            raise ValueError("a collapse map must have exactly one two-point fiber")
-        pair = sorted(f.fiber(doubled[0]), key=f.source.index)
+        # one more source than target point, all fibers nonempty: one fiber has two
+        merged = next(y for y in f.target.points if len(f.fiber(y)) == 2)
+        pair = sorted(f.fiber(merged), key=f.source.index)
         object.__setattr__(self, "_doubled", (pair[0], pair[1]))
-        object.__setattr__(self, "_merged", doubled[0])
+        object.__setattr__(self, "_merged", merged)
 
     @property
     def doubled(self) -> tuple[Label, Label]:
@@ -294,14 +294,6 @@ def indicator_family(space: FiniteSpace) -> list[FiniteFunction]:
     return [FiniteFunction(space, values) for values in _indicator_values(space)]
 
 
-def _integrals(weights: Sequence[float], columns: Sequence[Sequence[float]]) -> list[float]:
-    """`integrate` against every test function at once: per function, the
-    max over the finite weights w_c of φ_c + w_c, in point order."""
-    return list(map(max, zip(*(
-        [v + w for v in column] for w, column in zip(weights, columns) if w > NEG_INF
-    ))))
-
-
 @dataclass(frozen=True)
 class GapResult:
     gap: float
@@ -375,7 +367,7 @@ def coupling_gap(
         raise ValueError("target must live on the product of the marginal spaces")
     family = _indicator_values(prod)
     columns = list(zip(*family))
-    targets = _integrals(target.weights, columns)
+    targets = combine(target.weights, columns)  # integrate against every test function
     caps = {
         (x, y): min(mu1.weight(x), mu2.weight(y))
         for (x, y) in prod.points
@@ -420,7 +412,7 @@ def coupling_gap(
             break
 
     coupling = IdempotentMeasure(prod, tuple(table[c] for c in prod.points))
-    deviations = [abs(n - m) for n, m in zip(_integrals(coupling.weights, columns), targets)]
+    deviations = [abs(n - m) for n, m in zip(combine(coupling.weights, columns), targets)]
     witness = family[max(range(len(family)), key=deviations.__getitem__)]
     return GapResult(gap=gap, coupling=coupling, phi=FiniteFunction(prod, witness))
 

@@ -2,6 +2,9 @@ import importlib.resources as res
 import io as std_io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,7 @@ from maslov import (
     metric_closure,
     normalize,
     product_space,
+    pushforward,
     space,
     tensor,
 )
@@ -49,6 +53,7 @@ CHECK_LAWS_SEED0_CASES50 = """{
 
 # Golden stdout, byte for byte, for the coupling-gap commands.
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = GOLDEN.parent.parent
 
 SCHEMA = json.loads(res.files("maslov.schemas").joinpath("document.schema.json").read_text())
 KINDS = SCHEMA["properties"]["kind"]["enum"]
@@ -184,6 +189,18 @@ class TestSchemas:
         "missing atoms": {"kind": "measure", "space": "X"},
         "unknown kind": {"kind": "volume", "space": "X", "atoms": {"a": 0.0}},
         "inf weight": {"kind": "measure", "space": "X", "atoms": {"a": 0.0, "b": "inf"}},
+        "numeric metric_space name": {
+            "kind": "metric_space", "name": 5, "points": ["a", "b"], "dist": [[0, 1], [1, 0]],
+        },
+        "numeric inline space name": {
+            "kind": "measure", "space": {"name": 5, "points": ["a", "b"]}, "atoms": {"a": 0, "b": -1},
+        },
+        "cover_levels without space": {
+            "kind": "cover_levels", "levels": [[{"U": ["a", "b"], "V": ["a", "b"]}]],
+        },
+        "numeric cover_levels space": {
+            "kind": "cover_levels", "space": 5, "levels": [[{"U": ["a", "b"], "V": ["a", "b"]}]],
+        },
     }
 
     def test_documents_validate_against_shipped_schemas(self):
@@ -246,6 +263,31 @@ class TestMalformedTables:
         code, out = run(capsys, ["dist", ms, bad, good])
         assert code == 1
         assert out is None
+
+    # raw text that a plain json.load reads leniently: the last repeated key
+    # wins, and -Infinity parses although the format writes -inf as "-inf"
+    RAW = {
+        "repeated atom": '{"kind": "measure", "space": "X", "atoms": {"a": -1, "a": 0, "b": -2}}',
+        "repeated kind": '{"kind": "function", "kind": "measure", "space": "X", "atoms": {"a": 0}}',
+        "-Infinity weight": '{"kind": "measure", "space": "X", "atoms": {"a": 0, "b": -Infinity}}',
+    }
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize("case", sorted(RAW))
+    def test_cli_rejects_raw_text(self, tmp_path, capsys, monkeypatch, case, stdin):
+        ms = write(tmp_path, "ms.json", mio.metric_space_doc(metric_closure(X2, [[0, 1], [1, 0]]), "X"))
+        good = write(tmp_path, "good.json", mio.measure_doc(dirac(X2, "a")))
+        if stdin:
+            bad = "-"
+            monkeypatch.setattr("sys.stdin", std_io.StringIO(self.RAW[case]))
+        else:
+            bad = str(tmp_path / "bad.json")
+            Path(bad).write_text(self.RAW[case], encoding="utf-8")
+        code = cli.main(["dist", ms, bad, good])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ")
 
 
 class TestOversizedIntegers:
@@ -635,6 +677,80 @@ class TestErrorPaths:
         code, out = run(capsys, ["integrate", "-", f])
         assert code == 0
         assert out == {"value": 5.0}
+
+
+class TestHashSeed:
+    """Commands that build frozensets or dicts from labels print the same
+    bytes whatever the interpreter's string hash seed."""
+
+    @staticmethod
+    def _fresh(argv, seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "maslov.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        return proc.returncode, proc.stdout
+
+    @staticmethod
+    def _argv(tmp_path, command):
+        X, Y = space(["x1", "x2", "x3"]), space(["y1", "y2", "y3"])
+        src, tgt = space(["x0", "x1", "x2", "x3"]), space(["y1", "y2", "y3"])
+        f = PointMap(src, tgt, {"x0": "y1", "x1": "y2", "x2": "y1", "x3": "y3"})
+        mu0 = IdempotentMeasure(src, (-0.5, 0.0, -0.5, -math.inf))
+        if command == "milyutin":
+            Yb = space("abcd")
+            ones = [[0.0 if i == j else 1.0 for j in range(4)] for i in range(4)]
+            levels = [
+                MilyutinLevel((
+                    CoverPair(frozenset("ab"), frozenset("abc"), {"c": -0.5}),
+                    CoverPair(frozenset("cd"), frozenset("bcd"), {"b": -0.25}),
+                )),
+                MilyutinLevel((
+                    CoverPair(frozenset("ac"), frozenset("abcd"), {"b": -1.0, "d": -0.75}),
+                    CoverPair(frozenset("bd"), frozenset("abd"), {"a": -0.5}),
+                )),
+            ]
+            return [
+                "milyutin",
+                write(tmp_path, "Y.json", mio.metric_space_doc(metric_closure(Yb, ones), "Y")),
+                write(tmp_path, "cov.json", mio.cover_levels_doc(levels, Yb, "Y")),
+                "--depth", "2",
+            ]
+        if command == "hyper":
+            chi = FiniteFunction(space("abcdef"), (1.0, 0.0, 1.0, 1.0, 0.0, 1.0))
+            return ["hyper", write(tmp_path, "chi.json", mio.function_doc(chi))]
+        if command == "couplings":
+            return [
+                "couplings",
+                write(tmp_path, "mu1.json", mio.measure_doc(IdempotentMeasure(X, (0.0, 0.0, -0.75)))),
+                write(tmp_path, "mu2.json", mio.measure_doc(IdempotentMeasure(Y, (0.0, 0.0, -1.5)))),
+                "--enumerate",
+            ]
+        if command == "lift-open":
+            nus = [(-0.25, 0.0, -math.inf), (-4.0 / 3.0, -0.75, 0.0)]
+            return [
+                "lift-open",
+                write(tmp_path, "f.json", mio.map_doc(f)),
+                write(tmp_path, "mu0.json", mio.measure_doc(mu0)),
+                *(write(tmp_path, f"nu{k}.json", mio.measure_doc(IdempotentMeasure(tgt, w)))
+                  for k, w in enumerate(nus)),
+            ]
+        nu = tensor(pushforward(f, mu0), IdempotentMeasure(tgt, (0.0, -0.25, -1.0)))
+        return [
+            "bicommute",
+            write(tmp_path, "f.json", mio.map_doc(f)),
+            write(tmp_path, "mu0.json", mio.measure_doc(mu0)),
+            write(tmp_path, "nu.json", mio.coupling_doc(nu)),
+        ]
+
+    @pytest.mark.parametrize("command", ["milyutin", "hyper", "couplings", "lift-open", "bicommute"])
+    def test_stdout_independent_of_hash_seed(self, tmp_path, command):
+        argv = self._argv(tmp_path, command)
+        first, second = self._fresh(argv, "0"), self._fresh(argv, "1")
+        assert first[0] == 0
+        assert first == second
 
 
 class TestLabelArrays:

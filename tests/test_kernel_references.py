@@ -8,6 +8,10 @@ boxes than its reference, one per tight pattern, and must still return
 the same gap, coupling and witness.  Tight-pattern enumeration is
 compared with the loop that checks every doubly picked cell for
 consistency and sorts rows, columns and pinned cells by label index.
+Mixing, barycenters, hull tests, convex combinations, suprema and the
+coupling gap's batch of integrals all call the one max-plus linear
+combination `core.combine`; each is compared with the loop it replaced,
+bit for bit, and the two-factor `tensor` with its own weight sums.
 The closed-form open lift is compared with the per-collapse lift,
 composed along `factor_surjection` for an arbitrary surjection.
 Flattening and `tensor_many` read the row-major point order of a product
@@ -32,29 +36,39 @@ from maslov import (
     IdempotentMeasure,
     InfeasibleError,
     MetricSpace,
+    OuterMeasure,
+    PointCloudSpace,
     PointMap,
     ProductSpace,
+    algebra_law_check,
+    barycenter,
+    convex_combination,
     coupling_gap,
     counterexample_instance,
     dhat,
+    hull_membership,
     integrate,
     lift_along_surjection,
     lift_open_collapse,
     marginal,
     metric_closure,
+    multiply,
     normalize,
+    pointwise_sup,
     product_space,
     pushforward,
     dirac,
     space,
+    tensor,
 )
-from maslov.core import flatten_space
+from maslov.core import combine, flatten_space
 from maslov.io import infer_space
 from maslov.metrics import maxmin_gap
 from maslov.monad import flatten_measure, projection, tensor_many
 from maslov.openness import (
     GapResult,
     TightPattern,
+    _indicator_values,
     factor_surjection,
     indicator_family,
     lift_open_surjection,
@@ -308,6 +322,80 @@ def _tensor_many_loop(measures):
             w = w + m.weight(part)
         weights.append(w)
     return IdempotentMeasure(prod, tuple(weights))
+
+
+def _tensor_loop(mu, nu):
+    """The two-factor tensor with its own weight sums."""
+    prod = product_space(mu.space, nu.space)
+    return IdempotentMeasure(prod, tuple(a + b for a in mu.weights for b in nu.weights))
+
+
+# The hand-written max-plus linear combinations that `core.combine` replaced.
+
+def _multiply_loop(M):
+    out = [NEG_INF] * len(M.base)
+    for lam, m in zip(M.weights, M.inner):
+        if lam == NEG_INF:
+            continue
+        for j, w in enumerate(m.weights):
+            v = lam + w
+            if v > out[j]:
+                out[j] = v
+    return IdempotentMeasure(M.base, tuple(out))
+
+
+def _integrals_loop(weights, columns):
+    """Per test function, the max over the finite weights w_c of φ_c + w_c."""
+    return list(map(max, zip(*(
+        [v + w for v in column] for w, column in zip(weights, columns) if w > NEG_INF
+    ))))
+
+
+def _barycenter_loop(cloud, mu):
+    coords = []
+    for k in range(cloud.dim):
+        coords.append(
+            max(w + cloud.embed[p][k] for p, w in zip(mu.space.points, mu.weights) if w > NEG_INF)
+        )
+    return tuple(coords)
+
+
+def _algebra_right_loop(cloud, M):
+    """The right side of the algebra law: mix the inner barycenters."""
+    inner_pts = [_barycenter_loop(cloud, m) for m in M.inner]
+    return tuple(
+        max(lam + q[k] for lam, q in zip(M.weights, inner_pts) if lam > NEG_INF)
+        for k in range(cloud.dim)
+    )
+
+
+def _hull_membership_loop(generators, x):
+    gens = [tuple(float(v) for v in g) for g in generators]
+    dim = len(gens[0])
+    q = tuple(float(v) for v in x)
+    lam = tuple(min(q[k] - g[k] for k in range(dim)) for g in gens)
+    combo = tuple(max(lam[i] + gens[i][k] for i in range(len(gens))) for k in range(dim))
+    if combo == q:
+        return True, lam
+    return False, None
+
+
+def _convex_combination_loop(lam1, mu1, lam2, mu2):
+    return IdempotentMeasure(
+        mu1.space,
+        tuple(max(lam1 + a, lam2 + b) for a, b in zip(mu1.weights, mu2.weights)),
+    )
+
+
+def _pointwise_sup_loop(measures):
+    return IdempotentMeasure(
+        measures[0].space, tuple(max(col) for col in zip(*(m.weights for m in measures)))
+    )
+
+
+def _bits(values):
+    """Floats by their bit patterns, so 0.0 and -0.0 differ."""
+    return [v.hex() for v in values]
 
 
 def _outcome(fn, *args):
@@ -794,3 +882,144 @@ class TestProductsMatchLabelWalks:
         AB = FiniteSpace(product_space(A, B).points)
         R = product_space(AB, C)
         assert R.points == P.points and R != P
+
+
+# ----------------------------------------------------- max-plus combinations
+
+SCALES = [1.0, 3.0, 7.0, 10.0]  # k/3 and k/7 are not dyadic
+
+
+def _scaled(scale, lo=-12, hi=12):
+    return st.integers(lo, hi).map(lambda k: k / scale)
+
+
+@st.composite
+def _combinations(draw):
+    """1-6 coefficients, -inf among them or all -inf, and vectors of length 0-4."""
+    scale = draw(st.sampled_from(SCALES))
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    entry = st.one_of(st.just(NEG_INF), _scaled(scale))
+    coefficients = draw(st.lists(entry, min_size=n, max_size=n))
+    vectors = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim).map(tuple),
+                            min_size=n, max_size=n))
+    return tuple(coefficients), vectors
+
+
+@st.composite
+def _clouds(draw):
+    """A cloud of 1-6 points in R^0 to R^4."""
+    scale = draw(st.sampled_from(SCALES))
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    X = _labels("p", n)
+    coords = st.lists(_scaled(scale), min_size=dim, max_size=dim).map(tuple)
+    return PointCloudSpace(X, {p: draw(coords) for p in X.points})
+
+
+@st.composite
+def _outer_on(draw, space):
+    """1-4 inner measures on a space, with outer weights (-inf among them)."""
+    k = draw(st.integers(1, 4))
+    inner = tuple(draw(_measure_on(space)) for _ in range(k))
+    return OuterMeasure(space, inner, draw(_measure_on(_labels("i", k))).weights)
+
+
+@st.composite
+def _hull_instances(draw):
+    """1-6 generators in R^0 to R^4, and a point: drawn, or a combination of
+    the generators with some -inf coefficients (so often in the span)."""
+    scale = draw(st.sampled_from(SCALES))
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    point = st.lists(_scaled(scale), min_size=dim, max_size=dim).map(tuple)
+    gens = draw(st.lists(point, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        lam = draw(st.lists(st.one_of(st.just(NEG_INF), _scaled(scale)), min_size=n, max_size=n))
+        x = tuple(max(l + g[k] for l, g in zip(lam, gens)) for k in range(dim))
+    else:
+        x = draw(st.lists(st.one_of(st.just(NEG_INF), _scaled(scale)), min_size=dim, max_size=dim))
+    return gens, tuple(x)
+
+
+def _same_measure(out, ref):
+    return out == ref and out.space.points == ref.space.points and _bits(out.weights) == _bits(ref.weights)
+
+
+class TestCombinationsMatchLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(_combinations())
+    def test_combine_is_the_max_over_finite_coefficients(self, instance):
+        coefficients, vectors = instance
+        dim = len(vectors[0])
+        expected = tuple(
+            max((c + v[k] for c, v in zip(coefficients, vectors) if c > NEG_INF), default=NEG_INF)
+            for k in range(dim)
+        )
+        out = combine(coefficients, iter(vectors))
+        assert out == expected and _bits(out) == _bits(expected)
+
+    def test_combine_edge_cases(self):
+        vectors = [(0.0, -1.5, 2.0), (1.0, NEG_INF, -3.0)]
+        assert combine((NEG_INF, NEG_INF), vectors) == (NEG_INF,) * 3
+        assert combine((0.0, -1.0), [(), ()]) == ()
+        assert combine((), []) == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).map(lambda n: _labels("x", n)).flatmap(_outer_on))
+    def test_multiply(self, M):
+        assert _same_measure(multiply(M), _multiply_loop(M))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).map(lambda n: _labels("x", n)).flatmap(
+        lambda X: st.tuples(_measure_on(X), _measure_on(X), st.sampled_from(SCALES))))
+    def test_convex_combination(self, instance):
+        mu1, mu2, scale = instance
+        for lam1, lam2 in [(0.0, -1.0 / scale), (-2.0 / scale, 0.0), (0.0, NEG_INF), (NEG_INF, 0.0)]:
+            out = convex_combination(lam1, mu1, lam2, mu2)
+            assert _same_measure(out, _convex_combination_loop(lam1, mu1, lam2, mu2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).map(lambda n: _labels("x", n)).flatmap(
+        lambda X: st.lists(_measure_on(X), min_size=1, max_size=4)))
+    def test_pointwise_sup(self, measures):
+        assert _same_measure(pointwise_sup(iter(measures)), _pointwise_sup_loop(measures))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_clouds().flatmap(lambda c: st.tuples(st.just(c), _measure_on(c.space))))
+    def test_barycenter(self, instance):
+        cloud, mu = instance
+        out, ref = barycenter(cloud, mu), _barycenter_loop(cloud, mu)
+        assert out == ref and _bits(out) == _bits(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_clouds().flatmap(lambda c: st.tuples(st.just(c), _outer_on(c.space))))
+    def test_algebra_law_check(self, instance):
+        cloud, M = instance
+        right = combine(M.weights, (barycenter(cloud, m) for m in M.inner))
+        ref = _algebra_right_loop(cloud, M)
+        assert right == ref and _bits(right) == _bits(ref)
+        left = _barycenter_loop(cloud, _multiply_loop(M))
+        assert algebra_law_check(cloud, M) == (left == ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hull_instances())
+    def test_hull_membership(self, instance):
+        gens, x = instance
+        out, ref = _outcome(hull_membership, gens, x), _outcome(_hull_membership_loop, gens, x)
+        assert out == ref
+        if out[0] is True:
+            assert _bits(out[1]) == _bits(ref[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_nested_products(max_factors=2, max_points=3).flatmap(_measure_on))
+    def test_gap_integrals(self, mu):
+        columns = list(zip(*_indicator_values(mu.space)))
+        out, ref = combine(mu.weights, columns), _integrals_loop(mu.weights, columns)
+        assert list(out) == ref and _bits(out) == _bits(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(st.integers(1, 6).map(lambda n: _labels("x", n)),
+                  _nested_products(max_factors=2, max_points=2)),
+        min_size=2, max_size=2,
+    ).flatmap(lambda sp: st.tuples(_measure_on(sp[0]), _measure_on(sp[1]))))
+    def test_tensor(self, pair):
+        assert _same_measure(tensor(*pair), _tensor_loop(*pair))
