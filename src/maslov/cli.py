@@ -47,7 +47,7 @@ def _no_constant(name: str) -> None:
 
 
 def _read_json(path: str) -> Any:
-    """Read a document strictly: no repeated key in any object, no NaN or Infinity."""
+    """Read a UTF-8 document strictly: no repeated key in any object, no NaN or Infinity."""
     strict = {"object_pairs_hook": _unique_keys, "parse_constant": _no_constant}
     try:
         if path == "-":
@@ -56,7 +56,7 @@ def _read_json(path: str) -> Any:
             return json.load(fh, **strict)
     except json.JSONDecodeError as exc:
         raise mio.DocumentError(f"{path}: invalid JSON ({exc})") from None
-    except (mio.DocumentError, OSError) as exc:
+    except (mio.DocumentError, OSError, UnicodeDecodeError) as exc:
         raise mio.DocumentError(f"{path}: {exc}") from None
 
 

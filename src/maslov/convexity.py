@@ -91,6 +91,9 @@ def hull_membership(
     if not gens:
         raise ValueError("need at least one generator")
     dim = len(gens[0])
+    if dim == 0:
+        # λ_i would be the min over no coordinates, +inf, which is not a weight
+        raise ValueError("hull membership needs at least one coordinate")
     if any(len(g) != dim for g in gens):
         raise ValueError("generators have inconsistent dimensions")
     if any(v == NEG_INF for g in gens for v in g):

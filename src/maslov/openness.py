@@ -8,8 +8,8 @@ Three computational devices live here:
 * lifting of couplings through a collapse applied to both coordinates,
   with the two characteristic identities checked exactly;
 * the max-marginal coupling correspondence: feasibility, tight-pattern
-  enumeration of the (non-convex) feasible set, and an exact best
-  approximation gap showing the correspondence admits no continuous
+  enumeration of the (non-convex) feasible set, and an exact closed-form
+  best approximation gap showing the correspondence admits no continuous
   selection at the canonical two-point instance;
 
 together with a finite-depth Milyutin-style builder producing a
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -296,44 +295,16 @@ def indicator_family(space: FiniteSpace) -> list[FiniteFunction]:
 
 @dataclass(frozen=True)
 class GapResult:
+    """The outcome of `coupling_gap`.
+
+    `gap` is the least deviation max_φ |ν(φ) - target(φ)| over the feasible
+    couplings ν, `coupling` a feasible coupling attaining it, and `phi` the
+    first test function on which that coupling's deviation is largest.
+    """
+
     gap: float
     coupling: IdempotentMeasure
     phi: FiniteFunction
-
-
-def _box_gap(
-    fixed: Mapping[tuple[Label, Label], float],
-    caps: Mapping[tuple[Label, Label], float],
-    A: Mapping[tuple[Label, Label], float],
-    targets: Sequence[float],
-    shifted: Mapping[tuple[Label, Label], Sequence[float]],
-    thresholds: Mapping[tuple[Label, Label], Sequence[float]],
-) -> tuple[float, dict[tuple[Label, Label], float]]:
-    """Exact minimum of max_φ |ν(φ) - target_φ| over one pattern box.
-
-    Parametrize by the allowed deviation t: the largest coupling obeying
-    every upper constraint is λ_c(t) = min(cap_c, t + A_c) with
-    A_c = min_φ (target_φ - φ_c); it is monotone in t, so the box optimum
-    is the least t at which the lower constraints hold, solvable per test
-    function in closed form.  `shifted[c]` holds cap_c + φ_c and
-    `thresholds[c]` the least t at which free cell c alone reaches
-    target_φ, one entry per test function; neither depends on the box.
-    A box pins at least one cell (a normalized marginal has a weight-0
-    point), and every pinned value is a finite cap.
-    """
-    t_min = max(0.0, *(v - A[c] for c, v in fixed.items()))
-    # per test function, the least t at which some cell, pinned or free,
-    # lifts ν(φ) to target_φ - t
-    w_fixed = map(max, zip(*(shifted[c] for c in fixed)))
-    free = (thresholds[c] for c in caps if c not in fixed and caps[c] > NEG_INF)
-    best = map(min, zip(map(operator.sub, targets, w_fixed), *free))
-    t_min = max(t_min, max(best))
-
-    coupling = {
-        c: (fixed[c] if c in fixed else min(caps[c], t_min + A[c]))
-        for c in caps
-    }
-    return t_min, coupling
 
 
 def coupling_gap(
@@ -341,77 +312,56 @@ def coupling_gap(
     mu2: IdempotentMeasure,
     target: IdempotentMeasure,
 ) -> GapResult:
-    """Best approximation of a target coupling by feasible couplings.
+    """Best approximation of a target coupling τ by feasible couplings.
 
-    Minimizes, over all couplings with the prescribed marginals, the
-    maximum over the test family of |ν(φ) - target(φ)|.  The test family
-    is every {0, -1}-valued function on the product, which separates
-    support patterns.
+    Minimizes, over the couplings ν with marginals a and b, the max over
+    every {0, -1}-valued test function φ on the product of |ν(φ) - τ(φ)|.
+    The least gap t* has a closed form, computed in one pass over the cells.
 
-    The feasible set is the union of the tight-pattern boxes, and a box
-    depends only on its fixed set F (the pinned cells with their values).
-    Every pinned value equals its cell's cap min(row weight, column
-    weight), so F ⊆ F′ implies box(F′) ⊆ box(F): the least gap over the
-    union is the least gap over the inclusion-minimal fixed sets, and
-    those are solved first.  Ties go to the first pattern, in the order
-    of `tight_patterns`, whose box attains the least gap, as if every
-    box were solved in that order.  So the distinct fixed sets are then
-    walked in that order; a larger set's gap is at least that of every
-    minimal set inside it, and it is solved only if none of those lies
-    above the least gap.  (Tied boxes share their optimal coupling in
-    exact arithmetic, but in floating point it can differ in the last
-    place from box to box, so the rule shows in the output.)
+    1. Peak functions suffice.  Let π_c be 0 at cell c and -1 elsewhere,
+       and φ_S 0 on S and -1 off it.  ν and τ have an atom of weight 0.  If
+       the max in ν(φ_S) is reached at c in S, then ν(π_c) ≥ ν(φ_S) and
+       τ(π_c) ≤ τ(φ_S); otherwise ν(φ_S) = -1 ≤ τ(φ_S).  Swap ν and τ for
+       the other sign.  And ν(π_c) = max(ν_c, -1), τ(π_c) = A_c =
+       max(τ_c, -1), exactly in floats (rounding is monotone, x + 0 = x).
+    2. The cellwise largest candidate.  Every coupling lies below
+       cap_c = min(a_x, b_y), c = (x, y).  A coupling within t ≥ 0 of τ
+       has A_c - t ≤ max(ν_c, -1) ≤ A_c + t, so it lies below
+       ν(t) = min(cap, A + t), which keeps the upper bounds (A_c ≥ -1) and,
+       being larger, the lower bounds and the row and column maxima.  So
+       t* is the max of 0 and three kinds of monotone threshold:
+       - min(A_c + 1, A_c - cap_c) at every cell c;
+       - min over y with b_y ≥ a_x of (cap_c - A_c), per finite row x;
+       - the same per finite column.
+
+    Valid marginals have a weight-0 point, so each finite row and column
+    has an admissible cell.  t* + A_c can round an ulp below cap_c where
+    cap_c - A_c ≤ t*, so the first such cell of each finite row and column,
+    in point order, is pinned at its cap, as in the first `tight_patterns`
+    box attaining t*; every other cell gets min(cap_c, t* + A_c).  The
+    witness is the first maximizer over `indicator_family`.
     """
     prod = product_space(mu1.space, mu2.space)
     if target.space != prod:
         raise ValueError("target must live on the product of the marginal spaces")
     family = _indicator_values(prod)
+    a, b = mu1.weights, mu2.weights
+    m = len(b)
+    caps = [min(u, v) for u in a for v in b]  # cell k = i*m + j, in point order
+    A = [max(w, -1.0) for w in target.weights]
+    reach = [cap - a_c for cap, a_c in zip(caps, A)]  # the least t at which ν(t) reaches the cap
+    # the admissible cells of each finite row, then of each finite column
+    rows = ([i * m + j for j in range(m) if b[j] >= u] for i, u in enumerate(a) if u > NEG_INF)
+    cols = ([i * m + j for i, u in enumerate(a) if u >= v] for j, v in enumerate(b) if v > NEG_INF)
+    lines = [*rows, *cols]
+    gap = max(0.0, *(min(reach[k] for k in line) for line in lines),
+              *(min(a_c + 1.0, a_c - cap) for cap, a_c in zip(caps, A)))
+    pinned = {next(k for k in line if reach[k] <= gap) for line in lines}
+    coupling = IdempotentMeasure(prod, tuple(
+        cap if k in pinned else min(cap, gap + a_c) for k, (cap, a_c) in enumerate(zip(caps, A))
+    ))
     columns = list(zip(*family))
     targets = combine(target.weights, columns)  # integrate against every test function
-    caps = {
-        (x, y): min(mu1.weight(x), mu2.weight(y))
-        for (x, y) in prod.points
-    }
-    # per cell, one entry per test function: cap_c + φ_c, and the least t
-    # at which the cell, left free, alone reaches target_φ
-    A, shifted, thresholds = {}, {}, {}
-    for c, column in zip(prod.points, columns):
-        a = A[c] = min(map(operator.sub, targets, column))
-        u = caps[c]
-        if u == NEG_INF:
-            continue
-        shifted[c] = [u + v for v in column]
-        sat = u - a
-        thr = []
-        for m, v in zip(targets, column):
-            t1 = (m - a - v) / 2.0
-            thr.append(t1 if t1 <= sat else (m - u - v))
-        thresholds[c] = thr
-
-    def solve(fixed):
-        return _box_gap(dict(fixed), caps, A, targets, shifted, thresholds)
-
-    # the distinct fixed sets, in the order of their first patterns
-    boxes = {p.fixed: frozenset(p.fixed) for p in tight_patterns(mu1, mu2)}
-    if not boxes:
-        raise InfeasibleError("no feasible coupling for the given marginals")
-    solved = {
-        fixed: solve(fixed)
-        for fixed, F in boxes.items()
-        if not any(G < F for G in boxes.values())
-    }
-    gap = min(t for t, _ in solved.values())
-    above = [boxes[fixed] for fixed, (t, _) in solved.items() if t > gap]
-    for fixed, F in boxes.items():
-        if fixed not in solved:
-            if any(G < F for G in above):
-                continue
-            solved[fixed] = solve(fixed)
-        if solved[fixed][0] == gap:
-            table = solved[fixed][1]
-            break
-
-    coupling = IdempotentMeasure(prod, tuple(table[c] for c in prod.points))
     deviations = [abs(n - m) for n, m in zip(combine(coupling.weights, columns), targets)]
     witness = family[max(range(len(family)), key=deviations.__getitem__)]
     return GapResult(gap=gap, coupling=coupling, phi=FiniteFunction(prod, witness))

@@ -289,6 +289,23 @@ class TestMalformedTables:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    def test_cli_rejects_non_utf8(self, tmp_path, capsys, monkeypatch, stdin):
+        ms = write(tmp_path, "ms.json", mio.metric_space_doc(metric_closure(X2, [[0, 1], [1, 0]]), "X"))
+        good = write(tmp_path, "good.json", mio.measure_doc(dirac(X2, "a")))
+        raw = b"\xff\xfe"  # a UTF-16 byte order mark: not UTF-8
+        if stdin:
+            bad = "-"
+            monkeypatch.setattr("sys.stdin", std_io.TextIOWrapper(std_io.BytesIO(raw), encoding="utf-8"))
+        else:
+            bad = str(tmp_path / "bad.json")
+            Path(bad).write_bytes(raw)
+        code = cli.main(["dist", ms, bad, good])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
 
 class TestOversizedIntegers:
     HUGE = -(10**400)  # a JSON integer beyond the float range
@@ -578,6 +595,25 @@ class TestCommands:
         golden = (GOLDEN / "couplings_enumerate_ties.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == golden
         assert len(json.loads(golden)["patterns"]) == 12
+
+    @pytest.mark.parametrize("shape, code", [((2, 6), 0), ((4, 4), 1)], ids=["2x6", "4x4"])
+    def test_couplings_gap_domain(self, tmp_path, capsys, shape, code):
+        # the gap is limited only by the 12-cell witness family, not by the
+        # 4-point cap of the tight-pattern enumeration
+        X, Y = space([f"x{i}" for i in range(shape[0])]), space([f"y{j}" for j in range(shape[1])])
+        mu1 = write(tmp_path, "mu1.json", mio.measure_doc(normalize(X, [0.0] * len(X))))
+        mu2 = write(tmp_path, "mu2.json", mio.measure_doc(normalize(Y, [0.0] * len(Y))))
+        corner = dirac(product_space(X, Y), ("x0", "y0"))
+        target = write(tmp_path, "t.json", mio.measure_doc(corner))
+        assert cli.main(["couplings", mu1, mu2, "--gap", target]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            out = json.loads(captured.out)
+            assert out["gap"] == 1.0
+            assert captured.err == ""
+        else:
+            assert captured.out == ""
+            assert captured.err == "error: indicator family is capped at 12 points\n"
 
     def test_lift_open_golden(self, tmp_path, capsys):
         # the doubled fiber {x0, x2} ties in mu0, and x3 is a -inf atom

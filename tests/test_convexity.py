@@ -116,6 +116,12 @@ class TestHullMembership:
         with pytest.raises(ValueError):
             hull_membership([(0.0, 0.0)], (0.0,))
 
+    def test_rejects_zero_dimensional_points(self):
+        with pytest.raises(ValueError, match="^hull membership needs at least one coordinate$"):
+            hull_membership([()], ())
+        with pytest.raises(ValueError, match="^hull membership needs at least one coordinate$"):
+            hull_membership([(), ()], ())
+
     def test_rejects_infinite_generators(self):
         with pytest.raises(ValueError):
             hull_membership([(0.0, NEG_INF)], (0.0, 0.0))

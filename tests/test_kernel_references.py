@@ -3,9 +3,11 @@
 The kernels perform the same IEEE operations (max, min, +, -, n·d) in the
 same association order as the loops below, so every comparison here is
 exact: `==` on tuples and floats, `np.array_equal` on tables, and the same
-error message where the reference raises.  The coupling gap solves fewer
-boxes than its reference, one per tight pattern, and must still return
-the same gap, coupling and witness.  Tight-pattern enumeration is
+error message where the reference raises.  The coupling gap is one
+closed-form pass over the cells; its reference solves the box of every
+tight pattern in turn, and both must return the same gap, coupling and
+witness.  Beyond 4 points a side the reference enumerates the patterns
+with the uncapped loop below.  Tight-pattern enumeration is
 compared with the loop that checks every doubly picked cell for
 consistency and sorts rows, columns and pinned cells by label index.
 Mixing, barycenters, hull tests, convex combinations, suprema and the
@@ -178,7 +180,7 @@ def _box_gap_loop(fixed, caps, targets, values):
     return t_min, coupling
 
 
-def _coupling_gap_loop(mu1, mu2, target):
+def _coupling_gap_loop(mu1, mu2, target, patterns=tight_patterns):
     """Every tight pattern's box solved in turn; the first strictly best wins."""
     prod = product_space(mu1.space, mu2.space)
     if target.space != prod:
@@ -195,7 +197,7 @@ def _coupling_gap_loop(mu1, mu2, target):
     }
 
     best = None
-    for pattern in tight_patterns(mu1, mu2):
+    for pattern in patterns(mu1, mu2):
         solved = _box_gap_loop(dict(pattern.fixed), caps, targets, values)
         if best is None or solved[0] < best[0]:
             best = solved
@@ -597,27 +599,28 @@ def _gap_triple(result):
 
 
 @st.composite
-def _gap_instances(draw):
-    """2x2 to 3x3 marginals on a weak order of tie levels, -inf allowed.
+def _gap_instances(draw, shape=None):
+    """2x2 to 3x3 marginals, or `shape`, on a weak order of tie levels, -inf allowed.
 
     Each point of either marginal gets a level (0 is weight 0, deeper is
     lower, None is -inf), shared by rows and columns so ties cross them;
-    each marginal has a point at level 0.  With `scale` 3 every value is
-    divided by 3, so + and - round.
+    each marginal has a point at level 0.  With `scale` 3, 7 or 10 every
+    value is divided by it, so + and - round.
     """
-    scale = draw(st.sampled_from([1.0, 3.0]))
+    scale = draw(st.sampled_from([1.0, 3.0, 7.0, 10.0]))
     steps = draw(st.lists(st.integers(1, 6), min_size=2, max_size=2))
     levels = [0.0, -steps[0] / 4.0 / scale, -(steps[0] + steps[1]) / 4.0 / scale]
     level = st.sampled_from((0, 1, 2, None))
 
-    def marginal(prefix):
-        n = draw(st.integers(2, 3))
+    def marginal(prefix, n):
+        n = draw(st.integers(2, 3)) if n is None else n
         picks = draw(st.lists(level, min_size=n, max_size=n))
         picks[draw(st.integers(0, n - 1))] = 0
         sp = _labels(prefix, n)
         return IdempotentMeasure(sp, tuple(NEG_INF if k is None else levels[k] for k in picks))
 
-    mu1, mu2 = marginal("x"), marginal("y")
+    nx, ny = shape or (None, None)
+    mu1, mu2 = marginal("x", nx), marginal("y", ny)
     prod = product_space(mu1.space, mu2.space)
     cell = st.one_of(st.none(), st.integers(-16, 0))
     raw = draw(st.lists(cell, min_size=len(prod), max_size=len(prod)))
@@ -694,6 +697,24 @@ class TestCouplingGapMatchesLoop:
         for l in [*range(1, 101), math.inf]:
             instance = counterexample_instance(l)
             assert _gap_triple(coupling_gap(*instance)) == _gap_triple(_coupling_gap_loop(*instance))
+
+
+class TestCouplingGapWideShapes:
+    """Shapes past the 4-point pattern cap, up to the 12-cell family cap,
+    against the reference run on the uncapped pattern loop."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, k) for k in range(5, 13)] + [(k, 1) for k in range(5, 13)] + [(2, 5)],
+        ids=lambda shape: "%dx%d" % shape,
+    )
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_matches_loop(self, shape, data):
+        instance = data.draw(_gap_instances(shape))
+        assert _gap_triple(coupling_gap(*instance)) == _gap_triple(
+            _coupling_gap_loop(*instance, patterns=_tight_patterns_loop)
+        )
 
 
 # --------------------------------------------------------- tight patterns
@@ -925,10 +946,10 @@ def _outer_on(draw, space):
 
 @st.composite
 def _hull_instances(draw):
-    """1-6 generators in R^0 to R^4, and a point: drawn, or a combination of
+    """1-6 generators in R^1 to R^4, and a point: drawn, or a combination of
     the generators with some -inf coefficients (so often in the span)."""
     scale = draw(st.sampled_from(SCALES))
-    n, dim = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     point = st.lists(_scaled(scale), min_size=dim, max_size=dim).map(tuple)
     gens = draw(st.lists(point, min_size=n, max_size=n))
     if draw(st.booleans()):

@@ -424,64 +424,22 @@ class TestCounterexampleGap:
         assert coupling_gap(u1, u2, corner).gap == 1.0
 
 
-class TestGapBoxSolves:
-    """coupling_gap solves each distinct fixed set at most once, and most
-    non-minimal ones never."""
-
-    def _counted(self, monkeypatch):
+class TestGapWithoutPatterns:
+    def test_tight_patterns_unused(self, monkeypatch):
+        # the gap is computed in closed form, so it answers even when the
+        # pattern enumeration cannot run
         from maslov import openness
 
-        solved = []
-        box_gap = openness._box_gap
+        def refuse(mu1, mu2):
+            raise AssertionError("coupling_gap enumerated tight patterns")
 
-        def counting(fixed, *tables):
-            solved.append(frozenset(fixed.items()))
-            return box_gap(fixed, *tables)
-
-        monkeypatch.setattr(openness, "_box_gap", counting)
-        return solved
-
-    def _uniform(self):
         X, Y = space(["x1", "x2", "x3"]), space(["y1", "y2", "y3"])
-        return normalize(X, [0, 0, 0]), normalize(Y, [0, 0, 0]), product_space(X, Y)
-
-    def test_uniform_corner_target(self, monkeypatch):
-        u1, u2, prod = self._uniform()
-        fixed = [frozenset(p.fixed) for p in tight_patterns(u1, u2)]
-        distinct = set(fixed)
-        minimal = {F for F in distinct if not any(G < F for G in distinct)}
-        assert (len(fixed), len(distinct), len(minimal)) == (729, 219, 15)
-
-        solved = self._counted(monkeypatch)
-        assert coupling_gap(u1, u2, dirac(prod, ("x1", "y1"))).gap == 1.0
-        assert len(solved) == len(set(solved))
-        assert minimal <= set(solved) <= distinct
-        assert len(solved) <= 20
-
-    def test_each_fixed_set_at_most_once(self, monkeypatch):
-        solved = self._counted(monkeypatch)
-        rng = random.Random(5)
-        X, Y = space(["x1", "x2", "x3"]), space(["y1", "y2", "y3"])
+        u1, u2 = normalize(X, [0, 0, 0]), normalize(Y, [0, 0, 0])
         prod = product_space(X, Y)
-        for _ in range(10):
-            mu1 = normalize(X, [0, rng.choice([0, -0.5, NEG_INF]), rng.choice([0, -1.25])])
-            mu2 = normalize(Y, [rng.choice([0, -0.5]), 0, rng.choice([0, -1.25, NEG_INF])])
-            raw = [rng.choice([0, -0.25, -2, NEG_INF]) for _ in prod.points]
-            raw[rng.randrange(len(raw))] = 0
-            target = normalize(prod, raw)
-            solved.clear()
-            coupling_gap(mu1, mu2, target)
-            distinct = {frozenset(p.fixed) for p in tight_patterns(mu1, mu2)}
-            assert len(solved) == len(set(solved))
-            assert set(solved) <= distinct
-
-    def test_no_pattern_is_infeasible(self, monkeypatch):
-        from maslov import openness
-
-        u1, u2, prod = self._uniform()
-        monkeypatch.setattr(openness, "tight_patterns", lambda mu1, mu2: iter(()))
-        with pytest.raises(InfeasibleError, match="^no feasible coupling for the given marginals$"):
-            coupling_gap(u1, u2, dirac(prod, ("x1", "y1")))
+        monkeypatch.setattr(openness, "tight_patterns", refuse)
+        result = coupling_gap(u1, u2, dirac(prod, ("x1", "y1")))
+        assert result.gap == 1.0
+        assert coupling_feasible(result.coupling, u1, u2)
 
 
 class TestMilyutinBuild:
