@@ -8,6 +8,7 @@ reads the document from standard input.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -47,13 +48,19 @@ def _no_constant(name: str) -> None:
 
 
 def _read_json(path: str) -> Any:
-    """Read a UTF-8 document strictly: no repeated key in any object, no NaN or Infinity."""
+    """Read a UTF-8 document strictly: no repeated key in any object, no NaN or Infinity.
+
+    Standard input is read as bytes and decoded exactly as a file is, not in
+    the locale's encoding.
+    """
     strict = {"object_pairs_hook": _unique_keys, "parse_constant": _no_constant}
     try:
         if path == "-":
-            return json.load(sys.stdin, **strict)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, **strict)
+            raw = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), **strict)
     except json.JSONDecodeError as exc:
         raise mio.DocumentError(f"{path}: invalid JSON ({exc})") from None
     except (mio.DocumentError, OSError, UnicodeDecodeError) as exc:
@@ -188,16 +195,17 @@ def cmd_couplings(args) -> int:
     if coupling is not None:
         out["feasible"] = coupling_feasible(coupling, mu1, mu2)
     if args.enumerate:
-        patterns = []
-        for pattern in tight_patterns(mu1, mu2):
-            patterns.append(
-                {
-                    "rows": [[mio.encode_label(x), mio.encode_label(y)] for x, y in pattern.rows],
-                    "cols": [[mio.encode_label(y), mio.encode_label(x)] for y, x in pattern.cols],
-                    "max_coupling": mio.coupling_doc(pattern_max_coupling(pattern, mu1, mu2), ctx),
-                }
-            )
-        out["patterns"] = patterns
+        patterns = list(tight_patterns(mu1, mu2))  # never empty for valid marginals
+        # every pattern's largest coupling is the same cap coupling
+        max_coupling = mio.coupling_doc(pattern_max_coupling(patterns[0], mu1, mu2), ctx)
+        out["patterns"] = [
+            {
+                "rows": [[mio.encode_label(x), mio.encode_label(y)] for x, y in pattern.rows],
+                "cols": [[mio.encode_label(y), mio.encode_label(x)] for y, x in pattern.cols],
+                "max_coupling": max_coupling,
+            }
+            for pattern in patterns
+        ]
     if target is not None:
         result = coupling_gap(mu1, mu2, target)
         out["gap"] = result.gap

@@ -8,9 +8,10 @@ Three computational devices live here:
 * lifting of couplings through a collapse applied to both coordinates,
   with the two characteristic identities checked exactly;
 * the max-marginal coupling correspondence: feasibility, tight-pattern
-  enumeration of the (non-convex) feasible set, and an exact closed-form
-  best approximation gap showing the correspondence admits no continuous
-  selection at the canonical two-point instance;
+  enumeration of the (non-convex) feasible set, and an exact best
+  approximation gap, with its coupling and witness test function all in
+  closed form on any number of cells, showing the correspondence admits
+  no continuous selection at the canonical two-point instance;
 
 together with a finite-depth Milyutin-style builder producing a
 measure-valued selection supported inside fibers.
@@ -31,7 +32,6 @@ from .core import (
     MetricSpace,
     ProductSpace,
     as_weight,
-    combine,
     product_space,
 )
 from .functor import PointMap, pushforward
@@ -230,7 +230,6 @@ class TightPattern:
 
 
 _PATTERN_CAP = 4  # points per side in tight_patterns
-_FAMILY_CAP = 12  # cells in indicator_family, which coupling_gap tests against
 
 
 def tight_patterns(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> Iterator[TightPattern]:
@@ -270,27 +269,20 @@ def tight_patterns(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> Iterator[T
             )
 
 
+def _caps(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> list[float]:
+    """The cell caps min(a_x, b_y); cell k = i*m + j is (xs[i], ys[j]), in point order."""
+    return [min(u, v) for u in mu1.weights for v in mu2.weights]
+
+
 def pattern_max_coupling(
     pattern: TightPattern, mu1: IdempotentMeasure, mu2: IdempotentMeasure
 ) -> IdempotentMeasure:
-    """The largest coupling inside a pattern's box: free cells at their caps."""
-    prod = product_space(mu1.space, mu2.space)
-    fixed = dict(pattern.fixed)
-    weights = tuple(
-        fixed.get((x, y), min(mu1.weight(x), mu2.weight(y))) for (x, y) in prod.points
-    )
-    return IdempotentMeasure(prod, weights)
+    """The largest coupling inside a pattern's box: every cell at its cap.
 
-
-def _indicator_values(space: FiniteSpace) -> list[tuple[float, ...]]:
-    if len(space) > _FAMILY_CAP:
-        raise ValueError(f"indicator family is capped at {_FAMILY_CAP} points")
-    return list(itertools.product((0.0, -1.0), repeat=len(space)))
-
-
-def indicator_family(space: FiniteSpace) -> list[FiniteFunction]:
-    """All {0, -1}-valued test functions on a space (2^|space| of them)."""
-    return [FiniteFunction(space, values) for values in _indicator_values(space)]
+    Every pinned value is its cell's cap (see `tight_patterns`), so this is
+    the cap coupling min(a_x, b_y) whatever the pattern.
+    """
+    return IdempotentMeasure(product_space(mu1.space, mu2.space), tuple(_caps(mu1, mu2)))
 
 
 @dataclass(frozen=True)
@@ -298,8 +290,10 @@ class GapResult:
     """The outcome of `coupling_gap`.
 
     `gap` is the least deviation max_φ |ν(φ) - target(φ)| over the feasible
-    couplings ν, `coupling` a feasible coupling attaining it, and `phi` the
-    first test function on which that coupling's deviation is largest.
+    couplings ν and the {0, -1}-valued test functions φ, `coupling` a
+    feasible coupling attaining it, and `phi` the first test function, in
+    `itertools.product((0, -1), repeat=cells)` order, on which that
+    coupling's deviation is largest.
     """
 
     gap: float
@@ -316,14 +310,16 @@ def coupling_gap(
 
     Minimizes, over the couplings ν with marginals a and b, the max over
     every {0, -1}-valued test function φ on the product of |ν(φ) - τ(φ)|.
-    The least gap t* has a closed form, computed in one pass over the cells.
+    The least gap t* has a closed form, computed in one pass over the
+    cells, and the witness one, computed in O(cells²) steps.
 
-    1. Peak functions suffice.  Let π_c be 0 at cell c and -1 elsewhere,
-       and φ_S 0 on S and -1 off it.  ν and τ have an atom of weight 0.  If
-       the max in ν(φ_S) is reached at c in S, then ν(π_c) ≥ ν(φ_S) and
-       τ(π_c) ≤ τ(φ_S); otherwise ν(φ_S) = -1 ≤ τ(φ_S).  Swap ν and τ for
-       the other sign.  And ν(π_c) = max(ν_c, -1), τ(π_c) = A_c =
-       max(τ_c, -1), exactly in floats (rounding is monotone, x + 0 = x).
+    1. Peak functions suffice.  Let φ_S be 0 on S and -1 off it.  ν has an
+       atom of weight 0, and ν_c - 1 ≤ -1 at every cell, so ν(φ_S) =
+       max(-1, max over c in S of u_c) with u_c = max(ν_c, -1), exactly in
+       floats (rounding is monotone, x + 0 = x); likewise τ(φ_S) with
+       A_c = max(τ_c, -1).  If the max in ν(φ_S) is reached at c in S, then
+       ν(π_c) ≥ ν(φ_S) and τ(π_c) ≤ τ(φ_S) for the peak π_c = φ_{c};
+       otherwise ν(φ_S) = -1 ≤ τ(φ_S).  Swap ν and τ for the other sign.
     2. The cellwise largest candidate.  Every coupling lies below
        cap_c = min(a_x, b_y), c = (x, y).  A coupling within t ≥ 0 of τ
        has A_c - t ≤ max(ν_c, -1) ≤ A_c + t, so it lies below
@@ -338,16 +334,22 @@ def coupling_gap(
     has an admissible cell.  t* + A_c can round an ulp below cap_c where
     cap_c - A_c ≤ t*, so the first such cell of each finite row and column,
     in point order, is pinned at its cap, as in the first `tight_patterns`
-    box attaining t*; every other cell gets min(cap_c, t* + A_c).  The
-    witness is the first maximizer over `indicator_family`.
+    box attaining t*; every other cell gets min(cap_c, t* + A_c).
+
+    The witness is the first maximizer in `itertools.product((0, -1))`
+    order, with the coupling as ν.  By step 1 the largest deviation is
+    D = max over c of |u_c - A_c|, and both maxima only grow with S.  So
+    given the choices for the cells before k, with running maxima U and
+    T, the largest deviation still reachable is reached by the chosen
+    cells alone or with one more later cell: cell k is in S (φ = 0) if
+    and only if some j ≥ k has |max(U, u_k, u_j) - max(T, A_k, A_j)| = D.
     """
     prod = product_space(mu1.space, mu2.space)
     if target.space != prod:
         raise ValueError("target must live on the product of the marginal spaces")
-    family = _indicator_values(prod)
     a, b = mu1.weights, mu2.weights
     m = len(b)
-    caps = [min(u, v) for u in a for v in b]  # cell k = i*m + j, in point order
+    caps = _caps(mu1, mu2)
     A = [max(w, -1.0) for w in target.weights]
     reach = [cap - a_c for cap, a_c in zip(caps, A)]  # the least t at which ν(t) reaches the cap
     # the admissible cells of each finite row, then of each finite column
@@ -360,11 +362,18 @@ def coupling_gap(
     coupling = IdempotentMeasure(prod, tuple(
         cap if k in pinned else min(cap, gap + a_c) for k, (cap, a_c) in enumerate(zip(caps, A))
     ))
-    columns = list(zip(*family))
-    targets = combine(target.weights, columns)  # integrate against every test function
-    deviations = [abs(n - m) for n, m in zip(combine(coupling.weights, columns), targets)]
-    witness = family[max(range(len(family)), key=deviations.__getitem__)]
-    return GapResult(gap=gap, coupling=coupling, phi=FiniteFunction(prod, witness))
+    u = [max(w, -1.0) for w in coupling.weights]
+    D = max(abs(u_c - a_c) for u_c, a_c in zip(u, A))
+    witness = []
+    U = T = -1.0  # ν(φ_S) and τ(φ_S) for the cells put in S so far
+    for k in range(len(u)):
+        U_k, T_k = max(U, u[k]), max(T, A[k])
+        if any(abs(max(U_k, u[j]) - max(T_k, A[j])) == D for j in range(k, len(u))):
+            U, T = U_k, T_k
+            witness.append(0.0)
+        else:
+            witness.append(-1.0)
+    return GapResult(gap=gap, coupling=coupling, phi=FiniteFunction(prod, tuple(witness)))
 
 
 def counterexample_instance(

@@ -92,6 +92,11 @@ def run(capsys, argv):
     return code, result
 
 
+def _byte_stdin(raw: bytes):
+    """A stand-in for standard input: a text stream over a byte buffer, as the real one is."""
+    return std_io.TextIOWrapper(std_io.BytesIO(raw), encoding="utf-8")
+
+
 class TestRoundTrip:
     def _ctx(self):
         return mio.Context()
@@ -279,7 +284,7 @@ class TestMalformedTables:
         good = write(tmp_path, "good.json", mio.measure_doc(dirac(X2, "a")))
         if stdin:
             bad = "-"
-            monkeypatch.setattr("sys.stdin", std_io.StringIO(self.RAW[case]))
+            monkeypatch.setattr("sys.stdin", _byte_stdin(self.RAW[case].encode("utf-8")))
         else:
             bad = str(tmp_path / "bad.json")
             Path(bad).write_text(self.RAW[case], encoding="utf-8")
@@ -296,7 +301,7 @@ class TestMalformedTables:
         raw = b"\xff\xfe"  # a UTF-16 byte order mark: not UTF-8
         if stdin:
             bad = "-"
-            monkeypatch.setattr("sys.stdin", std_io.TextIOWrapper(std_io.BytesIO(raw), encoding="utf-8"))
+            monkeypatch.setattr("sys.stdin", _byte_stdin(raw))
         else:
             bad = str(tmp_path / "bad.json")
             Path(bad).write_bytes(raw)
@@ -596,24 +601,22 @@ class TestCommands:
         assert capsys.readouterr().out == golden
         assert len(json.loads(golden)["patterns"]) == 12
 
-    @pytest.mark.parametrize("shape, code", [((2, 6), 0), ((4, 4), 1)], ids=["2x6", "4x4"])
-    def test_couplings_gap_domain(self, tmp_path, capsys, shape, code):
-        # the gap is limited only by the 12-cell witness family, not by the
-        # 4-point cap of the tight-pattern enumeration
+    @pytest.mark.parametrize(
+        "shape", [(2, 6), (4, 4), (5, 5), (1, 20)], ids=lambda shape: "%dx%d" % shape
+    )
+    def test_couplings_gap_domain(self, tmp_path, capsys, shape):
+        # the gap and its witness are closed forms: neither the 4-point cap
+        # of the tight-pattern enumeration nor any cell count limits them
         X, Y = space([f"x{i}" for i in range(shape[0])]), space([f"y{j}" for j in range(shape[1])])
         mu1 = write(tmp_path, "mu1.json", mio.measure_doc(normalize(X, [0.0] * len(X))))
         mu2 = write(tmp_path, "mu2.json", mio.measure_doc(normalize(Y, [0.0] * len(Y))))
         corner = dirac(product_space(X, Y), ("x0", "y0"))
         target = write(tmp_path, "t.json", mio.measure_doc(corner))
-        assert cli.main(["couplings", mu1, mu2, "--gap", target]) == code
+        assert cli.main(["couplings", mu1, mu2, "--gap", target]) == 0
         captured = capsys.readouterr()
-        if code == 0:
-            out = json.loads(captured.out)
-            assert out["gap"] == 1.0
-            assert captured.err == ""
-        else:
-            assert captured.out == ""
-            assert captured.err == "error: indicator family is capped at 12 points\n"
+        out = json.loads(captured.out)
+        assert out["gap"] == 1.0
+        assert captured.err == ""
 
     def test_lift_open_golden(self, tmp_path, capsys):
         # the doubled fiber {x0, x2} ties in mu0, and x3 is a -inf atom
@@ -709,10 +712,31 @@ class TestErrorPaths:
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
         f = write(tmp_path, "f.json", mio.function_doc(FiniteFunction(X2, (3.0, 5.0))))
         doc = mio.dumps(mio.measure_doc(normalize(X2, {"a": -1, "b": 0})))
-        monkeypatch.setattr("sys.stdin", std_io.StringIO(doc))
+        monkeypatch.setattr("sys.stdin", _byte_stdin(doc.encode("utf-8")))
         code, out = run(capsys, ["integrate", "-", f])
         assert code == 0
         assert out == {"value": 5.0}
+
+    def test_stdin_reads_utf8_whatever_the_locale(self, tmp_path):
+        # a non-ASCII label read from stdin must match the same label read from a file
+        E = space(["é", "b"])
+        m = tmp_path / "m.json"  # written as raw UTF-8, not \u escapes
+        m.write_text(json.dumps(mio.measure_doc(normalize(E, {"é": 0, "b": -1})), ensure_ascii=False),
+                     encoding="utf-8")
+        f = write(tmp_path, "f.json", mio.function_doc(FiniteFunction(E, (4.0, 1.0))))
+        env = dict(os.environ, PYTHONIOENCODING="latin-1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+        def fresh(argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "maslov.cli", *argv], input=m.read_bytes(),
+                env=env, capture_output=True, timeout=120,
+            )
+            return proc.returncode, proc.stdout
+
+        from_file = fresh(["integrate", str(m), f])
+        assert from_file == (0, b'{\n  "value": 4.0\n}\n')
+        assert fresh(["integrate", "-", f]) == from_file
 
 
 class TestHashSeed:

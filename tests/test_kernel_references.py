@@ -7,13 +7,15 @@ error message where the reference raises.  The coupling gap is one
 closed-form pass over the cells; its reference solves the box of every
 tight pattern in turn, and both must return the same gap, coupling and
 witness.  Beyond 4 points a side the reference enumerates the patterns
-with the uncapped loop below.  Tight-pattern enumeration is
-compared with the loop that checks every doubly picked cell for
-consistency and sorts rows, columns and pinned cells by label index.
-Mixing, barycenters, hull tests, convex combinations, suprema and the
-coupling gap's batch of integrals all call the one max-plus linear
-combination `core.combine`; each is compared with the loop it replaced,
-bit for bit, and the two-factor `tensor` with its own weight sums.
+with the uncapped loop below; beyond 12 cells the closed-form witness is
+compared with a numpy sweep of all 2^n test functions.  Tight-pattern
+enumeration is compared with the loop that checks every doubly picked
+cell for consistency and sorts rows, columns and pinned cells by label
+index, and `pattern_max_coupling` with the label lookup of pinned cells.
+Mixing, barycenters, hull tests, convex combinations and suprema all call
+the one max-plus linear combination `core.combine`; each is compared with
+the loop it replaced, bit for bit, as is `combine` on the columns of the
+{0, -1} test family, and the two-factor `tensor` with its own weight sums.
 The closed-form open lift is compared with the per-collapse lift,
 composed along `factor_surjection` for an arbitrary surjection.
 Flattening and `tensor_many` read the row-major point order of a product
@@ -34,6 +36,7 @@ from hypothesis import strategies as st
 from maslov import (
     NEG_INF,
     CollapseMap,
+    FiniteFunction,
     FiniteSpace,
     IdempotentMeasure,
     InfeasibleError,
@@ -56,6 +59,7 @@ from maslov import (
     metric_closure,
     multiply,
     normalize,
+    pattern_max_coupling,
     pointwise_sup,
     product_space,
     pushforward,
@@ -70,9 +74,7 @@ from maslov.monad import flatten_measure, projection, tensor_many
 from maslov.openness import (
     GapResult,
     TightPattern,
-    _indicator_values,
     factor_surjection,
-    indicator_family,
     lift_open_surjection,
     tight_patterns,
 )
@@ -180,6 +182,15 @@ def _box_gap_loop(fixed, caps, targets, values):
     return t_min, coupling
 
 
+def indicator_family(space):
+    """All {0, -1}-valued test functions on a space (2^|space| of them), in
+    `itertools.product((0, -1))` order: the first function is 0 everywhere."""
+    return [
+        FiniteFunction(space, values)
+        for values in itertools.product((0.0, -1.0), repeat=len(space))
+    ]
+
+
 def _coupling_gap_loop(mu1, mu2, target, patterns=tight_patterns):
     """Every tight pattern's box solved in turn; the first strictly best wins."""
     prod = product_space(mu1.space, mu2.space)
@@ -245,6 +256,29 @@ def _tight_patterns_loop(mu1, mu2):
                     key=lambda kv: (mu1.space.index(kv[0][0]), mu2.space.index(kv[0][1])),
                 )),
             )
+
+
+def _pattern_max_coupling_loop(pattern, mu1, mu2):
+    """A pattern's pinned cells looked up by label, every other cell at its cap."""
+    prod = product_space(mu1.space, mu2.space)
+    fixed = dict(pattern.fixed)
+    weights = tuple(
+        fixed.get((x, y), min(mu1.weight(x), mu2.weight(y))) for (x, y) in prod.points
+    )
+    return IdempotentMeasure(prod, weights)
+
+
+def _first_maximizer_sweep(coupling, target):
+    """The first {0, -1} function, in `itertools.product((0, -1))` order, on
+    which |coupling(φ) - target(φ)| is largest: all 2^n of them as numpy rows."""
+    n = len(coupling.weights)
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    family = np.where(bits == 1, -1.0, 0.0)  # row i is the i-th function of the product order
+    deviations = np.abs(
+        (family + np.array(coupling.weights)).max(axis=1)
+        - (family + np.array(target.weights)).max(axis=1)
+    )
+    return tuple(family[int(np.argmax(deviations))].tolist())
 
 
 def _lift_open_collapse_loop(f, mu0, nu_seq):
@@ -700,8 +734,9 @@ class TestCouplingGapMatchesLoop:
 
 
 class TestCouplingGapWideShapes:
-    """Shapes past the 4-point pattern cap, up to the 12-cell family cap,
-    against the reference run on the uncapped pattern loop."""
+    """Shapes past the 4-point pattern cap, up to 12 cells, where the
+    reference's 2^n test family stays small, against the reference run on
+    the uncapped pattern loop."""
 
     @pytest.mark.parametrize(
         "shape",
@@ -715,6 +750,19 @@ class TestCouplingGapWideShapes:
         assert _gap_triple(coupling_gap(*instance)) == _gap_triple(
             _coupling_gap_loop(*instance, patterns=_tight_patterns_loop)
         )
+
+
+class TestCouplingGapWitnessPastTwelveCells:
+    """The closed-form witness on 14 to 16 cells, against a sweep of all
+    2^n test functions."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (2, 7)], ids=lambda shape: "%dx%d" % shape)
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_first_maximizer(self, shape, data):
+        mu1, mu2, target = data.draw(_gap_instances(shape))
+        result = coupling_gap(mu1, mu2, target)
+        assert _bits(result.phi.values) == _bits(_first_maximizer_sweep(result.coupling, target))
 
 
 # --------------------------------------------------------- tight patterns
@@ -768,6 +816,19 @@ class TestTightPatternsMatchLoop:
         for l in [*range(1, 21), math.inf]:
             mu1, mu2, _ = counterexample_instance(l)
             assert list(tight_patterns(mu1, mu2)) == list(_tight_patterns_loop(mu1, mu2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pattern_marginals())
+    def test_max_coupling_is_the_cap_coupling(self, marginals):
+        mu1, mu2 = marginals
+        prod = product_space(mu1.space, mu2.space)
+        caps = IdempotentMeasure(
+            prod, tuple(min(mu1.weight(x), mu2.weight(y)) for x, y in prod.points)
+        )
+        for pattern in tight_patterns(mu1, mu2):
+            out = pattern_max_coupling(pattern, mu1, mu2)
+            assert _same_measure(out, caps)
+            assert _same_measure(out, _pattern_max_coupling_loop(pattern, mu1, mu2))
 
 
 # ------------------------------------------------------------- open lifts
@@ -1032,7 +1093,7 @@ class TestCombinationsMatchLoops:
     @settings(max_examples=200, deadline=None)
     @given(_nested_products(max_factors=2, max_points=3).flatmap(_measure_on))
     def test_gap_integrals(self, mu):
-        columns = list(zip(*_indicator_values(mu.space)))
+        columns = list(zip(*(phi.values for phi in indicator_family(mu.space))))
         out, ref = combine(mu.weights, columns), _integrals_loop(mu.weights, columns)
         assert list(out) == ref and _bits(out) == _bits(ref)
 
