@@ -10,7 +10,9 @@ construction boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence, Union
 
 # numpy is imported inside the array kernels (MetricSpace validation and
@@ -96,7 +98,9 @@ class FiniteSpace:
 
     Every table in the library (measure atoms, function values, metric rows)
     is kept in this order, which makes equality checks exact and serialized
-    output deterministic.
+    output deterministic.  The label-to-index table `_index` is built on
+    first use (a `cached_property` in the instance dict; a `__slots__`
+    rewrite needs a slot for it).
     """
 
     points: tuple[Label, ...]
@@ -110,11 +114,14 @@ class FiniteSpace:
             _check_label(p)
         if len(set(self.points)) != len(self.points):
             raise ValueError("point labels must be pairwise distinct")
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+
+    @cached_property
+    def _index(self) -> dict[Label, int]:
+        return {p: i for i, p in enumerate(self.points)}
 
     def require(self, labels: Iterable[Label], what: str) -> None:
         """Reject labels outside the space, listed in input order."""
-        outside = [p for p in labels if p not in self._index]  # type: ignore[attr-defined]
+        outside = [p for p in labels if p not in self._index]
         if outside:
             raise ValueError(f"{what}: points outside the space {outside!r}")
 
@@ -145,12 +152,12 @@ class FiniteSpace:
 
     def index(self, label: Label) -> int:
         try:
-            return self._index[label]  # type: ignore[attr-defined]
+            return self._index[label]
         except KeyError:
             raise ValueError(f"unknown point {label!r}") from None
 
     def __contains__(self, label: Label) -> bool:
-        return label in self._index  # type: ignore[attr-defined]
+        return label in self._index
 
     def __len__(self) -> int:
         return len(self.points)
@@ -183,7 +190,6 @@ class ProductSpace(FiniteSpace):
             points = [(*p, q) for p in points for q in f.points]
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
 
     def axis(self, k: int) -> FiniteSpace:
         if not 0 <= k < len(self.factors):
@@ -264,6 +270,17 @@ class MetricSpace:
     `dist` is the public tuple table.  The validated float64 array behind it
     is kept private and read-only for the kernels; `matrix` returns a
     writable copy.
+
+    The triangle inequality is checked with a relative slack for rounding:
+    d_ij ≤ (d_ik + d_kj)·(1 + n·ε) for all i, j, k, with n the number of
+    points and ε = 2⁻⁵² the machine epsilon.  An entry of `metric_closure`
+    is a float sum of at most n - 1 edges, within a relative
+    γ_{n-1} = (n-1)u/(1 - (n-1)u), u = ε/2, of the exact path length
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    ch. 4).  The slack covers that error on both sides of the test,
+    2(n-1)u to first order, and the rounding of the test itself, so the
+    closure accepts its own output.  A violation past the slack is
+    rejected.
     """
 
     space: FiniteSpace
@@ -296,8 +313,9 @@ class MetricSpace:
             if bad_sym[i, j]:
                 raise ValueError("distance table must be symmetric")
             raise ValueError("distinct points must be at positive distance")
+        slack = 1.0 + n * sys.float_info.epsilon
         for k in range(n):
-            if (d > d[:, k, None] + d[None, k, :]).any():
+            if (d > (d[:, k, None] + d[None, k, :]) * slack).any():
                 raise ValueError(
                     "triangle inequality fails; run metric_closure on the raw table"
                 )
@@ -322,7 +340,8 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
 
     The raw table must be symmetric, zero on the diagonal and positive off
     it; the closure is idempotent on tables that already satisfy the
-    triangle inequality.
+    triangle inequality, and passes the rounding-aware triangle test of
+    `MetricSpace` on real-valued tables.
     """
     import numpy as np
 

@@ -10,8 +10,9 @@ Three computational devices live here:
 * the max-marginal coupling correspondence: feasibility, tight-pattern
   enumeration of the (non-convex) feasible set, and an exact best
   approximation gap, with its coupling and witness test function all in
-  closed form on any number of cells, showing the correspondence admits
-  no continuous selection at the canonical two-point instance;
+  closed form, in a few passes over the cells whatever their number (the
+  witness is one of two boxes), showing the correspondence admits no
+  continuous selection at the canonical two-point instance;
 
 together with a finite-depth Milyutin-style builder producing a
 measure-valued selection supported inside fibers.
@@ -55,20 +56,18 @@ class CollapseMap:
             raise ValueError("a collapse map drops exactly one point")
         if not f.is_surjective:
             raise ValueError("a collapse map must be surjective")
-        # one more source than target point, all fibers nonempty: one fiber has two
-        merged = next(y for y in f.target.points if len(f.fiber(y)) == 2)
-        pair = sorted(f.fiber(merged), key=f.source.index)
-        object.__setattr__(self, "_doubled", (pair[0], pair[1]))
-        object.__setattr__(self, "_merged", merged)
 
     @property
     def doubled(self) -> tuple[Label, Label]:
         """The two source points sharing a fiber, in canonical source order."""
-        return self._doubled  # type: ignore[attr-defined]
+        f = self.map
+        p, q = sorted(f.fiber(self.merged_target), key=f.source.index)
+        return p, q
 
     @property
     def merged_target(self) -> Label:
-        return self._merged  # type: ignore[attr-defined]
+        # one more source than target point, all fibers nonempty: one fiber has two
+        return next(y for y in self.map.target.points if len(self.map.fiber(y)) == 2)
 
 
 def lift_open_collapse(
@@ -238,40 +237,44 @@ def tight_patterns(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> Iterator[T
     Each finite row x picks a column y with b[y] >= a[x], and each finite
     column y a row x with a[x] >= b[y].  A cell picked both ways has
     a[x] = b[y], so every choice is a pattern and every pinned value is
-    its cell cap.  Rows, columns and pinned cells come in point order.
+    its cell cap, read from `_caps`.  Rows, columns and pinned cells come
+    in point order.
     """
     xs, ys = mu1.space.points, mu2.space.points
     if len(xs) > _PATTERN_CAP or len(ys) > _PATTERN_CAP:
         raise ValueError(f"tight-pattern enumeration is capped at {_PATTERN_CAP}x{_PATTERN_CAP}")
-    a, b = mu1.weights, mu2.weights
-    m = len(ys)
-    # cell k = i*m + j is (xs[i], ys[j]), in the product's point order
     cells = [(x, y) for x in xs for y in ys]
-    row_choices = [
-        [i * m + j for j in range(m) if b[j] >= a[i]] for i in range(len(xs)) if a[i] > NEG_INF
-    ]
-    col_choices = [
-        [i * m + j for i in range(len(xs)) if a[i] >= b[j]] for j in range(m) if b[j] > NEG_INF
-    ]
+    caps = _caps(mu1, mu2)
+    row_choices, col_choices = _admissible(mu1, mu2)
     col_picks = [
-        (tuple((y, x) for x, y in map(cells.__getitem__, pick)), {k: b[k % m] for k in pick})
+        (tuple((y, x) for x, y in map(cells.__getitem__, pick)), pick)
         for pick in itertools.product(*col_choices)
     ]
     for pick in itertools.product(*row_choices):
         rows = tuple(map(cells.__getitem__, pick))
-        row_fixed = {k: a[k // m] for k in pick}
-        for cols, col_fixed in col_picks:
-            fixed = {**row_fixed, **col_fixed}
+        for cols, col_pick in col_picks:
             yield TightPattern(
                 rows=rows,
                 cols=cols,
-                fixed=tuple((cells[k], fixed[k]) for k in sorted(fixed)),
+                fixed=tuple((cells[k], caps[k]) for k in sorted({*pick, *col_pick})),
             )
 
 
 def _caps(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> list[float]:
     """The cell caps min(a_x, b_y); cell k = i*m + j is (xs[i], ys[j]), in point order."""
     return [min(u, v) for u in mu1.weights for v in mu2.weights]
+
+
+def _admissible(
+    mu1: IdempotentMeasure, mu2: IdempotentMeasure
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The admissible cells of each finite row (b_y ≥ a_x) and of each finite
+    column (a_x ≥ b_y), as cell indices in point order, as in `_caps`."""
+    a, b = mu1.weights, mu2.weights
+    m = len(b)
+    rows = [[i * m + j for j, v in enumerate(b) if v >= u] for i, u in enumerate(a) if u > NEG_INF]
+    cols = [[i * m + j for i, u in enumerate(a) if u >= v] for j, v in enumerate(b) if v > NEG_INF]
+    return rows, cols
 
 
 def pattern_max_coupling(
@@ -310,8 +313,8 @@ def coupling_gap(
 
     Minimizes, over the couplings ν with marginals a and b, the max over
     every {0, -1}-valued test function φ on the product of |ν(φ) - τ(φ)|.
-    The least gap t* has a closed form, computed in one pass over the
-    cells, and the witness one, computed in O(cells²) steps.
+    The least gap t* and the witness have closed forms, each computed in a
+    few passes over the cells.
 
     1. Peak functions suffice.  Let φ_S be 0 on S and -1 off it.  ν has an
        atom of weight 0, and ν_c - 1 ≤ -1 at every cell, so ν(φ_S) =
@@ -338,24 +341,29 @@ def coupling_gap(
 
     The witness is the first maximizer in `itertools.product((0, -1))`
     order, with the coupling as ν.  By step 1 the largest deviation is
-    D = max over c of |u_c - A_c|, and both maxima only grow with S.  So
-    given the choices for the cells before k, with running maxima U and
-    T, the largest deviation still reachable is reached by the chosen
-    cells alone or with one more later cell: cell k is in S (φ = 0) if
-    and only if some j ≥ k has |max(U, u_k, u_j) - max(T, A_k, A_j)| = D.
+    D = max over c of |u_c - A_c|, and S attains it iff
+    |max_S u - max_S A| = D (S empty gives 0).  If D = 0 every S attains
+    it and the first, S = all cells, is the box below on either side.
+    Otherwise say max_S u - max_S A = D.  Float subtraction is monotone,
+    so the cell c giving max_S u has u_c - A_c = D: call such cells
+    anchors, let X be the largest u over the anchors and Y the largest A
+    over the cells with u ≤ X and X - A = D.  Every such S lies in the
+    box B+ = {u ≤ X, A ≤ Y}: max_S u ≤ X, and for the cell d giving
+    max_S A, either A_d ≤ A_a ≤ Y at the anchor a with u_a = X, or
+    X - A_d lies between max_S u - A_d = D and X - A_a = D, so d counts
+    towards Y.  B+ attains D itself.  Swapping u and A gives B- for the
+    other sign.  In the product order a superset never comes later, so
+    the first maximizer is whichever box has the lexicographically larger
+    membership vector (φ = 0 exactly on it).
     """
     prod = product_space(mu1.space, mu2.space)
     if target.space != prod:
         raise ValueError("target must live on the product of the marginal spaces")
-    a, b = mu1.weights, mu2.weights
-    m = len(b)
     caps = _caps(mu1, mu2)
     A = [max(w, -1.0) for w in target.weights]
     reach = [cap - a_c for cap, a_c in zip(caps, A)]  # the least t at which ν(t) reaches the cap
-    # the admissible cells of each finite row, then of each finite column
-    rows = ([i * m + j for j in range(m) if b[j] >= u] for i, u in enumerate(a) if u > NEG_INF)
-    cols = ([i * m + j for i, u in enumerate(a) if u >= v] for j, v in enumerate(b) if v > NEG_INF)
-    lines = [*rows, *cols]
+    rows, cols = _admissible(mu1, mu2)
+    lines = rows + cols
     gap = max(0.0, *(min(reach[k] for k in line) for line in lines),
               *(min(a_c + 1.0, a_c - cap) for cap, a_c in zip(caps, A)))
     pinned = {next(k for k in line if reach[k] <= gap) for line in lines}
@@ -364,16 +372,19 @@ def coupling_gap(
     ))
     u = [max(w, -1.0) for w in coupling.weights]
     D = max(abs(u_c - a_c) for u_c, a_c in zip(u, A))
-    witness = []
-    U = T = -1.0  # ν(φ_S) and τ(φ_S) for the cells put in S so far
-    for k in range(len(u)):
-        U_k, T_k = max(U, u[k]), max(T, A[k])
-        if any(abs(max(U_k, u[j]) - max(T_k, A[j])) == D for j in range(k, len(u))):
-            U, T = U_k, T_k
-            witness.append(0.0)
-        else:
-            witness.append(-1.0)
-    return GapResult(gap=gap, coupling=coupling, phi=FiniteFunction(prod, tuple(witness)))
+    S = max(_box(u, A, D), _box(A, u, D))
+    phi = FiniteFunction(prod, tuple(0.0 if s else -1.0 for s in S))
+    return GapResult(gap=gap, coupling=coupling, phi=phi)
+
+
+def _box(x: list[float], y: list[float], D: float) -> list[bool]:
+    """The membership of the box {x_c ≤ X, y_c ≤ Y}, the largest S with
+    max_S x - max_S y == D (see `coupling_gap`); [] if no cell has x_c - y_c == D."""
+    X = max((x_c for x_c, y_c in zip(x, y) if x_c - y_c == D), default=None)
+    if X is None:
+        return []
+    Y = max(y_c for x_c, y_c in zip(x, y) if x_c <= X and X - y_c == D)
+    return [x_c <= X and y_c <= Y for x_c, y_c in zip(x, y)]
 
 
 def counterexample_instance(

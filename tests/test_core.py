@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -199,6 +200,22 @@ class TestMetricClosure:
             expected = brute_force_shortest_paths(raw, n)
             assert [list(row) for row in closed.dist] == expected
 
+    def test_real_valued_closures_pass_their_own_check(self):
+        # sums of non-dyadic distances round, so the exact triangle test
+        # rejected about 4 in 10 of these closures
+        import random
+
+        rng = random.Random(0)
+        for _ in range(300):
+            n = rng.randint(4, 12)
+            X = FiniteSpace(tuple(f"p{i}" for i in range(n)))
+            raw = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    raw[i][j] = raw[j][i] = rng.uniform(0.1, 10.0)
+            closed = metric_closure(X, raw)
+            assert MetricSpace(X, closed.dist).dist == closed.dist
+
 
 class TestMetricSpaceValidation:
     SYMMETRIC = "distance table must be symmetric"
@@ -236,6 +253,15 @@ class TestMetricSpaceValidation:
         X = FiniteSpace(tuple(f"p{i}" for i in range(len(table))))
         with pytest.raises(ValueError, match=message):
             MetricSpace(X, table)
+
+    def test_triangle_slack_is_n_epsilon(self):
+        # d_ac may exceed d_ab + d_bc = 2 by the relative slack 3·ε, not more
+        bound = 2.0 * (1.0 + 3 * sys.float_info.epsilon)
+        X = space("abc")
+        table = lambda ac: [[0, 1, ac], [1, 0, 1], [ac, 1, 0]]  # noqa: E731
+        assert MetricSpace(X, table(bound)).d("a", "c") == bound
+        with pytest.raises(ValueError, match=self.TRIANGLE):
+            MetricSpace(X, table(math.nextafter(bound, math.inf)))
 
     def test_not_square(self):
         with pytest.raises(ValueError, match="square"):

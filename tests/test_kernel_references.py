@@ -8,7 +8,8 @@ closed-form pass over the cells; its reference solves the box of every
 tight pattern in turn, and both must return the same gap, coupling and
 witness.  Beyond 4 points a side the reference enumerates the patterns
 with the uncapped loop below; beyond 12 cells the closed-form witness is
-compared with a numpy sweep of all 2^n test functions.  Tight-pattern
+compared with a numpy sweep of all 2^n test functions, and up to 8x8 with
+the quadratic walk over the cells that it replaced.  Tight-pattern
 enumeration is compared with the loop that checks every doubly picked
 cell for consistency and sorts rows, columns and pinned cells by label
 index, and `pattern_max_coupling` with the label lookup of pinned cells.
@@ -27,6 +28,7 @@ every nested product from its point list.
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +76,7 @@ from maslov.monad import flatten_measure, projection, tensor_many
 from maslov.openness import (
     GapResult,
     TightPattern,
+    _box,
     factor_surjection,
     lift_open_surjection,
     tight_patterns,
@@ -83,7 +86,8 @@ from maslov.openness import (
 # ------------------------------------------------------------ references
 
 def _metric_space_loop(space, dist):
-    """The pure-Python MetricSpace validator; returns the float rows."""
+    """The pure-Python MetricSpace validator, with its triangle slack
+    1 + n·ε; returns the float rows."""
     n = len(space)
     rows = tuple(tuple(float(v) for v in row) for row in dist)
     if len(rows) != n or any(len(r) != n for r in rows):
@@ -99,10 +103,11 @@ def _metric_space_loop(space, dist):
                 raise ValueError("distance table must be symmetric")
             if i != j and v == 0.0:
                 raise ValueError("distinct points must be at positive distance")
+    slack = 1.0 + n * sys.float_info.epsilon
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if rows[i][j] > rows[i][k] + rows[k][j]:
+                if rows[i][j] > (rows[i][k] + rows[k][j]) * slack:
                     raise ValueError(
                         "triangle inequality fails; run metric_closure on the raw table"
                     )
@@ -279,6 +284,24 @@ def _first_maximizer_sweep(coupling, target):
         - (family + np.array(target.weights)).max(axis=1)
     )
     return tuple(family[int(np.argmax(deviations))].tolist())
+
+
+def _witness_walk(u, A):
+    """The first maximizer of |max(-1, max_S u) - max(-1, max_S A)| in
+    `itertools.product((0, -1))` order, by a walk over the cells: cell k
+    joins S if the cells chosen so far, k and at most one later cell still
+    reach the largest deviation D.  Quadratic in the cells."""
+    D = max(abs(u_c - a_c) for u_c, a_c in zip(u, A))
+    witness = []
+    U = T = -1.0  # the maxima over the cells put in S so far
+    for k in range(len(u)):
+        U_k, T_k = max(U, u[k]), max(T, A[k])
+        if any(abs(max(U_k, u[j]) - max(T_k, A[j])) == D for j in range(k, len(u))):
+            U, T = U_k, T_k
+            witness.append(0.0)
+        else:
+            witness.append(-1.0)
+    return tuple(witness)
 
 
 def _lift_open_collapse_loop(f, mu0, nu_seq):
@@ -487,11 +510,8 @@ class TestClosureMatchesLoop:
             else:
                 assert got.dist == want
                 assert np.array_equal(got.matrix, np.array(want))
-        if kind == "dyadic":
-            assert raised == 0
-        else:
-            # real-valued closures still trip the exact triangle check
-            assert 0 < raised < 60
+        # the triangle check allows for rounding, so no closure trips it
+        assert raised == 0
 
     def test_one_point(self):
         X = space("a")
@@ -534,14 +554,14 @@ class TestMetricSpaceMatchesLoop:
         for _ in range(40):
             n = int(gen.integers(1, 13))
             X = _labels("p", n)
-            # closed tables reach the triangle check; real-valued ones may fail it
+            # closed tables reach the triangle check and pass it
             d = TABLES[kind](gen, n)
             for k in range(n):
                 d = np.minimum(d, d[:, k, None] + d[None, k, :])
             table = d.tolist()
-            assert _outcome(lambda: MetricSpace(X, table).dist) == _outcome(
-                _metric_space_loop, X, table
-            )
+            got = _outcome(lambda: MetricSpace(X, table).dist)
+            assert got == _outcome(_metric_space_loop, X, table)
+            assert got == tuple(map(tuple, table))
 
     def test_one_point(self):
         X = space("a")
@@ -763,6 +783,50 @@ class TestCouplingGapWitnessPastTwelveCells:
         mu1, mu2, target = data.draw(_gap_instances(shape))
         result = coupling_gap(mu1, mu2, target)
         assert _bits(result.phi.values) == _bits(_first_maximizer_sweep(result.coupling, target))
+
+
+@st.composite
+def _witness_instances(draw):
+    """1x1 to 8x8 gap instances whose target cells below 0 may move 0-3 ulps
+    up or down, so that differences land next to the largest deviation."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    mu1, mu2, target = draw(_gap_instances(shape))
+    weights = list(target.weights)
+    for k, w in enumerate(weights):
+        if NEG_INF < w < 0.0:
+            toward = draw(st.sampled_from([0.0, NEG_INF]))
+            for _ in range(draw(st.integers(0, 3))):
+                w = math.nextafter(w, toward)
+            weights[k] = w
+    return mu1, mu2, IdempotentMeasure(target.space, tuple(weights))
+
+
+class TestCouplingGapWitnessMatchesWalk:
+    """The two-box witness against the walk over the cells that it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_witness_instances())
+    def test_gap_instances(self, instance):
+        target = instance[2]
+        result = coupling_gap(*instance)
+        u = [max(w, -1.0) for w in result.coupling.weights]
+        A = [max(w, -1.0) for w in target.weights]
+        assert result.phi.values == _witness_walk(u, A)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-8, 0), st.integers(-8, 0)), min_size=1, max_size=14
+        ),
+        st.sampled_from([1.0, 3.0, 7.0, 10.0]),
+    )
+    def test_raw_vectors(self, cells, scale):
+        # any u, A >= -1, not only a coupling next to its target
+        u = [max(x / 4.0 / scale, -1.0) for x, _ in cells]
+        A = [max(y / 4.0 / scale, -1.0) for _, y in cells]
+        D = max(abs(u_c - a_c) for u_c, a_c in zip(u, A))
+        S = max(_box(u, A, D), _box(A, u, D))
+        assert tuple(0.0 if s else -1.0 for s in S) == _witness_walk(u, A)
 
 
 # --------------------------------------------------------- tight patterns
