@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence, Union
 
 # numpy is imported inside the array kernels (MetricSpace validation and
@@ -98,9 +97,8 @@ class FiniteSpace:
 
     Every table in the library (measure atoms, function values, metric rows)
     is kept in this order, which makes equality checks exact and serialized
-    output deterministic.  The label-to-index table `_index` is built on
-    first use (a `cached_property` in the instance dict; a `__slots__`
-    rewrite needs a slot for it).
+    output deterministic.  The label-to-index table `_index` is built once,
+    at construction, and doubles as the distinctness check.
     """
 
     points: tuple[Label, ...]
@@ -112,16 +110,14 @@ class FiniteSpace:
             raise ValueError("a finite space needs at least one point")
         for p in self.points:
             _check_label(p)
-        if len(set(self.points)) != len(self.points):
+        index = {p: i for i, p in enumerate(self.points)}
+        if len(index) != len(self.points):
             raise ValueError("point labels must be pairwise distinct")
-
-    @cached_property
-    def _index(self) -> dict[Label, int]:
-        return {p: i for i, p in enumerate(self.points)}
+        object.__setattr__(self, "_index", index)
 
     def require(self, labels: Iterable[Label], what: str) -> None:
         """Reject labels outside the space, listed in input order."""
-        outside = [p for p in labels if p not in self._index]
+        outside = [p for p in labels if p not in self]
         if outside:
             raise ValueError(f"{what}: points outside the space {outside!r}")
 
@@ -152,12 +148,12 @@ class FiniteSpace:
 
     def index(self, label: Label) -> int:
         try:
-            return self._index[label]
+            return self._index[label]  # type: ignore[attr-defined]
         except KeyError:
             raise ValueError(f"unknown point {label!r}") from None
 
     def __contains__(self, label: Label) -> bool:
-        return label in self._index
+        return label in self._index  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -174,6 +170,12 @@ class ProductSpace(FiniteSpace):
     always the full cartesian product.  Labels and distinctness follow from
     the validated factors and are not checked again, and equality and
     hashing go through the factors alone.
+
+    Nothing is built per point at construction.  The size is the product
+    of the factor sizes; the index of a label is row-major arithmetic over
+    the indices of its coordinates in their factors (recursively for nested
+    products), so no label-to-index table exists.  The `points` tuple is
+    built on its first read and kept.
     """
 
     points: tuple[Label, ...] = field(init=False, compare=False)
@@ -185,11 +187,50 @@ class ProductSpace(FiniteSpace):
             raise ValueError("a product needs at least two factors")
         if not all(isinstance(f, FiniteSpace) for f in factors):
             raise ValueError("the factors of a product must be finite spaces")
-        points: list[Label] = [()]
-        for f in factors:
-            points = [(*p, q) for p in points for q in f.points]
+        shape = tuple(map(len, factors))
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_size", math.prod(shape))
+        # per factor: coordinate -> index in the factor (None if absent), size
+        object.__setattr__(self, "_axes", tuple(zip(
+            (f._position if isinstance(f, ProductSpace) else f._index.get for f in factors),
+            shape,
+        )))
+
+    def __getattr__(self, name: str) -> Any:
+        # Runs only for attributes not yet in the instance dict: the first
+        # read of `points` builds and stores them.
+        if name != "points":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        points: list[Label] = [()]
+        for f in self.factors:
+            points = [(*p, q) for p in points for q in f.points]
         object.__setattr__(self, "points", tuple(points))
+        return self.points
+
+    def _position(self, label: Label) -> int | None:
+        """The row-major index of a label, or None when it is not a point."""
+        axes = self._axes  # type: ignore[attr-defined]
+        if not isinstance(label, tuple) or len(label) != len(axes):
+            return None
+        i = 0
+        for (lookup, n), part in zip(axes, label):
+            j = lookup(part)
+            if j is None:
+                return None
+            i = i * n + j
+        return i
+
+    def index(self, label: Label) -> int:
+        i = self._position(label)
+        if i is None:
+            raise ValueError(f"unknown point {label!r}")
+        return i
+
+    def __contains__(self, label: Label) -> bool:
+        return self._position(label) is not None
+
+    def __len__(self) -> int:
+        return self._size  # type: ignore[attr-defined]
 
     def axis(self, k: int) -> FiniteSpace:
         if not 0 <= k < len(self.factors):
@@ -339,9 +380,12 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     """Shortest-path closure: the largest metric dominated by a raw dissimilarity.
 
     The raw table must be symmetric, zero on the diagonal and positive off
-    it; the closure is idempotent on tables that already satisfy the
-    triangle inequality, and passes the rounding-aware triangle test of
-    `MetricSpace` on real-valued tables.
+    it.  Where no path sum rounds (dyadic tables, for example) the closure
+    is exact and idempotent: closing its output again changes nothing.  On
+    real-valued tables an entry summed along one path can exceed the
+    rounded sum along another by an ulp, so closing the output again may
+    move entries by an ulp; the output, and the output of closing it again,
+    pass the 1 + n·ε triangle test of `MetricSpace`.
     """
     import numpy as np
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import NEG_INF, FiniteFunction, FiniteSpace, Label
-from .measures import IdempotentMeasure
+from .measures import IdempotentMeasure, _require_measure
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,9 @@ def pushforward(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
 
     Satisfies pushforward(f, μ)(φ) = μ(φ ∘ f) for every φ on the target.
     """
+    if not isinstance(f, PointMap):
+        raise TypeError(f"pushforward needs a PointMap, got {type(f).__name__}")
+    _require_measure(mu, "a pushed-forward measure")
     if mu.space != f.source:
         raise ValueError("measure does not live on the source of the map")
     out = [NEG_INF] * len(f.target)
@@ -71,7 +74,7 @@ def pushforward(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
         j = f.target.index(f.table[x])
         if w > out[j]:
             out[j] = w
-    return IdempotentMeasure(f.target, tuple(out))
+    return IdempotentMeasure._trusted(f.target, tuple(out))
 
 
 def precompose(phi: FiniteFunction, f: PointMap) -> FiniteFunction:

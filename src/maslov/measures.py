@@ -23,7 +23,18 @@ from .core import (
 
 @dataclass(frozen=True)
 class IdempotentMeasure:
-    """A normalized max-plus weight table: max weight is exactly 0."""
+    """A normalized max-plus weight table: max weight is exactly 0.
+
+    Invariant: `weights` is a tuple of floats, one per point of `space`,
+    each ≤ 0 and never NaN, +inf or -0.0, with maximum exactly 0.  Max and
+    + of such weights stay in that set: no term is +inf, so no sum is NaN;
+    a sum of two of them is 0.0 only as 0 + 0, and overflow goes to -inf,
+    which is a valid weight.  So the kernels that build a table from the
+    weights of validated measures by max and + alone (`tensor_many`,
+    `marginal`, `multiply`, `pushforward`, `flatten_measure`) check only
+    that their inputs are measures (`_require_measure`) and build the
+    result with `_trusted`, without validating it again.
+    """
 
     space: FiniteSpace
     weights: tuple[float, ...]
@@ -36,6 +47,14 @@ class IdempotentMeasure:
             raise ValueError("measure is not normalized: maximum weight must be 0")
         object.__setattr__(self, "weights", w)
 
+    @classmethod
+    def _trusted(cls, space: FiniteSpace, weights: tuple[float, ...]) -> "IdempotentMeasure":
+        """A measure from a table that meets the invariant; nothing is checked."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "space", space)
+        object.__setattr__(mu, "weights", weights)
+        return mu
+
     def weight(self, label: Label) -> float:
         return self.weights[self.space.index(label)]
 
@@ -45,6 +64,12 @@ class IdempotentMeasure:
     def __repr__(self) -> str:
         atoms = ", ".join(f"{p!r}: {w}" for p, w in zip(self.space.points, self.weights))
         return f"IdempotentMeasure({{{atoms}}})"
+
+
+def _require_measure(mu: object, what: str) -> None:
+    """Reject anything but a validated measure, which `_trusted` relies on."""
+    if not isinstance(mu, IdempotentMeasure):
+        raise TypeError(f"{what} must be an IdempotentMeasure, got {type(mu).__name__}")
 
 
 def dirac(space: FiniteSpace, x: Label) -> IdempotentMeasure:

@@ -20,13 +20,13 @@ from .core import (
     FiniteSpace,
     Label,
     ProductSpace,
+    _atomic_factors,
     as_weight,
     combine,
-    flatten_space,
     product_space,
 )
 from .functor import PointMap, pushforward
-from .measures import IdempotentMeasure, dirac, integrate
+from .measures import IdempotentMeasure, _require_measure, dirac, integrate
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,8 @@ class OuterMeasure:
         w = tuple(as_weight(v) for v in self.weights)
         if not inner:
             raise ValueError("an outer measure needs at least one component")
+        for m in inner:
+            _require_measure(m, "an inner component")
         if len(w) != len(inner):
             raise ValueError("one weight per inner measure required")
         if any(m.space != self.base for m in inner):
@@ -71,7 +73,9 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
     weight(x) = max_i (outer weight i + inner_i weight at x); the result
     satisfies multiply(M)(φ) = M(φ̄) for every φ.
     """
-    return IdempotentMeasure(M.base, combine(M.weights, (m.weights for m in M.inner)))
+    if not isinstance(M, OuterMeasure):
+        raise TypeError(f"multiply needs an OuterMeasure, got {type(M).__name__}")
+    return IdempotentMeasure._trusted(M.base, combine(M.weights, (m.weights for m in M.inner)))
 
 
 def outer_dirac(mu: IdempotentMeasure) -> OuterMeasure:
@@ -109,10 +113,11 @@ def tensor_many(measures: Sequence[IdempotentMeasure]) -> IdempotentMeasure:
     """Left-associated tensor over a flat product of all the factors."""
     if len(measures) < 2:
         raise ValueError("tensor_many needs at least two measures")
-    weights: tuple[float, ...] = (0.0,)
+    weights = [0.0]
     for m in measures:
-        weights = tuple(w + v for w in weights for v in m.weights)
-    return IdempotentMeasure(product_space(*(m.space for m in measures)), weights)
+        _require_measure(m, "a tensor factor")
+        weights = [w + v for w in weights for v in m.weights]
+    return IdempotentMeasure._trusted(product_space(*(m.space for m in measures)), tuple(weights))
 
 
 def projection(prod: ProductSpace, axis: int) -> PointMap:
@@ -127,6 +132,7 @@ def marginal(mu: IdempotentMeasure, axis: int) -> IdempotentMeasure:
     Row-major order makes the fiber of a coordinate a set of strided runs:
     first reduce each run over the later axes, then stride over the earlier.
     """
+    _require_measure(mu, "a marginal's argument")
     if not isinstance(mu.space, ProductSpace):
         raise ValueError("marginals require a measure on a declared product space")
     fac = mu.space.axis(axis)
@@ -135,7 +141,7 @@ def marginal(mu: IdempotentMeasure, axis: int) -> IdempotentMeasure:
     if run > 1:
         w = tuple(max(w[s:s + run]) for s in range(0, len(w), run))
     m = len(fac)
-    return IdempotentMeasure(fac, tuple(max(w[c::m]) for c in range(m)))
+    return IdempotentMeasure._trusted(fac, tuple(max(w[c::m]) for c in range(m)))
 
 
 def flatten_measure(mu: IdempotentMeasure) -> IdempotentMeasure:
@@ -144,10 +150,10 @@ def flatten_measure(mu: IdempotentMeasure) -> IdempotentMeasure:
     The nested and the flat product list their points in the same
     row-major order, so the weights carry over unchanged.
     """
+    _require_measure(mu, "a flattened measure")
     if not isinstance(mu.space, ProductSpace):
         raise ValueError("only measures on product spaces can be flattened")
-    flat, _ = flatten_space(mu.space)
-    return IdempotentMeasure(flat, mu.weights)
+    return IdempotentMeasure._trusted(product_space(*_atomic_factors(mu.space)), mu.weights)
 
 
 @dataclass(frozen=True)

@@ -371,6 +371,35 @@ def _flatten_measure_loop(mu):
     return pushforward(PointMap(mu.space, flat, table), mu)
 
 
+def _points_loop(space):
+    """The points of a space, by an itertools.product walk over its factors."""
+    if isinstance(space, ProductSpace):
+        return tuple(itertools.product(*(_points_loop(f) for f in space.factors)))
+    return space.points
+
+
+def _near_misses(space, label):
+    """Labels one edit away from a point of a product: the wrong arity, an
+    unknown component, the wrong nesting, or no tuple at all."""
+    out = [label[:-1], label + (label[-1],), (label,), label[0], "zz", ()]
+    flat = _flatten_label_loop(space, label)
+    out += [flat, (flat[0], flat[1:]), (flat[:-1], flat[-1])]
+    for k, part in enumerate(label):
+        out.append(label[:k] + ("zz",) + label[k + 1:])
+        if isinstance(part, tuple):
+            out.append(label[:k] + part + label[k + 1:])
+            out.append(label[:k] + (part[0],) + label[k + 1:])
+    return out
+
+
+def _pushforward_loop(f, mu):
+    """Per target point, the max of μ over its fiber, found label by label."""
+    return IdempotentMeasure(f.target, tuple(
+        max((w for x, w in zip(mu.space.points, mu.weights) if f.table[x] == y), default=NEG_INF)
+        for y in f.target.points
+    ))
+
+
 def _tensor_many_loop(measures):
     """Per point of the flat product, sum the weights looked up by label."""
     prod = product_space(*(m.space for m in measures))
@@ -455,6 +484,11 @@ def _pointwise_sup_loop(measures):
 def _bits(values):
     """Floats by their bit patterns, so 0.0 and -0.0 differ."""
     return [v.hex() for v in values]
+
+
+def _revalidates(out):
+    """A kernel output, built without checks, passes them bit for bit."""
+    return _same_measure(IdempotentMeasure(out.space, out.weights), out)
 
 
 def _outcome(fn, *args):
@@ -1005,12 +1039,51 @@ class TestProductsMatchLabelWalks:
     @given(_nested_products().flatmap(_measure_on))
     def test_flatten_measure(self, mu):
         out, ref = flatten_measure(mu), _flatten_measure_loop(mu)
-        assert out == ref and out.space.points == ref.space.points
+        assert _same_measure(out, ref) and _revalidates(out)
 
     @settings(max_examples=200, deadline=None)
     @given(_tensor_factors())
     def test_tensor_many(self, measures):
-        assert tensor_many(measures) == _tensor_many_loop(measures)
+        out = tensor_many(measures)
+        assert _same_measure(out, _tensor_many_loop(measures)) and _revalidates(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_nested_products().flatmap(_measure_on))
+    def test_marginal(self, mu):
+        for axis in range(len(mu.space.factors)):
+            out = marginal(mu, axis)
+            assert _same_measure(out, _marginal_by_projection(mu, axis)) and _revalidates(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_nested_products().flatmap(_measure_on),
+           st.one_of(st.integers(1, 5).map(lambda n: _labels("y", n)), _nested_products()),
+           st.data())
+    def test_pushforward(self, mu, target, data):
+        images = data.draw(st.lists(st.sampled_from(_points_loop(target)),
+                                    min_size=len(mu.space), max_size=len(mu.space)))
+        f = PointMap(mu.space, target, dict(zip(mu.space.points, images)))
+        out = pushforward(f, mu)
+        assert _same_measure(out, _pushforward_loop(f, mu)) and _revalidates(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_nested_products(), st.data())
+    def test_index_contains_len_require(self, P, data):
+        points = _points_loop(P)
+        ref = {p: i for i, p in enumerate(points)}
+        label = data.draw(st.sampled_from(points))
+        probes = [label, *_near_misses(P, label)]
+        assert len(P) == len(points)
+        assert [P.index(p) for p in points] == list(range(len(points)))
+        assert all(p in P for p in points) and P.require(points, "all") is None
+        for q in probes:
+            assert (q in P) == (q in ref)
+            want = ref[q] if q in ref else ("raised", f"unknown point {q!r}")
+            assert _outcome(P.index, q) == want
+        outside = [q for q in probes if q not in ref]
+        assert outside and _outcome(P.require, probes, "probe") == (
+            "raised", f"probe: points outside the space {outside!r}")
+        assert "points" not in vars(P)  # all of the above is arithmetic
+        assert P.points == points and list(P) == list(points)
 
     @settings(max_examples=200, deadline=None)
     @given(_nested_products())
@@ -1111,7 +1184,8 @@ class TestCombinationsMatchLoops:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6).map(lambda n: _labels("x", n)).flatmap(_outer_on))
     def test_multiply(self, M):
-        assert _same_measure(multiply(M), _multiply_loop(M))
+        out = multiply(M)
+        assert _same_measure(out, _multiply_loop(M)) and _revalidates(out)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6).map(lambda n: _labels("x", n)).flatmap(
@@ -1168,4 +1242,25 @@ class TestCombinationsMatchLoops:
         min_size=2, max_size=2,
     ).flatmap(lambda sp: st.tuples(_measure_on(sp[0]), _measure_on(sp[1]))))
     def test_tensor(self, pair):
-        assert _same_measure(tensor(*pair), _tensor_loop(*pair))
+        out = tensor(*pair)
+        assert _same_measure(out, _tensor_loop(*pair)) and _revalidates(out)
+
+    def test_sums_overflow_to_minus_inf(self):
+        X, Y = _labels("x", 2), _labels("y", 3)
+        mu = IdempotentMeasure(X, (0.0, -1e308))
+        nu = IdempotentMeasure(Y, (-1e308, 0.0, NEG_INF))
+        rho = tensor(mu, nu)
+        assert rho.weights == (-1e308, 0.0, NEG_INF, NEG_INF, -1e308, NEG_INF)
+        assert _same_measure(rho, _tensor_loop(mu, nu))
+        three = tensor_many([mu, nu, mu])
+        assert _same_measure(three, _tensor_many_loop([mu, nu, mu]))
+        M = OuterMeasure(Y, (nu, IdempotentMeasure(Y, (0.0, -1e308, -1e308))), (-1e308, 0.0))
+        mixed = multiply(M)
+        assert mixed.weights == (0.0, -1e308, -1e308)
+        assert _same_measure(mixed, _multiply_loop(M))
+        f = PointMap(rho.space, X, {p: p[0] for p in rho.space.points})
+        pushed = pushforward(f, rho)
+        assert _same_measure(pushed, _pushforward_loop(f, rho))
+        outs = [rho, three, mixed, pushed, marginal(rho, 0), marginal(rho, 1),
+                flatten_measure(tensor(rho, mu))]
+        assert all(map(_revalidates, outs))

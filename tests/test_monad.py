@@ -141,6 +141,17 @@ class TestTensor:
         t = tensor(mu, dirac(one, "*"))
         assert marginal(t, 0) == mu
 
+    def test_marginals_never_build_the_product_points(self):
+        rng = random.Random(7)
+        X, Y = space([f"x{i}" for i in range(50)]), space([f"y{i}" for i in range(40)])
+        mu, nu = rand_measure(rng, X), rand_measure(rng, Y)
+        t = tensor(mu, nu)
+        assert marginal(t, 0) == mu and marginal(t, 1) == nu
+        assert len(t.space) == 2000 and t.space.index(("x3", "y7")) == 127
+        assert "points" not in vars(t.space)
+        assert t.space.points == tuple((x, y) for x in X.points for y in Y.points)
+        assert "points" in vars(t.space)
+
 
 class TestMarginal:
     def test_diagonal_pair(self):
@@ -165,6 +176,39 @@ class TestMarginal:
     def test_requires_product_space(self):
         with pytest.raises(ValueError):
             marginal(dirac(X2, "a"), 0)
+
+
+class NaNLookAlike:
+    """Has a measure's fields, with a NaN weight no constructor would accept."""
+
+    def __init__(self, space):
+        self.space = space
+        self.weights = (0.0,) + (math.nan,) * (len(space) - 1)
+
+
+class TestKernelsRejectLookAlikes:
+    def test_outer_measure(self):
+        with pytest.raises(TypeError, match="an inner component must be an IdempotentMeasure"):
+            OuterMeasure(X2, (dirac(X2, "a"), NaNLookAlike(X2)), (0.0, 0.0))
+
+    def test_kernels(self):
+        P = product_space(X2, X3)
+        fake, real = NaNLookAlike(P), dirac(X2, "a")
+        cases = [
+            (lambda: tensor(real, NaNLookAlike(X3)), "a tensor factor"),
+            (lambda: tensor_many([real, real, NaNLookAlike(X3)]), "a tensor factor"),
+            (lambda: marginal(fake, 0), "a marginal's argument"),
+            (lambda: flatten_measure(fake), "a flattened measure"),
+            (lambda: pushforward(PointMap(P, X2, {p: p[0] for p in P.points}), fake),
+             "a pushed-forward measure"),
+        ]
+        for call, what in cases:
+            with pytest.raises(TypeError, match=f"{what} must be an IdempotentMeasure, got NaNLookAlike"):
+                call()
+        with pytest.raises(TypeError, match="multiply needs an OuterMeasure"):
+            multiply(NaNLookAlike(X2))
+        with pytest.raises(TypeError, match="pushforward needs a PointMap"):
+            pushforward(NaNLookAlike(X2), real)
 
 
 class TestHyperspace:
