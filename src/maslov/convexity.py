@@ -8,10 +8,9 @@ integral of the embedding, i.e. the tropical center of mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .core import NEG_INF, FiniteSpace, Label, combine
+from .core import NEG_INF, FiniteSpace, Label, _Value, combine
 from .measures import IdempotentMeasure
 from .monad import OuterMeasure, multiply
 
@@ -27,15 +26,20 @@ def _check_point(p: Sequence[float], dim: int | None = None) -> TropicalPoint:
     return q
 
 
-@dataclass(frozen=True)
-class PointCloudSpace:
+class PointCloudSpace(_Value):
     """A finite space embedded in R^n; every coordinate is finite.
 
     Barycenters are undefined on -inf coordinates, so clouds reject them.
     """
 
+    __slots__ = ("space", "embed")
     space: FiniteSpace
     embed: Mapping[Label, TropicalPoint]
+
+    def __init__(self, space: FiniteSpace, embed: Mapping[Label, TropicalPoint]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "embed", embed)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         coords = [tuple(map(float, q)) for q in self.space.dense(self.embed, "embed")]
@@ -44,6 +48,17 @@ class PointCloudSpace:
         if len({len(q) for q in coords}) != 1:
             raise ValueError("inconsistent coordinate dimensions")
         object.__setattr__(self, "embed", dict(zip(self.space.points, coords)))
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.space, self.embed) == (other.space, other.embed)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.embed))
+
+    def __repr__(self) -> str:
+        return f"PointCloudSpace(space={self.space!r}, embed={self.embed!r})"
 
     @property
     def dim(self) -> int:

@@ -9,10 +9,10 @@ construction boundary.
 
 from __future__ import annotations
 
+import copyreg
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 # numpy is imported inside the array kernels (MetricSpace validation and
 # metric_closure), so a process that builds no metric space never loads it.
@@ -81,6 +81,47 @@ def weight_distance(a: float, b: float) -> float:
     return abs(math.exp(as_weight(a)) - math.exp(as_weight(b)))
 
 
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a value class."""
+
+
+class _Value:
+    """The base of the immutable value classes.
+
+    A subclass names its fields in `__slots__` and writes out its own
+    `__init__`, `__eq__`, `__hash__` and `__repr__`.  `__init__` sets the
+    fields with `object.__setattr__` and then calls `__post_init__`, where
+    the class validates and normalizes them; `__eq__` compares the tuples
+    of compared fields of two instances of the same class, and `__hash__`
+    hashes that tuple.  After `__init__` every assignment or deletion
+    raises `FrozenInstanceError`.  Copy and pickle rebuild an instance from
+    its filled slots without calling `__init__` again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        cls = type(self)
+        state = {}
+        for klass in cls.__mro__:
+            for name in vars(klass).get("__slots__", ()):
+                try:
+                    state[name] = object.__getattribute__(self, name)
+                except AttributeError:  # not filled yet, as a product's points
+                    pass
+        return copyreg.__newobj__, (cls,), state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
 def _check_label(label: Label) -> None:
     if isinstance(label, str):
         return
@@ -91,8 +132,7 @@ def _check_label(label: Label) -> None:
     raise ValueError(f"labels must be strings or nonempty tuples of labels, got {label!r}")
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(_Value):
     """A finite set of distinct point labels; the declared order is canonical.
 
     Every table in the library (measure atoms, function values, metric rows)
@@ -101,7 +141,13 @@ class FiniteSpace:
     at construction, and doubles as the distinctness check.
     """
 
+    __slots__ = ("points", "_index")
     points: tuple[Label, ...]
+    _index: dict[Label, int]
+
+    def __init__(self, points: tuple[Label, ...]) -> None:
+        object.__setattr__(self, "points", points)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.points, tuple):
@@ -114,6 +160,22 @@ class FiniteSpace:
         if len(index) != len(self.points):
             raise ValueError("point labels must be pairwise distinct")
         object.__setattr__(self, "_index", index)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.points,) == (other.points,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.points,))
+
+    def __repr__(self) -> str:
+        return f"FiniteSpace(points={self.points!r})"
+
+    @property
+    def _lookup(self) -> Callable[[Label], int | None]:
+        """Label -> index, None for a label that is not a point."""
+        return self._index.get
 
     def require(self, labels: Iterable[Label], what: str) -> None:
         """Reject labels outside the space, listed in input order."""
@@ -148,12 +210,12 @@ class FiniteSpace:
 
     def index(self, label: Label) -> int:
         try:
-            return self._index[label]  # type: ignore[attr-defined]
+            return self._index[label]
         except KeyError:
             raise ValueError(f"unknown point {label!r}") from None
 
     def __contains__(self, label: Label) -> bool:
-        return label in self._index  # type: ignore[attr-defined]
+        return label in self._index
 
     def __len__(self) -> int:
         return len(self.points)
@@ -162,7 +224,6 @@ class FiniteSpace:
         return iter(self.points)
 
 
-@dataclass(frozen=True)
 class ProductSpace(FiniteSpace):
     """A product of finite spaces; points are tuples, row-major in factor order.
 
@@ -178,8 +239,14 @@ class ProductSpace(FiniteSpace):
     built on its first read and kept.
     """
 
-    points: tuple[Label, ...] = field(init=False, compare=False)
+    __slots__ = ("factors", "_size", "_axes")
     factors: tuple[FiniteSpace, ...]
+    _size: int
+    _axes: tuple[tuple[Callable[[Label], int | None], int], ...]
+
+    def __init__(self, factors: tuple[FiniteSpace, ...]) -> None:
+        object.__setattr__(self, "factors", factors)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         factors = tuple(self.factors)
@@ -191,14 +258,23 @@ class ProductSpace(FiniteSpace):
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_size", math.prod(shape))
         # per factor: coordinate -> index in the factor (None if absent), size
-        object.__setattr__(self, "_axes", tuple(zip(
-            (f._position if isinstance(f, ProductSpace) else f._index.get for f in factors),
-            shape,
-        )))
+        object.__setattr__(self, "_axes", tuple(zip((f._lookup for f in factors), shape)))
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.factors,) == (other.factors,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+    def __repr__(self) -> str:
+        return f"ProductSpace(points={self.points!r}, factors={self.factors!r})"
 
     def __getattr__(self, name: str) -> Any:
-        # Runs only for attributes not yet in the instance dict: the first
-        # read of `points` builds and stores them.
+        # Runs only for attributes that are not found otherwise, so for the
+        # `points` slot only while it is empty: its first read builds and
+        # stores them.
         if name != "points":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         points: list[Label] = [()]
@@ -209,7 +285,7 @@ class ProductSpace(FiniteSpace):
 
     def _position(self, label: Label) -> int | None:
         """The row-major index of a label, or None when it is not a point."""
-        axes = self._axes  # type: ignore[attr-defined]
+        axes = self._axes
         if not isinstance(label, tuple) or len(label) != len(axes):
             return None
         i = 0
@@ -230,7 +306,11 @@ class ProductSpace(FiniteSpace):
         return self._position(label) is not None
 
     def __len__(self) -> int:
-        return self._size  # type: ignore[attr-defined]
+        return self._size
+
+    @property
+    def _lookup(self) -> Callable[[Label], int | None]:
+        return self._position
 
     def axis(self, k: int) -> FiniteSpace:
         if not 0 <= k < len(self.factors):
@@ -264,21 +344,37 @@ def flatten_space(space: ProductSpace) -> tuple[ProductSpace, dict[Label, Label]
     return flat, dict(zip(space.points, flat.points))
 
 
-@dataclass(frozen=True)
-class FiniteFunction:
+class FiniteFunction(_Value):
     """A real-valued function on a finite space (an element of C(X)).
 
     Values are always finite; only measure weights may be -inf.
     """
 
+    __slots__ = ("space", "values")
     space: FiniteSpace
     values: tuple[float, ...]
+
+    def __init__(self, space: FiniteSpace, values: tuple[float, ...]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         vals = tuple(as_value(v) for v in self.values)
         if len(vals) != len(self.space):
             raise ValueError("one value per point required")
         object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.space, self.values) == (other.space, other.values)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.values))
+
+    def __repr__(self) -> str:
+        return f"FiniteFunction(space={self.space!r}, values={self.values!r})"
 
     @classmethod
     def from_mapping(cls, space: FiniteSpace, table: Mapping[Label, float]) -> "FiniteFunction":
@@ -304,8 +400,7 @@ def pointwise_max(phi: FiniteFunction, psi: FiniteFunction) -> FiniteFunction:
     return FiniteFunction(phi.space, tuple(map(max, phi.values, psi.values)))
 
 
-@dataclass(frozen=True)
-class MetricSpace:
+class MetricSpace(_Value):
     """A finite space with a genuine metric, stored as a dense table.
 
     `dist` is the public tuple table.  The validated float64 array behind it
@@ -324,8 +419,15 @@ class MetricSpace:
     rejected.
     """
 
+    __slots__ = ("space", "dist", "_table")
     space: FiniteSpace
     dist: tuple[tuple[float, ...], ...]
+    _table: np.ndarray
+
+    def __init__(self, space: FiniteSpace, dist: tuple[tuple[float, ...], ...]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "dist", dist)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -364,9 +466,20 @@ class MetricSpace:
         object.__setattr__(self, "_table", d)
         object.__setattr__(self, "dist", tuple(map(tuple, d.tolist())))
 
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.space, self.dist) == (other.space, other.dist)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.dist))
+
+    def __repr__(self) -> str:
+        return f"MetricSpace(space={self.space!r}, dist={self.dist!r})"
+
     @property
     def matrix(self) -> np.ndarray:
-        return self._table.copy()  # type: ignore[attr-defined]
+        return self._table.copy()
 
     def d(self, x: Label, y: Label) -> float:
         return self.dist[self.space.index(x)][self.space.index(y)]

@@ -2,25 +2,52 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
-from .core import NEG_INF, FiniteFunction, FiniteSpace, Label
+from .core import NEG_INF, FiniteFunction, FiniteSpace, Label, _Value
 from .measures import IdempotentMeasure, _require_measure
 
 
-@dataclass(frozen=True)
-class PointMap:
-    """A total function between finite spaces, stored as a label table."""
+class PointMap(_Value):
+    """A total function between finite spaces, stored as a label table.
 
+    `_targets` holds the target index of each image, in source point order;
+    it is derived from the table and takes no part in `==`, hash or repr.
+    """
+
+    __slots__ = ("source", "target", "table", "_targets")
     source: FiniteSpace
     target: FiniteSpace
     table: Mapping[Label, Label]
+    _targets: tuple[int, ...]
+
+    def __init__(
+        self, source: FiniteSpace, target: FiniteSpace, table: Mapping[Label, Label]
+    ) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "table", table)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         images = self.source.dense(self.table, "map")
-        self.target.require(images, "map values")
+        targets = tuple(map(self.target._lookup, images))
+        if None in targets:
+            self.target.require(images, "map values")
         object.__setattr__(self, "table", dict(zip(self.source.points, images)))
+        object.__setattr__(self, "_targets", targets)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.table) == (
+                other.source, other.target, other.table)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.table))
+
+    def __repr__(self) -> str:
+        return f"PointMap(source={self.source!r}, target={self.target!r}, table={self.table!r})"
 
     def __call__(self, x: Label) -> Label:
         if x not in self.source:
@@ -70,8 +97,7 @@ def pushforward(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
     if mu.space != f.source:
         raise ValueError("measure does not live on the source of the map")
     out = [NEG_INF] * len(f.target)
-    for x, w in zip(mu.space.points, mu.weights):
-        j = f.target.index(f.table[x])
+    for j, w in zip(f._targets, mu.weights):
         if w > out[j]:
             out[j] = w
     return IdempotentMeasure._trusted(f.target, tuple(out))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from .convexity import PointCloudSpace
@@ -125,11 +124,21 @@ def infer_space(points: Sequence[Label]) -> FiniteSpace:
     return prod if prod is not None else FiniteSpace(pts)
 
 
-@dataclass
 class Context:
-    """Named spaces shared by a set of documents."""
+    """Named spaces shared by a set of documents; mutable and unhashable."""
 
-    spaces: dict[str, FiniteSpace] = field(default_factory=dict)
+    spaces: dict[str, FiniteSpace]
+
+    def __init__(self, spaces: dict[str, FiniteSpace] | None = None) -> None:
+        self.spaces = {} if spaces is None else spaces
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.spaces,) == (other.spaces,)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Context(spaces={self.spaces!r})"
 
     def register(self, name: str, space: FiniteSpace) -> FiniteSpace:
         if not isinstance(name, str):

@@ -9,11 +9,10 @@ finds or the number of cases that passed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Any, Callable, Union
 
 from .convexity import PointCloudSpace, algebra_law_check, barycenter, hull_membership
-from .core import NEG_INF, FiniteFunction, FiniteSpace, pointwise_max
+from .core import NEG_INF, FiniteFunction, FiniteSpace, _Value, pointwise_max
 from .functor import PointMap, identity_map, lies_in_subspace, pushforward
 from .measures import IdempotentMeasure, dirac, integrate, normalize, support
 from .monad import (
@@ -32,12 +31,33 @@ from .monad import (
 )
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(_Value):
+    __slots__ = ("name", "cases", "ok", "counterexample")
     name: str
     cases: int
     ok: bool
-    counterexample: str | None = None
+    counterexample: str | None
+
+    def __init__(self, name: str, cases: int, ok: bool, counterexample: str | None = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "counterexample", counterexample)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name, self.cases, self.ok, self.counterexample) == (
+                other.name, other.cases, other.ok, other.counterexample)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.cases, self.ok, self.counterexample))
+
+    def __repr__(self) -> str:
+        return (
+            f"LawReport(name={self.name!r}, cases={self.cases!r}, ok={self.ok!r}, "
+            f"counterexample={self.counterexample!r})"
+        )
 
     @property
     def status(self) -> str:

@@ -8,21 +8,20 @@ analogue of expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .core import (
     NEG_INF,
     FiniteFunction,
     FiniteSpace,
     Label,
+    _Value,
     as_weight,
     combine,
 )
 
 
-@dataclass(frozen=True)
-class IdempotentMeasure:
+class IdempotentMeasure(_Value):
     """A normalized max-plus weight table: max weight is exactly 0.
 
     Invariant: `weights` is a tuple of floats, one per point of `space`,
@@ -36,8 +35,14 @@ class IdempotentMeasure:
     result with `_trusted`, without validating it again.
     """
 
+    __slots__ = ("space", "weights")
     space: FiniteSpace
     weights: tuple[float, ...]
+
+    def __init__(self, space: FiniteSpace, weights: tuple[float, ...]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         w = tuple(as_weight(v) for v in self.weights)
@@ -46,6 +51,14 @@ class IdempotentMeasure:
         if max(w) != 0.0:
             raise ValueError("measure is not normalized: maximum weight must be 0")
         object.__setattr__(self, "weights", w)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.space, self.weights) == (other.space, other.weights)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.weights))
 
     @classmethod
     def _trusted(cls, space: FiniteSpace, weights: tuple[float, ...]) -> "IdempotentMeasure":

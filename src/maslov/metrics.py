@@ -67,7 +67,7 @@ def _check_pair(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMea
 def dhat(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
     """sup |μ(φ) - ν(φ)| over n-Lipschitz φ, via the closed form."""
     _check_pair(n, X, mu, nu)
-    return maxmin_gap(X._table, n, mu.weights, nu.weights)  # type: ignore[attr-defined]
+    return maxmin_gap(X._table, n, mu.weights, nu.weights)
 
 
 def dtilde(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:

@@ -11,8 +11,7 @@ with this structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .core import (
     NEG_INF,
@@ -20,6 +19,7 @@ from .core import (
     FiniteSpace,
     Label,
     ProductSpace,
+    _Value,
     _atomic_factors,
     as_weight,
     combine,
@@ -29,17 +29,25 @@ from .functor import PointMap, pushforward
 from .measures import IdempotentMeasure, _require_measure, dirac, integrate
 
 
-@dataclass(frozen=True)
-class OuterMeasure:
+class OuterMeasure(_Value):
     """A normalized weight table over a finite list of measures on one base.
 
     Inner measures are stored by position; duplicates are allowed and get
     merged by max during multiplication.
     """
 
+    __slots__ = ("base", "inner", "weights")
     base: FiniteSpace
     inner: tuple[IdempotentMeasure, ...]
     weights: tuple[float, ...]
+
+    def __init__(
+        self, base: FiniteSpace, inner: tuple[IdempotentMeasure, ...], weights: tuple[float, ...]
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         inner = tuple(self.inner)
@@ -56,6 +64,17 @@ class OuterMeasure:
             raise ValueError("outer measure is not normalized: maximum weight must be 0")
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "weights", w)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.base, self.inner, self.weights) == (other.base, other.inner, other.weights)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.inner, self.weights))
+
+    def __repr__(self) -> str:
+        return f"OuterMeasure(base={self.base!r}, inner={self.inner!r}, weights={self.weights!r})"
 
 
 def outer_eval(M: OuterMeasure, phi: FiniteFunction) -> float:
@@ -156,18 +175,34 @@ def flatten_measure(mu: IdempotentMeasure) -> IdempotentMeasure:
     return IdempotentMeasure._trusted(product_space(*_atomic_factors(mu.space)), mu.weights)
 
 
-@dataclass(frozen=True)
-class ClosedSet:
+class ClosedSet(_Value):
     """A nonempty subset of a finite space."""
 
+    __slots__ = ("space", "members")
     space: FiniteSpace
     members: frozenset[Label]
+
+    def __init__(self, space: FiniteSpace, members: frozenset[Label]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "members", members)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         members = self.space.subset(self.members, "closed set")
         if not members:
             raise ValueError("closed sets are nonempty")
         object.__setattr__(self, "members", members)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.space, self.members) == (other.space, other.members)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.members))
+
+    def __repr__(self) -> str:
+        return f"ClosedSet(space={self.space!r}, members={self.members!r})"
 
 
 def hyperspace_embed(A: ClosedSet) -> IdempotentMeasure:
@@ -209,12 +244,17 @@ def hyperspace_square(family: Sequence[ClosedSet]) -> tuple[IdempotentMeasure, I
     return multiply(M), hyperspace_embed(union)
 
 
-@dataclass(frozen=True)
-class FuzzySet:
+class FuzzySet(_Value):
     """A [0,1]-graded membership function attaining the grade 1 somewhere."""
 
+    __slots__ = ("space", "grades")
     space: FiniteSpace
     grades: tuple[float, ...]
+
+    def __init__(self, space: FiniteSpace, grades: tuple[float, ...]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "grades", grades)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         g = tuple(float(v) for v in self.grades)
@@ -225,6 +265,17 @@ class FuzzySet:
         if max(g) != 1.0:
             raise ValueError("some point must have grade exactly 1")
         object.__setattr__(self, "grades", g)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.space, self.grades) == (other.space, other.grades)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.grades))
+
+    def __repr__(self) -> str:
+        return f"FuzzySet(space={self.space!r}, grades={self.grades!r})"
 
     @classmethod
     def from_mapping(cls, space: FiniteSpace, table: Mapping[Label, float]) -> "FuzzySet":

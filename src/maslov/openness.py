@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .core import (
     NEG_INF,
@@ -32,6 +31,7 @@ from .core import (
     Label,
     MetricSpace,
     ProductSpace,
+    _Value,
     as_weight,
     product_space,
 )
@@ -44,11 +44,15 @@ class InfeasibleError(ValueError):
     """An instance fails a feasibility precondition (not a schema problem)."""
 
 
-@dataclass(frozen=True)
-class CollapseMap:
+class CollapseMap(_Value):
     """A surjection collapsing exactly one pair of points; all other fibers are singletons."""
 
+    __slots__ = ("map",)
     map: PointMap
+
+    def __init__(self, map: PointMap) -> None:
+        object.__setattr__(self, "map", map)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         f = self.map
@@ -56,6 +60,17 @@ class CollapseMap:
             raise ValueError("a collapse map drops exactly one point")
         if not f.is_surjective:
             raise ValueError("a collapse map must be surjective")
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.map,) == (other.map,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.map,))
+
+    def __repr__(self) -> str:
+        return f"CollapseMap(map={self.map!r})"
 
     @property
     def doubled(self) -> tuple[Label, Label]:
@@ -214,8 +229,7 @@ def coupling_feasible(
     return marginal(coupling, 0) == mu1 and marginal(coupling, 1) == mu2
 
 
-@dataclass(frozen=True)
-class TightPattern:
+class TightPattern(_Value):
     """A choice, per finite row and column, of the cell attaining its max.
 
     Each pattern carves a box out of the feasible set: witness cells are
@@ -223,9 +237,31 @@ class TightPattern:
     min(row weight, column weight).
     """
 
+    __slots__ = ("rows", "cols", "fixed")
     rows: tuple[tuple[Label, Label], ...]
     cols: tuple[tuple[Label, Label], ...]
     fixed: tuple[tuple[tuple[Label, Label], float], ...]
+
+    def __init__(
+        self,
+        rows: tuple[tuple[Label, Label], ...],
+        cols: tuple[tuple[Label, Label], ...],
+        fixed: tuple[tuple[tuple[Label, Label], float], ...],
+    ) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "fixed", fixed)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.fixed) == (other.rows, other.cols, other.fixed)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.fixed))
+
+    def __repr__(self) -> str:
+        return f"TightPattern(rows={self.rows!r}, cols={self.cols!r}, fixed={self.fixed!r})"
 
 
 _PATTERN_CAP = 4  # points per side in tight_patterns
@@ -288,8 +324,7 @@ def pattern_max_coupling(
     return IdempotentMeasure(product_space(mu1.space, mu2.space), tuple(_caps(mu1, mu2)))
 
 
-@dataclass(frozen=True)
-class GapResult:
+class GapResult(_Value):
     """The outcome of `coupling_gap`.
 
     `gap` is the least deviation max_φ |ν(φ) - target(φ)| over the feasible
@@ -299,9 +334,26 @@ class GapResult:
     coupling's deviation is largest.
     """
 
+    __slots__ = ("gap", "coupling", "phi")
     gap: float
     coupling: IdempotentMeasure
     phi: FiniteFunction
+
+    def __init__(self, gap: float, coupling: IdempotentMeasure, phi: FiniteFunction) -> None:
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "coupling", coupling)
+        object.__setattr__(self, "phi", phi)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.gap, self.coupling, self.phi) == (other.gap, other.coupling, other.phi)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gap, self.coupling, self.phi))
+
+    def __repr__(self) -> str:
+        return f"GapResult(gap={self.gap!r}, coupling={self.coupling!r}, phi={self.phi!r})"
 
 
 def coupling_gap(
@@ -418,13 +470,21 @@ def counterexample_gap(l: float) -> float:
     return coupling_gap(mu1, mu2, target).gap
 
 
-@dataclass(frozen=True)
-class CoverPair:
+class CoverPair(_Value):
     """A pair U ⊆ V of subsets with a weight profile that is 0 on U and ≤ 0 on V."""
 
+    __slots__ = ("U", "V", "alpha")
     U: frozenset[Label]
     V: frozenset[Label]
-    alpha: Mapping[Label, float] | None = None
+    alpha: Mapping[Label, float] | None
+
+    def __init__(
+        self, U: frozenset[Label], V: frozenset[Label], alpha: Mapping[Label, float] | None = None
+    ) -> None:
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "alpha", alpha)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         U = frozenset(self.U)
@@ -450,18 +510,44 @@ class CoverPair:
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "alpha", alpha)
 
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.U, self.V, self.alpha) == (other.U, other.V, other.alpha)
+        return NotImplemented
 
-@dataclass(frozen=True)
-class MilyutinLevel:
+    def __hash__(self) -> int:
+        return hash((self.U, self.V, self.alpha))
+
+    def __repr__(self) -> str:
+        return f"CoverPair(U={self.U!r}, V={self.V!r}, alpha={self.alpha!r})"
+
+
+class MilyutinLevel(_Value):
     """One refinement stage: a list of cover pairs whose U-sets cover the base."""
 
+    __slots__ = ("pairs",)
     pairs: tuple[CoverPair, ...]
+
+    def __init__(self, pairs: tuple[CoverPair, ...]) -> None:
+        object.__setattr__(self, "pairs", pairs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         pairs = tuple(self.pairs)
         if not pairs:
             raise ValueError("a level needs at least one cover pair")
         object.__setattr__(self, "pairs", pairs)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.pairs,) == (other.pairs,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
+
+    def __repr__(self) -> str:
+        return f"MilyutinLevel(pairs={self.pairs!r})"
 
 
 def milyutin_build(

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import sys
@@ -92,8 +91,15 @@ class TestProductSpaceInvariant:
         X, Y = space("ab"), space("uv")
         with pytest.raises(TypeError):
             ProductSpace(points=(("a", "u"),), factors=(X, Y))
-        with pytest.raises(ValueError):
-            dataclasses.replace(product_space(X, Y), points=(("a", "u"),))
+        with pytest.raises(TypeError):
+            ProductSpace((("a", "u"),), (X, Y))
+        P = product_space(X, Y)
+        with pytest.raises(AttributeError):
+            P.points = (("a", "u"),)  # before the first read
+        assert P.points == (("a", "u"), ("a", "v"), ("b", "u"), ("b", "v"))
+        with pytest.raises(AttributeError):
+            P.points = (("a", "u"),)  # and after it
+        assert len(P.points) == 4
 
     def test_points_follow_the_factors(self):
         X, Y, Z = space("ab"), space("uvw"), space("c")

@@ -22,11 +22,18 @@ composed along `factor_surjection` for an arbitrary surjection.
 Flattening and `tensor_many` read the row-major point order of a product
 instead of its labels; they are compared with the label-walking relabel
 and the per-coordinate weight lookups, and `infer_space` must rebuild
-every nested product from its point list.
+every nested product from its point list.  The value classes are written
+out by hand; the `dataclasses` definitions they replaced are kept below,
+and every class must match them in `==`, hash, repr, construction and
+immutability, and survive copy and pickle.
 """
 
+import copy
+import dataclasses
+import inspect
 import itertools
 import math
+import pickle
 import random
 import sys
 
@@ -37,12 +44,16 @@ from hypothesis import strategies as st
 
 from maslov import (
     NEG_INF,
+    ClosedSet,
     CollapseMap,
+    CoverPair,
     FiniteFunction,
     FiniteSpace,
+    FuzzySet,
     IdempotentMeasure,
     InfeasibleError,
     MetricSpace,
+    MilyutinLevel,
     OuterMeasure,
     PointCloudSpace,
     PointMap,
@@ -70,7 +81,8 @@ from maslov import (
     tensor,
 )
 from maslov.core import combine, flatten_space
-from maslov.io import infer_space
+from maslov.io import Context, infer_space
+from maslov.laws import LawReport
 from maslov.metrics import maxmin_gap
 from maslov.monad import flatten_measure, projection, tensor_many
 from maslov.openness import (
@@ -1054,16 +1066,38 @@ class TestProductsMatchLabelWalks:
             out = marginal(mu, axis)
             assert _same_measure(out, _marginal_by_projection(mu, axis)) and _revalidates(out)
 
-    @settings(max_examples=200, deadline=None)
-    @given(_nested_products().flatmap(_measure_on),
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(1, 5).map(lambda n: _labels("x", n)), _nested_products())
+           .flatmap(_measure_on),
            st.one_of(st.integers(1, 5).map(lambda n: _labels("y", n)), _nested_products()),
            st.data())
     def test_pushforward(self, mu, target, data):
+        # flat or product sources onto flat or product targets; the map keeps
+        # the target index of each image, which stays out of == and repr
         images = data.draw(st.lists(st.sampled_from(_points_loop(target)),
                                     min_size=len(mu.space), max_size=len(mu.space)))
-        f = PointMap(mu.space, target, dict(zip(mu.space.points, images)))
+        table = dict(zip(mu.space.points, images))
+        f = PointMap(mu.space, target, table)
         out = pushforward(f, mu)
         assert _same_measure(out, _pushforward_loop(f, mu)) and _revalidates(out)
+        assert f._targets == tuple(_points_loop(target).index(y) for y in images)
+        assert f == PointMap(mu.space, target, dict(reversed(table.items())))
+        assert "_targets" not in repr(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).map(lambda n: _labels("x", n)),
+           st.one_of(st.integers(1, 5).map(lambda n: _labels("y", n)), _nested_products()),
+           st.data())
+    def test_map_values_outside_the_target(self, source, target, data):
+        points = _points_loop(target)
+        wrong = ["zz", ("zz",)] + (_near_misses(target, points[0])
+                                  if isinstance(target, ProductSpace) else [])
+        images = data.draw(st.lists(st.sampled_from(points + tuple(wrong)),
+                                    min_size=len(source), max_size=len(source)))
+        outside = [y for y in images if y not in set(points)]
+        want = ("raised", f"map values: points outside the space {outside!r}") if outside else None
+        got = _outcome(PointMap, source, target, dict(zip(source.points, images)))
+        assert (got if outside else None) == want
 
     @settings(max_examples=200, deadline=None)
     @given(_nested_products(), st.data())
@@ -1082,7 +1116,8 @@ class TestProductsMatchLabelWalks:
         outside = [q for q in probes if q not in ref]
         assert outside and _outcome(P.require, probes, "probe") == (
             "raised", f"probe: points outside the space {outside!r}")
-        assert "points" not in vars(P)  # all of the above is arithmetic
+        with pytest.raises(AttributeError):
+            FiniteSpace.points.__get__(P)  # all of the above is arithmetic
         assert P.points == points and list(P) == list(points)
 
     @settings(max_examples=200, deadline=None)
@@ -1264,3 +1299,306 @@ class TestCombinationsMatchLoops:
         outs = [rho, three, mixed, pushed, marginal(rho, 0), marginal(rho, 1),
                 flatten_measure(tensor(rho, mu))]
         assert all(map(_revalidates, outs))
+
+
+# ---------------------------------------------------------- value classes
+
+def _dataclass_definitions():
+    """The value classes as `dataclasses` defined them, as references.
+
+    Only the fields, their options and the hand-written methods that the
+    generated ones defer to are kept: `==`, hash, repr and the `__init__`
+    signature follow from these alone.  Validation is not part of this
+    contract, so a reference is built from the normalized fields of a
+    library object (`_old`).
+    """
+    @dataclasses.dataclass(frozen=True)
+    class FiniteSpace:
+        points: tuple
+
+    @dataclasses.dataclass(frozen=True)
+    class ProductSpace(FiniteSpace):
+        points: tuple = dataclasses.field(init=False, compare=False)
+        factors: tuple
+
+        def __getattr__(self, name):
+            if name != "points":
+                raise AttributeError(name)
+            object.__setattr__(self, "points", tuple(itertools.product(
+                *(f.points for f in self.factors))))
+            return self.points
+
+    @dataclasses.dataclass(frozen=True)
+    class FiniteFunction:
+        space: object
+        values: tuple
+
+    @dataclasses.dataclass(frozen=True)
+    class MetricSpace:
+        space: object
+        dist: tuple
+
+    @dataclasses.dataclass(frozen=True)
+    class IdempotentMeasure:
+        space: object
+        weights: tuple
+
+        def __repr__(self):
+            atoms = ", ".join(f"{p!r}: {w}" for p, w in zip(self.space.points, self.weights))
+            return f"IdempotentMeasure({{{atoms}}})"
+
+    @dataclasses.dataclass(frozen=True)
+    class PointMap:
+        source: object
+        target: object
+        table: object
+
+    @dataclasses.dataclass(frozen=True)
+    class OuterMeasure:
+        base: object
+        inner: tuple
+        weights: tuple
+
+    @dataclasses.dataclass(frozen=True)
+    class ClosedSet:
+        space: object
+        members: frozenset
+
+    @dataclasses.dataclass(frozen=True)
+    class FuzzySet:
+        space: object
+        grades: tuple
+
+    @dataclasses.dataclass(frozen=True)
+    class PointCloudSpace:
+        space: object
+        embed: object
+
+    @dataclasses.dataclass(frozen=True)
+    class CollapseMap:
+        map: object
+
+    @dataclasses.dataclass(frozen=True)
+    class TightPattern:
+        rows: tuple
+        cols: tuple
+        fixed: tuple
+
+    @dataclasses.dataclass(frozen=True)
+    class GapResult:
+        gap: float
+        coupling: object
+        phi: object
+
+    @dataclasses.dataclass(frozen=True)
+    class CoverPair:
+        U: frozenset
+        V: frozenset
+        alpha: object = None
+
+    @dataclasses.dataclass(frozen=True)
+    class MilyutinLevel:
+        pairs: tuple
+
+    @dataclasses.dataclass(frozen=True)
+    class LawReport:
+        name: str
+        cases: int
+        ok: bool
+        counterexample: object = None
+
+    @dataclasses.dataclass
+    class Context:
+        spaces: dict = dataclasses.field(default_factory=dict)
+
+    refs = [FiniteSpace, ProductSpace, FiniteFunction, MetricSpace, IdempotentMeasure,
+            PointMap, OuterMeasure, ClosedSet, FuzzySet, PointCloudSpace, CollapseMap,
+            TightPattern, GapResult, CoverPair, MilyutinLevel, LawReport, Context]
+    for cls in refs:
+        cls.__qualname__ = cls.__name__  # the generated repr prints it
+    return {cls.__name__: cls for cls in refs}
+
+
+_DATACLASSES = _dataclass_definitions()
+
+
+def _init_fields(name):
+    return [f.name for f in dataclasses.fields(_DATACLASSES[name]) if f.init]
+
+
+def _old(obj):
+    """The reference dataclass object with the fields of a library object."""
+    name = type(obj).__name__
+    return _DATACLASSES[name](*(getattr(obj, f) for f in _init_fields(name)))
+
+
+def _fields_of(obj):
+    """The init fields of a value object as keywords."""
+    return {f: getattr(obj, f) for f in _init_fields(type(obj).__name__)}
+
+
+def _value_samples():
+    """Instances of every value class, with equal pairs that are not the same
+    object, unequal pairs and, where the class hashes, equal hashes."""
+    X, X2, Y, Z = space("ab"), space(["a", "b"]), space("uv"), space("abc")
+    mu, mu2 = normalize(X, {"a": 0, "b": -1}), normalize(X2, {"a": 0, "b": -1})
+    nu = normalize(Y, {"u": -2, "v": 0})
+    f = PointMap(X, Y, {"a": "u", "b": "v"})
+    c = PointMap(Z, X, {"a": "a", "b": "b", "c": "a"})
+    U = CoverPair({"a"}, {"a", "b"})
+    gap = coupling_gap(*counterexample_instance(3))
+    pattern, *others = itertools.islice(tight_patterns(mu, nu), 3)
+    return {
+        "FiniteSpace": [X, X2, Y, Z],
+        "ProductSpace": [product_space(X, Y), product_space(X2, Y), product_space(Y, X),
+                         product_space(product_space(X, Y), Z)],
+        "FiniteFunction": [FiniteFunction(X, (1, 2)), FiniteFunction(X2, [1.0, 2.0]),
+                           FiniteFunction(X, (2, 1))],
+        "MetricSpace": [metric_closure(X, [[0, 1], [1, 0]]), MetricSpace(X2, ((0, 1), (1, 0))),
+                        MetricSpace(X, ((0, 2), (2, 0)))],
+        "IdempotentMeasure": [mu, mu2, nu, dirac(X, "b")],
+        "PointMap": [f, PointMap(X2, Y, {"b": "v", "a": "u"}),
+                     PointMap(X, Y, {"a": "u", "b": "u"})],
+        "OuterMeasure": [OuterMeasure(X, (mu, dirac(X, "b")), (0, -1)),
+                         OuterMeasure(X2, [mu2, dirac(X2, "b")], [0.0, -1.0]),
+                         OuterMeasure(X, (mu,), (0,))],
+        "ClosedSet": [ClosedSet(X, {"a"}), ClosedSet(X2, frozenset("a")), ClosedSet(X, {"a", "b"})],
+        "FuzzySet": [FuzzySet(X, (1, 0.5)), FuzzySet(X2, [1.0, 0.5]), FuzzySet(X, (0.5, 1))],
+        "PointCloudSpace": [PointCloudSpace(X, {"a": (0, 1), "b": (2, 3)}),
+                            PointCloudSpace(X2, {"b": [2, 3], "a": [0, 1]}),
+                            PointCloudSpace(X, {"a": (0, 1), "b": (2, 4)})],
+        "CollapseMap": [CollapseMap(c), CollapseMap(PointMap(Z, X2, dict(c.table))),
+                        CollapseMap(PointMap(Z, X, {"a": "a", "b": "b", "c": "b"}))],
+        "TightPattern": [pattern, TightPattern(**_fields_of(pattern)), *others],
+        "GapResult": [gap, GapResult(gap.gap, gap.coupling, gap.phi),
+                      GapResult(0.5, gap.coupling, gap.phi)],
+        "CoverPair": [U, CoverPair(frozenset("a"), frozenset("ab"), {"a": 0, "b": 0}),
+                      CoverPair({"a"}, {"a", "b"}, {"b": -1})],
+        "MilyutinLevel": [MilyutinLevel((U,)), MilyutinLevel([CoverPair({"a"}, {"a", "b"})]),
+                          MilyutinLevel((U, CoverPair({"b"}, {"b"})))],
+        "LawReport": [LawReport("monad", 3, True), LawReport("monad", 3, True, None),
+                      LawReport("monad", 3, False, "case 1")],
+        "Context": [Context(), Context({}), Context({"X": X})],
+    }
+
+
+def _hash_outcome(obj):
+    try:
+        return hash(obj)
+    except TypeError as exc:
+        return ("raised", str(exc))
+
+
+_VALUE_CLASSES = sorted(_DATACLASSES)
+
+
+class TestValueClassesMatchDataclasses:
+    def test_every_class_is_covered(self):
+        samples = _value_samples()
+        assert sorted(samples) == _VALUE_CLASSES
+        assert all(type(x).__name__ == name for name, xs in samples.items() for x in xs)
+
+    @pytest.mark.parametrize("name", _VALUE_CLASSES)
+    def test_equality_hash_and_repr(self, name):
+        samples = _value_samples()[name]
+        for a in samples:
+            assert repr(a) == repr(_old(a))
+            assert _hash_outcome(a) == _hash_outcome(_old(a))
+            assert a.__eq__(object()) is NotImplemented
+            assert (a == object()) is False and (a != object()) is True
+            for b in samples:
+                assert (a == b) is (_old(a) == _old(b))
+                assert (a != b) is (_old(a) != _old(b))
+        assert samples[0] == samples[1] and samples[0] is not samples[1]
+        assert samples[0] != samples[2]
+
+    @pytest.mark.parametrize("name", _VALUE_CLASSES)
+    def test_construction(self, name):
+        a = _value_samples()[name][0]
+        cls, ref = type(a), _DATACLASSES[name]
+        params = list(inspect.signature(cls).parameters.values())
+        want = list(inspect.signature(ref).parameters.values())
+        assert [(p.name, p.kind) for p in params] == [(p.name, p.kind) for p in want]
+        if name != "Context":  # its default is a fresh dict, below
+            assert [p.default for p in params] == [p.default for p in want]
+        values = _fields_of(a)
+        assert cls(*values.values()) == a and cls(**values) == a
+
+    def test_defaults(self):
+        assert CoverPair({"a"}, {"a", "b"}) == CoverPair({"a"}, {"a", "b"}, None)
+        assert CoverPair({"a"}, {"a", "b"}).alpha == {"a": 0.0, "b": 0.0}
+        assert LawReport("x", 1, True).counterexample is None
+        one, two = Context(), Context()
+        assert one.spaces == {} and one.spaces is not two.spaces
+
+    @pytest.mark.parametrize("name", [n for n in _VALUE_CLASSES if n != "Context"])
+    def test_frozen(self, name):
+        a = _value_samples()[name][0]
+        old = _old(a)
+        for field_name in [*_fields_of(a), "points", "other"]:
+            if field_name == "points" and name not in ("FiniteSpace", "ProductSpace"):
+                continue
+            for act in (lambda o: setattr(o, field_name, None), lambda o: delattr(o, field_name)):
+                with pytest.raises(AttributeError) as got:
+                    act(a)
+                with pytest.raises(AttributeError) as want:
+                    act(old)
+                assert str(got.value) == str(want.value)
+        assert _old(a) == old  # nothing changed
+
+    def test_context_is_mutable_and_unhashable(self):
+        ctx = Context()
+        ctx.spaces = {"X": space("ab")}
+        ctx.other = 1
+        assert ctx == Context({"X": space("ab")}) and ctx.other == 1
+        with pytest.raises(TypeError):
+            hash(ctx)
+
+    def test_a_plain_space_never_equals_a_product(self):
+        P = product_space(space("ab"), space("uv"))
+        assert FiniteSpace(P.points) != P and P != FiniteSpace(P.points)
+        assert not FiniteSpace(P.points) == P
+        assert FiniteSpace(P.points).points == P.points
+
+
+class TestValueClassesCopyAndPickle:
+    @pytest.mark.parametrize("name", _VALUE_CLASSES)
+    def test_round_trips(self, name):
+        for a in _value_samples()[name]:
+            outs = [copy.copy(a), copy.deepcopy(a)]
+            outs += [pickle.loads(pickle.dumps(a, protocol))
+                     for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for out in outs:
+                assert type(out) is type(a) and out == a and repr(out) == repr(a)
+                if name not in ("Context", "PointMap", "PointCloudSpace", "CoverPair",
+                                "MilyutinLevel", "CollapseMap"):  # these hold dicts
+                    assert hash(out) == hash(a)
+
+    def test_products_before_and_after_their_points_are_read(self):
+        X, Y = space("ab"), space("uvw")
+        for read in (False, True):
+            P = product_space(product_space(X, Y), X)
+            if read:
+                assert len(P.points) == 12
+            for out in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+                if read:
+                    assert FiniteSpace.points.__get__(out) == P.points
+                else:
+                    with pytest.raises(AttributeError):
+                        FiniteSpace.points.__get__(out)  # still not built
+                assert out == P and hash(out) == hash(P)
+                assert out.index((("b", "w"), "a")) == P.index((("b", "w"), "a")) == 10
+                assert out.points == P.points
+
+    def test_copies_keep_the_derived_slots(self):
+        X, Y = space("ab"), space("uv")
+        P = product_space(X, Y)
+        f = PointMap(X, P, {"a": ("b", "v"), "b": ("a", "u")})
+        mu = normalize(X, {"a": 0, "b": -1})
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g._targets == f._targets == (3, 0)
+            assert pushforward(g, mu) == pushforward(f, mu)
+        m = metric_closure(X, [[0, 1], [1, 0]])
+        for out in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert np.array_equal(out.matrix, m.matrix) and dhat(1, out, mu, mu) == 0.0
+        assert pickle.loads(pickle.dumps(X)).index("b") == 1

@@ -10,6 +10,7 @@ from maslov import (
     NEG_INF,
     ClosedSet,
     FiniteFunction,
+    FiniteSpace,
     FuzzySet,
     IdempotentMeasure,
     OuterMeasure,
@@ -148,9 +149,10 @@ class TestTensor:
         t = tensor(mu, nu)
         assert marginal(t, 0) == mu and marginal(t, 1) == nu
         assert len(t.space) == 2000 and t.space.index(("x3", "y7")) == 127
-        assert "points" not in vars(t.space)
+        with pytest.raises(AttributeError):
+            FiniteSpace.points.__get__(t.space)  # the slot is still empty
         assert t.space.points == tuple((x, y) for x in X.points for y in Y.points)
-        assert "points" in vars(t.space)
+        assert FiniteSpace.points.__get__(t.space) is t.space.points  # built once, kept
 
 
 class TestMarginal:

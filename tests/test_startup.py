@@ -4,7 +4,9 @@ Max-plus operations on weight tuples need no arrays, so a fresh process
 that imports the package and runs the CLI on such documents never imports
 numpy; `maslov dist` builds a MetricSpace and does.  The package re-exports
 a fixed set of names, and every name that the README, the demos and the
-benchmark import from it must resolve.
+benchmark import from it must resolve.  The value classes are written out
+by hand, so importing the CLI loads no `dataclasses` and none of the
+modules that it pulls in.
 """
 
 import ast
@@ -103,6 +105,37 @@ def test_dist_loads_numpy(tmp_path):
     mu = write(tmp_path, "mu.json", mio.measure_doc(dirac(X, "a")))
     nu = write(tmp_path, "nu.json", mio.measure_doc(dirac(X, "b")))
     assert run_fresh([["dist", ms, mu, nu]]) == [False, ["dist", 0, True]]
+
+
+CLASS_BUILDERS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# Prints which of the modules named on the command line `import maslov.cli` loaded.
+CHILD_BUILDERS = """
+import json, sys, maslov.cli
+print(json.dumps(sorted(set(sys.argv[1:]) & set(sys.modules))))
+"""
+
+
+def test_cli_import_loads_no_class_builder():
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_BUILDERS, *CLASS_BUILDERS],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted((ROOT / "src" / "maslov").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, m) for m in modules if m.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 # Prints which of numpy and maslov.laws `import maslov.cli` loaded, then, per
