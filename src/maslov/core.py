@@ -417,6 +417,16 @@ class MetricSpace(_Value):
     2(n-1)u to first order, and the rounding of the test itself, so the
     closure accepts its own output.  A violation past the slack is
     rejected.
+
+    The check runs on the min-plus square m_ij = min_k fl(d_ik + d_kj),
+    built in one buffer, and rejects iff some d_ij > fl(m_ij·s), with s the
+    slack factor.  For s > 0 the map x ↦ fl(x·s) is monotone, so
+    fl(m_ij·s) = min_k fl(fl(d_ik + d_kj)·s): the verdict is that of
+    testing d_ij > fl(fl(d_ik + d_kj)·s) for every k, the rule stated
+    above, on every input.
+
+    `dist` may be any square table of numbers; a float64 array is read as
+    it is, without a pass through Python rows.
     """
 
     __slots__ = ("space", "dist", "_table")
@@ -433,10 +443,12 @@ class MetricSpace(_Value):
         import numpy as np
 
         n = len(self.space)
-        rows = [tuple(r) for r in self.dist]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("distance table must be square over the space")
-        d = np.array(rows, dtype=float)
+        d = self.dist
+        if not (type(d) is np.ndarray and d.dtype == np.float64 and d.shape == (n, n)):
+            d = [tuple(r) for r in d]
+            if len(d) != n or any(len(r) != n for r in d):
+                raise ValueError("distance table must be square over the space")
+        d = np.array(d, dtype=float)
         if d.shape != (n, n):
             raise TypeError("distances must be numbers")
         # The first defect in row-major (i, j) order decides the message,
@@ -456,12 +468,14 @@ class MetricSpace(_Value):
             if bad_sym[i, j]:
                 raise ValueError("distance table must be symmetric")
             raise ValueError("distinct points must be at positive distance")
-        slack = 1.0 + n * sys.float_info.epsilon
-        for k in range(n):
-            if (d > (d[:, k, None] + d[None, k, :]) * slack).any():
-                raise ValueError(
-                    "triangle inequality fails; run metric_closure on the raw table"
-                )
+        # d is symmetric here, so d_ik + d_kj is read from row k alone.
+        m = d[0, :, None] + d[0]
+        buf = np.empty_like(m)
+        for row in d[1:]:
+            np.add(row[:, None], row, out=buf)
+            np.minimum(m, buf, out=m)
+        if (d > m * (1.0 + n * sys.float_info.epsilon)).any():
+            raise ValueError("triangle inequality fails; run metric_closure on the raw table")
         d.flags.writeable = False
         object.__setattr__(self, "_table", d)
         object.__setattr__(self, "dist", tuple(map(tuple, d.tolist())))
@@ -476,6 +490,11 @@ class MetricSpace(_Value):
 
     def __repr__(self) -> str:
         return f"MetricSpace(space={self.space!r}, dist={self.dist!r})"
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        super().__setstate__(state)
+        # deepcopy and unpickling hand back a writable array
+        self._table.flags.writeable = False
 
     @property
     def matrix(self) -> np.ndarray:
@@ -516,7 +535,7 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     # array step per k makes the same comparisons as the in-place loop.
     for k in range(n):
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
-    return MetricSpace(space, d.tolist())
+    return MetricSpace(space, d)
 
 
 def space(labels: Iterable[str]) -> FiniteSpace:

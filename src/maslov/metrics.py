@@ -24,12 +24,16 @@ from .core import NEG_INF, MetricSpace
 from .measures import IdempotentMeasure
 from .monad import OuterMeasure
 
-# numpy is imported inside the two array kernels, as in core.
+# numpy is imported inside the array kernels, as in core.
 if TYPE_CHECKING:
     import numpy as np
 
 _SLACK_EPS = 1e-9
 _GRID_CAP = 4_000_000
+# inner_distance_table takes the measures in blocks of at most this many
+# terms (32 MB), or of one measure when one has more; the per-pair loop it
+# replaced held up to p² terms at a time.
+_BLOCK_TERMS = 1 << 22
 
 
 def maxmin_gap(
@@ -169,15 +173,40 @@ def dhat_oracle(
 def inner_distance_table(
     n: int, X: MetricSpace, measures: Sequence[IdempotentMeasure]
 ) -> list[list[float]]:
-    """Pairwise dtilde table over a list of measures (a pseudometric)."""
+    """Pairwise dtilde table over a list of measures (a pseudometric).
+
+    One array pass per row i: with W the weight rows of the measures and s
+    the support of μ_i, the terms (λ_a - κ_b) + n·d_ab for a in s, every
+    measure κ and every point b are associated in that order, as in
+    `maxmin_gap`, so each entry equals `dtilde` on its pair.  λ_a is
+    finite on the support, so a κ_b of -inf gives a term of +inf, never
+    -inf - -inf: no NaN appears, and the min over b passes over it to the
+    support of κ, which is never empty.  The max over a then gives the
+    one-sided gap from μ_i to every measure, and each entry is the larger
+    of its two sides, divided by n.  A row is taken in blocks of measures
+    of at most `_BLOCK_TERMS` terms; a block computes the same terms.
+    """
     k = len(measures)
-    table = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            v = dtilde(n, X, measures[i], measures[j])
-            table[i][j] = v
-            table[j][i] = v
-    return table
+    if k < 2:
+        return [[0.0] * k for _ in range(k)]
+    for mu in measures[1:]:
+        _check_pair(n, X, measures[0], mu)
+    import numpy as np
+
+    W = np.array([mu.weights for mu in measures])
+    nd = n * X._table
+    one = np.empty((k, k))
+    for i, row in enumerate(W):
+        s = row > NEG_INF
+        a, ds = row[s, None], nd[s]
+        step = max(1, _BLOCK_TERMS // ds.size)
+        for j in range(0, k, step):
+            t = a - W[j:j + step, None, :]
+            t += ds
+            one[i, j:j + step] = t.min(axis=2).max(axis=1)
+    table = np.maximum(one, one.T) / n
+    np.fill_diagonal(table, 0.0)
+    return table.tolist()
 
 
 def outer_dtilde(n: int, X: MetricSpace, M: OuterMeasure, N: OuterMeasure) -> float:

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from maslov import NEG_INF, FiniteFunction, FiniteSpace
 
+pytest_plugins = ["pytester"]
+
 # Dyadic quarters: float max/+ are exact on these, so law tests can use ==.
 dyadic = st.integers(-16, 16).map(lambda k: k / 4.0)
 dyadic_weight = st.one_of(st.just(NEG_INF), st.integers(-16, 0).map(lambda k: k / 4.0))

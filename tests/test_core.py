@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -281,6 +282,36 @@ class TestMetricSpaceValidation:
     def test_not_square(self):
         with pytest.raises(ValueError, match="square"):
             MetricSpace(space("ab"), ((0.0, 1.0), (1.0,)))
+
+    @pytest.mark.parametrize(
+        "table, dtype",
+        [
+            ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], float),
+            ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], int),
+            ([[0, 0.1, 0.2], [0.1, 0, 0.1], [0.2, 0.1, 0]], np.float32),
+            ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], float),
+            ([[0, 1, 1], [2, 0, 1], [1, 1, 0]], float),
+            ([[0, NAN, 1], [NAN, 0, 1], [1, 1, 0]], float),
+            ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], float),
+            ([[1, 1, 1], [1, 0, 1], [1, 1, 0]], float),
+            ([[0, 1], [1, 0]], float),
+            ([[0, 1, 1], [1, 0, 1]], float),
+            ([[[0], [1], [1]], [[1], [0], [1]], [[1], [1], [0]]], float),
+        ],
+    )
+    def test_list_tuple_and_array_alike(self, table, dtype):
+        def outcome(dist):
+            try:
+                return MetricSpace(space("abc"), dist).dist
+            except (ValueError, TypeError) as exc:
+                return type(exc), str(exc)
+
+        arr = np.array(table, dtype=dtype)
+        rows = arr.tolist()
+        want = outcome(rows)
+        assert outcome(tuple(map(tuple, rows))) == want
+        assert outcome(arr) == want
+        assert outcome(np.asfortranarray(arr)) == want
 
     def test_matrix_is_a_copy(self):
         X = metric_closure(space("abc"), [[0, 1, 5], [1, 0, 1], [5, 1, 0]])

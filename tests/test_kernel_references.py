@@ -25,7 +25,11 @@ and the per-coordinate weight lookups, and `infer_space` must rebuild
 every nested product from its point list.  The value classes are written
 out by hand; the `dataclasses` definitions they replaced are kept below,
 and every class must match them in `==`, hash, repr, construction and
-immutability, and survive copy and pickle.
+immutability, and survive copy and pickle.  The dual-distance table of
+`outer_dtilde` is one array pass per row; it is compared with the per-pair
+`dtilde` loop it replaced, on metric and pseudometric ground tables.  The
+triangle check of `MetricSpace` runs on a min-plus square; it is compared
+with the loop over every k, also on tables one ulp either side of the slack.
 """
 
 import copy
@@ -64,6 +68,7 @@ from maslov import (
     coupling_gap,
     counterexample_instance,
     dhat,
+    dtilde,
     hull_membership,
     integrate,
     lift_along_surjection,
@@ -83,7 +88,7 @@ from maslov import (
 from maslov.core import combine, flatten_space
 from maslov.io import Context, infer_space
 from maslov.laws import LawReport
-from maslov.metrics import maxmin_gap
+from maslov.metrics import inner_distance_table, maxmin_gap
 from maslov.monad import flatten_measure, projection, tensor_many
 from maslov.openness import (
     GapResult,
@@ -158,6 +163,18 @@ def _maxmin_gap_loop(dist, n, lam, kap):
         return max(min(a[i] - b[j] + n * dist[i][j] for j in cols) for i in rows)
 
     return max(one_sided(sup_l, sup_k, lam, kap), one_sided(sup_k, sup_l, kap, lam))
+
+
+def _inner_distance_table_loop(n, X, measures):
+    """The per-pair dtilde table."""
+    k = len(measures)
+    table = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            v = dtilde(n, X, measures[i], measures[j])
+            table[i][j] = v
+            table[j][i] = v
+    return table
 
 
 def _marginal_by_projection(mu, axis):
@@ -654,6 +671,179 @@ class TestMaxminGapMatchesLoop:
     def test_empty_support_rejected_alike(self):
         args = ([[0.0, 1.0], [1.0, 0.0]], 1, [NEG_INF, NEG_INF], [0.0, NEG_INF])
         assert _outcome(maxmin_gap, *args) == _outcome(_maxmin_gap_loop, *args)
+
+
+# ------------------------------------------------- dual-distance table
+
+def _pseudometric(sp, table):
+    """A MetricSpace over a pseudometric table, which the constructor rejects
+    for its zero distances between distinct points; built through the copy
+    path, which does not validate."""
+    X = MetricSpace.__new__(MetricSpace)
+    X.__setstate__({"space": sp, "dist": tuple(map(tuple, table.tolist())), "_table": table})
+    return X
+
+
+def _ground(gen, p, kind):
+    sp = _labels("p", p)
+    if kind == "dyadic":
+        return metric_closure(sp, _dyadic_table(gen, p))
+    if kind == "thirds":
+        return metric_closure(sp, _uniform_table(gen, p) / 3)
+    # a metric on clusters, pulled back to the points: zero within a cluster
+    c = int(gen.integers(1, p + 1))
+    D = metric_closure(_labels("c", c), _uniform_table(gen, c) / 3).matrix
+    g = gen.integers(0, c, size=p)
+    return _pseudometric(sp, D[np.ix_(g, g)])
+
+
+def _measure(gen, sp, kind, thirds):
+    p = len(sp)
+    if kind == "dirac":
+        w = np.full(p, NEG_INF)
+    else:
+        w = gen.uniform(-10.0, 0.0, size=p) / 3 if thirds else -gen.integers(0, 33, size=p) / 4.0
+        if kind == "partial":
+            w[gen.random(p) < 0.5] = NEG_INF
+    w[gen.integers(p)] = 0.0
+    return IdempotentMeasure(sp, tuple(w.tolist()))
+
+
+@st.composite
+def _inner_instances(draw):
+    """n, a ground table on 1-20 points and 2-14 measures on it.
+
+    The ground is a closed dyadic table, a closed uniform ÷ 3 table or a
+    pseudometric; each measure is a Dirac, partly or fully supported, with
+    dyadic or uniform ÷ 3 weights; the last may repeat the first.
+    """
+    p = draw(st.integers(1, 20))
+    k = draw(st.integers(2, 14))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = _ground(gen, p, draw(st.sampled_from(["dyadic", "thirds", "pseudo"])))
+    kinds = draw(st.lists(st.sampled_from(["dirac", "partial", "full"]), min_size=k, max_size=k))
+    thirds = draw(st.booleans())
+    ms = [_measure(gen, X.space, kind, thirds) for kind in kinds]
+    if draw(st.booleans()):
+        ms[-1] = ms[0]
+    return draw(st.integers(1, 7)), X, ms
+
+
+class TestInnerDistanceTableMatchesLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(_inner_instances())
+    def test_random_instances(self, instance):
+        got = inner_distance_table(*instance)
+        want = _inner_distance_table_loop(*instance)
+        assert got == want
+        assert [_bits(row) for row in got] == [_bits(row) for row in want]
+        assert all(type(v) is float for row in got for v in row)
+
+    @pytest.mark.parametrize("budget", [1, 37, 400])
+    def test_blocks_of_measures(self, budget, monkeypatch):
+        monkeypatch.setattr("maslov.metrics._BLOCK_TERMS", budget)
+        gen = np.random.default_rng(budget)
+        for ground in ("dyadic", "thirds", "pseudo"):
+            X = _ground(gen, 9, ground)
+            ms = [_measure(gen, X.space, kind, True) for kind in ("dirac", "partial", "full") * 4]
+            for n in (1, 3):
+                assert inner_distance_table(n, X, ms) == _inner_distance_table_loop(n, X, ms)
+
+    def test_kernels_large_sizes(self):
+        gen = np.random.default_rng(16)
+        for p in (48, 96):
+            X = _ground(gen, p, "dyadic")
+            ms = [_measure(gen, X.space, "partial", False) for _ in range(12)]
+            for n in (1, 2, 4):
+                assert inner_distance_table(n, X, ms) == _inner_distance_table_loop(n, X, ms)
+
+    def test_errors_match_the_loop(self):
+        X = metric_closure(space("ab"), [[0, 1], [1, 0]])
+        mu, nu = dirac(X.space, "a"), dirac(X.space, "b")
+        foreign = dirac(space("ac"), "a")
+        N_BAD = "the Lipschitz class bound n must be a positive integer"
+        SPACE = "measures must live on the metric space's point set"
+        cases = {
+            (1, ()): [],
+            (1, (mu,)): [[0.0]],
+            (0, ()): [],
+            (1.5, (mu,)): [[0.0]],
+            (1, (foreign,)): [[0.0]],
+            (0, (mu, nu)): ("raised", N_BAD),
+            (1.5, (mu, nu, mu)): ("raised", N_BAD),
+            (-1, (mu, nu)): ("raised", N_BAD),
+            (0, (mu, foreign)): ("raised", N_BAD),
+            (1, (mu, foreign)): ("raised", SPACE),
+            (1, (foreign, mu)): ("raised", SPACE),
+            (2, (mu, nu, mu, foreign)): ("raised", SPACE),
+        }
+        for (n, measures), want in cases.items():
+            assert _outcome(inner_distance_table, n, X, measures) == want
+            assert _outcome(_inner_distance_table_loop, n, X, measures) == want
+
+
+# ------------------------------------------------ min-plus triangle check
+
+def _at_the_slack(gen, n, kind):
+    """A closed table with one entry d_ij raised to its largest accepted
+    value t = min over the other k of fl(fl(d_ik + d_kj)·(1 + n·ε)); no
+    other triangle has d_ij on its long side, and a longer d_ij only
+    helps the rest.  Returns the table as a function of that entry, and t."""
+    d = TABLES[kind](gen, n)
+    for k in range(n):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    i, j = (int(v) for v in gen.choice(n, size=2, replace=False))
+    slack = 1.0 + n * sys.float_info.epsilon
+    t = min((d[i, k] + d[k, j]) * slack for k in range(n) if k not in (i, j))
+
+    def table(v):
+        e = d.copy()
+        e[i, j] = e[j, i] = v
+        return e.tolist()
+
+    return table, t
+
+
+class TestMinPlusCheckMatchesLoop:
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    def test_one_ulp_either_side_of_the_slack(self, kind):
+        gen = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(gen.integers(3, 13))
+            X = _labels("p", n)
+            table, t = _at_the_slack(gen, n, kind)
+            for v, ok in ((math.nextafter(t, 0.0), True), (t, True),
+                          (math.nextafter(t, math.inf), False)):
+                want = _outcome(_metric_space_loop, X, table(v))
+                assert _outcome(lambda: MetricSpace(X, table(v)).dist) == want
+                assert (want[0] != "raised") == ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from(["raw", "closed"]))
+    def test_uniform_thirds(self, n, seed, form):
+        gen = np.random.default_rng(seed)
+        d = _uniform_table(gen, n) / 3
+        if form == "closed":
+            for k in range(n):
+                d = np.minimum(d, d[:, k, None] + d[None, k, :])
+        X = _labels("p", n)
+        want = _outcome(_metric_space_loop, X, d.tolist())
+        for table in (d, d.tolist()):
+            assert _outcome(lambda: MetricSpace(X, table).dist) == want
+
+
+class TestClosureHandsOverItsArray:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.sampled_from(sorted(TABLES)))
+    def test_matches_loop(self, n, seed, kind):
+        X = _labels("p", n)
+        raw = TABLES[kind](np.random.default_rng(seed), n) / 3
+        closed = metric_closure(X, raw)
+        want = _metric_closure_loop(X, raw)
+        assert closed.dist == want
+        assert np.array_equal(closed.matrix, np.array(want))
+        assert closed._table.dtype == np.float64 and not closed._table.flags.writeable
+        assert MetricSpace(X, closed.matrix) == MetricSpace(X, closed.dist) == closed
 
 
 # ------------------------------------------------------------ marginal
@@ -1602,3 +1792,15 @@ class TestValueClassesCopyAndPickle:
         for out in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert np.array_equal(out.matrix, m.matrix) and dhat(1, out, mu, mu) == 0.0
         assert pickle.loads(pickle.dumps(X)).index("b") == 1
+
+    def test_metric_space_copies_refuse_writes(self):
+        m = metric_closure(space("abc"), [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        outs = [copy.copy(m), copy.deepcopy(m)]
+        outs += [pickle.loads(pickle.dumps(m, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for out in outs:
+            assert out == m and np.array_equal(out._table, m._table)
+            assert not out._table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                out._table[0, 2] = 9.0
+            assert out.dist == m.dist and out.d("a", "c") == 2.0
