@@ -8,7 +8,7 @@ integral of the embedding, i.e. the tropical center of mass.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import NEG_INF, FiniteSpace, Label, _Value, combine
 from .measures import IdempotentMeasure
@@ -33,6 +33,7 @@ class PointCloudSpace(_Value):
     """
 
     __slots__ = ("space", "embed")
+    _fields = ("space", "embed")
     space: FiniteSpace
     embed: Mapping[Label, TropicalPoint]
 
@@ -48,17 +49,6 @@ class PointCloudSpace(_Value):
         if len({len(q) for q in coords}) != 1:
             raise ValueError("inconsistent coordinate dimensions")
         object.__setattr__(self, "embed", dict(zip(self.space.points, coords)))
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.space, self.embed) == (other.space, other.embed)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.embed))
-
-    def __repr__(self) -> str:
-        return f"PointCloudSpace(space={self.space!r}, embed={self.embed!r})"
 
     @property
     def dim(self) -> int:

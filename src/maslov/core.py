@@ -12,6 +12,7 @@ from __future__ import annotations
 import copyreg
 import math
 import sys
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 # numpy is imported inside the array kernels (MetricSpace validation and
@@ -88,17 +89,44 @@ class FrozenInstanceError(AttributeError):
 class _Value:
     """The base of the immutable value classes.
 
-    A subclass names its fields in `__slots__` and writes out its own
-    `__init__`, `__eq__`, `__hash__` and `__repr__`.  `__init__` sets the
-    fields with `object.__setattr__` and then calls `__post_init__`, where
-    the class validates and normalizes them; `__eq__` compares the tuples
-    of compared fields of two instances of the same class, and `__hash__`
-    hashes that tuple.  After `__init__` every assignment or deletion
-    raises `FrozenInstanceError`.  Copy and pickle rebuild an instance from
-    its filled slots without calling `__init__` again.
+    A subclass names its slots in `__slots__` and its compared fields, in
+    order, in the tuple `_fields`; equality, hash and repr come from that
+    tuple.  `__eq__` is `NotImplemented` for an instance of another class
+    and otherwise compares the two tuples of field values; `__hash__`
+    hashes that tuple, a 1-tuple for one field; `__repr__` reads
+    `Name(field=value, ...)`.  `__eq__` and `__hash__` are built once per
+    class, when it is created.  The subclass writes out its own `__init__`,
+    which sets the fields with `object.__setattr__` and then calls
+    `__post_init__`, where the class validates and normalizes them.  After
+    `__init__` every assignment or deletion raises `FrozenInstanceError`.
+    Copy and pickle rebuild an instance from its filled slots without
+    calling `__init__` again.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = attrgetter(*cls._fields)
+        key = fields if len(cls._fields) > 1 else lambda obj: (fields(obj),)
+
+        def __eq__(self: _Value, other: object) -> bool:
+            if self is other:  # a field tuple always equals itself
+                return True
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self: _Value) -> int:
+            return hash(key(self))
+
+        cls.__eq__ = __eq__  # type: ignore[method-assign]
+        cls.__hash__ = __hash__  # type: ignore[method-assign]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -142,6 +170,7 @@ class FiniteSpace(_Value):
     """
 
     __slots__ = ("points", "_index")
+    _fields = ("points",)
     points: tuple[Label, ...]
     _index: dict[Label, int]
 
@@ -160,17 +189,6 @@ class FiniteSpace(_Value):
         if len(index) != len(self.points):
             raise ValueError("point labels must be pairwise distinct")
         object.__setattr__(self, "_index", index)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.points,) == (other.points,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.points,))
-
-    def __repr__(self) -> str:
-        return f"FiniteSpace(points={self.points!r})"
 
     @property
     def _lookup(self) -> Callable[[Label], int | None]:
@@ -240,6 +258,7 @@ class ProductSpace(FiniteSpace):
     """
 
     __slots__ = ("factors", "_size", "_axes")
+    _fields = ("factors",)
     factors: tuple[FiniteSpace, ...]
     _size: int
     _axes: tuple[tuple[Callable[[Label], int | None], int], ...]
@@ -259,14 +278,6 @@ class ProductSpace(FiniteSpace):
         object.__setattr__(self, "_size", math.prod(shape))
         # per factor: coordinate -> index in the factor (None if absent), size
         object.__setattr__(self, "_axes", tuple(zip((f._lookup for f in factors), shape)))
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.factors,) == (other.factors,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
 
     def __repr__(self) -> str:
         return f"ProductSpace(points={self.points!r}, factors={self.factors!r})"
@@ -351,6 +362,7 @@ class FiniteFunction(_Value):
     """
 
     __slots__ = ("space", "values")
+    _fields = ("space", "values")
     space: FiniteSpace
     values: tuple[float, ...]
 
@@ -364,17 +376,6 @@ class FiniteFunction(_Value):
         if len(vals) != len(self.space):
             raise ValueError("one value per point required")
         object.__setattr__(self, "values", vals)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.space, self.values) == (other.space, other.values)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.values))
-
-    def __repr__(self) -> str:
-        return f"FiniteFunction(space={self.space!r}, values={self.values!r})"
 
     @classmethod
     def from_mapping(cls, space: FiniteSpace, table: Mapping[Label, float]) -> "FiniteFunction":
@@ -430,6 +431,7 @@ class MetricSpace(_Value):
     """
 
     __slots__ = ("space", "dist", "_table")
+    _fields = ("space", "dist")
     space: FiniteSpace
     dist: tuple[tuple[float, ...], ...]
     _table: np.ndarray
@@ -479,17 +481,6 @@ class MetricSpace(_Value):
         d.flags.writeable = False
         object.__setattr__(self, "_table", d)
         object.__setattr__(self, "dist", tuple(map(tuple, d.tolist())))
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.space, self.dist) == (other.space, other.dist)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.dist))
-
-    def __repr__(self) -> str:
-        return f"MetricSpace(space={self.space!r}, dist={self.dist!r})"
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         super().__setstate__(state)

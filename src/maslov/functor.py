@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .core import NEG_INF, FiniteFunction, FiniteSpace, Label, _Value
 from .measures import IdempotentMeasure, _require_measure
@@ -16,6 +16,7 @@ class PointMap(_Value):
     """
 
     __slots__ = ("source", "target", "table", "_targets")
+    _fields = ("source", "target", "table")
     source: FiniteSpace
     target: FiniteSpace
     table: Mapping[Label, Label]
@@ -36,18 +37,6 @@ class PointMap(_Value):
             self.target.require(images, "map values")
         object.__setattr__(self, "table", dict(zip(self.source.points, images)))
         object.__setattr__(self, "_targets", targets)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.source, self.target, self.table) == (
-                other.source, other.target, other.table)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.table))
-
-    def __repr__(self) -> str:
-        return f"PointMap(source={self.source!r}, target={self.target!r}, table={self.table!r})"
 
     def __call__(self, x: Label) -> Label:
         if x not in self.source:

@@ -9,7 +9,7 @@ finds or the number of cases that passed.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Union
+from typing import Callable, Union
 
 from .convexity import PointCloudSpace, algebra_law_check, barycenter, hull_membership
 from .core import NEG_INF, FiniteFunction, FiniteSpace, _Value, pointwise_max
@@ -33,6 +33,7 @@ from .monad import (
 
 class LawReport(_Value):
     __slots__ = ("name", "cases", "ok", "counterexample")
+    _fields = ("name", "cases", "ok", "counterexample")
     name: str
     cases: int
     ok: bool
@@ -43,21 +44,6 @@ class LawReport(_Value):
         object.__setattr__(self, "cases", cases)
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "counterexample", counterexample)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name, self.cases, self.ok, self.counterexample) == (
-                other.name, other.cases, other.ok, other.counterexample)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.cases, self.ok, self.counterexample))
-
-    def __repr__(self) -> str:
-        return (
-            f"LawReport(name={self.name!r}, cases={self.cases!r}, ok={self.ok!r}, "
-            f"counterexample={self.counterexample!r})"
-        )
 
     @property
     def status(self) -> str:

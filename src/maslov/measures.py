@@ -8,7 +8,7 @@ analogue of expectation.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     NEG_INF,
@@ -36,6 +36,7 @@ class IdempotentMeasure(_Value):
     """
 
     __slots__ = ("space", "weights")
+    _fields = ("space", "weights")
     space: FiniteSpace
     weights: tuple[float, ...]
 
@@ -51,14 +52,6 @@ class IdempotentMeasure(_Value):
         if max(w) != 0.0:
             raise ValueError("measure is not normalized: maximum weight must be 0")
         object.__setattr__(self, "weights", w)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.space, self.weights) == (other.space, other.weights)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.weights))
 
     @classmethod
     def _trusted(cls, space: FiniteSpace, weights: tuple[float, ...]) -> "IdempotentMeasure":

@@ -11,7 +11,7 @@ with this structure.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     NEG_INF,
@@ -37,6 +37,7 @@ class OuterMeasure(_Value):
     """
 
     __slots__ = ("base", "inner", "weights")
+    _fields = ("base", "inner", "weights")
     base: FiniteSpace
     inner: tuple[IdempotentMeasure, ...]
     weights: tuple[float, ...]
@@ -64,17 +65,6 @@ class OuterMeasure(_Value):
             raise ValueError("outer measure is not normalized: maximum weight must be 0")
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "weights", w)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.base, self.inner, self.weights) == (other.base, other.inner, other.weights)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.inner, self.weights))
-
-    def __repr__(self) -> str:
-        return f"OuterMeasure(base={self.base!r}, inner={self.inner!r}, weights={self.weights!r})"
 
 
 def outer_eval(M: OuterMeasure, phi: FiniteFunction) -> float:
@@ -179,6 +169,7 @@ class ClosedSet(_Value):
     """A nonempty subset of a finite space."""
 
     __slots__ = ("space", "members")
+    _fields = ("space", "members")
     space: FiniteSpace
     members: frozenset[Label]
 
@@ -192,17 +183,6 @@ class ClosedSet(_Value):
         if not members:
             raise ValueError("closed sets are nonempty")
         object.__setattr__(self, "members", members)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.space, self.members) == (other.space, other.members)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.members))
-
-    def __repr__(self) -> str:
-        return f"ClosedSet(space={self.space!r}, members={self.members!r})"
 
 
 def hyperspace_embed(A: ClosedSet) -> IdempotentMeasure:
@@ -248,6 +228,7 @@ class FuzzySet(_Value):
     """A [0,1]-graded membership function attaining the grade 1 somewhere."""
 
     __slots__ = ("space", "grades")
+    _fields = ("space", "grades")
     space: FiniteSpace
     grades: tuple[float, ...]
 
@@ -265,17 +246,6 @@ class FuzzySet(_Value):
         if max(g) != 1.0:
             raise ValueError("some point must have grade exactly 1")
         object.__setattr__(self, "grades", g)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.space, self.grades) == (other.space, other.grades)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.grades))
-
-    def __repr__(self) -> str:
-        return f"FuzzySet(space={self.space!r}, grades={self.grades!r})"
 
     @classmethod
     def from_mapping(cls, space: FiniteSpace, table: Mapping[Label, float]) -> "FuzzySet":

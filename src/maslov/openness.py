@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core import (
     NEG_INF,
@@ -48,6 +48,7 @@ class CollapseMap(_Value):
     """A surjection collapsing exactly one pair of points; all other fibers are singletons."""
 
     __slots__ = ("map",)
+    _fields = ("map",)
     map: PointMap
 
     def __init__(self, map: PointMap) -> None:
@@ -60,17 +61,6 @@ class CollapseMap(_Value):
             raise ValueError("a collapse map drops exactly one point")
         if not f.is_surjective:
             raise ValueError("a collapse map must be surjective")
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.map,) == (other.map,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.map,))
-
-    def __repr__(self) -> str:
-        return f"CollapseMap(map={self.map!r})"
 
     @property
     def doubled(self) -> tuple[Label, Label]:
@@ -238,6 +228,7 @@ class TightPattern(_Value):
     """
 
     __slots__ = ("rows", "cols", "fixed")
+    _fields = ("rows", "cols", "fixed")
     rows: tuple[tuple[Label, Label], ...]
     cols: tuple[tuple[Label, Label], ...]
     fixed: tuple[tuple[tuple[Label, Label], float], ...]
@@ -251,17 +242,6 @@ class TightPattern(_Value):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "fixed", fixed)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.fixed) == (other.rows, other.cols, other.fixed)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.fixed))
-
-    def __repr__(self) -> str:
-        return f"TightPattern(rows={self.rows!r}, cols={self.cols!r}, fixed={self.fixed!r})"
 
 
 _PATTERN_CAP = 4  # points per side in tight_patterns
@@ -335,6 +315,7 @@ class GapResult(_Value):
     """
 
     __slots__ = ("gap", "coupling", "phi")
+    _fields = ("gap", "coupling", "phi")
     gap: float
     coupling: IdempotentMeasure
     phi: FiniteFunction
@@ -343,17 +324,6 @@ class GapResult(_Value):
         object.__setattr__(self, "gap", gap)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "phi", phi)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.gap, self.coupling, self.phi) == (other.gap, other.coupling, other.phi)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.gap, self.coupling, self.phi))
-
-    def __repr__(self) -> str:
-        return f"GapResult(gap={self.gap!r}, coupling={self.coupling!r}, phi={self.phi!r})"
 
 
 def coupling_gap(
@@ -474,6 +444,7 @@ class CoverPair(_Value):
     """A pair U ⊆ V of subsets with a weight profile that is 0 on U and ≤ 0 on V."""
 
     __slots__ = ("U", "V", "alpha")
+    _fields = ("U", "V", "alpha")
     U: frozenset[Label]
     V: frozenset[Label]
     alpha: Mapping[Label, float] | None
@@ -510,22 +481,12 @@ class CoverPair(_Value):
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "alpha", alpha)
 
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.U, self.V, self.alpha) == (other.U, other.V, other.alpha)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.U, self.V, self.alpha))
-
-    def __repr__(self) -> str:
-        return f"CoverPair(U={self.U!r}, V={self.V!r}, alpha={self.alpha!r})"
-
 
 class MilyutinLevel(_Value):
     """One refinement stage: a list of cover pairs whose U-sets cover the base."""
 
     __slots__ = ("pairs",)
+    _fields = ("pairs",)
     pairs: tuple[CoverPair, ...]
 
     def __init__(self, pairs: tuple[CoverPair, ...]) -> None:
@@ -537,17 +498,6 @@ class MilyutinLevel(_Value):
         if not pairs:
             raise ValueError("a level needs at least one cover pair")
         object.__setattr__(self, "pairs", pairs)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.pairs,) == (other.pairs,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.pairs,))
-
-    def __repr__(self) -> str:
-        return f"MilyutinLevel(pairs={self.pairs!r})"
 
 
 def milyutin_build(
