@@ -22,10 +22,12 @@ composed along `factor_surjection` for an arbitrary surjection.
 Flattening and `tensor_many` read the row-major point order of a product
 instead of its labels; they are compared with the label-walking relabel
 and the per-coordinate weight lookups, and `infer_space` must rebuild
-every nested product from its point list.  The value classes are written
-out by hand; the `dataclasses` definitions they replaced are kept below,
-and every class must match them in `==`, hash, repr, construction and
-immutability, and survive copy and pickle.  The dual-distance table of
+every nested product from its point list.  The value classes take `==`,
+hash and repr from their `_fields` tuples on `core._Value`; the
+`dataclasses` definitions they replaced are kept below, each `_fields` must
+be the compared fields of its definition, and every class must match them
+in `==`, hash, repr, construction and immutability, and survive copy and
+pickle.  The dual-distance table of
 `outer_dtilde` is one array pass per row; it is compared with the per-pair
 `dtilde` loop it replaced, on metric and pseudometric ground tables.  The
 triangle check of `MetricSpace` runs on a min-plus square; it is compared
@@ -1713,6 +1715,12 @@ class TestValueClassesMatchDataclasses:
             assert [p.default for p in params] == [p.default for p in want]
         values = _fields_of(a)
         assert cls(*values.values()) == a and cls(**values) == a
+
+    @pytest.mark.parametrize("name", [n for n in _VALUE_CLASSES if n != "Context"])
+    def test_fields_are_the_compared_fields(self, name):
+        cls = type(_value_samples()[name][0])
+        want = tuple(f.name for f in dataclasses.fields(_DATACLASSES[name]) if f.compare)
+        assert cls._fields == want
 
     def test_defaults(self):
         assert CoverPair({"a"}, {"a", "b"}) == CoverPair({"a"}, {"a", "b"}, None)

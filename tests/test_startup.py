@@ -4,9 +4,11 @@ Max-plus operations on weight tuples need no arrays, so a fresh process
 that imports the package and runs the CLI on such documents never imports
 numpy; `maslov dist` builds a MetricSpace and does.  The package re-exports
 a fixed set of names, and every name that the README, the demos and the
-benchmark import from it must resolve.  The value classes are written out
-by hand, so importing the CLI loads no `dataclasses` and none of the
-modules that it pulls in.
+benchmark import from it must resolve.  The value classes take `==`, hash
+and repr from their field tuples on `core._Value`, with no class builder,
+so importing the CLI loads no `dataclasses` and none of the modules that
+it pulls in; no other class writes `==` or hash, and only two value
+classes write their own repr.  Every name a module imports is read in it.
 """
 
 import ast
@@ -124,18 +126,67 @@ def test_cli_import_loads_no_class_builder():
     assert json.loads(proc.stdout) == []
 
 
+def module_trees():
+    for path in sorted((ROOT / "src" / "maslov").glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_no_module_imports_dataclasses():
     found = []
-    for path in sorted((ROOT / "src" / "maslov").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for module, tree in module_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
             else:
                 continue
-            found += [(path.name, m) for m in modules if m.split(".")[0] == "dataclasses"]
+            found += [(module, m) for m in modules if m.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+def test_value_methods_have_one_definition():
+    """`==` and hash come from `core._Value` alone (its `__init_subclass__`
+    builds them), repr from it too except for two value classes; `io.Context`,
+    the one mutable class, writes its own `==` and repr."""
+    found = set()
+    for module, tree in module_trees():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [stmt.name]
+                elif isinstance(stmt, ast.Assign):
+                    names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    names = [stmt.target.id]
+                else:
+                    continue
+                found.update((module, cls.name, name) for name in names
+                             if name in ("__eq__", "__hash__", "__repr__"))
+    assert {f for f in found if f[2] != "__repr__"} == {("io", "Context", "__eq__")}
+    assert {f[:2] for f in found if f[2] == "__repr__"} == {
+        ("core", "_Value"), ("core", "ProductSpace"),
+        ("measures", "IdempotentMeasure"), ("io", "Context"),
+    }
+
+
+def test_every_import_is_read():
+    """Every name a module imports is read in it, annotations included; the
+    package's re-exports and `from __future__` are exempt."""
+    unused = []
+    for module, tree in module_trees():
+        if module == "__init__":
+            continue
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        unused += [(module, name) for name in sorted(imported - read)]
+    assert unused == []
 
 
 # Prints which of numpy and maslov.laws `import maslov.cli` loaded, then, per
