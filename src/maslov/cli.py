@@ -18,7 +18,7 @@ from . import io as mio
 from .convexity import barycenter
 from .functor import lift_along_surjection, pushforward
 from .measures import integrate, pointwise_sup
-from .metrics import dhat, dhat_oracle, dtilde
+from .metrics import dhat, dhat_oracle
 from .monad import ClosedSet, FuzzySet, fuzzy_embed, hyperspace_embed, marginal, multiply, tensor
 from .openness import (
     CollapseMap,
@@ -70,15 +70,16 @@ def _read_json(path: str) -> Any:
 def _documents(*specs: tuple[str | None, str]) -> list[Any]:
     """Read, check and decode documents given as (path, kind) pairs.
 
-    Returns the context and then one decoded object per pair, in argument
-    order; a None path (an option not given) decodes to None.  Every
-    document is read and checked before the context is built from all of
-    them, and every one is decoded before any command computes.
+    Returns the context and then one decoded object per pair; a None path
+    (an option not given) decodes to None.  Every document is read and
+    checked before any is decoded.  Decoding is one pass in argument order
+    into a fresh context, so a space name is defined by the first document
+    that uses it, and every document is decoded before any command computes.
     """
     objs = [None if path is None else _read_json(path) for path, _ in specs]
     if not all(obj is None or isinstance(obj, dict) for obj in objs):
         raise mio.DocumentError("every document must be a JSON object")
-    ctx = mio.build_context([obj for obj in objs if obj is not None])
+    ctx = mio.Context()
     return [ctx] + [
         None if obj is None else mio.decode(obj, ctx, kind)
         for obj, (_, kind) in zip(objs, specs)
@@ -136,7 +137,7 @@ def cmd_dist(args) -> int:
         (args.metric, "metric_space"), (args.left, "measure"), (args.right, "measure")
     )
     value = dhat(args.n, X, mu, nu)
-    out: dict[str, Any] = {"n": args.n, "dhat": value, "dtilde": dtilde(args.n, X, mu, nu)}
+    out: dict[str, Any] = {"n": args.n, "dhat": value, "dtilde": value / args.n}
     if args.oracle:
         out["oracle"] = dhat_oracle(args.n, X, mu, nu, step=args.step)
         out["step"] = args.step
@@ -227,9 +228,7 @@ def cmd_counterexample(args) -> int:
         raise mio.DocumentError("--l must be a positive integer or 'inf'")
     mu1, mu2, target = counterexample_instance(l)
     result = coupling_gap(mu1, mu2, target)
-    ctx = mio.Context()
-    ctx.register("X", mu1.space)
-    ctx.register("Y", mu2.space)
+    ctx = mio.Context({"X": mu1.space, "Y": mu2.space})
     _emit(
         {
             "l": "inf" if l == math.inf else int(l),

@@ -470,14 +470,17 @@ class MetricSpace(_Value):
             if bad_sym[i, j]:
                 raise ValueError("distance table must be symmetric")
             raise ValueError("distinct points must be at positive distance")
-        # d is symmetric here, so d_ik + d_kj is read from row k alone.
-        m = d[0, :, None] + d[0]
-        buf = np.empty_like(m)
-        for row in d[1:]:
-            np.add(row[:, None], row, out=buf)
-            np.minimum(m, buf, out=m)
-        if (d > m * (1.0 + n * sys.float_info.epsilon)).any():
-            raise ValueError("triangle inequality fails; run metric_closure on the raw table")
+        # d is symmetric here, so d_ik + d_kj is read from row k alone.  A
+        # sum or product past the float range is +inf, which never lowers a
+        # minimum and never fails d ≤ m·s, so overflow is not reported.
+        with np.errstate(over="ignore"):
+            m = d[0, :, None] + d[0]
+            buf = np.empty_like(m)
+            for row in d[1:]:
+                np.add(row[:, None], row, out=buf)
+                np.minimum(m, buf, out=m)
+            if (d > m * (1.0 + n * sys.float_info.epsilon)).any():
+                raise ValueError("triangle inequality fails; run metric_closure on the raw table")
         d.flags.writeable = False
         object.__setattr__(self, "_table", d)
         object.__setattr__(self, "dist", tuple(map(tuple, d.tolist())))
@@ -523,9 +526,11 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     if (np.diag(d) != 0).any():
         raise ValueError("raw dissimilarities must vanish on the diagonal")
     # Floyd-Warshall; row and column k do not change in step k, so one
-    # array step per k makes the same comparisons as the in-place loop.
-    for k in range(n):
-        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    # array step per k makes the same comparisons as the in-place loop.  A
+    # path sum past the float range is +inf and never lowers an entry.
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            d = np.minimum(d, d[:, k, None] + d[None, k, :])
     return MetricSpace(space, d)
 
 

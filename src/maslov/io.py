@@ -118,8 +118,6 @@ def _try_product(points: Sequence[Label]) -> ProductSpace | None:
 def infer_space(points: Sequence[Label]) -> FiniteSpace:
     """Rebuild a space from an ordered point list, detecting full products."""
     pts = tuple(points)
-    if len(set(pts)) != len(pts):
-        raise DocumentError("duplicate points in a space")
     prod = _try_product(pts)
     return prod if prod is not None else FiniteSpace(pts)
 
@@ -151,10 +149,11 @@ class Context:
             raise DocumentError(f"space {name!r} redefined with different points")
         return known
 
-    def resolve(self, ref: Any, points: Sequence[Label] | None = None) -> FiniteSpace:
+    def resolve(self, ref: Any, points: Sequence[Label]) -> FiniteSpace:
         """Resolve a space reference: an inline space, a known name, or a new
-        name backed by `points`.  The points are used only for a new name;
-        checking a table against a known space is left to `FiniteSpace.dense`.
+        name, which the first document to use it defines with `points`.  The
+        points are used only for a new name; checking a table against a known
+        space is left to `FiniteSpace.dense`.
         """
         if isinstance(ref, dict):
             pts = _label_array(ref.get("points"), "inline space points")
@@ -163,8 +162,6 @@ class Context:
             raise DocumentError(f"space references must be names, got {ref!r}")
         if ref in self.spaces:
             return self.spaces[ref]
-        if points is None:
-            raise DocumentError(f"unknown space {ref!r} and no points to derive it from")
         return self.register(ref, infer_space(list(points)))
 
     def name_of(self, space: FiniteSpace) -> str:
@@ -176,24 +173,7 @@ class Context:
         return _content_name(space)
 
 
-def _named_space(obj: Mapping[str, Any], ctx: Context) -> FiniteSpace:
-    """Register the space that a space or metric_space document names."""
-    points = _label_array(obj.get("points"), f"{obj.get('kind')} document points")
-    return ctx.register(obj.get("name", "X"), infer_space(points))
-
-
-def build_context(objs: Sequence[Mapping[str, Any]]) -> Context:
-    """First pass over a document set: register every named space."""
-    ctx = Context()
-    for obj in objs:
-        if obj.get("kind") in ("space", "metric_space"):
-            _named_space(obj, ctx)
-    return ctx
-
-
 def _require(obj: Mapping[str, Any], kind: str, *keys: str) -> None:
-    if obj.get("kind") != kind:
-        raise DocumentError(f"expected a {kind} document, got kind={obj.get('kind')!r}")
     for key in keys:
         if key not in obj:
             raise DocumentError(f"{kind} document is missing {key!r}")
@@ -270,8 +250,9 @@ def space_doc(space: FiniteSpace, name: str = "X") -> dict:
 
 
 def decode_space(obj: Mapping[str, Any], ctx: Context) -> FiniteSpace:
-    _require(obj, "space")
-    return _named_space(obj, ctx)
+    """Register the space that a space or metric_space document names."""
+    points = _label_array(obj.get("points"), f"{obj.get('kind')} document points")
+    return ctx.register(obj.get("name", "X"), infer_space(points))
 
 
 def metric_space_doc(ms: MetricSpace, name: str = "X") -> dict:
@@ -289,7 +270,7 @@ def decode_metric_space(obj: Mapping[str, Any], ctx: Context) -> MetricSpace:
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise DocumentError("dist must be a matrix (list of rows)")
     rows = tuple(tuple(decode_value(v) for v in row) for row in dist)
-    return MetricSpace(_named_space(obj, ctx), rows)
+    return MetricSpace(decode_space(obj, ctx), rows)
 
 
 # ------------------------------------------------------------------ maps

@@ -64,6 +64,10 @@ def maxmin_gap(
 def _check_pair(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError("the Lipschitz class bound n must be a positive integer")
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError("the Lipschitz class bound n is too large for a float") from None
     if mu.space != X.space or nu.space != X.space:
         raise ValueError("measures must live on the metric space's point set")
 

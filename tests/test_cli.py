@@ -448,6 +448,15 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: oracle grid has over 4000000 cells on axis 1 alone\n"
 
+    def test_dist_rejects_n_past_the_float_range(self, tmp_path, capsys):
+        ms = write(tmp_path, "ms.json", mio.metric_space_doc(metric_closure(X2, [[0, 1], [1, 0]]), "M"))
+        mu = write(tmp_path, "mu.json", mio.measure_doc(dirac(X2, "a")))
+        code = cli.main(["dist", ms, mu, mu, "--n", "1" + "0" * 400])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: the Lipschitz class bound n is too large for a float\n"
+
     def test_sup_hyper_fuzzy(self, tmp_path, capsys):
         m1 = write(tmp_path, "m1.json", mio.measure_doc(normalize(X2, {"a": 0, "b": -2})))
         m2 = write(tmp_path, "m2.json", mio.measure_doc(normalize(X2, {"a": -1, "b": 0})))

@@ -1,0 +1,453 @@
+"""Input checks that no other test reaches, one table row each.
+
+Library rows assert the exception type and its whole message.  CLI rows
+run `cli.main` on documents written to a temporary directory and assert
+the exit code, an empty stdout and the `error: …` line on stderr.
+"""
+
+import math
+import random
+import re
+
+import pytest
+
+import maslov.cli as cli
+import maslov.io as mio
+from maslov.convexity import PointCloudSpace, algebra_law_check, barycenter, hull_membership
+from maslov.core import (
+    FiniteFunction,
+    FiniteSpace,
+    metric_closure,
+    pointwise_max,
+    product_space,
+    space,
+)
+from maslov.functor import PointMap, lift_along_surjection, precompose, pushforward
+from maslov.laws import rand_surjection
+from maslov.measures import IdempotentMeasure, convex_combination, dirac, normalize, pointwise_sup
+from maslov.metrics import grid_gap, outer_dtilde
+from maslov.monad import (
+    ClosedSet,
+    FuzzySet,
+    OuterMeasure,
+    flatten_measure,
+    hyperspace_union,
+    map_outer,
+    tensor,
+    tensor_many,
+)
+from maslov.openness import (
+    CollapseMap,
+    CoverPair,
+    InfeasibleError,
+    MilyutinLevel,
+    bicommutative_lift,
+    coupling_feasible,
+    coupling_gap,
+    factor_surjection,
+    lift_open_surjection,
+    milyutin_build,
+)
+
+X2 = space("ab")
+Y2 = space("uv")
+M2 = metric_closure(X2, [[0, 1], [1, 0]])
+LEVEL = MilyutinLevel((CoverPair(frozenset("ab"), frozenset("ab")),))
+ONTO = PointMap(X2, space("u"), {"a": "u", "b": "u"})
+INTO = PointMap(space("a"), X2, {"a": "a"})
+CLOUD = PointCloudSpace(X2, {"a": (0.0,), "b": (1.0,)})
+
+
+LIBRARY = {
+    # core
+    "space: numeric label": (
+        lambda: FiniteSpace((5,)),
+        ValueError, "labels must be strings or nonempty tuples of labels, got 5",
+    ),
+    "function: value count": (
+        lambda: FiniteFunction(X2, (0.0,)),
+        ValueError, "one value per point required",
+    ),
+    "pointwise max: two spaces": (
+        lambda: pointwise_max(FiniteFunction(X2, (0.0, 0.0)), FiniteFunction(Y2, (0.0, 0.0))),
+        ValueError, "functions live on different spaces",
+    ),
+    "closure: not square": (
+        lambda: metric_closure(X2, [[0.0]]),
+        ValueError, "raw table must be square over the space",
+    ),
+    "closure: nonzero diagonal": (
+        lambda: metric_closure(X2, [[1.0, 1.0], [1.0, 0.0]]),
+        ValueError, "raw dissimilarities must vanish on the diagonal",
+    ),
+    # measures
+    "measure: weight count": (
+        lambda: IdempotentMeasure(X2, (0.0,)),
+        ValueError, "one weight per point required",
+    ),
+    "normalize: weight count": (
+        lambda: normalize(X2, [0.0]),
+        ValueError, "one weight per point required",
+    ),
+    "convex combination: two spaces": (
+        lambda: convex_combination(0.0, dirac(X2, "a"), 0.0, dirac(Y2, "u")),
+        ValueError, "measures live on different spaces",
+    ),
+    "sup: two spaces": (
+        lambda: pointwise_sup([dirac(X2, "a"), dirac(Y2, "u")]),
+        ValueError, "measures live on different spaces",
+    ),
+    # functor
+    "map: call off the source": (
+        lambda: ONTO("z"),
+        ValueError, "unknown point 'z'",
+    ),
+    "map: compose mismatched": (
+        lambda: ONTO.then(ONTO),
+        ValueError, "composition mismatch: inner target differs from outer source",
+    ),
+    "map: fiber off the target": (
+        lambda: ONTO.fiber("z"),
+        ValueError, "unknown point 'z'",
+    ),
+    "pushforward: measure off the source": (
+        lambda: pushforward(ONTO, dirac(Y2, "u")),
+        ValueError, "measure does not live on the source of the map",
+    ),
+    "precompose: function off the target": (
+        lambda: precompose(FiniteFunction(X2, (0.0, 0.0)), ONTO),
+        ValueError, "function does not live on the target of the map",
+    ),
+    "lift: measure off the target": (
+        lambda: lift_along_surjection(ONTO, dirac(X2, "a")),
+        ValueError, "measure does not live on the target of the map",
+    ),
+    # convexity
+    "hull: NaN coordinate": (
+        lambda: hull_membership([(math.nan,)], (0.0,)),
+        ValueError, "coordinates must be reals or -inf",
+    ),
+    "hull: no generator": (
+        lambda: hull_membership([], (0.0,)),
+        ValueError, "need at least one generator",
+    ),
+    "hull: mixed dimensions": (
+        lambda: hull_membership([(0.0,), (0.0, 1.0)], (0.0,)),
+        ValueError, "generators have inconsistent dimensions",
+    ),
+    "cloud: mixed dimensions": (
+        lambda: PointCloudSpace(X2, {"a": (0.0,), "b": (0.0, 1.0)}),
+        ValueError, "inconsistent coordinate dimensions",
+    ),
+    "barycenter: measure off the cloud": (
+        lambda: barycenter(CLOUD, dirac(Y2, "u")),
+        ValueError, "measure does not live on the cloud's space",
+    ),
+    "algebra law: outer measure off the cloud": (
+        lambda: algebra_law_check(CLOUD, OuterMeasure(Y2, (dirac(Y2, "u"),), (0.0,))),
+        ValueError, "outer measure does not live over the cloud's space",
+    ),
+    # metrics
+    "grid: table sizes": (
+        lambda: grid_gap([[0.0]], 1, [0.0, 0.0], [0.0, 0.0], radius=1.0),
+        ValueError, "inconsistent table sizes",
+    ),
+    "grid: cells past the cap": (
+        # 2k + 1 = 2003 cells on each of two axes, k = floor(1.001 / 0.001)
+        lambda: grid_gap(
+            [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], 1,
+            [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], step=0.001, radius=10.0,
+        ),
+        ValueError, "oracle grid has 4012009 cells, above the cap 4000000",
+    ),
+    "outer dtilde: base off the metric": (
+        lambda: outer_dtilde(1, M2, OuterMeasure(Y2, (dirac(Y2, "u"),), (0.0,)),
+                             OuterMeasure(X2, (dirac(X2, "a"),), (0.0,))),
+        ValueError, "outer measures must live over the metric space's point set",
+    ),
+    # laws
+    "surjection: too few source points": (
+        lambda: rand_surjection(random.Random(0), space("a"), X2),
+        ValueError, "a surjection needs at least as many source points",
+    ),
+    # monad
+    "outer: no component": (
+        lambda: OuterMeasure(X2, (), ()),
+        ValueError, "an outer measure needs at least one component",
+    ),
+    "outer: weight count": (
+        lambda: OuterMeasure(X2, (dirac(X2, "a"),), (0.0, -1.0)),
+        ValueError, "one weight per inner measure required",
+    ),
+    "outer: mixed bases": (
+        lambda: OuterMeasure(X2, (dirac(Y2, "u"),), (0.0,)),
+        ValueError, "inner measures must share the base space",
+    ),
+    "outer: not normalized": (
+        lambda: OuterMeasure(X2, (dirac(X2, "a"),), (-1.0,)),
+        ValueError, "outer measure is not normalized: maximum weight must be 0",
+    ),
+    "tensor_many: one factor": (
+        lambda: tensor_many([dirac(X2, "a")]),
+        ValueError, "tensor_many needs at least two measures",
+    ),
+    "flatten: flat space": (
+        lambda: flatten_measure(dirac(X2, "a")),
+        ValueError, "only measures on product spaces can be flattened",
+    ),
+    "closed set: empty": (
+        lambda: ClosedSet(X2, frozenset()),
+        ValueError, "closed sets are nonempty",
+    ),
+    "union: two spaces": (
+        lambda: hyperspace_union([ClosedSet(X2, frozenset("a")), ClosedSet(Y2, frozenset("u"))]),
+        ValueError, "sets live on different spaces",
+    ),
+    "map outer: base off the source": (
+        lambda: map_outer(ONTO, OuterMeasure(Y2, (dirac(Y2, "u"),), (0.0,))),
+        ValueError, "outer measure does not live over the source of the map",
+    ),
+    "fuzzy: grade count": (
+        lambda: FuzzySet(X2, (1.0,)),
+        ValueError, "one grade per point required",
+    ),
+    # openness
+    "cover pair: empty U": (
+        lambda: CoverPair(frozenset(), frozenset("a")),
+        ValueError, "U must be nonempty",
+    ),
+    "cover pair: U outside V": (
+        lambda: CoverPair(frozenset("ab"), frozenset("a")),
+        ValueError, "U must be contained in V",
+    ),
+    "cover pair: alpha outside V": (
+        lambda: CoverPair(frozenset("a"), frozenset("a"), {"z": 0.0}),
+        ValueError, "alpha defined outside V: ['z']",
+    ),
+    "cover pair: positive alpha": (
+        lambda: CoverPair(frozenset("a"), frozenset("ab"), {"b": 1.0}),
+        ValueError, "alpha must be nonpositive",
+    ),
+    "cover pair: alpha below 0 on U": (
+        lambda: CoverPair(frozenset("a"), frozenset("ab"), {"a": -1.0}),
+        ValueError, "alpha must be exactly 0 on U",
+    ),
+    "level: no pair": (
+        lambda: MilyutinLevel(()),
+        ValueError, "a level needs at least one cover pair",
+    ),
+    "lift: anchor off the source": (
+        lambda: lift_open_surjection(ONTO, dirac(Y2, "u"), []),
+        ValueError, "anchor measure does not live on the source",
+    ),
+    "lift: nu0 not the image": (
+        lambda: lift_open_surjection(
+            PointMap(X2, Y2, {"a": "u", "b": "v"}), dirac(X2, "a"), [], nu0=dirac(Y2, "v")
+        ),
+        InfeasibleError, "marginal mismatch: nu0 differs from the image of mu0",
+    ),
+    "lift: not onto": (
+        lambda: lift_open_surjection(INTO, dirac(space("a"), "a"), []),
+        ValueError, "lift requires a surjective map",
+    ),
+    "lift: sequence off the target": (
+        lambda: lift_open_surjection(ONTO, dirac(X2, "a"), [dirac(X2, "a")]),
+        ValueError, "sequence measures must live on the target",
+    ),
+    "factor: not onto": (
+        lambda: factor_surjection(INTO),
+        ValueError, "only surjections factor into collapses",
+    ),
+    "bicommute: measure off the source": (
+        lambda: bicommutative_lift(CollapseMap(ONTO), dirac(Y2, "u"), dirac(Y2, "u")),
+        ValueError, "measure does not live on the source",
+    ),
+    "gap: target off the product": (
+        lambda: coupling_gap(dirac(X2, "a"), dirac(Y2, "u"), dirac(X2, "a")),
+        ValueError, "target must live on the product of the marginal spaces",
+    ),
+    "coupling: flat space": (
+        lambda: coupling_feasible(dirac(X2, "a"), dirac(X2, "a"), dirac(Y2, "u")),
+        ValueError, "a coupling lives on a two-factor product space",
+    ),
+    "coupling: other factors": (
+        lambda: coupling_feasible(
+            tensor(dirac(Y2, "u"), dirac(X2, "a")), dirac(X2, "a"), dirac(Y2, "u")
+        ),
+        ValueError, "coupling factors differ from the marginal spaces",
+    ),
+    "milyutin: depth 0": (
+        lambda: milyutin_build(M2, [LEVEL], 0),
+        ValueError, "depth must be at least 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY))
+def test_library_rejects(case):
+    call, exc, message = LIBRARY[case]
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# Documents that `io.decode` rejects, each with the kind it is decoded as.
+# The context knows X = {a, b} and Y = {u, v}.
+DECODE = {
+    "numeric label": (
+        "measure", {"kind": "measure", "space": "X", "atoms": [[5, 0], ["b", -1]]},
+        "labels must be strings or nonempty arrays, got 5",
+    ),
+    "numeric space reference": (
+        "measure", {"kind": "measure", "space": 5, "atoms": {"a": 0, "b": -1}},
+        "space references must be names, got 5",
+    ),
+    "atom list of triples": (
+        "measure", {"kind": "measure", "space": "X", "atoms": [["a", 0, 1], ["b", -1, 1]]},
+        "atoms lists contain [point, value] pairs",
+    ),
+    "atoms as a string": (
+        "measure", {"kind": "measure", "space": "X", "atoms": "a"},
+        "atoms must be an object or a list of pairs",
+    ),
+    "boolean function value": (
+        "function", {"kind": "function", "space": "X", "values": {"a": 0, "b": True}},
+        "function values must be numbers, got True",
+    ),
+    "dist not a matrix": (
+        "metric_space", {"kind": "metric_space", "name": "M", "points": ["a", "b"], "dist": [0, 1]},
+        "dist must be a matrix (list of rows)",
+    ),
+    "metric points repeated": (
+        "metric_space",
+        {"kind": "metric_space", "name": "M", "points": ["a", "a"], "dist": [[0, 1], [1, 0]]},
+        "point labels must be pairwise distinct",
+    ),
+    "inline points repeated": (
+        "measure",
+        {"kind": "measure", "space": {"name": "Z", "points": ["a", "a"]}, "atoms": {"a": 0}},
+        "point labels must be pairwise distinct",
+    ),
+    "space where a measure is expected": (
+        "measure", {"kind": "space", "name": "Z", "points": ["a", "b"]},
+        "expected a measure document, got 'space'",
+    ),
+    "no components": (
+        "outer_measure", {"kind": "outer_measure", "space": "X", "components": []},
+        "components must be a nonempty list",
+    ),
+    "component without weight": (
+        "outer_measure",
+        {"kind": "outer_measure", "space": "X", "components": [{"atoms": {"a": 0, "b": 0}}]},
+        "each component needs weight and atoms",
+    ),
+    "coupling rows as a list": (
+        "coupling", {"kind": "coupling", "rows": "X", "cols": "Y", "table": [["a", {"u": 0}]]},
+        "coupling table must be a nested object",
+    ),
+    "coordinates as a number": (
+        "cloud", {"kind": "cloud", "space": "X", "embed": {"a": 0, "b": 1}},
+        "cloud coordinates must be arrays",
+    ),
+    "no levels": (
+        "cover_levels", {"kind": "cover_levels", "space": "X", "levels": []},
+        "levels must be a nonempty list",
+    ),
+    "empty level": (
+        "cover_levels", {"kind": "cover_levels", "space": "X", "levels": [[]]},
+        "each level is a nonempty list of cover pairs",
+    ),
+    "cover pair without V": (
+        "cover_levels", {"kind": "cover_levels", "space": "X", "levels": [[{"U": ["a"]}]]},
+        "each cover pair needs U and V",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE))
+def test_decode_rejects(case):
+    kind, doc, message = DECODE[case]
+    ctx = mio.Context({"X": X2, "Y": Y2})
+    with pytest.raises(mio.DocumentError, match=f"^{re.escape(message)}$"):
+        mio.decode(doc, ctx, kind)
+
+
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        (dirac(X2, "a"), "couplings live on two-factor products"),
+        (
+            dirac(product_space(product_space(X2, Y2), Y2), (("a", "u"), "v")),
+            "coupling documents need flat factor spaces",
+        ),
+    ],
+    ids=["flat space", "nested factor"],
+)
+def test_coupling_doc_rejects(mu, message):
+    with pytest.raises(mio.DocumentError, match=f"^{re.escape(message)}$"):
+        mio.coupling_doc(mu)
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _doc(tmp_path, name, doc):
+    return _write(tmp_path, name, mio.dumps(doc))
+
+
+METRIC = mio.metric_space_doc(M2, "X")
+MEASURE = mio.measure_doc(normalize(X2, {"a": 0, "b": -1}))
+
+# argv builders over a temporary directory, and the stderr each one prints
+CLI = {
+    "hyper on a non-indicator": (
+        lambda t: ["hyper", _doc(t, "f.json", mio.function_doc(FiniteFunction(X2, (1.0, 0.5))))],
+        "hyper expects a 0/1 indicator function",
+    ),
+    "hyper on an empty set": (
+        lambda t: ["hyper", _doc(t, "f.json", mio.function_doc(FiniteFunction(X2, (0.0, 0.0))))],
+        "the indicated set is empty",
+    ),
+    "--l abc": (lambda t: ["counterexample", "--l", "abc"], "--l must be a positive integer or 'inf'"),
+    "top-level array": (
+        lambda t: ["marginal", _write(t, "a.json", "[1, 2]")],
+        "every document must be a JSON object",
+    ),
+    "repeated metric points": (
+        lambda t: [
+            "dist",
+            _doc(t, "ms.json", {**METRIC, "points": ["a", "a"]}),
+            _doc(t, "mu.json", MEASURE),
+            _doc(t, "nu.json", MEASURE),
+        ],
+        "point labels must be pairwise distinct",
+    ),
+    "space document for a measure": (
+        lambda t: [
+            "dist",
+            _doc(t, "ms.json", METRIC),
+            _doc(t, "sp.json", mio.space_doc(X2, "X")),
+            _doc(t, "nu.json", MEASURE),
+        ],
+        "expected a measure document, got 'space'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI))
+def test_cli_exits_one(tmp_path, capsys, case):
+    argv, message = CLI[case]
+    code = cli.main(argv(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_couplings_without_a_flag_is_feasible(tmp_path, capsys):
+    mu1 = _doc(tmp_path, "mu1.json", MEASURE)
+    mu2 = _doc(tmp_path, "mu2.json", mio.measure_doc(dirac(Y2, "v")))
+    assert cli.main(["couplings", mu1, mu2]) == 0
+    assert capsys.readouterr().out == '{\n  "feasible": true\n}\n'

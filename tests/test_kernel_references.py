@@ -590,6 +590,17 @@ class TestClosureMatchesLoop:
         assert closed.dist == _metric_closure_loop(P, raw)
         assert np.array_equal(closed.matrix, np.array(raw))
 
+    def test_path_sums_past_the_float_range(self):
+        # every path sum overflows to +inf, which lowers no entry; the
+        # suite turns warnings into errors, so an overflow warning fails here
+        X = _labels("p", 3)
+        raw = [[0.0 if i == j else 1e308 for j in range(3)] for i in range(3)]
+        closed = metric_closure(X, raw)
+        with np.errstate(over="ignore"):  # the loop's scalar adds warn on their own
+            want = _metric_closure_loop(X, raw)
+        assert np.array_equal(closed.matrix, np.array(want))
+        assert np.array_equal(closed.matrix, np.array(raw))
+
 
 # ---------------------------------------------------------- validation
 
@@ -631,6 +642,13 @@ class TestMetricSpaceMatchesLoop:
     def test_one_point(self):
         X = space("a")
         assert MetricSpace(X, ((0.0,),)).dist == _metric_space_loop(X, ((0.0,),))
+
+    @pytest.mark.parametrize("far", [1e308, sys.float_info.max])
+    def test_sums_past_the_float_range(self, far):
+        # d_ik + d_kj and m·(1 + n·ε) overflow to +inf, which fails no triangle check
+        X = _labels("p", 3)
+        table = [[0.0 if i == j else far for j in range(3)] for i in range(3)]
+        assert MetricSpace(X, table).dist == _metric_space_loop(X, table)
 
 
 # ---------------------------------------------------------------- dhat

@@ -65,6 +65,23 @@ class TestClosedFormWorkedValues:
         assert dtilde(2, M2, mu, nu) == dhat(2, M2, mu, nu) / 2
 
 
+class TestLipschitzBound:
+    HUGE = 10**400  # an int that float() cannot hold
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: dhat(n, M2, dirac(X2, "a"), dirac(X2, "b")),
+            lambda n: dhat_oracle(n, M2, dirac(X2, "a"), dirac(X2, "b")),
+            lambda n: inner_distance_table(n, M2, [dirac(X2, "a"), dirac(X2, "b")]),
+        ],
+        ids=["dhat", "dhat_oracle", "inner_distance_table"],
+    )
+    def test_n_past_the_float_range_rejected(self, call):
+        with pytest.raises(ValueError, match="^the Lipschitz class bound n is too large for a float$"):
+            call(self.HUGE)
+
+
 class TestOracleGate:
     """The closed form must agree with the grid oracle before it is trusted."""
 
