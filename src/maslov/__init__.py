@@ -9,71 +9,55 @@ feasibility and gaps, and a finite-depth Milyutin-style selection builder.
 
 The names below are the core types and the constructions the examples
 use; every other helper is imported from its module (`maslov.monad`,
-`maslov.laws`, ...).
+`maslov.laws`, ...).  A name resolves on first use, importing only the
+module that defines it, and is then bound in the package like any other;
+so `import maslov` alone loads no submodule, and a CLI subcommand loads
+only the modules of its own kernels.
 """
 
-from .core import (
-    NEG_INF,
-    FiniteFunction,
-    FiniteSpace,
-    MetricSpace,
-    ProductSpace,
-    metric_closure,
-    odot,
-    oplus,
-    product_space,
-    space,
-    weight_distance,
-)
-from .measures import (
-    IdempotentMeasure,
-    convex_combination,
-    dirac,
-    integrate,
-    normalize,
-    pointwise_sup,
-    support,
-)
-from .functor import (
-    PointMap,
-    lift_along_surjection,
-    pushforward,
-)
-from .monad import (
-    ClosedSet,
-    FuzzySet,
-    OuterMeasure,
-    fuzzy_embed,
-    hyperspace_embed,
-    marginal,
-    multiply,
-    tensor,
-)
-from .convexity import (
-    PointCloudSpace,
-    algebra_law_check,
-    barycenter,
-    hull_membership,
-)
-from .metrics import (
-    dhat,
-    dhat_oracle,
-    dtilde,
-)
-from .openness import (
-    CollapseMap,
-    CoverPair,
-    InfeasibleError,
-    MilyutinLevel,
-    bicommutative_lift,
-    coupling_feasible,
-    coupling_gap,
-    counterexample_gap,
-    counterexample_instance,
-    lift_open_collapse,
-    milyutin_build,
-    pattern_max_coupling,
-    tight_patterns,
-)
+from importlib import import_module as _import_module
 
+_EXPORTS = {
+    "core": (
+        "NEG_INF", "FiniteFunction", "FiniteSpace", "InfeasibleError", "MetricSpace",
+        "ProductSpace", "metric_closure", "odot", "oplus", "product_space", "space",
+        "weight_distance",
+    ),
+    "measures": (
+        "IdempotentMeasure", "convex_combination", "dirac", "integrate", "normalize",
+        "pointwise_sup", "support",
+    ),
+    "functor": ("PointMap", "lift_along_surjection", "pushforward"),
+    "monad": (
+        "ClosedSet", "FuzzySet", "OuterMeasure", "fuzzy_embed", "hyperspace_embed",
+        "marginal", "multiply", "tensor",
+    ),
+    "convexity": ("PointCloudSpace", "algebra_law_check", "barycenter", "hull_membership"),
+    "metrics": ("dhat", "dhat_oracle", "dtilde"),
+    "openness": (
+        "CollapseMap", "CoverPair", "MilyutinLevel", "bicommutative_lift",
+        "coupling_feasible", "coupling_gap", "counterexample_gap", "counterexample_instance",
+        "lift_open_collapse", "milyutin_build", "pattern_max_coupling", "tight_patterns",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Resolve a public name from its module and bind it here (PEP 562).
+
+    Any other name raises AttributeError, so `from maslov import io` goes
+    on to import the submodule.
+    """
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

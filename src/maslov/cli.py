@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage, validation or schema error, 2 infeasible
 instance, 3 law violation found by check-laws.  A file argument of "-"
 reads the document from standard input.
+
+Each command imports its kernels in its own body, so a call loads only the
+modules that its subcommand reads.
 """
 
 from __future__ import annotations
@@ -15,23 +18,7 @@ import sys
 from typing import Any, Sequence
 
 from . import io as mio
-from .convexity import barycenter
-from .functor import lift_along_surjection, pushforward
-from .measures import integrate, pointwise_sup
-from .metrics import dhat, dhat_oracle
-from .monad import ClosedSet, FuzzySet, fuzzy_embed, hyperspace_embed, marginal, multiply, tensor
-from .openness import (
-    CollapseMap,
-    InfeasibleError,
-    bicommutative_lift,
-    coupling_feasible,
-    coupling_gap,
-    counterexample_instance,
-    lift_open_collapse,
-    milyutin_build,
-    pattern_max_coupling,
-    tight_patterns,
-)
+from .core import InfeasibleError
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -91,48 +78,64 @@ def _emit(doc: Any) -> None:
 
 
 def cmd_integrate(args) -> int:
+    from .measures import integrate
+
     _, mu, phi = _documents((args.measure, "measure"), (args.function, "function"))
     _emit({"value": integrate(mu, phi)})
     return 0
 
 
 def cmd_push(args) -> int:
+    from .functor import pushforward
+
     ctx, f, mu = _documents((args.map, "map"), (args.measure, "measure"))
     _emit(mio.measure_doc(pushforward(f, mu), ctx))
     return 0
 
 
 def cmd_lift(args) -> int:
+    from .functor import lift_along_surjection
+
     ctx, f, nu = _documents((args.map, "map"), (args.measure, "measure"))
     _emit(mio.measure_doc(lift_along_surjection(f, nu), ctx))
     return 0
 
 
 def cmd_tensor(args) -> int:
+    from .monad import tensor
+
     ctx, mu, nu = _documents((args.left, "measure"), (args.right, "measure"))
     _emit(mio.measure_doc(tensor(mu, nu), ctx))
     return 0
 
 
 def cmd_zeta(args) -> int:
+    from .monad import multiply
+
     ctx, M = _documents((args.outer, "outer_measure"))
     _emit(mio.measure_doc(multiply(M), ctx))
     return 0
 
 
 def cmd_marginal(args) -> int:
+    from .monad import marginal
+
     ctx, mu = _documents((args.measure, "measure"))
     _emit(mio.measure_doc(marginal(mu, args.axis), ctx))
     return 0
 
 
 def cmd_barycenter(args) -> int:
+    from .convexity import barycenter
+
     _, cloud, mu = _documents((args.cloud, "cloud"), (args.measure, "measure"))
     _emit({"point": list(barycenter(cloud, mu))})
     return 0
 
 
 def cmd_dist(args) -> int:
+    from .metrics import dhat, dhat_oracle
+
     _, X, mu, nu = _documents(
         (args.metric, "metric_space"), (args.left, "measure"), (args.right, "measure")
     )
@@ -146,12 +149,16 @@ def cmd_dist(args) -> int:
 
 
 def cmd_sup(args) -> int:
+    from .measures import pointwise_sup
+
     ctx, *measures = _documents(*((path, "measure") for path in args.measures))
     _emit(mio.measure_doc(pointwise_sup(measures), ctx))
     return 0
 
 
 def cmd_hyper(args) -> int:
+    from .monad import ClosedSet, hyperspace_embed
+
     ctx, chi = _documents((args.indicator, "function"))
     if any(v not in (0.0, 1.0) for v in chi.values):
         raise mio.DocumentError("hyper expects a 0/1 indicator function")
@@ -163,12 +170,16 @@ def cmd_hyper(args) -> int:
 
 
 def cmd_fuzzy(args) -> int:
+    from .monad import FuzzySet, fuzzy_embed
+
     ctx, chi = _documents((args.grades, "function"))
     _emit(mio.measure_doc(fuzzy_embed(FuzzySet(chi.space, chi.values)), ctx))
     return 0
 
 
 def cmd_lift_open(args) -> int:
+    from .openness import CollapseMap, lift_open_collapse
+
     ctx, f, mu0, *nus = _documents(
         (args.map, "map"), (args.anchor, "measure"), *((path, "measure") for path in args.sequence)
     )
@@ -178,6 +189,8 @@ def cmd_lift_open(args) -> int:
 
 
 def cmd_bicommute(args) -> int:
+    from .openness import CollapseMap, bicommutative_lift
+
     ctx, f, mu, nu = _documents(
         (args.map, "map"), (args.measure, "measure"), (args.coupling, "coupling")
     )
@@ -186,6 +199,13 @@ def cmd_bicommute(args) -> int:
 
 
 def cmd_couplings(args) -> int:
+    from .openness import (
+        coupling_feasible,
+        coupling_gap,
+        pattern_max_coupling,
+        tight_patterns,
+    )
+
     ctx, mu1, mu2, coupling, target = _documents(
         (args.left, "measure"),
         (args.right, "measure"),
@@ -219,6 +239,8 @@ def cmd_couplings(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from .openness import counterexample_instance, coupling_gap
+
     try:
         l = math.inf if args.l == "inf" else float(args.l)
     except ValueError:
@@ -241,6 +263,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_milyutin(args) -> int:
+    from .openness import milyutin_build
+
     ctx, Y, levels = _documents((args.metric, "metric_space"), (args.covers, "cover_levels"))
     X, f, selection = milyutin_build(Y, levels, args.depth)
     cover_name = f"cover({ctx.name_of(Y.space)})"
@@ -259,7 +283,6 @@ def cmd_milyutin(args) -> int:
 
 
 def cmd_check_laws(args) -> int:
-    # the law harness loads only for this command
     from .laws import run_all_laws
 
     reports = run_all_laws(seed=args.seed, cases=args.cases, max_points=args.max_points)

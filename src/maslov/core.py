@@ -86,6 +86,10 @@ class FrozenInstanceError(AttributeError):
     """An assignment to, or deletion of, an attribute of a value class."""
 
 
+class InfeasibleError(ValueError):
+    """An instance fails a feasibility precondition (not a schema problem)."""
+
+
 class _Value:
     """The base of the immutable value classes.
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from .convexity import PointCloudSpace
 from .core import (
     NEG_INF,
     FiniteFunction,
@@ -27,10 +26,15 @@ from .core import (
     ProductSpace,
     product_space,
 )
-from .functor import PointMap
 from .measures import IdempotentMeasure
-from .monad import OuterMeasure
-from .openness import CoverPair, MilyutinLevel
+
+# A document kind's class is imported in its decoder, so reading a measure
+# loads neither the monad nor the openness module.
+if TYPE_CHECKING:
+    from .convexity import PointCloudSpace
+    from .functor import PointMap
+    from .monad import OuterMeasure
+    from .openness import MilyutinLevel
 
 
 class DocumentError(ValueError):
@@ -288,6 +292,8 @@ def map_doc(f: PointMap, ctx: Context | None = None) -> dict:
 
 
 def decode_map(obj: Mapping[str, Any], ctx: Context) -> PointMap:
+    from .functor import PointMap
+
     _require(obj, "map", "source", "target", "table")
     source, images = _table(obj["table"], ctx, obj["source"], decode_label, "table")
     if "target_points" in obj:
@@ -318,6 +324,8 @@ def outer_doc(M: OuterMeasure, ctx: Context | None = None) -> dict:
 
 
 def decode_outer(obj: Mapping[str, Any], ctx: Context) -> OuterMeasure:
+    from .monad import OuterMeasure
+
     _require(obj, "outer_measure", "space", "components")
     comps = obj["components"]
     if not isinstance(comps, list) or not comps:
@@ -383,6 +391,8 @@ def _coords(v: Any) -> tuple[float, ...]:
 
 
 def decode_cloud(obj: Mapping[str, Any], ctx: Context) -> PointCloudSpace:
+    from .convexity import PointCloudSpace
+
     _require(obj, "cloud", "space", "embed")
     space, coords = _table(obj["embed"], ctx, obj["space"], _coords, "embed")
     return PointCloudSpace(space, dict(zip(space.points, coords)))
@@ -414,9 +424,15 @@ def cover_levels_doc(levels: Sequence[MilyutinLevel], space: FiniteSpace, name: 
 
 
 def decode_cover_levels(obj: Mapping[str, Any], ctx: Context) -> list[MilyutinLevel]:
+    from .openness import CoverPair, MilyutinLevel
+
     _require(obj, "cover_levels", "space", "levels")
     if not isinstance(obj["space"], str):
         raise DocumentError(f"cover_levels space must be a space name, got {obj['space']!r}")
+    # the document defines no space: it names one an earlier document defined
+    # (the metric, in `milyutin`); only a document read alone names its own
+    if ctx.spaces and obj["space"] not in ctx.spaces:
+        raise DocumentError(f"cover_levels space {obj['space']!r} is not defined by a document")
     levels = obj["levels"]
     if not isinstance(levels, list) or not levels:
         raise DocumentError("levels must be a nonempty list")

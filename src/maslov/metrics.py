@@ -22,11 +22,12 @@ from typing import TYPE_CHECKING, Sequence
 
 from .core import NEG_INF, MetricSpace
 from .measures import IdempotentMeasure
-from .monad import OuterMeasure
 
 # numpy is imported inside the array kernels, as in core.
 if TYPE_CHECKING:
     import numpy as np
+
+    from .monad import OuterMeasure
 
 _SLACK_EPS = 1e-9
 _GRID_CAP = 4_000_000
@@ -42,23 +43,58 @@ def maxmin_gap(
     """Closed-form dual gap on raw weight vectors over a (pseudo)distance table.
 
     Each term is (λ_i - κ_j) + n·d_ij, associated in that order, so the
-    result does not depend on how the table is stored.
+    result does not depend on how the table is stored.  Where n·d_ij
+    alone would overflow, the terms are taken at half scale (see
+    `_scaled`); a gap past the float maximum raises ValueError.
     """
     import numpy as np
 
     d = np.asarray(dist, dtype=float)
-    a = np.array(lam, dtype=float)
-    b = np.array(kap, dtype=float)
+    nd, scale = _scaled(n, d)
+    a = np.array(lam, dtype=float) / scale
+    b = np.array(kap, dtype=float) / scale
     sup_l = a > NEG_INF
     sup_k = b > NEG_INF
     if not sup_l.any() or not sup_k.any():
         raise ValueError("weight vectors must each have a finite entry")
 
-    def one_sided(x, y, sub):
-        return ((x[:, None] - y[None, :]) + n * sub).min(axis=1).max()
+    def one_sided(x, y, nsub):
+        return ((x[:, None] - y[None, :]) + nsub).min(axis=1).max()
 
-    return float(max(one_sided(a[sup_l], b[sup_k], d[np.ix_(sup_l, sup_k)]),
-                     one_sided(b[sup_k], a[sup_l], d[np.ix_(sup_k, sup_l)])))
+    with np.errstate(over="ignore"):
+        gap = scale * max(one_sided(a[sup_l], b[sup_k], nd[np.ix_(sup_l, sup_k)]),
+                          one_sided(b[sup_k], a[sup_l], nd[np.ix_(sup_k, sup_l)]))
+    if gap == math.inf:
+        raise _overflow(n, d)
+    return float(gap)
+
+
+def _scaled(n: int, d: np.ndarray) -> tuple[np.ndarray, float]:
+    """n·d and 1, or, where some n·d_ij overflows, n·(d/2) and 2.
+
+    At scale 2 the caller halves the weights too, so each term
+    (λ_i - κ_j) + n·d_ij is computed at half its value with the same
+    roundings (halving is exact short of subnormals), and multiplies the
+    result by 2.  A term then reads +inf only when its value passes the
+    float maximum (as λ_i - κ_j is at least minus the maximum, n·d_ij over
+    twice the maximum makes such a term).  So the min over a row never
+    passes over a smaller term, and the gap is +inf only when it has no
+    float value.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        nd = n * d
+        if np.isinf(nd).any():
+            return n * (d / 2), 2.0
+    return nd, 1.0
+
+
+def _overflow(n: int, d: np.ndarray) -> ValueError:
+    return ValueError(
+        f"the dual gap passes the float maximum: n = {n} on a metric"
+        f" with distances up to {d.max():g}"
+    )
 
 
 def _check_pair(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> None:
@@ -185,7 +221,9 @@ def inner_distance_table(
     `maxmin_gap`, so each entry equals `dtilde` on its pair.  λ_a is
     finite on the support, so a κ_b of -inf gives a term of +inf, never
     -inf - -inf: no NaN appears, and the min over b passes over it to the
-    support of κ, which is never empty.  The max over a then gives the
+    support of κ, which is never empty.  Overflow is handled as in
+    `maxmin_gap`: half scale where n·d_ij overflows, and ValueError where
+    a one-sided gap passes the float maximum.  The max over a then gives the
     one-sided gap from μ_i to every measure, and each entry is the larger
     of its two sides, divided by n.  A row is taken in blocks of measures
     of at most `_BLOCK_TERMS` terms; a block computes the same terms.
@@ -197,18 +235,21 @@ def inner_distance_table(
         _check_pair(n, X, measures[0], mu)
     import numpy as np
 
-    W = np.array([mu.weights for mu in measures])
-    nd = n * X._table
+    nd, scale = _scaled(n, X._table)
+    W = np.array([mu.weights for mu in measures]) / scale
     one = np.empty((k, k))
-    for i, row in enumerate(W):
-        s = row > NEG_INF
-        a, ds = row[s, None], nd[s]
-        step = max(1, _BLOCK_TERMS // ds.size)
-        for j in range(0, k, step):
-            t = a - W[j:j + step, None, :]
-            t += ds
-            one[i, j:j + step] = t.min(axis=2).max(axis=1)
-    table = np.maximum(one, one.T) / n
+    with np.errstate(over="ignore"):
+        for i, row in enumerate(W):
+            s = row > NEG_INF
+            a, ds = row[s, None], nd[s]
+            step = max(1, _BLOCK_TERMS // ds.size)
+            for j in range(0, k, step):
+                t = a - W[j:j + step, None, :]
+                t += ds
+                one[i, j:j + step] = t.min(axis=2).max(axis=1)
+        if (scale * one == math.inf).any():
+            raise _overflow(n, X._table)
+    table = np.maximum(one, one.T) / (n / scale)
     np.fill_diagonal(table, 0.0)
     return table.tolist()
 

@@ -28,6 +28,7 @@ from .core import (
     NEG_INF,
     FiniteFunction,
     FiniteSpace,
+    InfeasibleError,
     Label,
     MetricSpace,
     ProductSpace,
@@ -38,10 +39,6 @@ from .core import (
 from .functor import PointMap, pushforward
 from .measures import IdempotentMeasure, dirac
 from .monad import marginal
-
-
-class InfeasibleError(ValueError):
-    """An instance fails a feasibility precondition (not a schema problem)."""
 
 
 class CollapseMap(_Value):

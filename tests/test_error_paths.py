@@ -15,6 +15,7 @@ import maslov.cli as cli
 import maslov.io as mio
 from maslov.convexity import PointCloudSpace, algebra_law_check, barycenter, hull_membership
 from maslov.core import (
+    NEG_INF,
     FiniteFunction,
     FiniteSpace,
     metric_closure,
@@ -399,6 +400,10 @@ def _doc(tmp_path, name, doc):
 
 METRIC = mio.metric_space_doc(M2, "X")
 MEASURE = mio.measure_doc(normalize(X2, {"a": 0, "b": -1}))
+# a valid metric whose distances times 2 pass the float maximum
+X3 = space("abc")
+FAR = {"kind": "metric_space", "points": ["a", "b", "c"],
+       "dist": [[0.0 if i == j else 1e308 for j in range(3)] for i in range(3)]}
 
 # argv builders over a temporary directory, and the stderr each one prints
 CLI = {
@@ -433,6 +438,25 @@ CLI = {
         ],
         "expected a measure document, got 'space'",
     ),
+    "dist past the float maximum": (
+        lambda t: [
+            "dist",
+            _doc(t, "ms.json", {**FAR, "name": "X"}),
+            _doc(t, "mu.json", mio.measure_doc(dirac(X3, "a"))),
+            _doc(t, "nu.json", mio.measure_doc(dirac(X3, "b"))),
+            "--n", "2",
+        ],
+        "the dual gap passes the float maximum: n = 2 on a metric with distances up to 1e+308",
+    ),
+    "cover_levels on another space": (
+        lambda t: [
+            "milyutin",
+            _doc(t, "ms.json", {**METRIC, "name": "Y"}),
+            _doc(t, "cov.json", {"kind": "cover_levels", "space": "Q",
+                                 "levels": [[{"U": ["a", "b"], "V": ["a", "b"]}]]}),
+        ],
+        "cover_levels space 'Q' is not defined by a document",
+    ),
 }
 
 
@@ -444,6 +468,15 @@ def test_cli_exits_one(tmp_path, capsys, case):
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_dist_passes_over_overflowing_terms(tmp_path, capsys):
+    mu = mio.measure_doc(IdempotentMeasure(X3, (0.0, -2.0, NEG_INF)))
+    nu = mio.measure_doc(IdempotentMeasure(X3, (-2.0, 0.0, NEG_INF)))
+    argv = ["dist", _doc(tmp_path, "ms.json", FAR), _doc(tmp_path, "mu.json", mu),
+            _doc(tmp_path, "nu.json", nu), "--n", "2"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == ('{\n  "n": 2,\n  "dhat": 2.0,\n  "dtilde": 1.0\n}\n', "")
 
 
 def test_couplings_without_a_flag_is_feasible(tmp_path, capsys):

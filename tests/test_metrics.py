@@ -82,6 +82,45 @@ class TestLipschitzBound:
             call(self.HUGE)
 
 
+class TestOverflow:
+    """n·d past the float maximum: the terms are taken at half scale, so a
+    gap with a float value is computed, and one without raises an error that
+    names n.  No RuntimeWarning either way (the suite turns warnings into
+    errors)."""
+
+    X3 = space("abc")
+    FAR = MetricSpace(X3, tuple(tuple(0.0 if i == j else 1e308 for j in range(3)) for i in range(3)))
+    MESSAGE = "^the dual gap passes the float maximum: n = 2 on a metric with distances up to 1e\\+308$"
+
+    def test_disjoint_supports_rejected(self):
+        a, b = dirac(self.X3, "a"), dirac(self.X3, "b")
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            dhat(2, self.FAR, a, b)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            inner_distance_table(2, self.FAR, [a, b])
+
+    def test_overlapping_supports_exact(self):
+        mu = IdempotentMeasure(self.X3, (0.0, -2.0, NEG_INF))
+        nu = IdempotentMeasure(self.X3, (-2.0, 0.0, NEG_INF))
+        assert dhat(2, self.FAR, mu, nu) == 2.0
+        assert inner_distance_table(2, self.FAR, [mu, nu]) == [[0.0, 1.0], [1.0, 0.0]]
+        assert dhat(1, self.FAR, dirac(self.X3, "a"), dirac(self.X3, "b")) == 1e308
+
+    def test_overflowing_product_with_a_finite_term(self):
+        # n·d_cb = 2e308 overflows, but the term (-1e308 - 0) + 2e308 is 1e308;
+        # at full scale it read +inf, and so did the min of its row and the gap
+        d = ((0.0, 1e308, 0.85e308), (1e308, 0.0, 1e308), (0.85e308, 1e308, 0.0))
+        M = MetricSpace(self.X3, d)
+        mu = IdempotentMeasure(self.X3, (-1.5e308, 0.0, NEG_INF))
+        nu = IdempotentMeasure(self.X3, (NEG_INF, 0.0, -1e308))
+        assert dhat(2, M, mu, nu) == 1e308
+        assert inner_distance_table(2, M, [mu, nu]) == [[0.0, 0.5e308], [0.5e308, 0.0]]
+        # moving mu's mass from b to c leaves a row of terms all above the maximum
+        mu = IdempotentMeasure(self.X3, (-1.5e308, NEG_INF, 0.0))
+        with pytest.raises(ValueError, match="^the dual gap passes the float maximum: n = 2 "):
+            dhat(2, M, mu, nu)
+
+
 class TestOracleGate:
     """The closed form must agree with the grid oracle before it is trusted."""
 

@@ -1,5 +1,9 @@
 """Only metric-space work loads numpy, only `check-laws` the law harness.
 
+Each subcommand loads only the maslov modules of its own kernels, pinned
+per command below, and `import maslov` alone loads none: the package
+resolves its public names on first use.
+
 Max-plus operations on weight tuples need no arrays, so a fresh process
 that imports the package and runs the CLI on such documents never imports
 numpy; `maslov dist` builds a MetricSpace and does.  The package re-exports
@@ -20,16 +24,23 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
+import maslov.cli as cli
 import maslov.io as mio
 from maslov import (
+    CoverPair,
     FiniteFunction,
     IdempotentMeasure,
+    MilyutinLevel,
     OuterMeasure,
+    PointCloudSpace,
     PointMap,
     dirac,
     metric_closure,
     normalize,
     product_space,
+    pushforward,
     space,
     tensor,
 )
@@ -107,6 +118,109 @@ def test_dist_loads_numpy(tmp_path):
     mu = write(tmp_path, "mu.json", mio.measure_doc(dirac(X, "a")))
     nu = write(tmp_path, "nu.json", mio.measure_doc(dirac(X, "b")))
     assert run_fresh([["dist", ms, mu, nu]]) == [False, ["dist", 0, True]]
+
+
+# Runs one argv through cli.main in a fresh process and prints the exit code
+# and the maslov submodules loaded, without the package prefix.
+CHILD_MODULES = """
+import contextlib, io, json, sys
+import maslov.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("maslov."))]))
+"""
+
+FRONT = {"cli", "io", "core", "measures"}
+MONAD = FRONT | {"functor", "monad"}
+OPENNESS = MONAD | {"openness"}
+MODULES = {
+    "integrate": FRONT,
+    "sup": FRONT,
+    "push": FRONT | {"functor"},
+    "lift": FRONT | {"functor"},
+    "tensor": MONAD,
+    "marginal": MONAD,
+    "zeta": MONAD,
+    "hyper": MONAD,
+    "fuzzy": MONAD,
+    "barycenter": MONAD | {"convexity"},
+    "dist": FRONT | {"metrics"},
+    "lift-open": OPENNESS,
+    "bicommute": OPENNESS,
+    "couplings": OPENNESS,
+    "counterexample": OPENNESS,
+    "milyutin": OPENNESS,
+    "check-laws": MONAD | {"convexity", "laws"},
+}
+
+
+@pytest.fixture(scope="module")
+def argvs(tmp_path_factory):
+    """One valid invocation of each subcommand."""
+    tmp = tmp_path_factory.mktemp("docs")
+    X, Y = space("ab"), space("uv")
+    mu = write(tmp, "mu.json", mio.measure_doc(normalize(X, {"a": -1, "b": 0})))
+    nu = write(tmp, "nu.json", mio.measure_doc(normalize(Y, {"u": 0, "v": -2})))
+    a = write(tmp, "a.json", mio.measure_doc(dirac(X, "a")))
+    phi = write(tmp, "phi.json", mio.function_doc(FiniteFunction(X, (3.0, 5.0))))
+    ind = write(tmp, "ind.json", mio.function_doc(FiniteFunction(X, (1.0, 0.0))))
+    f = write(tmp, "f.json", mio.map_doc(PointMap(X, Y, {"a": "u", "b": "v"})))
+    t = write(tmp, "t.json", mio.measure_doc(tensor(dirac(X, "a"), dirac(Y, "v"))))
+    M = OuterMeasure(X, (dirac(X, "a"), IdempotentMeasure(X, (-2.0, 0.0))), (-1.0, 0.0))
+    o = write(tmp, "o.json", mio.outer_doc(M))
+    cloud = write(tmp, "cloud.json", mio.cloud_doc(PointCloudSpace(X, {"a": (0.0,), "b": (1.0,)})))
+    ms = write(tmp, "ms.json", mio.metric_space_doc(metric_closure(X, [[0, 1], [1, 0]]), "X"))
+    target = write(
+        tmp, "target.json",
+        mio.measure_doc(normalize(product_space(X, Y), {("a", "u"): 0.0, ("b", "v"): 0.0})),
+    )
+    # a collapse of x0 and x1, and a coupling over its target
+    src, tgt = space(["x0", "x1", "x2"]), space(["y1", "y2"])
+    g = PointMap(src, tgt, {"x0": "y1", "x1": "y1", "x2": "y2"})
+    mu0 = IdempotentMeasure(src, (0.0, -1.0, 0.0))
+    gdoc = write(tmp, "g.json", mio.map_doc(g))
+    mu0doc = write(tmp, "mu0.json", mio.measure_doc(mu0))
+    nu1 = write(tmp, "nu1.json", mio.measure_doc(IdempotentMeasure(tgt, (-1.0, 0.0))))
+    coupling = write(tmp, "c.json", mio.coupling_doc(tensor(pushforward(g, mu0), dirac(tgt, "y1"))))
+    Z = space("abc")
+    zs = write(tmp, "zs.json", mio.metric_space_doc(metric_closure(Z, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]), "Z"))
+    levels = [MilyutinLevel((CoverPair(frozenset("ab"), frozenset("ab")),
+                             CoverPair(frozenset("bc"), frozenset("bc"))))]
+    cov = write(tmp, "cov.json", mio.cover_levels_doc(levels, Z, "Z"))
+    return {
+        "integrate": ["integrate", mu, phi],
+        "sup": ["sup", mu, a],
+        "push": ["push", f, mu],
+        "lift": ["lift", f, nu],
+        "tensor": ["tensor", mu, nu],
+        "marginal": ["marginal", t, "--axis", "1"],
+        "zeta": ["zeta", o],
+        "hyper": ["hyper", ind],
+        "fuzzy": ["fuzzy", ind],
+        "barycenter": ["barycenter", cloud, mu],
+        "dist": ["dist", ms, mu, a],
+        "lift-open": ["lift-open", gdoc, mu0doc, nu1],
+        "bicommute": ["bicommute", gdoc, mu0doc, coupling],
+        "couplings": ["couplings", mu, nu, "--enumerate", "--gap", target],
+        "counterexample": ["counterexample", "--l", "7"],
+        "milyutin": ["milyutin", zs, cov],
+        "check-laws": ["check-laws", "--cases", "2"],
+    }
+
+
+def test_every_subcommand_pinned():
+    commands = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+    assert set(MODULES) == commands
+
+
+@pytest.mark.parametrize("command", sorted(MODULES))
+def test_subcommand_loads_only_its_modules(argvs, command):
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_MODULES, json.dumps(argvs[command])],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, sorted(MODULES[command])]
 
 
 CLASS_BUILDERS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
@@ -240,15 +354,58 @@ PUBLIC = {
 }
 
 
-def test_public_names():
-    import maslov
+# Prints, for a fresh `import maslov`, which public names it bound and which
+# submodules it loaded; then how dir(), __all__, getattr and `import *` see
+# the names named on the command line.
+CHILD_NAMES = """
+import json, sys, types
+import maslov
+public = set(json.loads(sys.argv[1]))
+out = {
+    "bound": sorted(public & set(vars(maslov))),
+    "loaded": sorted(m for m in sys.modules if m.startswith("maslov.")),
+}
+out["dir"] = sorted(n for n in dir(maslov) if not n.startswith("_")
+                    and not isinstance(getattr(maslov, n), types.ModuleType))
+out["all"] = sorted(maslov.__all__)
+out["modules"] = sorted(n for n in public if isinstance(getattr(maslov, n), types.ModuleType))
+out["cached"] = sorted(public - set(vars(maslov)))
+try:
+    maslov.no_such_name
+except AttributeError:
+    out["unknown"] = "AttributeError"
+from maslov import cli, io
+out["submodules"] = [cli.__name__, io.__name__]
+names = {}
+exec("from maslov import *", names)
+out["star"] = sorted(set(names) - {"__builtins__"})
+import maslov.openness
+out["one_error_class"] = maslov.InfeasibleError is maslov.openness.InfeasibleError
+print(json.dumps(out))
+"""
 
-    names = {
-        name for name, value in vars(maslov).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
+
+def test_public_names():
+    """The 49 names resolve on first use, whatever ran before in this process."""
     assert len(PUBLIC) == 49
-    assert names == PUBLIC
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_NAMES, json.dumps(sorted(PUBLIC))],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    public = sorted(PUBLIC)
+    assert json.loads(proc.stdout) == {
+        "bound": [],  # `import maslov` binds none of them
+        "loaded": [],  # and loads no submodule
+        "dir": public,
+        "all": public,
+        "modules": [],
+        "cached": [],  # each is bound in the package once resolved
+        "unknown": "AttributeError",
+        "submodules": ["maslov.cli", "maslov.io"],
+        "star": public,
+        "one_error_class": True,
+    }
 
 
 def readme_python():
