@@ -33,7 +33,6 @@ class PointCloudSpace(_Value):
     """
 
     __slots__ = ("space", "embed")
-    _fields = ("space", "embed")
     space: FiniteSpace
     embed: Mapping[Label, TropicalPoint]
 

@@ -93,11 +93,13 @@ class InfeasibleError(ValueError):
 class _Value:
     """The base of the immutable value classes.
 
-    A subclass names its slots in `__slots__` and its compared fields, in
-    order, in the tuple `_fields`; equality, hash and repr come from that
-    tuple.  `__eq__` is `NotImplemented` for an instance of another class
-    and otherwise compares the two tuples of field values; `__hash__`
-    hashes that tuple, a 1-tuple for one field; `__repr__` reads
+    A subclass names its slots in `__slots__`.  Its compared fields,
+    `_fields`, are the slots without a leading underscore, in slot order;
+    the others (`_index`, `_table`, ...) hold what is derived from the
+    fields.  Equality, hash and repr come from that tuple.  `__eq__` is
+    `NotImplemented` for an instance of another class and otherwise
+    compares the two tuples of field values; `__hash__` hashes that
+    tuple, a 1-tuple for one field; `__repr__` reads
     `Name(field=value, ...)`.  `__eq__` and `__hash__` are built once per
     class, when it is created.  The subclass writes out its own `__init__`,
     which sets the fields with `object.__setattr__` and then calls
@@ -112,6 +114,7 @@ class _Value:
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in vars(cls)["__slots__"] if not name.startswith("_"))
         fields = attrgetter(*cls._fields)
         key = fields if len(cls._fields) > 1 else lambda obj: (fields(obj),)
 
@@ -174,7 +177,6 @@ class FiniteSpace(_Value):
     """
 
     __slots__ = ("points", "_index")
-    _fields = ("points",)
     points: tuple[Label, ...]
     _index: dict[Label, int]
 
@@ -262,7 +264,6 @@ class ProductSpace(FiniteSpace):
     """
 
     __slots__ = ("factors", "_size", "_axes")
-    _fields = ("factors",)
     factors: tuple[FiniteSpace, ...]
     _size: int
     _axes: tuple[tuple[Callable[[Label], int | None], int], ...]
@@ -366,7 +367,6 @@ class FiniteFunction(_Value):
     """
 
     __slots__ = ("space", "values")
-    _fields = ("space", "values")
     space: FiniteSpace
     values: tuple[float, ...]
 
@@ -435,7 +435,6 @@ class MetricSpace(_Value):
     """
 
     __slots__ = ("space", "dist", "_table")
-    _fields = ("space", "dist")
     space: FiniteSpace
     dist: tuple[tuple[float, ...], ...]
     _table: np.ndarray

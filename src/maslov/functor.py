@@ -16,7 +16,6 @@ class PointMap(_Value):
     """
 
     __slots__ = ("source", "target", "table", "_targets")
-    _fields = ("source", "target", "table")
     source: FiniteSpace
     target: FiniteSpace
     table: Mapping[Label, Label]

@@ -2,14 +2,16 @@
 
 Weights and function values are drawn from dyadic rationals (quarters) in
 small ranges, where float max/+ are exact, so every law below is checked
-with exact equality.  Each checker reports the first counterexample it
-finds or the number of cases that passed.
+with exact equality.  Each suite is written as one case: it draws an
+instance and returns None, or the counterexample text.  `_suite` makes it a
+checker `check_*(seed=0, cases=200, max_points=4)`, which reports the first
+counterexample it finds or the number of cases that passed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .convexity import PointCloudSpace, algebra_law_check, barycenter, hull_membership
 from .core import NEG_INF, FiniteFunction, FiniteSpace, _Value, pointwise_max
@@ -33,7 +35,6 @@ from .monad import (
 
 class LawReport(_Value):
     __slots__ = ("name", "cases", "ok", "counterexample")
-    _fields = ("name", "cases", "ok", "counterexample")
     name: str
     cases: int
     ok: bool
@@ -56,19 +57,6 @@ Seed = Union[int, str, random.Random]
 
 def _rng(seed: Seed) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
-
-
-def _start(seed: Seed, cases: int, max_points: int) -> random.Random:
-    """Check a checker's bounds and return its generator."""
-    if cases < 1:
-        raise ValueError(f"cases must be at least 1, got {cases}")
-    if max_points < 1:
-        raise ValueError(f"max_points must be at least 1, got {max_points}")
-    return _rng(seed)
-
-
-def _fail(name: str, cases: int, message: str) -> LawReport:
-    return LawReport(name=name, cases=cases, ok=False, counterexample=message)
 
 
 # ---------------------------------------------------------------- generators
@@ -165,171 +153,181 @@ def separating_family(space: FiniteSpace) -> list[FiniteFunction]:
 
 # ------------------------------------------------------------------ checkers
 
-def check_maslov_axioms(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
-    """Normalization, shift homogeneity and max-additivity of the integral."""
-    name = "maslov"
-    rng = _start(seed, cases, max_points)
-    for k in range(cases):
-        space = rand_space(rng, max_points)
-        mu = rand_measure(rng, space)
-        phi = rand_function(rng, space)
-        psi = rand_function(rng, space)
-        c = rng.randrange(-16, 17) / 4.0
-        if integrate(mu, FiniteFunction.constant(space, c)) != c:
-            return _fail(name, k, f"mu(c)!=c for mu={mu!r}, c={c}")
-        if integrate(mu, phi.shift(c)) != c + integrate(mu, phi):
-            return _fail(name, k, f"shift homogeneity fails for mu={mu!r}, c={c}, phi={phi.values}")
-        lhs = integrate(mu, pointwise_max(phi, psi))
-        rhs = max(integrate(mu, phi), integrate(mu, psi))
-        if lhs != rhs:
-            return _fail(name, k, f"max-additivity fails for mu={mu!r}")
-    return LawReport(name, cases, True)
+# The law suites by name, in the order `run_all_laws` runs them.
+_CHECKERS: dict[str, Callable[[Seed, int, int], LawReport]] = {}
+# A suite's case function: (rng, max_points) -> None, or a counterexample.
+Case = Callable[[random.Random, int], Optional[str]]
 
 
-def check_monad_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
+def _suite(name: str) -> Callable[[Case], Callable[..., LawReport]]:
+    """Register a case function as the law suite `name`; return its runner.
+
+    The case function draws one instance from `rng` (spaces of at most
+    `max_points` points) and returns None, or the counterexample text when
+    a law fails on it.  The runner `(seed=0, cases=200, max_points=4)`
+    checks its bounds, runs `cases` cases on the one stream `_rng(seed)` and
+    reports the first counterexample, with the number of cases that passed
+    before it, or that every case passed.  The runner takes the case
+    function's name and docstring but not `__wrapped__`, so its signature
+    is its own.
+    """
+    def register(case: Case) -> Callable[..., LawReport]:
+        def check(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
+            if cases < 1:
+                raise ValueError(f"cases must be at least 1, got {cases}")
+            if max_points < 1:
+                raise ValueError(f"max_points must be at least 1, got {max_points}")
+            rng = _rng(seed)
+            for k in range(cases):
+                counterexample = case(rng, max_points)
+                if counterexample is not None:
+                    return LawReport(name, k, False, counterexample)
+            return LawReport(name, cases, True)
+
+        check.__name__ = check.__qualname__ = case.__name__
+        check.__doc__ = case.__doc__
+        _CHECKERS[name] = check
+        return check
+
+    return register
+
+
+@_suite("monad")
+def check_monad_laws(rng: random.Random, max_points: int) -> str | None:
     """Both unit laws, the defining mixing identity, and associativity."""
-    name = "monad"
-    rng = _start(seed, cases, max_points)
-    for k in range(cases):
-        space = rand_space(rng, max_points)
-        mu = rand_measure(rng, space)
-        if multiply(outer_dirac(mu)) != mu:
-            return _fail(name, k, f"outer unit law fails for {mu!r}")
-        if multiply(dirac_lift(mu)) != mu:
-            return _fail(name, k, f"inner unit law fails for {mu!r}")
+    space = rand_space(rng, max_points)
+    mu = rand_measure(rng, space)
+    if multiply(outer_dirac(mu)) != mu:
+        return f"outer unit law fails for {mu!r}"
+    if multiply(dirac_lift(mu)) != mu:
+        return f"inner unit law fails for {mu!r}"
 
-        M = rand_outer(rng, space)
-        zeta = multiply(M)
-        for phi in separating_family(space) + [rand_function(rng, space)]:
-            if integrate(zeta, phi) != outer_eval(M, phi):
-                return _fail(name, k, f"mixing identity fails for {M!r} at phi={phi.values}")
+    M = rand_outer(rng, space)
+    zeta = multiply(M)
+    for phi in separating_family(space) + [rand_function(rng, space)]:
+        if integrate(zeta, phi) != outer_eval(M, phi):
+            return f"mixing identity fails for {M!r} at phi={phi.values}"
 
-        xi = rand_nested(rng, space)
-        side_a = multiply(
-            OuterMeasure(space, tuple(multiply(M) for _, M in xi), tuple(l for l, _ in xi))
-        )
-        inner = []
-        weights = []
-        for lam, M in xi:
-            for kap, m in zip(M.weights, M.inner):
-                inner.append(m)
-                weights.append(lam + kap)
-        side_b = multiply(OuterMeasure(space, tuple(inner), tuple(weights)))
-        if side_a != side_b:
-            return _fail(name, k, f"associativity fails for nested instance over {space.points}")
-    return LawReport(name, cases, True)
+    xi = rand_nested(rng, space)
+    side_a = multiply(
+        OuterMeasure(space, tuple(multiply(M) for _, M in xi), tuple(l for l, _ in xi))
+    )
+    inner = []
+    weights = []
+    for lam, M in xi:
+        for kap, m in zip(M.weights, M.inner):
+            inner.append(m)
+            weights.append(lam + kap)
+    side_b = multiply(OuterMeasure(space, tuple(inner), tuple(weights)))
+    if side_a != side_b:
+        return f"associativity fails for nested instance over {space.points}"
 
 
-def check_algebra_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
+@_suite("maslov")
+def check_maslov_axioms(rng: random.Random, max_points: int) -> str | None:
+    """Normalization, shift homogeneity and max-additivity of the integral."""
+    space = rand_space(rng, max_points)
+    mu = rand_measure(rng, space)
+    phi = rand_function(rng, space)
+    psi = rand_function(rng, space)
+    c = rng.randrange(-16, 17) / 4.0
+    if integrate(mu, FiniteFunction.constant(space, c)) != c:
+        return f"mu(c)!=c for mu={mu!r}, c={c}"
+    if integrate(mu, phi.shift(c)) != c + integrate(mu, phi):
+        return f"shift homogeneity fails for mu={mu!r}, c={c}, phi={phi.values}"
+    if integrate(mu, pointwise_max(phi, psi)) != max(integrate(mu, phi), integrate(mu, psi)):
+        return f"max-additivity fails for mu={mu!r}"
+
+
+@_suite("algebra")
+def check_algebra_laws(rng: random.Random, max_points: int) -> str | None:
     """Barycenter laws: unit, mixing compatibility, and span membership."""
-    name = "algebra"
-    rng = _start(seed, cases, max_points)
-    for k in range(cases):
-        space = rand_space(rng, max_points)
-        cloud = rand_cloud(rng, space)
-        for p in space.points:
-            if barycenter(cloud, dirac(space, p)) != cloud.point(p):
-                return _fail(name, k, f"barycenter of a Dirac differs from the point {p!r}")
-        M = rand_outer(rng, space)
-        if not algebra_law_check(cloud, M):
-            return _fail(name, k, f"barycenter/mixing compatibility fails over {space.points}")
-        mu = rand_measure(rng, space)
-        member, _ = hull_membership(
-            [cloud.point(p) for p in sorted(support(mu), key=space.index)],
-            barycenter(cloud, mu),
-        )
-        if not member:
-            return _fail(name, k, f"barycenter escapes the span of the support for {mu!r}")
-    return LawReport(name, cases, True)
+    space = rand_space(rng, max_points)
+    cloud = rand_cloud(rng, space)
+    for p in space.points:
+        if barycenter(cloud, dirac(space, p)) != cloud.point(p):
+            return f"barycenter of a Dirac differs from the point {p!r}"
+    M = rand_outer(rng, space)
+    if not algebra_law_check(cloud, M):
+        return f"barycenter/mixing compatibility fails over {space.points}"
+    mu = rand_measure(rng, space)
+    member, _ = hull_membership(
+        [cloud.point(p) for p in sorted(support(mu), key=space.index)],
+        barycenter(cloud, mu),
+    )
+    if not member:
+        return f"barycenter escapes the span of the support for {mu!r}"
 
 
-def check_tensor_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
+@_suite("tensor")
+def check_tensor_laws(rng: random.Random, max_points: int) -> str | None:
     """Tensor marginals recover the factors; tensor is associative."""
-    name = "tensor"
-    rng = _start(seed, cases, max_points)
-    for k in range(cases):
-        X = rand_space(rng, max_points, "x")
-        Y = rand_space(rng, max_points, "y")
-        mu, nu = rand_measure(rng, X), rand_measure(rng, Y)
-        t = tensor(mu, nu)
-        if marginal(t, 0) != mu or marginal(t, 1) != nu:
-            return _fail(name, k, f"tensor marginals fail for {mu!r}, {nu!r}")
-        Z = rand_space(rng, max_points, "z")
-        tau = rand_measure(rng, Z)
-        left = flatten_measure(tensor(tensor(mu, nu), tau))
-        right = flatten_measure(tensor(mu, tensor(nu, tau)))
-        if left != right or left != tensor_many([mu, nu, tau]):
-            return _fail(name, k, "tensor associativity fails")
-    return LawReport(name, cases, True)
+    X = rand_space(rng, max_points, "x")
+    Y = rand_space(rng, max_points, "y")
+    mu, nu = rand_measure(rng, X), rand_measure(rng, Y)
+    t = tensor(mu, nu)
+    if marginal(t, 0) != mu or marginal(t, 1) != nu:
+        return f"tensor marginals fail for {mu!r}, {nu!r}"
+    Z = rand_space(rng, max_points, "z")
+    tau = rand_measure(rng, Z)
+    left = flatten_measure(tensor(tensor(mu, nu), tau))
+    right = flatten_measure(tensor(mu, tensor(nu, tau)))
+    if left != right or left != tensor_many([mu, nu, tau]):
+        return "tensor associativity fails"
 
 
-def check_hyperspace_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
+@_suite("hyperspace")
+def check_hyperspace_laws(rng: random.Random, max_points: int) -> str | None:
     """The set-family mixing square commutes; singletons embed as Diracs."""
-    name = "hyperspace"
-    rng = _start(seed, cases, max_points)
-    for k in range(cases):
-        space = rand_space(rng, max_points)
-        family = [rand_closed_set(rng, space) for _ in range(rng.randint(1, 3))]
-        mixed, embedded_union = hyperspace_square(family)
-        if mixed != embedded_union:
-            return _fail(name, k, f"hyperspace square fails for {family!r}")
-        for p in space.points:
-            if hyperspace_embed(ClosedSet(space, frozenset([p]))) != dirac(space, p):
-                return _fail(name, k, f"singleton embedding differs from Dirac at {p!r}")
-    return LawReport(name, cases, True)
+    space = rand_space(rng, max_points)
+    family = [rand_closed_set(rng, space) for _ in range(rng.randint(1, 3))]
+    mixed, embedded_union = hyperspace_square(family)
+    if mixed != embedded_union:
+        return f"hyperspace square fails for {family!r}"
+    for p in space.points:
+        if hyperspace_embed(ClosedSet(space, frozenset([p]))) != dirac(space, p):
+            return f"singleton embedding differs from Dirac at {p!r}"
 
 
-def check_functor_laws(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
+@_suite("functor")
+def check_functor_laws(rng: random.Random, max_points: int) -> str | None:
     """Identity/composition functoriality and the support image law."""
-    name = "functor"
-    rng = _start(seed, cases, max_points)
-    for k in range(cases):
-        X = rand_space(rng, max_points, "x")
-        Y = rand_space(rng, max_points, "y")
-        Z = rand_space(rng, max_points, "z")
-        f = rand_map(rng, X, Y)
-        g = rand_map(rng, Y, Z)
-        mu = rand_measure(rng, X)
-        if pushforward(identity_map(X), mu) != mu:
-            return _fail(name, k, "identity law fails")
-        if pushforward(g, pushforward(f, mu)) != pushforward(f.then(g), mu):
-            return _fail(name, k, "composition law fails")
-        if support(pushforward(f, mu)) != frozenset(f.table[x] for x in support(mu)):
-            return _fail(name, k, "support image law fails")
-    return LawReport(name, cases, True)
+    X = rand_space(rng, max_points, "x")
+    Y = rand_space(rng, max_points, "y")
+    Z = rand_space(rng, max_points, "z")
+    f = rand_map(rng, X, Y)
+    g = rand_map(rng, Y, Z)
+    mu = rand_measure(rng, X)
+    if pushforward(identity_map(X), mu) != mu:
+        return "identity law fails"
+    if pushforward(g, pushforward(f, mu)) != pushforward(f.then(g), mu):
+        return "composition law fails"
+    if support(pushforward(f, mu)) != frozenset(f.table[x] for x in support(mu)):
+        return "support image law fails"
 
 
-def check_preimage_intersection(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
+@_suite("preimage")
+def check_preimage_intersection(rng: random.Random, max_points: int) -> str | None:
     """Support containment commutes with preimages and intersections."""
-    name = "preimage"
-    rng = _start(seed, cases, max_points)
-    for k in range(cases):
-        X = rand_space(rng, max_points, "x")
-        Y = rand_space(rng, max_points, "y")
-        f = rand_map(rng, X, Y)
-        mu = rand_measure(rng, X)
-        B = frozenset(y for y in Y.points if rng.random() < 0.5)
-        if lies_in_subspace(pushforward(f, mu), B) != lies_in_subspace(mu, f.preimage(B)):
-            return _fail(name, k, f"preimage law fails for B={sorted(B)!r}")
-        A1 = frozenset(x for x in X.points if rng.random() < 0.6)
-        A2 = frozenset(x for x in X.points if rng.random() < 0.6)
-        both = lies_in_subspace(mu, A1) and lies_in_subspace(mu, A2)
-        if lies_in_subspace(mu, A1 & A2) != both:
-            return _fail(name, k, "intersection law fails")
-    return LawReport(name, cases, True)
+    X = rand_space(rng, max_points, "x")
+    Y = rand_space(rng, max_points, "y")
+    f = rand_map(rng, X, Y)
+    mu = rand_measure(rng, X)
+    B = frozenset(y for y in Y.points if rng.random() < 0.5)
+    if lies_in_subspace(pushforward(f, mu), B) != lies_in_subspace(mu, f.preimage(B)):
+        return f"preimage law fails for B={sorted(B)!r}"
+    A1 = frozenset(x for x in X.points if rng.random() < 0.6)
+    A2 = frozenset(x for x in X.points if rng.random() < 0.6)
+    both = lies_in_subspace(mu, A1) and lies_in_subspace(mu, A2)
+    if lies_in_subspace(mu, A1 & A2) != both:
+        return "intersection law fails"
 
 
-_CHECKERS: dict[str, Callable[[Seed, int, int], LawReport]] = {
-    "monad": check_monad_laws,
-    "maslov": check_maslov_axioms,
-    "algebra": check_algebra_laws,
-    "tensor": check_tensor_laws,
-    "hyperspace": check_hyperspace_laws,
-    "functor": check_functor_laws,
-    "preimage": check_preimage_intersection,
-}
+def run_all_laws(seed: int | str = 0, cases: int = 200, max_points: int = 4) -> dict[str, LawReport]:
+    """Run every law suite, each on its own stream "<seed>/<suite>".
 
-
-def run_all_laws(seed: int = 0, cases: int = 200, max_points: int = 4) -> dict[str, LawReport]:
-    """Run every law suite, each on its own stream "<seed>/<suite>"."""
+    The seed is an int or a str, whose text is the same in every process.
+    """
+    if not isinstance(seed, (int, str)):
+        raise TypeError(f"run_all_laws takes an int or str seed, got {type(seed).__name__}")
     return {name: check(f"{seed}/{name}", cases, max_points) for name, check in _CHECKERS.items()}

@@ -36,7 +36,6 @@ class IdempotentMeasure(_Value):
     """
 
     __slots__ = ("space", "weights")
-    _fields = ("space", "weights")
     space: FiniteSpace
     weights: tuple[float, ...]
 

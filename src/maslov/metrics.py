@@ -18,6 +18,7 @@ distance needs.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Sequence
 
 from .core import NEG_INF, MetricSpace
@@ -143,6 +144,8 @@ def grid_gap(
         raise ValueError("inconsistent table sizes")
     if not (0 < step < math.inf and 0 < radius < math.inf):  # NaN fails both
         raise ValueError("step and radius must be finite and positive")
+    if not any(w > NEG_INF for w in lam) or not any(w > NEG_INF for w in kap):
+        raise ValueError("weight vectors must each have a finite entry")
     if m == 1:
         return 0.0
 
@@ -178,7 +181,6 @@ def grid_gap(
                 continue
             term = vs[i] + w
             acc = term if acc is None else np.maximum(acc, term)
-        assert acc is not None
         return acc
 
     gap = np.abs(evaluate(lam) - evaluate(kap))
@@ -189,11 +191,17 @@ def grid_gap(
 def default_radius(
     n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure
 ) -> float:
-    """n times the diameter plus the deepest finite weight in either measure."""
+    """n times the diameter plus the deepest finite weight in either measure.
+
+    A sum past the float maximum is held at the maximum.  The radius only
+    caps the grid's axes, which n·d_0i caps as well, so such a radius
+    leaves the grid to those caps and to `grid_gap`'s cell cap, rather
+    than being rejected as a radius the caller never gave.
+    """
     wmin = min(
         [w for w in mu.weights if w > NEG_INF] + [w for w in nu.weights if w > NEG_INF]
     )
-    return n * X.diameter + abs(wmin)
+    return min(n * X.diameter + abs(wmin), sys.float_info.max)
 
 
 def dhat_oracle(

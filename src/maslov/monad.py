@@ -37,7 +37,6 @@ class OuterMeasure(_Value):
     """
 
     __slots__ = ("base", "inner", "weights")
-    _fields = ("base", "inner", "weights")
     base: FiniteSpace
     inner: tuple[IdempotentMeasure, ...]
     weights: tuple[float, ...]
@@ -169,7 +168,6 @@ class ClosedSet(_Value):
     """A nonempty subset of a finite space."""
 
     __slots__ = ("space", "members")
-    _fields = ("space", "members")
     space: FiniteSpace
     members: frozenset[Label]
 
@@ -228,7 +226,6 @@ class FuzzySet(_Value):
     """A [0,1]-graded membership function attaining the grade 1 somewhere."""
 
     __slots__ = ("space", "grades")
-    _fields = ("space", "grades")
     space: FiniteSpace
     grades: tuple[float, ...]
 

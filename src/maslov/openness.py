@@ -45,7 +45,6 @@ class CollapseMap(_Value):
     """A surjection collapsing exactly one pair of points; all other fibers are singletons."""
 
     __slots__ = ("map",)
-    _fields = ("map",)
     map: PointMap
 
     def __init__(self, map: PointMap) -> None:
@@ -225,7 +224,6 @@ class TightPattern(_Value):
     """
 
     __slots__ = ("rows", "cols", "fixed")
-    _fields = ("rows", "cols", "fixed")
     rows: tuple[tuple[Label, Label], ...]
     cols: tuple[tuple[Label, Label], ...]
     fixed: tuple[tuple[tuple[Label, Label], float], ...]
@@ -312,7 +310,6 @@ class GapResult(_Value):
     """
 
     __slots__ = ("gap", "coupling", "phi")
-    _fields = ("gap", "coupling", "phi")
     gap: float
     coupling: IdempotentMeasure
     phi: FiniteFunction
@@ -441,7 +438,6 @@ class CoverPair(_Value):
     """A pair U ⊆ V of subsets with a weight profile that is 0 on U and ≤ 0 on V."""
 
     __slots__ = ("U", "V", "alpha")
-    _fields = ("U", "V", "alpha")
     U: frozenset[Label]
     V: frozenset[Label]
     alpha: Mapping[Label, float] | None
@@ -483,7 +479,6 @@ class MilyutinLevel(_Value):
     """One refinement stage: a list of cover pairs whose U-sets cover the base."""
 
     __slots__ = ("pairs",)
-    _fields = ("pairs",)
     pairs: tuple[CoverPair, ...]
 
     def __init__(self, pairs: tuple[CoverPair, ...]) -> None:

@@ -153,6 +153,14 @@ LIBRARY = {
         lambda: grid_gap([[0.0]], 1, [0.0, 0.0], [0.0, 0.0], radius=1.0),
         ValueError, "inconsistent table sizes",
     ),
+    "grid: no finite weight on the first side": (
+        lambda: grid_gap([[0.0, 1.0], [1.0, 0.0]], 1, [NEG_INF, NEG_INF], [0.0, -1.0], radius=1.0),
+        ValueError, "weight vectors must each have a finite entry",
+    ),
+    "grid: no finite weight on the second side": (
+        lambda: grid_gap([[0.0]], 1, [0.0], [NEG_INF], radius=1.0),
+        ValueError, "weight vectors must each have a finite entry",
+    ),
     "grid: cells past the cap": (
         # 2k + 1 = 2003 cells on each of two axes, k = floor(1.001 / 0.001)
         lambda: grid_gap(
@@ -448,6 +456,21 @@ CLI = {
         ],
         "the dual gap passes the float maximum: n = 2 on a metric with distances up to 1e+308",
     ),
+    # the default radius n·diameter + 2 passes the float maximum at n = 2 and is
+    # held there, so the grid is rejected for its size, as at n = 1
+    **{
+        f"dist --oracle past the float maximum, n = {n}": (
+            lambda t, n=n: [
+                "dist",
+                _doc(t, "ms.json", {**FAR, "name": "X"}),
+                _doc(t, "mu.json", mio.measure_doc(IdempotentMeasure(X3, (0.0, -2.0, NEG_INF)))),
+                _doc(t, "nu.json", mio.measure_doc(IdempotentMeasure(X3, (-2.0, 0.0, NEG_INF)))),
+                "--n", str(n), "--oracle",
+            ],
+            "oracle grid has over 4000000 cells on axis 1 alone",
+        )
+        for n in (1, 2)
+    },
     "cover_levels on another space": (
         lambda t: [
             "milyutin",

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -21,7 +22,7 @@ from maslov import (
     weight_distance,
 )
 from maslov.laws import rand_measure
-from maslov.metrics import grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
+from maslov.metrics import default_radius, grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
 
 X2 = space("ab")
 M2 = metric_closure(X2, [[0, 1], [1, 0]])
@@ -119,6 +120,16 @@ class TestOverflow:
         mu = IdempotentMeasure(self.X3, (-1.5e308, NEG_INF, 0.0))
         with pytest.raises(ValueError, match="^the dual gap passes the float maximum: n = 2 "):
             dhat(2, M, mu, nu)
+
+    def test_oracle_radius_held_at_the_float_maximum(self):
+        # n·diameter + 2 overflows at n = 2; the grid, not the radius, is rejected
+        mu = IdempotentMeasure(self.X3, (0.0, -2.0, NEG_INF))
+        nu = IdempotentMeasure(self.X3, (-2.0, 0.0, NEG_INF))
+        assert default_radius(1, self.FAR, mu, nu) == 1e308  # + 2 rounds away
+        assert default_radius(2, self.FAR, mu, nu) == sys.float_info.max
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="^oracle grid has over 4000000 cells on axis 1 alone$"):
+                dhat_oracle(n, self.FAR, mu, nu)
 
 
 class TestOracleGate:
