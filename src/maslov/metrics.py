@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 
 _SLACK_EPS = 1e-9
 _GRID_CAP = 4_000_000
-# inner_distance_table takes the measures in blocks of at most this many
+# _dtilde_block takes the column measures in blocks of at most this many
 # terms (32 MB), or of one measure when one has more; the per-pair loop it
 # replaced held up to p² terms at a time.
 _BLOCK_TERMS = 1 << 22
@@ -58,13 +58,22 @@ def maxmin_gap(
     sup_k = b > NEG_INF
     if not sup_l.any() or not sup_k.any():
         raise ValueError("weight vectors must each have a finite entry")
+    return _gap(n, d, scale, a[sup_l], b[sup_k], nd[np.ix_(sup_l, sup_k)], nd[np.ix_(sup_k, sup_l)])
+
+
+def _gap(
+    n: int, d: np.ndarray, scale: float, a: np.ndarray, b: np.ndarray, ab: np.ndarray, ba: np.ndarray
+) -> float:
+    """The larger one-sided gap at `scale`, from finite weights a and b over
+    the scaled tables ab (a's points by b's) and ba; d is the table named
+    in the overflow error."""
+    import numpy as np
 
     def one_sided(x, y, nsub):
         return ((x[:, None] - y[None, :]) + nsub).min(axis=1).max()
 
     with np.errstate(over="ignore"):
-        gap = scale * max(one_sided(a[sup_l], b[sup_k], nd[np.ix_(sup_l, sup_k)]),
-                          one_sided(b[sup_k], a[sup_l], nd[np.ix_(sup_k, sup_l)]))
+        gap = scale * max(one_sided(a, b, ab), one_sided(b, a, ba))
     if gap == math.inf:
         raise _overflow(n, d)
     return float(gap)
@@ -98,20 +107,20 @@ def _overflow(n: int, d: np.ndarray) -> ValueError:
     )
 
 
-def _check_pair(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> None:
+def _check(n: int, X: MetricSpace, *measures: IdempotentMeasure) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError("the Lipschitz class bound n must be a positive integer")
     try:
         float(n)
     except OverflowError:
         raise ValueError("the Lipschitz class bound n is too large for a float") from None
-    if mu.space != X.space or nu.space != X.space:
+    if any(mu.space != X.space for mu in measures):
         raise ValueError("measures must live on the metric space's point set")
 
 
 def dhat(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
     """sup |μ(φ) - ν(φ)| over n-Lipschitz φ, via the closed form."""
-    _check_pair(n, X, mu, nu)
+    _check(n, X, mu, nu)
     return maxmin_gap(X._table, n, mu.weights, nu.weights)
 
 
@@ -213,9 +222,55 @@ def dhat_oracle(
     step: float = 0.01,
 ) -> float:
     """Grid-sweep evaluation of the dual gap, independent of the closed form."""
-    _check_pair(n, X, mu, nu)
+    _check(n, X, mu, nu)
     radius = max(default_radius(n, X, mu, nu), step)
     return grid_gap(X.dist, n, mu.weights, nu.weights, step=step, radius=radius)
+
+
+def _dtilde_block(
+    n: int, X: MetricSpace, rows: Sequence[IdempotentMeasure], cols: Sequence[IdempotentMeasure]
+) -> np.ndarray:
+    """dtilde from every row measure to every column measure, as an array.
+
+    One array pass per row i: with s the support of the row measure λ,
+    the terms (λ_a - κ_b) + n·d_ab for a in s, every column measure κ and
+    every point b are associated in that order, as in `maxmin_gap`, so
+    each entry equals `dtilde` on its pair.  λ_a is finite on the support,
+    so a κ_b of -inf gives a term of +inf, never -inf - -inf: no NaN
+    appears, and the min over b passes over it to the support of κ, which
+    is never empty.  The max over a gives the one-sided gap from λ to
+    every κ.  The columns are taken in blocks of at most `_BLOCK_TERMS`
+    terms; a block computes the same terms.  The gaps back from the
+    columns to the rows are the transpose when `cols` is `rows`, and a
+    second pass otherwise; each entry is the larger of its two sides,
+    divided by n.  Overflow is handled as in `maxmin_gap`: half scale
+    where n·d_ij overflows, and ValueError where a one-sided gap passes
+    the float maximum.
+    """
+    import numpy as np
+
+    nd, scale = _scaled(n, X._table)
+    R = np.array([mu.weights for mu in rows]) / scale
+    C = np.array([mu.weights for mu in cols]) / scale
+
+    def one_sided(A, B):
+        one = np.empty((len(A), len(B)))
+        for i, row in enumerate(A):
+            s = row > NEG_INF
+            a, ds = row[s, None], nd[s]
+            step = max(1, _BLOCK_TERMS // ds.size)
+            for j in range(0, len(B), step):
+                t = a - B[j:j + step, None, :]
+                t += ds
+                one[i, j:j + step] = t.min(axis=2).max(axis=1)
+        if (scale * one == math.inf).any():
+            raise _overflow(n, X._table)
+        return one
+
+    with np.errstate(over="ignore"):
+        there = one_sided(R, C)
+        back = there.T if cols is rows else one_sided(C, R).T
+    return np.maximum(there, back) / (n / scale)
 
 
 def inner_distance_table(
@@ -223,41 +278,15 @@ def inner_distance_table(
 ) -> list[list[float]]:
     """Pairwise dtilde table over a list of measures (a pseudometric).
 
-    One array pass per row i: with W the weight rows of the measures and s
-    the support of μ_i, the terms (λ_a - κ_b) + n·d_ab for a in s, every
-    measure κ and every point b are associated in that order, as in
-    `maxmin_gap`, so each entry equals `dtilde` on its pair.  λ_a is
-    finite on the support, so a κ_b of -inf gives a term of +inf, never
-    -inf - -inf: no NaN appears, and the min over b passes over it to the
-    support of κ, which is never empty.  Overflow is handled as in
-    `maxmin_gap`: half scale where n·d_ij overflows, and ValueError where
-    a one-sided gap passes the float maximum.  The max over a then gives the
-    one-sided gap from μ_i to every measure, and each entry is the larger
-    of its two sides, divided by n.  A row is taken in blocks of measures
-    of at most `_BLOCK_TERMS` terms; a block computes the same terms.
+    Every entry off the diagonal equals `dtilde` on its pair, bit for bit
+    (see `_dtilde_block`, which computes each one-sided gap once); the
+    diagonal is 0.  n and the space of every measure are checked for any
+    number of measures, as `dtilde` checks them.
     """
-    k = len(measures)
-    if k < 2:
-        return [[0.0] * k for _ in range(k)]
-    for mu in measures[1:]:
-        _check_pair(n, X, measures[0], mu)
+    _check(n, X, *measures)
     import numpy as np
 
-    nd, scale = _scaled(n, X._table)
-    W = np.array([mu.weights for mu in measures]) / scale
-    one = np.empty((k, k))
-    with np.errstate(over="ignore"):
-        for i, row in enumerate(W):
-            s = row > NEG_INF
-            a, ds = row[s, None], nd[s]
-            step = max(1, _BLOCK_TERMS // ds.size)
-            for j in range(0, k, step):
-                t = a - W[j:j + step, None, :]
-                t += ds
-                one[i, j:j + step] = t.min(axis=2).max(axis=1)
-        if (scale * one == math.inf).any():
-            raise _overflow(n, X._table)
-    table = np.maximum(one, one.T) / (n / scale)
+    table = _dtilde_block(n, X, measures, measures)
     np.fill_diagonal(table, 0.0)
     return table.tolist()
 
@@ -267,12 +296,25 @@ def outer_dtilde(n: int, X: MetricSpace, M: OuterMeasure, N: OuterMeasure) -> fl
 
     The ground set is the combined list of inner measures with the dtilde
     pseudometric between them; the same closed form applies because the
-    cone-function argument only needs the triangle inequality.
+    cone-function argument only needs the triangle inequality.  With the
+    outer weights λ of M and κ of N, the gap reads only the distances
+    from M's support to N's support, so only that p×q block of the
+    ground table is computed: the result equals
+    `maxmin_gap(inner_distance_table(n, X, M.inner + N.inner), n,
+    λ‖-inf, -inf‖κ) / n` wherever that returns.  n and every inner
+    measure are checked.  A pair the gap does not read (within M, within
+    N, or with an inner measure of weight -inf) is not computed, so a
+    gap past the float maximum there raises nothing.
     """
     if M.base != X.space or N.base != X.space:
         raise ValueError("outer measures must live over the metric space's point set")
-    points = list(M.inner) + list(N.inner)
-    ground = inner_distance_table(n, X, points)
-    lam = list(M.weights) + [NEG_INF] * len(N.inner)
-    kap = [NEG_INF] * len(M.inner) + list(N.weights)
-    return maxmin_gap(ground, n, lam, kap) / n
+    _check(n, X, *M.inner, *N.inner)
+    import numpy as np
+
+    lam, kap = np.array(M.weights), np.array(N.weights)
+    sup_l, sup_k = lam > NEG_INF, kap > NEG_INF
+    cross = _dtilde_block(
+        n, X, [m for m, s in zip(M.inner, sup_l) if s], [m for m, s in zip(N.inner, sup_k) if s]
+    )
+    nd, scale = _scaled(n, cross)
+    return _gap(n, cross, scale, lam[sup_l] / scale, kap[sup_k] / scale, nd, nd.T) / n

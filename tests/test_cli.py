@@ -200,6 +200,13 @@ class TestSchemas:
         "numeric inline space name": {
             "kind": "measure", "space": {"name": 5, "points": ["a", "b"]}, "atoms": {"a": 0, "b": -1},
         },
+        "repeated space point": {"kind": "space", "name": "X", "points": ["a", "a"]},
+        "repeated metric_space point": {
+            "kind": "metric_space", "name": "M", "points": ["a", "a"], "dist": [[0, 1], [1, 0]],
+        },
+        "repeated inline space point": {
+            "kind": "measure", "space": {"points": ["a", "a"]}, "atoms": {"a": 0},
+        },
         "cover_levels without space": {
             "kind": "cover_levels", "levels": [[{"U": ["a", "b"], "V": ["a", "b"]}]],
         },

@@ -26,7 +26,7 @@ from maslov.core import (
 from maslov.functor import PointMap, lift_along_surjection, precompose, pushforward
 from maslov.laws import rand_surjection
 from maslov.measures import IdempotentMeasure, convex_combination, dirac, normalize, pointwise_sup
-from maslov.metrics import grid_gap, outer_dtilde
+from maslov.metrics import grid_gap, inner_distance_table, outer_dtilde
 from maslov.monad import (
     ClosedSet,
     FuzzySet,
@@ -168,6 +168,22 @@ LIBRARY = {
             [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], step=0.001, radius=10.0,
         ),
         ValueError, "oracle grid has 4012009 cells, above the cap 4000000",
+    ),
+    "inner distance table: n of 0, one measure": (
+        lambda: inner_distance_table(0, M2, [dirac(X2, "a")]),
+        ValueError, "the Lipschitz class bound n must be a positive integer",
+    ),
+    "inner distance table: n of 0, no measure": (
+        lambda: inner_distance_table(0, M2, []),
+        ValueError, "the Lipschitz class bound n must be a positive integer",
+    ),
+    "inner distance table: n past the float range, one measure": (
+        lambda: inner_distance_table(10**400, M2, [dirac(X2, "a")]),
+        ValueError, "the Lipschitz class bound n is too large for a float",
+    ),
+    "inner distance table: one measure off the metric": (
+        lambda: inner_distance_table(1, M2, [dirac(Y2, "u")]),
+        ValueError, "measures must live on the metric space's point set",
     ),
     "outer dtilde: base off the metric": (
         lambda: outer_dtilde(1, M2, OuterMeasure(Y2, (dirac(Y2, "u"),), (0.0,)),

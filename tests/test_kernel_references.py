@@ -13,10 +13,12 @@ the quadratic walk over the cells that it replaced.  Tight-pattern
 enumeration is compared with the loop that checks every doubly picked
 cell for consistency and sorts rows, columns and pinned cells by label
 index, and `pattern_max_coupling` with the label lookup of pinned cells.
-Mixing, barycenters, hull tests, convex combinations and suprema all call
-the one max-plus linear combination `core.combine`; each is compared with
-the loop it replaced, bit for bit, as is `combine` on the columns of the
-{0, -1} test family, and the two-factor `tensor` with its own weight sums.
+Mixing, hull tests, convex combinations and suprema all call the one
+max-plus linear combination `core.combine`; each is compared with the loop
+it replaced, bit for bit, as is `combine` on the columns of the {0, -1}
+test family, and the two-factor `tensor` with its own weight sums.
+Barycenters read a cloud's coordinate columns; they are compared with the
+loop and with `combine`, bit for bit, also on ties of 0.0 and -0.0.
 The closed-form open lift is compared with the per-collapse lift,
 composed along `factor_surjection` for an arbitrary surjection.
 Flattening and `tensor_many` read the row-major point order of a product
@@ -27,9 +29,12 @@ hash and repr from their `_fields` tuples on `core._Value`; the
 `dataclasses` definitions they replaced are kept below, each `_fields` must
 be the compared fields of its definition, and every class must match them
 in `==`, hash, repr, construction and immutability, and survive copy and
-pickle.  The dual-distance table of
-`outer_dtilde` is one array pass per row; it is compared with the per-pair
-`dtilde` loop it replaced, on metric and pseudometric ground tables.  The
+pickle; a cloud's coordinate columns are not compared, and survive copy
+and pickle.  The dual-distance table is one array pass per row; it is
+compared with the per-pair `dtilde` loop it replaced, on metric and
+pseudometric ground tables.  `outer_dtilde` computes only the block of
+that table from M's support to N's; it is compared with the gap over the
+whole table, with -inf among the outer weights.  The
 triangle check of `MetricSpace` runs on a min-plus square; it is compared
 with the loop over every k, also on tables one ulp either side of the slack.
 """
@@ -90,7 +95,7 @@ from maslov import (
 from maslov.core import combine, flatten_space
 from maslov.io import Context, infer_space
 from maslov.laws import LawReport
-from maslov.metrics import inner_distance_table, maxmin_gap
+from maslov.metrics import inner_distance_table, maxmin_gap, outer_dtilde
 from maslov.monad import flatten_measure, projection, tensor_many
 from maslov.openness import (
     GapResult,
@@ -786,9 +791,9 @@ class TestInnerDistanceTableMatchesLoop:
         cases = {
             (1, ()): [],
             (1, (mu,)): [[0.0]],
-            (0, ()): [],
-            (1.5, (mu,)): [[0.0]],
-            (1, (foreign,)): [[0.0]],
+            (0, ()): ("raised", N_BAD),
+            (1.5, (mu,)): ("raised", N_BAD),
+            (1, (foreign,)): ("raised", SPACE),
             (0, (mu, nu)): ("raised", N_BAD),
             (1.5, (mu, nu, mu)): ("raised", N_BAD),
             (-1, (mu, nu)): ("raised", N_BAD),
@@ -799,7 +804,56 @@ class TestInnerDistanceTableMatchesLoop:
         }
         for (n, measures), want in cases.items():
             assert _outcome(inner_distance_table, n, X, measures) == want
-            assert _outcome(_inner_distance_table_loop, n, X, measures) == want
+            if len(measures) > 1:  # the loop calls dtilde, and so checks, only on pairs
+                assert _outcome(_inner_distance_table_loop, n, X, measures) == want
+
+
+def _outer_dtilde_reference(n, X, M, N):
+    """The gap over the whole dtilde table of M's and N's inner measures,
+    with λ padded by -inf on N's rows and κ on M's."""
+    ground = inner_distance_table(n, X, M.inner + N.inner)
+    lam = M.weights + (NEG_INF,) * len(N.inner)
+    kap = (NEG_INF,) * len(M.inner) + N.weights
+    return maxmin_gap(ground, n, lam, kap) / n
+
+
+@st.composite
+def _outer_instances(draw):
+    """n, a ground table as in `_inner_instances` and two outer measures on
+    it, each of 1-7 inner measures with outer weights of the same kind,
+    about half of them -inf; N may share an inner measure with M."""
+    p = draw(st.integers(1, 16))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = _ground(gen, p, draw(st.sampled_from(["dyadic", "thirds", "pseudo"])))
+    thirds = draw(st.booleans())
+    outer = []
+    for _ in range(2):
+        k = draw(st.integers(1, 7))
+        kinds = draw(st.lists(st.sampled_from(["dirac", "partial", "full"]), min_size=k, max_size=k))
+        inner = tuple(_measure(gen, X.space, kind, thirds) for kind in kinds)
+        outer.append(OuterMeasure(X.space, inner, _measure(gen, _labels("i", k), "partial", thirds).weights))
+    M, N = outer
+    if draw(st.booleans()):
+        N = OuterMeasure(X.space, (M.inner[0],) + N.inner[1:], N.weights)
+    return draw(st.integers(1, 7)), X, M, N
+
+
+class TestOuterDtildeMatchesTheWholeTable:
+    @settings(max_examples=300, deadline=None)
+    @given(_outer_instances())
+    def test_random_instances(self, instance):
+        got, want = outer_dtilde(*instance), _outer_dtilde_reference(*instance)
+        assert type(got) is float and got.hex() == want.hex()
+
+    def test_kernels_large_sizes(self):
+        gen = np.random.default_rng(21)
+        for p in (48, 96):
+            X = _ground(gen, p, "dyadic")
+            outer = [OuterMeasure(X.space, tuple(_measure(gen, X.space, "partial", False) for _ in range(6)),
+                                  _measure(gen, _labels("i", 6), kind, False).weights)
+                     for kind in ("full", "partial")]
+            for n in (1, 2, 4):
+                assert outer_dtilde(n, X, *outer).hex() == _outer_dtilde_reference(n, X, *outer).hex()
 
 
 # ------------------------------------------------ min-plus triangle check
@@ -1380,6 +1434,16 @@ def _clouds(draw):
 
 
 @st.composite
+def _signed_zero_clouds(draw):
+    """A cloud of 1-6 points in R^0 to R^4 with coordinates 0.0, -0.0 and
+    a few small integers, so that sums tie often, 0.0 against -0.0 too."""
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    X = _labels("p", n)
+    coords = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]), min_size=dim, max_size=dim)
+    return PointCloudSpace(X, {p: tuple(draw(coords)) for p in X.points})
+
+
+@st.composite
 def _outer_on(draw, space):
     """1-4 inner measures on a space, with outer weights (-inf among them)."""
     k = draw(st.integers(1, 4))
@@ -1453,6 +1517,19 @@ class TestCombinationsMatchLoops:
         cloud, mu = instance
         out, ref = barycenter(cloud, mu), _barycenter_loop(cloud, mu)
         assert out == ref and _bits(out) == _bits(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_signed_zero_clouds().flatmap(lambda c: st.tuples(st.just(c), _measure_on(c.space))))
+    def test_barycenter_ties_and_signed_zeros(self, instance):
+        cloud, mu = instance
+        # the constructors turn a weight of -0.0 into 0.0, so a sum of -0.0,
+        # and with it a tie that the order of the points decides, needs a
+        # measure built past them
+        flipped = IdempotentMeasure._trusted(mu.space, tuple(-0.0 if w == 0 else w for w in mu.weights))
+        for nu in (mu, flipped):
+            out = barycenter(cloud, nu)
+            for ref in (_barycenter_loop(cloud, nu), combine(nu.weights, cloud.embed.values())):
+                assert out == ref and _bits(out) == _bits(ref)
 
     @settings(max_examples=200, deadline=None)
     @given(_clouds().flatmap(lambda c: st.tuples(st.just(c), _outer_on(c.space))))
@@ -1814,10 +1891,25 @@ class TestValueClassesCopyAndPickle:
         for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert g._targets == f._targets == (3, 0)
             assert pushforward(g, mu) == pushforward(f, mu)
+        cloud = PointCloudSpace(X, {"a": (0, -0.0, 3), "b": (2, 0.0, -1)})
+        for out in (copy.copy(cloud), copy.deepcopy(cloud)) + tuple(
+                pickle.loads(pickle.dumps(cloud, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)):
+            assert out._columns == cloud._columns == ((0.0, 2.0), (-0.0, 0.0), (3.0, -1.0))
+            for nu in (mu, dirac(X, "a"), dirac(X, "b")):
+                assert _bits(barycenter(out, nu)) == _bits(barycenter(cloud, nu))
         m = metric_closure(X, [[0, 1], [1, 0]])
         for out in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert np.array_equal(out.matrix, m.matrix) and dhat(1, out, mu, mu) == 0.0
         assert pickle.loads(pickle.dumps(X)).index("b") == 1
+
+    def test_cloud_columns_are_not_compared(self):
+        a = PointCloudSpace(space("ab"), {"a": (0, 1), "b": (2, 3)})
+        b = copy.copy(a)
+        object.__setattr__(b, "_columns", ((9.0, 9.0), (9.0, 9.0)))
+        assert PointCloudSpace._fields == ("space", "embed") and "_columns" not in repr(a)
+        assert a == b and not a != b and repr(a) == repr(b)
+        assert _hash_outcome(a) == _hash_outcome(b) == _hash_outcome(_old(a))
 
     def test_metric_space_copies_refuse_writes(self):
         m = metric_closure(space("abc"), [[0, 1, 5], [1, 0, 1], [5, 1, 0]])

@@ -121,6 +121,30 @@ class TestOverflow:
         with pytest.raises(ValueError, match="^the dual gap passes the float maximum: n = 2 "):
             dhat(2, M, mu, nu)
 
+    def test_outer_gap_reads_only_the_cross_block(self):
+        # a and b lie 1.6e308 apart, so at n = 2 their dual gap passes the
+        # maximum, while each lies 0.85e308 from c.  outer_dtilde computes
+        # only the distances from M's support to N's support, so a pair
+        # within M, within N or with an inner weight of -inf may overflow.
+        d = ((0.0, 1.6e308, 0.85e308), (1.6e308, 0.0, 0.85e308), (0.85e308, 0.85e308, 0.0))
+        X = MetricSpace(self.X3, d)
+        a, b, c = (dirac(self.X3, p) for p in "abc")
+        message = "^the dual gap passes the float maximum: n = 2 on a metric with distances up to 1.6e\\+308$"
+        with pytest.raises(ValueError, match=message):
+            inner_distance_table(2, X, [a, b, c])
+        C = OuterMeasure(self.X3, (c,), (0.0,))
+        for M, N in [
+            (OuterMeasure(self.X3, (a, b), (0.0, -1.0)), C),  # within M
+            (C, OuterMeasure(self.X3, (b, a), (-1.0, 0.0))),  # within N
+            (OuterMeasure(self.X3, (c, a), (0.0, NEG_INF)), OuterMeasure(self.X3, (b,), (0.0,))),
+        ]:
+            assert outer_dtilde(2, X, M, N) == outer_dtilde(2, X, N, M) == 0.85e308
+            with pytest.raises(ValueError, match=message):
+                inner_distance_table(2, X, M.inner + N.inner)
+        # a pair the gap reads still raises
+        with pytest.raises(ValueError, match=message):
+            outer_dtilde(2, X, OuterMeasure(self.X3, (a,), (0.0,)), OuterMeasure(self.X3, (b, c), (0.0, -1.0)))
+
     def test_oracle_radius_held_at_the_float_maximum(self):
         # n·diameter + 2 overflows at n = 2; the grid, not the radius, is rejected
         mu = IdempotentMeasure(self.X3, (0.0, -2.0, NEG_INF))
