@@ -80,7 +80,7 @@ def _gap(
 
 
 def _scaled(n: int, d: np.ndarray) -> tuple[np.ndarray, float]:
-    """n·d and 1, or, where some n·d_ij overflows, n·(d/2) and 2.
+    """n·d and 1, or, where some n·d_ij overflows, (n/2)·d and 2.
 
     At scale 2 the caller halves the weights too, so each term
     (λ_i - κ_j) + n·d_ij is computed at half its value with the same
@@ -90,13 +90,18 @@ def _scaled(n: int, d: np.ndarray) -> tuple[np.ndarray, float]:
     twice the maximum makes such a term).  So the min over a row never
     passes over a smaller term, and the gap is +inf only when it has no
     float value.
+
+    The half-scale table is rounded once, as n/2 is exactly half of n as
+    a float.  A finite table overflows only at n ≥ 2, where (n/2)·d_ij
+    keeps a positive subnormal distance positive; d_ij/2 would round it
+    to 0.
     """
     import numpy as np
 
     with np.errstate(over="ignore"):
         nd = n * d
         if np.isinf(nd).any():
-            return n * (d / 2), 2.0
+            return (n / 2) * d, 2.0
     return nd, 1.0
 
 

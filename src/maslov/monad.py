@@ -11,6 +11,7 @@ with this structure.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -27,6 +28,13 @@ from .core import (
 )
 from .functor import PointMap, pushforward
 from .measures import IdempotentMeasure, _require_measure, dirac, integrate
+
+# The smallest base on which `multiply` mixes numpy arrays, if numpy is
+# loaded.  The array path has a fixed cost per row, so the crossover is a
+# row length, not a table size: on a 2-vCPU Xeon with numpy 2.4 the loop
+# is faster below 64 points and the arrays from 96 points on, for 1 to
+# 100 rows alike.
+_ARRAY_POINTS = 128
 
 
 class OuterMeasure(_Value):
@@ -80,10 +88,32 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
 
     weight(x) = max_i (outer weight i + inner_i weight at x); the result
     satisfies multiply(M)(φ) = M(φ̄) for every φ.
+
+    On a base of at least `_ARRAY_POINTS` points, and only when numpy is
+    already loaded, each inner measure of finite outer weight is mixed in
+    as a numpy array; otherwise `combine` mixes them.  numpy is never
+    imported here, so small-n callers never pay for its import.  The two
+    paths agree bit for bit: both take each sum c_i + w_ik with one IEEE
+    addition and keep the largest.  They could differ only on a tie of
+    0.0 with -0.0, where `combine` keeps the first maximal term and
+    `np.maximum` returns its second operand, and no such tie arises:
+    every weight is canonical (`as_weight` maps -0.0 to 0.0), and a sum
+    or max of weights that are not -0.0 is never -0.0.
     """
     if not isinstance(M, OuterMeasure):
         raise TypeError(f"multiply needs an OuterMeasure, got {type(M).__name__}")
-    return IdempotentMeasure._trusted(M.base, combine(M.weights, (m.weights for m in M.inner)))
+    n = len(M.base)
+    if n < _ARRAY_POINTS or "numpy" not in sys.modules:
+        return IdempotentMeasure._trusted(M.base, combine(M.weights, (m.weights for m in M.inner)))
+    np = sys.modules["numpy"]
+    acc = np.full(n, NEG_INF)
+    with np.errstate(over="ignore"):  # a sum past -max is -inf, as in the loop
+        for c, m in zip(M.weights, M.inner):
+            if c > NEG_INF:
+                row = np.fromiter(m.weights, float, n)
+                row += c
+                np.maximum(acc, row, out=acc)
+    return IdempotentMeasure._trusted(M.base, tuple(acc.tolist()))
 
 
 def outer_dirac(mu: IdempotentMeasure) -> OuterMeasure:

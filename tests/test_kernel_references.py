@@ -17,6 +17,9 @@ Mixing, hull tests, convex combinations and suprema all call the one
 max-plus linear combination `core.combine`; each is compared with the loop
 it replaced, bit for bit, as is `combine` on the columns of the {0, -1}
 test family, and the two-factor `tensor` with its own weight sums.
+From `_ARRAY_POINTS` base points on, `multiply` mixes numpy arrays when
+numpy is loaded; it is compared with the loop just below, at and well
+above that size, also on ties of 0.0 with -0.0 in the input.
 Barycenters read a cloud's coordinate columns; they are compared with the
 loop and with `combine`, bit for bit, also on ties of 0.0 and -0.0.
 The closed-form open lift is compared with the per-collapse lift,
@@ -96,7 +99,7 @@ from maslov.core import combine, flatten_space
 from maslov.io import Context, infer_space
 from maslov.laws import LawReport
 from maslov.metrics import inner_distance_table, maxmin_gap, outer_dtilde
-from maslov.monad import flatten_measure, projection, tensor_many
+from maslov.monad import _ARRAY_POINTS, flatten_measure, projection, tensor_many
 from maslov.openness import (
     GapResult,
     TightPattern,
@@ -1586,6 +1589,94 @@ class TestCombinationsMatchLoops:
         outs = [rho, three, mixed, pushed, marginal(rho, 0), marginal(rho, 1),
                 flatten_measure(tensor(rho, mu))]
         assert all(map(_revalidates, outs))
+
+
+def _outer_draw(gen, n, k, values):
+    """k inner measures on n points and their outer weights, each drawn from
+    `values` and normalized by one 0.0 at a drawn position."""
+    X = _labels("x", n)
+    rows = gen.choice(values, size=(k, n))
+    rows[np.arange(k), gen.integers(n, size=k)] = 0.0
+    lam = gen.choice(values, size=k)
+    lam[gen.integers(k)] = 0.0
+    return X, rows, lam
+
+
+def _outer_from(X, rows, lam):
+    return OuterMeasure(X, tuple(IdempotentMeasure(X, tuple(r.tolist())) for r in rows), tuple(lam.tolist()))
+
+
+class TestMultiplyArrayPath:
+    """From `_ARRAY_POINTS` base points on, with numpy loaded, `multiply`
+    mixes numpy arrays; it must match the loop bit for bit on either side,
+    and never load numpy itself."""
+
+    SIZES = (_ARRAY_POINTS - 1, _ARRAY_POINTS, 8 * _ARRAY_POINTS)
+    THIRDS = np.concatenate([-np.arange(13) / 3.0, [NEG_INF] * 4])
+
+    def _check(self, M):
+        out = multiply(M)
+        assert _same_measure(out, _multiply_loop(M)) and _revalidates(out)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_mixes(self, n, seed):
+        # -inf among the outer weights and the inner ones
+        self._check(_outer_from(*_outer_draw(np.random.default_rng(seed), n, 6, self.THIRDS)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_one_live_inner_measure(self, n):
+        X, rows, _ = _outer_draw(np.random.default_rng(n), n, 4, self.THIRDS)
+        self._check(_outer_from(X, rows, np.array([NEG_INF, 0.0, NEG_INF, NEG_INF])))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_duplicate_inner_measures(self, n):
+        X, rows, _ = _outer_draw(np.random.default_rng(n), n, 2, self.THIRDS)
+        rows = rows[[0, 1, 0, 0, 1]]
+        self._check(_outer_from(X, rows, np.array([-1.0, -2 / 3, 0.0, NEG_INF, -2 / 3])))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_point_void_in_every_live_row(self, n):
+        gen = np.random.default_rng(n)
+        X, rows, lam = _outer_draw(gen, n, 6, self.THIRDS)
+        live = lam > NEG_INF
+        rows[live, 0] = NEG_INF
+        rows[live, 1 + gen.integers(n - 1, size=live.sum())] = 0.0
+        M = _outer_from(X, rows, lam)
+        assert multiply(M).weights[0] == NEG_INF
+        self._check(M)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_ties_at_zero(self, n, seed):
+        # -0.0 in the input is read as 0.0, so every tie at zero is 0.0 with 0.0
+        X, rows, lam = _outer_draw(np.random.default_rng(seed), n, 5, np.array([0.0, -0.0, -1.0, NEG_INF]))
+        self._check(_outer_from(X, rows, np.zeros(5)))
+        self._check(_outer_from(X, rows, lam))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_sums_overflow_to_minus_inf(self, n):
+        # and without a RuntimeWarning (the suite turns warnings into errors)
+        X, rows, _ = _outer_draw(np.random.default_rng(n), n, 3, np.array([-1e308, -1.5e308, 0.0]))
+        rows[:, 0] = (-1e308, NEG_INF, -1e308)
+        rows[1, 1] = 0.0
+        M = _outer_from(X, rows, np.array([-1e308, 0.0, -1.5e308]))
+        assert multiply(M).weights[0] == NEG_INF
+        self._check(M)
+
+    def test_path_follows_the_base_size(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("maslov.monad.combine", lambda *args: calls.append(1) or combine(*args))
+        gen = np.random.default_rng(0)
+        small, large = (_outer_from(*_outer_draw(gen, n, 3, self.THIRDS)) for n in self.SIZES[:2])
+        multiply(small)
+        assert len(calls) == 1
+        multiply(large)
+        assert len(calls) == 1
+        # without numpy loaded, the loop mixes every table and numpy stays unloaded
+        monkeypatch.delitem(sys.modules, "numpy")
+        self._check(large)
+        assert len(calls) == 2 and "numpy" not in sys.modules
 
 
 # ---------------------------------------------------------- value classes

@@ -121,6 +121,19 @@ class TestOverflow:
         with pytest.raises(ValueError, match="^the dual gap passes the float maximum: n = 2 "):
             dhat(2, M, mu, nu)
 
+    def test_subnormal_distance_survives_half_scale(self):
+        # n·d_ac overflows at n = 2, so the table is taken at half scale;
+        # (n/2)·d_ab keeps the subnormal distance, where d_ab/2 rounded it to 0
+        d = ((0.0, 5e-324, 1e308), (5e-324, 0.0, 1e308), (1e308, 1e308, 0.0))
+        M = MetricSpace(self.X3, d)
+        a, b = dirac(self.X3, "a"), dirac(self.X3, "b")
+        assert dhat(1, M, a, b) == 5e-324
+        assert dhat(2, M, a, b) == 1e-323
+        assert dhat(4, M, a, b) == 2e-323
+        assert maxmin_gap(d, 2, a.weights, b.weights) == 1e-323
+        assert inner_distance_table(2, M, [a, b]) == [[0.0, 5e-324], [5e-324, 0.0]]
+        assert outer_dtilde(2, M, OuterMeasure(self.X3, (a,), (0.0,)), OuterMeasure(self.X3, (b,), (0.0,))) == 5e-324
+
     def test_outer_gap_reads_only_the_cross_block(self):
         # a and b lie 1.6e308 apart, so at n = 2 their dual gap passes the
         # maximum, while each lies 0.85e308 from c.  outer_dtilde computes

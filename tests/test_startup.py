@@ -6,9 +6,10 @@ resolves its public names on first use.
 
 Max-plus operations on weight tuples need no arrays, so a fresh process
 that imports the package and runs the CLI on such documents never imports
-numpy; `maslov dist` builds a MetricSpace and does.  The package re-exports
-a fixed set of names, and every name that the README, the demos and the
-benchmark import from it must resolve.  The value classes take `==`, hash
+numpy, not even `zeta` on a base large enough for `multiply` to mix numpy
+arrays when numpy is loaded; `maslov dist` builds a MetricSpace and does.
+The package re-exports a fixed set of names, and every name that the
+README, the demos and the benchmark import from it must resolve.  The value classes take `==`, hash
 and repr from their field tuples on `core._Value`, with no class builder,
 so importing the CLI loads no `dataclasses` and none of the modules that
 it pulls in; no other class writes `==` or hash, and only two value
@@ -44,6 +45,7 @@ from maslov import (
     space,
     tensor,
 )
+from maslov.monad import _ARRAY_POINTS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,6 +94,11 @@ def test_only_metric_commands_load_numpy(tmp_path):
     t = write(tmp_path, "t.json", mio.measure_doc(tensor(dirac(X, "a"), dirac(Y, "v"))))
     M = OuterMeasure(X, (dirac(X, "a"), IdempotentMeasure(X, (-2.0, 0.0))), (-1.0, 0.0))
     o = write(tmp_path, "o.json", mio.outer_doc(M))
+    # large enough for multiply's array path, which reads numpy only if loaded
+    B = space([f"p{i}" for i in range(_ARRAY_POINTS)])
+    ramp = normalize(B, {p: -i for i, p in enumerate(B.points)})
+    big = OuterMeasure(B, (dirac(B, "p0"), ramp), (-1.0, 0.0))
+    o_big = write(tmp_path, "o_big.json", mio.outer_doc(big))
     target = write(
         tmp_path, "target.json",
         mio.measure_doc(normalize(product_space(X, Y), {("a", "u"): 0.0, ("b", "v"): 0.0})),
@@ -102,6 +109,7 @@ def test_only_metric_commands_load_numpy(tmp_path):
         ["tensor", mu, nu],
         ["marginal", t, "--axis", "1"],
         ["zeta", o],
+        ["zeta", o_big],
         ["hyper", ind],
         ["couplings", mu, nu, "--gap", target],
         ["counterexample", "--l", "7"],
