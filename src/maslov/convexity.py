@@ -12,7 +12,7 @@ from itertools import chain
 from operator import add, itemgetter
 from typing import Callable, Mapping, Sequence
 
-from .core import NEG_INF, FiniteSpace, Label, _Value, combine
+from .core import NEG_INF, FiniteSpace, Label, _Value, _reject_text, combine
 from .measures import IdempotentMeasure
 from .monad import OuterMeasure, multiply
 
@@ -47,7 +47,11 @@ class PointCloudSpace(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        coords = [tuple(map(float, q)) for q in self.space.dense(self.embed, "embed")]
+        raw = self.space.dense(self.embed, "embed")
+        coords = [tuple(map(float, q)) for q in raw]
+        # checked on the raw points after the conversion: a list of the points
+        # made first for the check raised kernels_large's peak RSS by 1 MB
+        _reject_text(chain.from_iterable(raw), "cloud coordinates must be numbers")
         if not all(map(math.isfinite, chain.from_iterable(coords))):
             raise ValueError("cloud points must have finite coordinates")
         if len({len(q) for q in coords}) != 1:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .core import NEG_INF, FiniteFunction, FiniteSpace, Label, _Value
+from .core import NEG_INF, FiniteFunction, FiniteSpace, Label, _Value, _require
 from .measures import IdempotentMeasure, _require_measure
 
 
@@ -92,10 +92,15 @@ def pushforward(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
 
 
 def precompose(phi: FiniteFunction, f: PointMap) -> FiniteFunction:
-    """φ ∘ f as a function on the source (the dual action on test functions)."""
+    """φ ∘ f as a function on the source (the dual action on test functions).
+
+    Built trusted: each value is a value of φ.
+    """
+    _require(phi, FiniteFunction, "a precomposed function")
+    _require(f, PointMap, "a precomposing map")
     if phi.space != f.target:
         raise ValueError("function does not live on the target of the map")
-    return FiniteFunction(f.source, tuple(phi(f.table[x]) for x in f.source.points))
+    return FiniteFunction._trusted(f.source, tuple(phi(f.table[x]) for x in f.source.points))
 
 
 def lies_in_subspace(mu: IdempotentMeasure, A: Iterable[Label]) -> bool:
@@ -108,10 +113,14 @@ def lift_along_surjection(f: PointMap, nu: IdempotentMeasure) -> IdempotentMeasu
     """The maximal lift of ν through a surjection: weight(x) = ν(f(x)).
 
     Deterministic, assigns every fiber point the full weight of its image;
-    pushes forward to ν exactly.
+    pushes forward to ν exactly.  Built trusted: the weights are ν's, each
+    taken at least once since f is onto, so its 0 among them.
     """
+    _require(f, PointMap, "a lifting map")
+    _require_measure(nu, "a lifted measure")
     if not f.is_surjective:
         raise ValueError("lift requires a surjective map")
     if nu.space != f.target:
         raise ValueError("measure does not live on the target of the map")
-    return IdempotentMeasure(f.source, tuple(nu.weight(f.table[x]) for x in f.source.points))
+    weights = tuple(nu.weight(f.table[x]) for x in f.source.points)
+    return IdempotentMeasure._trusted(f.source, weights)

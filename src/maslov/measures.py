@@ -8,7 +8,9 @@ analogue of expectation.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Mapping
+from operator import add
+from typing import Iterable, Sequence
 
 from .core import (
     NEG_INF,
@@ -16,6 +18,8 @@ from .core import (
     FiniteSpace,
     Label,
     _Value,
+    _as_weights,
+    _require,
     as_weight,
     combine,
 )
@@ -30,9 +34,12 @@ class IdempotentMeasure(_Value):
     a sum of two of them is 0.0 only as 0 + 0, and overflow goes to -inf,
     which is a valid weight.  So the kernels that build a table from the
     weights of validated measures by max and + alone (`tensor_many`,
-    `marginal`, `multiply`, `pushforward`, `flatten_measure`) check only
-    that their inputs are measures (`_require_measure`) and build the
-    result with `_trusted`, without validating it again.
+    `marginal`, `multiply`, `pushforward`, `flatten_measure`,
+    `convex_combination`, `pointwise_sup`, `lift_along_surjection`), and
+    those whose table is valid by construction (`normalize`, `dirac`,
+    `hyperspace_embed`, `fuzzy_embed`), check only the classes of their
+    inputs (`_require_measure`) and build the result with `_trusted`,
+    without validating it again; each states its proof.
     """
 
     __slots__ = ("space", "weights")
@@ -45,20 +52,12 @@ class IdempotentMeasure(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        w = tuple(as_weight(v) for v in self.weights)
+        w = _as_weights(self.weights)
         if len(w) != len(self.space):
             raise ValueError("one weight per point required")
         if max(w) != 0.0:
             raise ValueError("measure is not normalized: maximum weight must be 0")
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def _trusted(cls, space: FiniteSpace, weights: tuple[float, ...]) -> "IdempotentMeasure":
-        """A measure from a table that meets the invariant; nothing is checked."""
-        mu = object.__new__(cls)
-        object.__setattr__(mu, "space", space)
-        object.__setattr__(mu, "weights", weights)
-        return mu
 
     def weight(self, label: Label) -> float:
         return self.weights[self.space.index(label)]
@@ -74,13 +73,15 @@ class IdempotentMeasure(_Value):
 def _require_measure(mu: object, what: str) -> None:
     """Reject anything but a validated measure, which `_trusted` relies on."""
     if not isinstance(mu, IdempotentMeasure):
-        raise TypeError(f"{what} must be an IdempotentMeasure, got {type(mu).__name__}")
+        _require(mu, IdempotentMeasure, what)
 
 
 def dirac(space: FiniteSpace, x: Label) -> IdempotentMeasure:
-    """The Dirac measure δ_x: weight 0 at x, -inf elsewhere."""
+    """The Dirac measure δ_x: weight 0 at x, -inf elsewhere, a valid table."""
+    _require(space, FiniteSpace, "a Dirac measure's space")
     i = space.index(x)
-    return IdempotentMeasure(space, tuple(0.0 if j == i else NEG_INF for j in range(len(space))))
+    weights = tuple(0.0 if j == i else NEG_INF for j in range(len(space)))
+    return IdempotentMeasure._trusted(space, weights)
 
 
 def normalize(
@@ -89,28 +90,38 @@ def normalize(
     """Build a measure from a raw weight table by shifting its maximum to 0.
 
     Mapping input may omit points (omitted atoms become -inf); at least one
-    weight must be finite.
+    weight must be finite.  The raw table is validated once; the shift
+    w - top of a finite w ≤ top lies in [-inf, 0], is 0.0 exactly when
+    w = top and is never -0.0, so the result is built trusted.
     """
+    _require(space, FiniteSpace, "a normalized measure's space")
     if isinstance(raw, Mapping):
         raw = space.dense(raw, "weights", default=NEG_INF)
-    table = [as_weight(v) for v in raw]
+    table = _as_weights(raw)
     if len(table) != len(space):
         raise ValueError("one weight per point required")
     top = max(table)
     if top == NEG_INF:
         raise ValueError("cannot normalize: all weights are -inf")
-    return IdempotentMeasure(space, tuple(w - top if w > NEG_INF else NEG_INF for w in table))
+    weights = tuple(w - top if w > NEG_INF else NEG_INF for w in table)
+    return IdempotentMeasure._trusted(space, weights)
 
 
 def integrate(mu: IdempotentMeasure, phi: FiniteFunction) -> float:
-    """The Maslov integral μ(φ) = max over the support of (φ(x) + weight(x))."""
+    """The Maslov integral μ(φ) = max over the support of (φ(x) + weight(x)).
+
+    A -inf weight gives a -inf term and some weight is 0, so the maximum
+    over all points is the maximum over the support.
+    """
+    _require_measure(mu, "an integrated measure")
     if phi.space != mu.space:
         raise ValueError("measure and function live on different spaces")
-    return max(v + w for v, w in zip(phi.values, mu.weights) if w > NEG_INF)
+    return max(map(add, phi.values, mu.weights))
 
 
 def support(mu: IdempotentMeasure) -> frozenset[Label]:
     """The points carrying finite weight (the minimal carrier of μ)."""
+    _require_measure(mu, "a support's argument")
     return frozenset(p for p, w in zip(mu.space.points, mu.weights) if w > NEG_INF)
 
 
@@ -120,22 +131,31 @@ def convex_combination(
     """The max-plus convex combination λ1 ⊙ μ1 ⊕ λ2 ⊙ μ2.
 
     Requires max(λ1, λ2) = 0, which makes the result normalized; the output
-    satisfies μ(φ) = max(λ1 + μ1(φ), λ2 + μ2(φ)) for every φ.
+    satisfies μ(φ) = max(λ1 + μ1(φ), λ2 + μ2(φ)) for every φ.  Built
+    trusted: each entry is max and + of valid weights, and the term with
+    λi = 0 keeps the 0 of μi.
     """
+    _require_measure(mu1, "a combined measure")
+    _require_measure(mu2, "a combined measure")
     lam1, lam2 = as_weight(lam1), as_weight(lam2)
     if max(lam1, lam2) != 0.0:
         raise ValueError("combination weights must satisfy max(λ1, λ2) = 0")
     if mu1.space != mu2.space:
         raise ValueError("measures live on different spaces")
-    return IdempotentMeasure(mu1.space, combine((lam1, lam2), (mu1.weights, mu2.weights)))
+    return IdempotentMeasure._trusted(mu1.space, combine((lam1, lam2), (mu1.weights, mu2.weights)))
 
 
 def pointwise_sup(measures: Iterable[IdempotentMeasure]) -> IdempotentMeasure:
-    """The atomwise maximum of a nonempty family; realizes sup μ as a functional."""
+    """The atomwise maximum of a nonempty family; realizes sup μ as a functional.
+
+    Built trusted: each weight is a weight of some member.
+    """
     ms = list(measures)
     if not ms:
         raise ValueError("sup of an empty family")
+    for m in ms:
+        _require_measure(m, "a member of a sup")
     sp = ms[0].space
     if any(m.space != sp for m in ms):
         raise ValueError("measures live on different spaces")
-    return IdempotentMeasure(sp, combine((0.0,) * len(ms), (m.weights for m in ms)))
+    return IdempotentMeasure._trusted(sp, combine((0.0,) * len(ms), (m.weights for m in ms)))

@@ -21,8 +21,9 @@ from .core import (
     Label,
     ProductSpace,
     _Value,
+    _as_weights,
     _atomic_factors,
-    as_weight,
+    _require,
     combine,
     product_space,
 )
@@ -41,7 +42,11 @@ class OuterMeasure(_Value):
     """A normalized weight table over a finite list of measures on one base.
 
     Inner measures are stored by position; duplicates are allowed and get
-    merged by max during multiplication.
+    merged by max during multiplication.  The invariant on `weights` is
+    that of `IdempotentMeasure`, and every inner measure is an
+    `IdempotentMeasure` on `base`.  A function that builds one from
+    validated measures and weights builds with `_trusted` (`outer_dirac`,
+    `dirac_lift`, `map_outer`).
     """
 
     __slots__ = ("base", "inner", "weights")
@@ -59,14 +64,16 @@ class OuterMeasure(_Value):
 
     def __post_init__(self) -> None:
         inner = tuple(self.inner)
-        w = tuple(as_weight(v) for v in self.weights)
+        w = _as_weights(self.weights)
         if not inner:
             raise ValueError("an outer measure needs at least one component")
+        shared = True
         for m in inner:
             _require_measure(m, "an inner component")
+            shared = shared and m.space == self.base
         if len(w) != len(inner):
             raise ValueError("one weight per inner measure required")
-        if any(m.space != self.base for m in inner):
+        if not shared:
             raise ValueError("inner measures must share the base space")
         if max(w) != 0.0:
             raise ValueError("outer measure is not normalized: maximum weight must be 0")
@@ -117,29 +124,40 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
 
 
 def outer_dirac(mu: IdempotentMeasure) -> OuterMeasure:
-    """The Dirac outer measure concentrated at μ (the unit one level up)."""
-    return OuterMeasure(mu.space, (mu,), (0.0,))
+    """The Dirac outer measure concentrated at μ (the unit one level up).
+
+    Built trusted: one measure on its own space, with weight 0.
+    """
+    _require_measure(mu, "an inner component")
+    return OuterMeasure._trusted(mu.space, (mu,), (0.0,))
 
 
 def dirac_lift(mu: IdempotentMeasure) -> OuterMeasure:
     """The image of μ under the pointwise Dirac embedding of its base.
 
     Atoms are the Dirac measures at the support points of μ, carrying μ's
-    weights; multiplying this back recovers μ.
+    weights; multiplying this back recovers μ.  Built trusted: the weights
+    are μ's finite weights, among them its 0.
     """
+    _require_measure(mu, "an inner component")
     pairs = [
         (w, dirac(mu.space, p))
         for p, w in zip(mu.space.points, mu.weights)
         if w > NEG_INF
     ]
-    return OuterMeasure(mu.space, tuple(m for _, m in pairs), tuple(w for w, _ in pairs))
+    return OuterMeasure._trusted(mu.space, tuple(m for _, m in pairs), tuple(w for w, _ in pairs))
 
 
 def map_outer(f: PointMap, M: OuterMeasure) -> OuterMeasure:
-    """Apply a point map at both levels: pushforward every inner measure."""
+    """Apply a point map at both levels: pushforward every inner measure.
+
+    Built trusted: M's weights, and measures on the target of f.
+    """
+    _require(f, PointMap, "a map of outer measures")
+    _require(M, OuterMeasure, "a mapped outer measure")
     if M.base != f.source:
         raise ValueError("outer measure does not live over the source of the map")
-    return OuterMeasure(f.target, tuple(pushforward(f, m) for m in M.inner), M.weights)
+    return OuterMeasure._trusted(f.target, tuple(pushforward(f, m) for m in M.inner), M.weights)
 
 
 def tensor(mu: IdempotentMeasure, nu: IdempotentMeasure) -> IdempotentMeasure:
@@ -217,9 +235,11 @@ def hyperspace_embed(A: ClosedSet) -> IdempotentMeasure:
     """The uniform measure on a set: weight 0 on members, -inf elsewhere.
 
     Integration against it returns the maximum of the test function over
-    the set, so the embedding is injective.
+    the set, so the embedding is injective.  Built trusted: a closed set
+    is nonempty, so some weight is 0.
     """
-    return IdempotentMeasure(
+    _require(A, ClosedSet, "an embedded set")
+    return IdempotentMeasure._trusted(
         A.space,
         tuple(0.0 if p in A.members else NEG_INF for p in A.space.points),
     )
@@ -284,9 +304,11 @@ def fuzzy_embed(chi: FuzzySet) -> IdempotentMeasure:
     """Log-scale embedding of a fuzzy set: weight(x) = ln grade(x), ln 0 = -inf.
 
     The maximal grade 1 maps to weight 0, so the result is normalized, and
-    integration realizes sup_x (φ(x) + ln χ(x)).
+    integration realizes sup_x (φ(x) + ln χ(x)).  Built trusted: ln maps
+    (0, 1) into (-inf, 0), never to 0, and 1 to 0.0.
     """
-    return IdempotentMeasure(
+    _require(chi, FuzzySet, "an embedded fuzzy set")
+    return IdempotentMeasure._trusted(
         chi.space,
         tuple(math.log(g) if g > 0.0 else NEG_INF for g in chi.grades),
     )

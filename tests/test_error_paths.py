@@ -18,6 +18,7 @@ from maslov.core import (
     NEG_INF,
     FiniteFunction,
     FiniteSpace,
+    MetricSpace,
     metric_closure,
     pointwise_max,
     product_space,
@@ -25,15 +26,27 @@ from maslov.core import (
 )
 from maslov.functor import PointMap, lift_along_surjection, precompose, pushforward
 from maslov.laws import rand_surjection
-from maslov.measures import IdempotentMeasure, convex_combination, dirac, normalize, pointwise_sup
+from maslov.measures import (
+    IdempotentMeasure,
+    convex_combination,
+    dirac,
+    integrate,
+    normalize,
+    pointwise_sup,
+    support,
+)
 from maslov.metrics import grid_gap, inner_distance_table, outer_dtilde
 from maslov.monad import (
     ClosedSet,
     FuzzySet,
     OuterMeasure,
+    dirac_lift,
     flatten_measure,
+    fuzzy_embed,
+    hyperspace_embed,
     hyperspace_union,
     map_outer,
+    outer_dirac,
     tensor,
     tensor_many,
 )
@@ -57,6 +70,7 @@ LEVEL = MilyutinLevel((CoverPair(frozenset("ab"), frozenset("ab")),))
 ONTO = PointMap(X2, space("u"), {"a": "u", "b": "u"})
 INTO = PointMap(space("a"), X2, {"a": "a"})
 CLOUD = PointCloudSpace(X2, {"a": (0.0,), "b": (1.0,)})
+PHI = FiniteFunction(X2, (0.0, 1.0))
 
 
 LIBRARY = {
@@ -73,6 +87,26 @@ LIBRARY = {
         lambda: pointwise_max(FiniteFunction(X2, (0.0, 0.0)), FiniteFunction(Y2, (0.0, 0.0))),
         ValueError, "functions live on different spaces",
     ),
+    "function: text values": (
+        lambda: FiniteFunction(X2, ("1e3", b"2")),
+        TypeError, "function values must be numbers, got '1e3'",
+    ),
+    "function: bytes value": (
+        lambda: FiniteFunction(X2, (0.0, bytearray(b"2"))),
+        TypeError, "function values must be numbers, got bytearray(b'2')",
+    ),
+    "pointwise max: a measure": (
+        lambda: pointwise_max(PHI, dirac(X2, "a")),
+        TypeError, "a pointwise max's argument must be a FiniteFunction, got IdempotentMeasure",
+    ),
+    "metric: text distances": (
+        lambda: MetricSpace(X2, (("0", "1"), ("1", "0"))),
+        TypeError, "distances must be numbers",
+    ),
+    "metric: text rows": (
+        lambda: MetricSpace(X2, ("01", "10")),
+        TypeError, "distances must be numbers",
+    ),
     "closure: not square": (
         lambda: metric_closure(X2, [[0.0]]),
         ValueError, "raw table must be square over the space",
@@ -85,6 +119,38 @@ LIBRARY = {
     "measure: weight count": (
         lambda: IdempotentMeasure(X2, (0.0,)),
         ValueError, "one weight per point required",
+    ),
+    "measure: text weights": (
+        lambda: IdempotentMeasure(X2, "00"),
+        TypeError, "weights must be numbers, got '0'",
+    ),
+    "normalize: text weights": (
+        lambda: normalize(X2, ["3", "-inf"]),
+        TypeError, "weights must be numbers, got '3'",
+    ),
+    "normalize: not a space": (
+        lambda: normalize("ab", [0.0, -1.0]),
+        TypeError, "a normalized measure's space must be a FiniteSpace, got str",
+    ),
+    "dirac: not a space": (
+        lambda: dirac("ab", "a"),
+        TypeError, "a Dirac measure's space must be a FiniteSpace, got str",
+    ),
+    "integrate: a function for the measure": (
+        lambda: integrate(PHI, dirac(X2, "a")),
+        TypeError, "an integrated measure must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "support: a function": (
+        lambda: support(PHI),
+        TypeError, "a support's argument must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "convex combination: a function": (
+        lambda: convex_combination(0.0, PHI, -1.0, dirac(X2, "a")),
+        TypeError, "a combined measure must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "sup: a function": (
+        lambda: pointwise_sup([PHI]),
+        TypeError, "a member of a sup must be an IdempotentMeasure, got FiniteFunction",
     ),
     "normalize: weight count": (
         lambda: normalize(X2, [0.0]),
@@ -119,6 +185,18 @@ LIBRARY = {
         lambda: precompose(FiniteFunction(X2, (0.0, 0.0)), ONTO),
         ValueError, "function does not live on the target of the map",
     ),
+    "precompose: a measure": (
+        lambda: precompose(dirac(space("u"), "u"), ONTO),
+        TypeError, "a precomposed function must be a FiniteFunction, got IdempotentMeasure",
+    ),
+    "precompose: a table for the map": (
+        lambda: precompose(FiniteFunction(space("u"), (0.0,)), {"a": "u", "b": "u"}),
+        TypeError, "a precomposing map must be a PointMap, got dict",
+    ),
+    "lift: a function": (
+        lambda: lift_along_surjection(ONTO, FiniteFunction(space("u"), (0.0,))),
+        TypeError, "a lifted measure must be an IdempotentMeasure, got FiniteFunction",
+    ),
     "lift: measure off the target": (
         lambda: lift_along_surjection(ONTO, dirac(X2, "a")),
         ValueError, "measure does not live on the target of the map",
@@ -135,6 +213,14 @@ LIBRARY = {
     "hull: mixed dimensions": (
         lambda: hull_membership([(0.0,), (0.0, 1.0)], (0.0,)),
         ValueError, "generators have inconsistent dimensions",
+    ),
+    "cloud: text coordinates": (
+        lambda: PointCloudSpace(X2, {"a": ("1",), "b": ("2",)}),
+        TypeError, "cloud coordinates must be numbers",
+    ),
+    "cloud: a text point": (
+        lambda: PointCloudSpace(X2, {"a": "1", "b": "2"}),
+        TypeError, "cloud coordinates must be numbers",
     ),
     "cloud: mixed dimensions": (
         lambda: PointCloudSpace(X2, {"a": (0.0,), "b": (0.0, 1.0)}),
@@ -196,6 +282,34 @@ LIBRARY = {
         ValueError, "a surjection needs at least as many source points",
     ),
     # monad
+    "outer: text weights": (
+        lambda: OuterMeasure(X2, (dirac(X2, "a"),), ("0",)),
+        TypeError, "weights must be numbers, got '0'",
+    ),
+    "outer dirac: a function": (
+        lambda: outer_dirac(PHI),
+        TypeError, "an inner component must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "dirac lift: a function": (
+        lambda: dirac_lift(PHI),
+        TypeError, "an inner component must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "map outer: a measure": (
+        lambda: map_outer(ONTO, dirac(X2, "a")),
+        TypeError, "a mapped outer measure must be an OuterMeasure, got IdempotentMeasure",
+    ),
+    "map outer: a table for the map": (
+        lambda: map_outer({"a": "u"}, OuterMeasure(X2, (dirac(X2, "a"),), (0.0,))),
+        TypeError, "a map of outer measures must be a PointMap, got dict",
+    ),
+    "hyperspace embed: a frozenset": (
+        lambda: hyperspace_embed(frozenset("a")),
+        TypeError, "an embedded set must be a ClosedSet, got frozenset",
+    ),
+    "fuzzy embed: a measure": (
+        lambda: fuzzy_embed(dirac(X2, "a")),
+        TypeError, "an embedded fuzzy set must be a FuzzySet, got IdempotentMeasure",
+    ),
     "outer: no component": (
         lambda: OuterMeasure(X2, (), ()),
         ValueError, "an outer measure needs at least one component",

@@ -20,12 +20,15 @@ from maslov import (
     fuzzy_embed,
     hyperspace_embed,
     integrate,
+    lift_along_surjection,
     marginal,
     multiply,
     normalize,
+    pointwise_sup,
     product_space,
     pushforward,
     space,
+    support,
     tensor,
 )
 from maslov.laws import check_monad_laws, rand_measure, rand_outer, rand_space
@@ -203,6 +206,14 @@ class TestKernelsRejectLookAlikes:
             (lambda: flatten_measure(fake), "a flattened measure"),
             (lambda: pushforward(PointMap(P, X2, {p: p[0] for p in P.points}), fake),
              "a pushed-forward measure"),
+            (lambda: outer_dirac(NaNLookAlike(X2)), "an inner component"),
+            (lambda: dirac_lift(NaNLookAlike(X2)), "an inner component"),
+            (lambda: convex_combination(0.0, real, -1.0, NaNLookAlike(X2)), "a combined measure"),
+            (lambda: pointwise_sup([real, NaNLookAlike(X2)]), "a member of a sup"),
+            (lambda: lift_along_surjection(PointMap(P, X2, {p: p[0] for p in P.points}), NaNLookAlike(X2)),
+             "a lifted measure"),
+            (lambda: integrate(NaNLookAlike(X2), function_grid(X2)[0]), "an integrated measure"),
+            (lambda: support(NaNLookAlike(X2)), "a support's argument"),
         ]
         for call, what in cases:
             with pytest.raises(TypeError, match=f"{what} must be an IdempotentMeasure, got NaNLookAlike"):

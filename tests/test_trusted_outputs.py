@@ -1,0 +1,282 @@
+"""Outputs built without validation, validated here, and the table checks.
+
+`normalize`, `dirac`, `hyperspace_embed`, `fuzzy_embed`,
+`convex_combination`, `pointwise_sup`, `lift_along_surjection`,
+`outer_dirac`, `dirac_lift`, `map_outer`, `pointwise_max` and `precompose`
+build their result with `_trusted`, on the proof in their docstring.  Each
+result must pass its public constructor unchanged, bit for bit, and hold
+no -0.0, which the constructor would turn into 0.0 and `==` would not
+see.  Inputs mix weights k/3 (not dyadic), subnormals and weights near
+-1.7e308, whose sums overflow to -inf.
+
+The table checks `_as_weights` and `_as_values` read their input once and
+keep its nonzero float objects; the first bad entry decides the exception.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maslov.core import (
+    NEG_INF,
+    FiniteFunction,
+    FiniteSpace,
+    _as_values,
+    _as_weights,
+    as_value,
+    as_weight,
+    pointwise_max,
+)
+from maslov.functor import PointMap, lift_along_surjection, precompose
+from maslov.measures import IdempotentMeasure, convex_combination, dirac, normalize, pointwise_sup
+from maslov.monad import (
+    ClosedSet,
+    FuzzySet,
+    OuterMeasure,
+    dirac_lift,
+    fuzzy_embed,
+    hyperspace_embed,
+    map_outer,
+    outer_dirac,
+)
+
+SUBNORMAL = 5e-324
+HUGE = 1.7e308
+
+# weights ≤ 0: k/3, subnormal, near -max (two of them sum past -max), -inf
+weight = st.one_of(
+    st.just(NEG_INF),
+    st.integers(-12, 0).map(lambda k: k / 3),
+    st.integers(-4, -1).map(lambda k: k * SUBNORMAL),
+    st.integers(0, 7).map(lambda k: -HUGE - k * 1e306),
+)
+# raw weights of either sign, and finite function values, with -0.0 among them
+raw_weight = st.one_of(weight, weight.map(lambda w: -w if w > NEG_INF else w), st.just(-0.0))
+value = st.one_of(
+    st.integers(-12, 12).map(lambda k: k / 3),
+    st.integers(-4, 4).map(lambda k: k * SUBNORMAL),
+    st.sampled_from([HUGE, -HUGE, -0.0]),
+)
+sizes = st.integers(1, 5)
+
+
+def _space(prefix, n):
+    return FiniteSpace(tuple(f"{prefix}{i}" for i in range(n)))
+
+
+@st.composite
+def measures(draw, space):
+    table = draw(st.lists(weight, min_size=len(space), max_size=len(space)))
+    table[draw(st.integers(0, len(space) - 1))] = 0.0
+    return IdempotentMeasure(space, tuple(table))
+
+
+@st.composite
+def functions(draw, space):
+    return FiniteFunction(space, tuple(draw(st.lists(value, min_size=len(space), max_size=len(space)))))
+
+
+@st.composite
+def surjections(draw):
+    """A map from 1-5 points onto 1-3, every target point hit."""
+    target = _space("y", draw(st.integers(1, 3)))
+    source = _space("x", len(target) + draw(st.integers(0, 2)))
+    images = list(target.points) + [draw(st.sampled_from(target.points)) for _ in source.points[len(target):]]
+    order = draw(st.permutations(images))
+    return PointMap(source, target, dict(zip(source.points, order)))
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+def _no_negative_zero(values):
+    return all(math.copysign(1.0, v) > 0 for v in values if v == 0)
+
+
+def assert_valid_measure(mu):
+    assert type(mu) is IdempotentMeasure and type(mu.weights) is tuple
+    again = IdempotentMeasure(mu.space, mu.weights)
+    assert again == mu and _bits(again.weights) == _bits(mu.weights)
+    assert _no_negative_zero(mu.weights)
+
+
+def assert_valid_outer(M):
+    assert type(M) is OuterMeasure and type(M.inner) is tuple and type(M.weights) is tuple
+    again = OuterMeasure(M.base, M.inner, M.weights)
+    assert again == M and _bits(again.weights) == _bits(M.weights)
+    assert _no_negative_zero(M.weights)
+    for m in M.inner:
+        assert_valid_measure(m)
+
+
+def assert_valid_function(phi):
+    assert type(phi) is FiniteFunction and type(phi.values) is tuple
+    again = FiniteFunction(phi.space, phi.values)
+    assert again == phi and _bits(again.values) == _bits(phi.values)
+    assert _no_negative_zero(phi.values)
+
+
+class TestTrustedMeasures:
+    @settings(max_examples=300, deadline=None)
+    @given(sizes.flatmap(lambda n: st.lists(raw_weight, min_size=n, max_size=n)).filter(
+        lambda t: max(t) > NEG_INF))
+    def test_normalize(self, raw):
+        X = _space("p", len(raw))
+        assert_valid_measure(normalize(X, raw))
+        assert_valid_measure(normalize(X, dict(zip(X.points, raw))))
+
+    def test_normalize_overflows_to_minus_inf(self):
+        mu = normalize(_space("p", 3), [HUGE, -HUGE, -0.0])
+        assert mu.weights == (0.0, NEG_INF, -HUGE)
+        assert_valid_measure(mu)
+
+    @given(sizes.flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+    def test_dirac(self, instance):
+        n, i = instance
+        X = _space("p", n)
+        assert_valid_measure(dirac(X, X.points[i]))
+
+    @given(sizes.flatmap(lambda n: st.sets(st.integers(0, n - 1), min_size=1).map(lambda s: (n, s))))
+    def test_hyperspace_embed(self, instance):
+        n, members = instance
+        X = _space("p", n)
+        assert_valid_measure(hyperspace_embed(ClosedSet(X, frozenset(X.points[i] for i in members))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes.flatmap(lambda n: st.lists(st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([SUBNORMAL, 1 - 2 ** -53, 1 / 3, -0.0])),
+        min_size=n, max_size=n)), st.data())
+    def test_fuzzy_embed(self, grades, data):
+        grades[data.draw(st.integers(0, len(grades) - 1))] = 1.0
+        assert_valid_measure(fuzzy_embed(FuzzySet(_space("p", len(grades)), tuple(grades))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sizes.map(lambda n: _space("p", n)).flatmap(
+        lambda X: st.tuples(measures(X), measures(X), weight, st.booleans())))
+    def test_convex_combination(self, instance):
+        mu1, mu2, lam, first = instance
+        lam1, lam2 = (0.0, lam) if first else (lam, 0.0)
+        assert_valid_measure(convex_combination(lam1, mu1, lam2, mu2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes.map(lambda n: _space("p", n)).flatmap(
+        lambda X: st.lists(measures(X), min_size=1, max_size=4)))
+    def test_pointwise_sup(self, family):
+        assert_valid_measure(pointwise_sup(family))
+
+    @settings(max_examples=200, deadline=None)
+    @given(surjections().flatmap(lambda f: st.tuples(st.just(f), measures(f.target))))
+    def test_lift_along_surjection(self, instance):
+        f, nu = instance
+        assert_valid_measure(lift_along_surjection(f, nu))
+
+
+class TestTrustedOuterMeasures:
+    @settings(max_examples=200, deadline=None)
+    @given(sizes.map(lambda n: _space("p", n)).flatmap(measures))
+    def test_outer_dirac_and_dirac_lift(self, mu):
+        assert_valid_outer(outer_dirac(mu))
+        assert_valid_outer(dirac_lift(mu))
+
+    @settings(max_examples=200, deadline=None)
+    @given(surjections().flatmap(lambda f: st.tuples(
+        st.just(f),
+        st.lists(measures(f.source), min_size=1, max_size=3),
+        st.data(),
+    )))
+    def test_map_outer(self, instance):
+        f, inner, data = instance
+        outer = data.draw(measures(_space("i", len(inner))))
+        assert_valid_outer(map_outer(f, OuterMeasure(f.source, tuple(inner), outer.weights)))
+
+
+class TestTrustedFunctions:
+    @settings(max_examples=200, deadline=None)
+    @given(sizes.map(lambda n: _space("p", n)).flatmap(lambda X: st.tuples(functions(X), functions(X))))
+    def test_pointwise_max(self, pair):
+        assert_valid_function(pointwise_max(*pair))
+
+    @settings(max_examples=200, deadline=None)
+    @given(surjections().flatmap(lambda f: st.tuples(st.just(f), functions(f.target))))
+    def test_precompose(self, instance):
+        f, phi = instance
+        assert_valid_function(precompose(phi, f))
+
+
+class Counted:
+    """An iterable that counts how often it is iterated."""
+
+    def __init__(self, items):
+        self.items, self.passes = list(items), 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.items)
+
+
+TABLES = [(_as_weights, as_weight), (_as_values, as_value)]
+
+
+class TestTableChecks:
+    @pytest.mark.parametrize("table, check", TABLES)
+    @pytest.mark.parametrize("bad", [
+        (math.nan, math.inf, "1", None),
+        (math.inf, None, math.nan, b"2"),
+        ("1", math.nan, None, math.inf),
+        (None, "1", math.inf, math.nan),
+        (bytearray(b"3"), None, math.nan, math.inf),
+    ])
+    def test_first_bad_entry_decides(self, table, check, bad):
+        good = (-1.0, 0.0, 2)
+        for k in range(len(good) + 1):
+            entries = good[:k] + bad + good[k:]
+            with pytest.raises(Exception) as want:
+                check(bad[0])
+            with pytest.raises(want.type) as got:
+                table(entries)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("table, check", TABLES)
+    def test_text_is_rejected(self, table, check):
+        for text in ("0", "-inf", b"0", bytearray(b"0")):
+            with pytest.raises(TypeError, match="must be numbers, got "):
+                table((0.0, text))
+            with pytest.raises(TypeError, match="must be numbers, got "):
+                check(text)
+
+    @pytest.mark.parametrize("table, check", TABLES)
+    @pytest.mark.parametrize("entries", [(0.0, -1.5), (0.0, -1.5, -0.0), (0, -1.5), (np.float64(-2.0), 0.0)])
+    def test_input_is_read_once(self, table, check, entries):
+        counted = Counted(entries)
+        assert table(counted) == tuple(map(check, entries))
+        assert counted.passes == 1
+        gen = (v for v in entries)
+        assert table(gen) == tuple(map(check, entries))
+        assert next(gen, None) is None
+
+    @pytest.mark.parametrize("table, check", TABLES)
+    def test_numpy_arrays(self, table, check):
+        arr = np.array([0.0, -1.25, -0.0, 3.0 / 7])
+        out = table(arr)
+        assert out == (0.0, -1.25, 0.0, 3.0 / 7)
+        assert all(type(v) is float for v in out) and _no_negative_zero(out)
+        assert _as_weights(np.array([0.0, NEG_INF])) == (0.0, NEG_INF)
+
+    @pytest.mark.parametrize("table, check", TABLES)
+    def test_negative_zero_becomes_zero(self, table, check):
+        out = table([-0.0, -1.0, -0.0])
+        assert _bits(out) == _bits((0.0, -1.0, 0.0))
+
+    @pytest.mark.parametrize("table, check", TABLES)
+    @pytest.mark.parametrize("extra", [(), (-0.0,), (0,), (np.float64(1.0),)])
+    def test_float_objects_are_kept(self, table, check, extra):
+        # every nonzero float is the input's object, every zero the one 0.0
+        # that `check` returns, so a table costs no float of its own
+        entries = [float(f"{k}.5") * -1 for k in range(4)] + [SUBNORMAL * 3, float("0"), *extra]
+        out = table(entries)
+        assert all(o is e for o, e in zip(out, entries) if type(e) is float and e != 0)
+        assert all(o is check(0.0) for o in out if o == 0)
