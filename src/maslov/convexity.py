@@ -48,10 +48,11 @@ class PointCloudSpace(_Value):
 
     def __post_init__(self) -> None:
         raw = self.space.dense(self.embed, "embed")
-        coords = [tuple(map(float, q)) for q in raw]
-        # checked on the raw points after the conversion: a list of the points
-        # made first for the check raised kernels_large's peak RSS by 1 MB
+        # text is rejected as a point and as a coordinate before float() or
+        # iteration could read it as numbers (b"1" iterates as the int 49)
+        _reject_text(raw, "cloud coordinates must be numbers")
         _reject_text(chain.from_iterable(raw), "cloud coordinates must be numbers")
+        coords = [tuple(map(float, q)) for q in raw]
         if not all(map(math.isfinite, chain.from_iterable(coords))):
             raise ValueError("cloud points must have finite coordinates")
         if len({len(q) for q in coords}) != 1:

@@ -182,23 +182,12 @@ class _Value:
         if len(cls._fields) == len(vars(cls)["__slots__"]):
             new = object.__new__
             puts = tuple(vars(cls)[name].__set__ for name in cls._fields)
-            if len(puts) == 2:
-                # measures and functions, built most often: unrolled, this
-                # is 0.3 µs a call faster than the loop (CPython 3.11)
-                put_a, put_b = puts
 
-                def _trusted(a: Any, b: Any) -> Any:
-                    obj = new(cls)
-                    put_a(obj, a)
-                    put_b(obj, b)
-                    return obj
-            else:
-
-                def _trusted(*fields: Any) -> Any:  # type: ignore[misc]
-                    obj = new(cls)
-                    for put, value in zip(puts, fields):
-                        put(obj, value)
-                    return obj
+            def _trusted(*fields: Any) -> Any:
+                obj = new(cls)
+                for put, value in zip(puts, fields):
+                    put(obj, value)
+                return obj
 
             cls._trusted = staticmethod(_trusted)  # type: ignore[attr-defined]
 
@@ -529,6 +518,8 @@ class MetricSpace(_Value):
         n = len(self.space)
         d = self.dist
         if not (type(d) is np.ndarray and d.dtype == np.float64 and d.shape == (n, n)):
+            d = list(d)
+            _reject_text(d, "distances must be numbers")  # a bytes row iterates as ints
             d = [tuple(r) for r in d]
             if len(d) != n or any(len(r) != n for r in d):
                 raise ValueError("distance table must be square over the space")

@@ -72,8 +72,7 @@ class IdempotentMeasure(_Value):
 
 def _require_measure(mu: object, what: str) -> None:
     """Reject anything but a validated measure, which `_trusted` relies on."""
-    if not isinstance(mu, IdempotentMeasure):
-        _require(mu, IdempotentMeasure, what)
+    _require(mu, IdempotentMeasure, what)
 
 
 def dirac(space: FiniteSpace, x: Label) -> IdempotentMeasure:
@@ -114,6 +113,7 @@ def integrate(mu: IdempotentMeasure, phi: FiniteFunction) -> float:
     over all points is the maximum over the support.
     """
     _require_measure(mu, "an integrated measure")
+    _require(phi, FiniteFunction, "an integrated function")
     if phi.space != mu.space:
         raise ValueError("measure and function live on different spaces")
     return max(map(add, phi.values, mu.weights))

@@ -107,6 +107,10 @@ LIBRARY = {
         lambda: MetricSpace(X2, ("01", "10")),
         TypeError, "distances must be numbers",
     ),
+    "metric: bytes rows": (
+        lambda: MetricSpace(X2, (b"\x00\x01", b"\x01\x00")),
+        TypeError, "distances must be numbers",
+    ),
     "closure: not square": (
         lambda: metric_closure(X2, [[0.0]]),
         ValueError, "raw table must be square over the space",
@@ -139,6 +143,10 @@ LIBRARY = {
     "integrate: a function for the measure": (
         lambda: integrate(PHI, dirac(X2, "a")),
         TypeError, "an integrated measure must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "integrate: a measure for the function": (
+        lambda: integrate(dirac(X2, "a"), dirac(X2, "a")),
+        TypeError, "an integrated function must be a FiniteFunction, got IdempotentMeasure",
     ),
     "support: a function": (
         lambda: support(PHI),
@@ -220,6 +228,14 @@ LIBRARY = {
     ),
     "cloud: a text point": (
         lambda: PointCloudSpace(X2, {"a": "1", "b": "2"}),
+        TypeError, "cloud coordinates must be numbers",
+    ),
+    "cloud: a bytes point": (
+        lambda: PointCloudSpace(X2, {"a": b"1", "b": b"2"}),
+        TypeError, "cloud coordinates must be numbers",
+    ),
+    "cloud: a non-numeric text point": (
+        lambda: PointCloudSpace(X2, {"a": "x", "b": "y"}),
         TypeError, "cloud coordinates must be numbers",
     ),
     "cloud: mixed dimensions": (
