@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .core import NEG_INF, FiniteFunction, FiniteSpace, Label, _Value, _require
-from .measures import IdempotentMeasure, _require_measure
+from .measures import IdempotentMeasure
 
 
 class PointMap(_Value):
@@ -81,7 +81,7 @@ def pushforward(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
     """
     if not isinstance(f, PointMap):
         raise TypeError(f"pushforward needs a PointMap, got {type(f).__name__}")
-    _require_measure(mu, "a pushed-forward measure")
+    _require(mu, IdempotentMeasure, "a pushed-forward measure")
     if mu.space != f.source:
         raise ValueError("measure does not live on the source of the map")
     out = [NEG_INF] * len(f.target)
@@ -117,7 +117,7 @@ def lift_along_surjection(f: PointMap, nu: IdempotentMeasure) -> IdempotentMeasu
     taken at least once since f is onto, so its 0 among them.
     """
     _require(f, PointMap, "a lifting map")
-    _require_measure(nu, "a lifted measure")
+    _require(nu, IdempotentMeasure, "a lifted measure")
     if not f.is_surjective:
         raise ValueError("lift requires a surjective map")
     if nu.space != f.target:

@@ -38,7 +38,7 @@ class IdempotentMeasure(_Value):
     `convex_combination`, `pointwise_sup`, `lift_along_surjection`), and
     those whose table is valid by construction (`normalize`, `dirac`,
     `hyperspace_embed`, `fuzzy_embed`), check only the classes of their
-    inputs (`_require_measure`) and build the result with `_trusted`,
+    inputs (`_require`) and build the result with `_trusted`,
     without validating it again; each states its proof.
     """
 
@@ -68,11 +68,6 @@ class IdempotentMeasure(_Value):
     def __repr__(self) -> str:
         atoms = ", ".join(f"{p!r}: {w}" for p, w in zip(self.space.points, self.weights))
         return f"IdempotentMeasure({{{atoms}}})"
-
-
-def _require_measure(mu: object, what: str) -> None:
-    """Reject anything but a validated measure, which `_trusted` relies on."""
-    _require(mu, IdempotentMeasure, what)
 
 
 def dirac(space: FiniteSpace, x: Label) -> IdempotentMeasure:
@@ -112,7 +107,7 @@ def integrate(mu: IdempotentMeasure, phi: FiniteFunction) -> float:
     A -inf weight gives a -inf term and some weight is 0, so the maximum
     over all points is the maximum over the support.
     """
-    _require_measure(mu, "an integrated measure")
+    _require(mu, IdempotentMeasure, "an integrated measure")
     _require(phi, FiniteFunction, "an integrated function")
     if phi.space != mu.space:
         raise ValueError("measure and function live on different spaces")
@@ -121,7 +116,7 @@ def integrate(mu: IdempotentMeasure, phi: FiniteFunction) -> float:
 
 def support(mu: IdempotentMeasure) -> frozenset[Label]:
     """The points carrying finite weight (the minimal carrier of μ)."""
-    _require_measure(mu, "a support's argument")
+    _require(mu, IdempotentMeasure, "a support's argument")
     return frozenset(p for p, w in zip(mu.space.points, mu.weights) if w > NEG_INF)
 
 
@@ -135,8 +130,8 @@ def convex_combination(
     trusted: each entry is max and + of valid weights, and the term with
     λi = 0 keeps the 0 of μi.
     """
-    _require_measure(mu1, "a combined measure")
-    _require_measure(mu2, "a combined measure")
+    _require(mu1, IdempotentMeasure, "a combined measure")
+    _require(mu2, IdempotentMeasure, "a combined measure")
     lam1, lam2 = as_weight(lam1), as_weight(lam2)
     if max(lam1, lam2) != 0.0:
         raise ValueError("combination weights must satisfy max(λ1, λ2) = 0")
@@ -154,7 +149,7 @@ def pointwise_sup(measures: Iterable[IdempotentMeasure]) -> IdempotentMeasure:
     if not ms:
         raise ValueError("sup of an empty family")
     for m in ms:
-        _require_measure(m, "a member of a sup")
+        _require(m, IdempotentMeasure, "a member of a sup")
     sp = ms[0].space
     if any(m.space != sp for m in ms):
         raise ValueError("measures live on different spaces")

@@ -28,7 +28,7 @@ from .core import (
     product_space,
 )
 from .functor import PointMap, pushforward
-from .measures import IdempotentMeasure, _require_measure, dirac, integrate
+from .measures import IdempotentMeasure, dirac, integrate
 
 # The smallest base on which `multiply` mixes numpy arrays, if numpy is
 # loaded.  The array path has a fixed cost per row, so the crossover is a
@@ -69,7 +69,7 @@ class OuterMeasure(_Value):
             raise ValueError("an outer measure needs at least one component")
         shared = True
         for m in inner:
-            _require_measure(m, "an inner component")
+            _require(m, IdempotentMeasure, "an inner component")
             shared = shared and m.space == self.base
         if len(w) != len(inner):
             raise ValueError("one weight per inner measure required")
@@ -128,7 +128,7 @@ def outer_dirac(mu: IdempotentMeasure) -> OuterMeasure:
 
     Built trusted: one measure on its own space, with weight 0.
     """
-    _require_measure(mu, "an inner component")
+    _require(mu, IdempotentMeasure, "an inner component")
     return OuterMeasure._trusted(mu.space, (mu,), (0.0,))
 
 
@@ -139,7 +139,7 @@ def dirac_lift(mu: IdempotentMeasure) -> OuterMeasure:
     weights; multiplying this back recovers μ.  Built trusted: the weights
     are μ's finite weights, among them its 0.
     """
-    _require_measure(mu, "an inner component")
+    _require(mu, IdempotentMeasure, "an inner component")
     pairs = [
         (w, dirac(mu.space, p))
         for p, w in zip(mu.space.points, mu.weights)
@@ -171,7 +171,7 @@ def tensor_many(measures: Sequence[IdempotentMeasure]) -> IdempotentMeasure:
         raise ValueError("tensor_many needs at least two measures")
     weights = [0.0]
     for m in measures:
-        _require_measure(m, "a tensor factor")
+        _require(m, IdempotentMeasure, "a tensor factor")
         weights = [w + v for w in weights for v in m.weights]
     return IdempotentMeasure._trusted(product_space(*(m.space for m in measures)), tuple(weights))
 
@@ -188,7 +188,7 @@ def marginal(mu: IdempotentMeasure, axis: int) -> IdempotentMeasure:
     Row-major order makes the fiber of a coordinate a set of strided runs:
     first reduce each run over the later axes, then stride over the earlier.
     """
-    _require_measure(mu, "a marginal's argument")
+    _require(mu, IdempotentMeasure, "a marginal's argument")
     if not isinstance(mu.space, ProductSpace):
         raise ValueError("marginals require a measure on a declared product space")
     fac = mu.space.axis(axis)
@@ -206,7 +206,7 @@ def flatten_measure(mu: IdempotentMeasure) -> IdempotentMeasure:
     The nested and the flat product list their points in the same
     row-major order, so the weights carry over unchanged.
     """
-    _require_measure(mu, "a flattened measure")
+    _require(mu, IdempotentMeasure, "a flattened measure")
     if not isinstance(mu.space, ProductSpace):
         raise ValueError("only measures on product spaces can be flattened")
     return IdempotentMeasure._trusted(product_space(*_atomic_factors(mu.space)), mu.weights)
