@@ -12,7 +12,7 @@ from itertools import chain
 from operator import add, itemgetter
 from typing import Callable, Mapping, Sequence
 
-from .core import NEG_INF, FiniteSpace, Label, _Value, _reject_text, combine
+from .core import NEG_INF, FiniteSpace, Label, _Value, _floats, _reject_text, combine
 from .measures import IdempotentMeasure
 from .monad import OuterMeasure, multiply
 
@@ -20,7 +20,7 @@ TropicalPoint = tuple[float, ...]
 
 
 def _check_point(p: Sequence[float], dim: int | None = None) -> TropicalPoint:
-    q = tuple(float(v) for v in p)
+    q = _floats(p, "coordinates must be numbers")
     if any(math.isnan(v) or v == math.inf for v in q):
         raise ValueError("coordinates must be reals or -inf")
     if dim is not None and len(q) != dim:

@@ -86,6 +86,14 @@ def _reject_text(values: Iterable[Any], message: str) -> None:
         raise TypeError(message)
 
 
+def _floats(values: Iterable[Any], message: str) -> tuple[float, ...]:
+    """float() of each entry, after text as the table or an entry (b"1"
+    iterates as the int 49) raises TypeError(message)."""
+    table = tuple(values)
+    _reject_text((values, *table), message)
+    return tuple(map(float, table))
+
+
 def _require(value: object, cls: type, what: str) -> None:
     """Reject an argument of another class, which a trusted build would not catch."""
     if not isinstance(value, cls):
@@ -451,7 +459,7 @@ class FiniteFunction(_Value):
 
     @classmethod
     def constant(cls, space: FiniteSpace, c: float) -> "FiniteFunction":
-        return cls(space, (float(c),) * len(space))
+        return cls(space, (c,) * len(space))
 
     def __call__(self, label: Label) -> float:
         return self.values[self.space.index(label)]
@@ -518,12 +526,9 @@ class MetricSpace(_Value):
         n = len(self.space)
         d = self.dist
         if not (type(d) is np.ndarray and d.dtype == np.float64 and d.shape == (n, n)):
-            d = list(d)
-            _reject_text(d, "distances must be numbers")  # a bytes row iterates as ints
-            d = [tuple(r) for r in d]
+            d = _number_rows(d)
             if len(d) != n or any(len(r) != n for r in d):
                 raise ValueError("distance table must be square over the space")
-            _reject_text(chain.from_iterable(d), "distances must be numbers")
         d = np.array(d, dtype=float)
         if d.shape != (n, n):
             raise TypeError("distances must be numbers")
@@ -576,6 +581,16 @@ class MetricSpace(_Value):
         return max(max(row) for row in self.dist)
 
 
+def _number_rows(table: Any) -> list[tuple]:
+    """The rows of a distance table as tuples, with text rejected as a row
+    (a bytes row iterates as ints) and as an entry before numpy parses it."""
+    rows = list(table)
+    _reject_text(rows, "distances must be numbers")
+    rows = [tuple(r) for r in rows]
+    _reject_text(chain.from_iterable(rows), "distances must be numbers")
+    return rows
+
+
 def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarray) -> MetricSpace:
     """Shortest-path closure: the largest metric dominated by a raw dissimilarity.
 
@@ -590,6 +605,8 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     import numpy as np
 
     n = len(space)
+    if not (type(raw) is np.ndarray and raw.dtype == np.float64):
+        raw = _number_rows(raw)
     d = np.array(raw, dtype=float)
     if d.shape != (n, n):
         raise ValueError("raw table must be square over the space")

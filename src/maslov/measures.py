@@ -35,11 +35,13 @@ class IdempotentMeasure(_Value):
     which is a valid weight.  So the kernels that build a table from the
     weights of validated measures by max and + alone (`tensor_many`,
     `marginal`, `multiply`, `pushforward`, `flatten_measure`,
-    `convex_combination`, `pointwise_sup`, `lift_along_surjection`), and
-    those whose table is valid by construction (`normalize`, `dirac`,
-    `hyperspace_embed`, `fuzzy_embed`), check only the classes of their
-    inputs (`_require`) and build the result with `_trusted`,
-    without validating it again; each states its proof.
+    `convex_combination`, `pointwise_sup`, `lift_along_surjection`, and
+    with max and min `lift_open_surjection`, `bicommutative_lift` and
+    `pattern_max_coupling`), and those whose table is valid by
+    construction (`normalize`, `dirac`, `hyperspace_embed`, `fuzzy_embed`,
+    `milyutin_build`), check only the classes of their inputs (`_require`)
+    and build the result with `_trusted`, without validating it again;
+    each states its proof.
     """
 
     __slots__ = ("space", "weights")

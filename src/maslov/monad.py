@@ -23,6 +23,7 @@ from .core import (
     _Value,
     _as_weights,
     _atomic_factors,
+    _floats,
     _require,
     combine,
     product_space,
@@ -285,7 +286,7 @@ class FuzzySet(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        g = tuple(float(v) for v in self.grades)
+        g = _floats(self.grades, "grades must be numbers")
         if len(g) != len(self.space):
             raise ValueError("one grade per point required")
         if any(math.isnan(v) or v < 0.0 or v > 1.0 for v in g):

@@ -6,7 +6,7 @@ Three computational devices live here:
   collapse map (one doubled fiber) as its special case, plus the
   factorization of a surjection into collapses;
 * lifting of couplings through a collapse applied to both coordinates,
-  with the two characteristic identities checked exactly;
+  with the two characteristic identities proven exact on every float;
 * the max-marginal coupling correspondence: feasibility, tight-pattern
   enumeration of the (non-convex) feasible set, and an exact best
   approximation gap, with its coupling and witness test function all in
@@ -33,11 +33,12 @@ from .core import (
     MetricSpace,
     ProductSpace,
     _Value,
+    _require,
     as_weight,
     product_space,
 )
 from .functor import PointMap, pushforward
-from .measures import IdempotentMeasure, dirac
+from .measures import IdempotentMeasure
 from .monad import marginal
 
 
@@ -72,19 +73,17 @@ class CollapseMap(_Value):
 
 
 def lift_open_collapse(
-    f: CollapseMap,
-    mu0: IdempotentMeasure,
-    nu_seq: Sequence[IdempotentMeasure],
-    nu0: IdempotentMeasure | None = None,
+    f: CollapseMap, mu0: IdempotentMeasure, nu_seq: Sequence[IdempotentMeasure]
 ) -> list[IdempotentMeasure]:
     """Lift a sequence of target measures through a collapse, anchored at μ0.
 
-    The one-doubled-fiber case of `lift_open_surjection`, with its checks
+    The one-doubled-fiber case of `lift_open_surjection`, with its proof
     and guarantees: the doubled-fiber atom with the larger μ0-weight (the
     first in source order on a tie) tracks the image weight exactly; the
-    other is clipped at its own μ0-weight.
+    other is clipped at min(ν_k(y), μ0(x)) ≤ ν_k(y), so each lift pushes
+    forward to its ν_k exactly.
     """
-    return lift_open_surjection(f.map, mu0, nu_seq, nu0)
+    return lift_open_surjection(f.map, mu0, nu_seq)
 
 
 def factor_surjection(f: PointMap) -> tuple[list[CollapseMap], PointMap]:
@@ -114,10 +113,7 @@ def factor_surjection(f: PointMap) -> tuple[list[CollapseMap], PointMap]:
 
 
 def lift_open_surjection(
-    f: PointMap,
-    mu0: IdempotentMeasure,
-    nu_seq: Sequence[IdempotentMeasure],
-    nu0: IdempotentMeasure | None = None,
+    f: PointMap, mu0: IdempotentMeasure, nu_seq: Sequence[IdempotentMeasure]
 ) -> list[IdempotentMeasure]:
     """Lift a sequence of target measures through a finite surjection, anchored at μ0.
 
@@ -137,33 +133,35 @@ def lift_open_surjection(
     point never clipped is the first with the largest μ0-weight, and every
     other point x ends at min(ν_k(f x), μ0(x)).
 
-    `nu0`, when given, must equal the pushforward of μ0 exactly.
+    Built trusted, each weight being one of ν_k or of μ0: in the fiber over
+    y the tracking point copies ν_k(y) and every other point is clipped to
+    min(ν_k(y), μ0(x)) ≤ ν_k(y), so the fiber max is ν_k(y), and since f is
+    onto, ν_k's 0 appears in the lift.
     """
+    _require(f, PointMap, "a lifting map")
+    _require(mu0, IdempotentMeasure, "an anchor measure")
     if mu0.space != f.source:
         raise ValueError("anchor measure does not live on the source")
-    if nu0 is not None and nu0 != pushforward(f, mu0):
-        raise InfeasibleError("marginal mismatch: nu0 differs from the image of mu0")
     if not f.is_surjective:
         raise ValueError("lift requires a surjective map")
-    images = [f.table[x] for x in f.source.points]
-    # per target point, the index of its fiber's tracking point
-    tracking: dict[Label, int] = {}
-    for i, y in enumerate(images):
-        if y not in tracking or mu0.weights[i] > mu0.weights[tracking[y]]:
-            tracking[y] = i
+    images = f._targets
+    # per target index, the index of its fiber's tracking point
+    tracking: dict[int, int] = {}
+    for i, j in enumerate(images):
+        if j not in tracking or mu0.weights[i] > mu0.weights[tracking[j]]:
+            tracking[j] = i
     caps = list(mu0.weights)
     for i in tracking.values():
         caps[i] = math.inf  # never clipped
 
     lifts = []
     for nu_k in nu_seq:
+        _require(nu_k, IdempotentMeasure, "a sequence measure")
         if nu_k.space != f.target:
             raise ValueError("sequence measures must live on the target")
-        weights = tuple(min(nu_k.weight(y), cap) for y, cap in zip(images, caps))
-        mu_k = IdempotentMeasure(f.source, weights)
-        if pushforward(f, mu_k) != nu_k:
-            raise ValueError("lift failed to reproduce its marginal")
-        lifts.append(mu_k)
+        w = nu_k.weights
+        weights = tuple(min(w[j], cap) for j, cap in zip(images, caps))
+        lifts.append(IdempotentMeasure._trusted(f.source, weights))
     return lifts
 
 
@@ -178,7 +176,12 @@ def bicommutative_lift(
         first marginal of ν' = μ  and  (f × f) image of ν' = ν,
 
     via the row-capped pullback λ'(x, x') = min(μ(x), ν(f x, f x')).  Both
-    identities are checked exactly before returning.
+    identities are proven with max and min alone, so they are exact on
+    every float.  As f is onto, the first marginal at x is
+    min(μ(x), ν₁(f x)) = μ(x), since ν₁ = f_*μ is at least μ(x) at f x; the
+    image at (y, y') is min(ν₁(y), ν(y, y')) = ν(y, y'), since ν₁ is the
+    row max of ν.  So the result is built trusted: its weights are weights
+    of μ or ν, and its first marginal μ has a 0.
     """
     pm = f.map
     if mu.space != pm.source:
@@ -187,20 +190,10 @@ def bicommutative_lift(
         raise ValueError("coupling must live on target × target")
     if marginal(nu, 0) != pushforward(pm, mu):
         raise InfeasibleError("first marginal of the coupling differs from the image of mu")
-
-    prod = product_space(pm.source, pm.source)
-    weights = tuple(
-        min(mu.weight(x), nu.weight((pm.table[x], pm.table[xp])))
-        for (x, xp) in prod.points
-    )
-    lifted = IdempotentMeasure(prod, weights)
-
-    if marginal(lifted, 0) != mu:
-        raise ValueError("lift failed the first-marginal identity")
-    both = PointMap(prod, nu.space, {(x, xp): (pm.table[x], pm.table[xp]) for x, xp in prod.points})
-    if pushforward(both, lifted) != nu:
-        raise ValueError("lift failed the image identity")
-    return lifted
+    # ν's cell (i, j) sits at i*m + j, in row-major order
+    m, t, w = len(pm.target), pm._targets, nu.weights
+    weights = tuple(min(a, w[i * m + j]) for a, i in zip(mu.weights, t) for j in t)
+    return IdempotentMeasure._trusted(product_space(pm.source, pm.source), weights)
 
 
 def coupling_feasible(
@@ -294,9 +287,12 @@ def pattern_max_coupling(
     """The largest coupling inside a pattern's box: every cell at its cap.
 
     Every pinned value is its cell's cap (see `tight_patterns`), so this is
-    the cap coupling min(a_x, b_y) whatever the pattern.
+    the cap coupling min(a_x, b_y) whatever the pattern.  Built trusted:
+    each cap is a weight of μ1 or μ2, and the cell of their 0-atoms has cap 0.
     """
-    return IdempotentMeasure(product_space(mu1.space, mu2.space), tuple(_caps(mu1, mu2)))
+    _require(mu1, IdempotentMeasure, "a marginal")
+    _require(mu2, IdempotentMeasure, "a marginal")
+    return IdempotentMeasure._trusted(product_space(mu1.space, mu2.space), tuple(_caps(mu1, mu2)))
 
 
 class GapResult(_Value):
@@ -502,6 +498,11 @@ def milyutin_build(
     V-sets contain y.  The selection s(y) is the tensor of the per-level
     fiber measures, so its support sits inside the fiber over y and its
     image is the Dirac measure at y.
+
+    Each s(y) is built trusted.  The cover check puts y in a U-set at every
+    level, and α is 0 on U, so the all-U copy over y weighs 0.0.  Every
+    other weight over y is a sum of canonical nonpositive α: ≤ 0, and never
+    NaN or -0.0.  Points off the fiber over y weigh -inf.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -511,6 +512,7 @@ def milyutin_build(
     used = levels[:depth]
     for i, level in enumerate(used):
         for pair in level.pairs:
+            _require(pair, CoverPair, "a cover pair")
             base.require(pair.V, f"level {i}")
         covered = frozenset().union(*(pair.U for pair in level.pairs))
         if covered != frozenset(base.points):
@@ -542,8 +544,6 @@ def milyutin_build(
 
     selection: dict[Label, IdempotentMeasure] = {}
     for y in base.points:
-        s_y = IdempotentMeasure(X, tuple(w if p[0] == y else NEG_INF for p, w in zip(points, own)))
-        if pushforward(f, s_y) != dirac(base, y):
-            raise ValueError("selection failed to project to the point it covers")
-        selection[y] = s_y
+        weights = tuple(w if p[0] == y else NEG_INF for p, w in zip(points, own))
+        selection[y] = IdempotentMeasure._trusted(X, weights)
     return X, f, selection

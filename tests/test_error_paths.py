@@ -53,7 +53,6 @@ from maslov.monad import (
 from maslov.openness import (
     CollapseMap,
     CoverPair,
-    InfeasibleError,
     MilyutinLevel,
     bicommutative_lift,
     coupling_feasible,
@@ -61,6 +60,7 @@ from maslov.openness import (
     factor_surjection,
     lift_open_surjection,
     milyutin_build,
+    pattern_max_coupling,
 )
 
 X2 = space("ab")
@@ -118,6 +118,18 @@ LIBRARY = {
     "closure: nonzero diagonal": (
         lambda: metric_closure(X2, [[1.0, 1.0], [1.0, 0.0]]),
         ValueError, "raw dissimilarities must vanish on the diagonal",
+    ),
+    "closure: text distances": (
+        lambda: metric_closure(X2, [["0", "1"], ["1", "0"]]),
+        TypeError, "distances must be numbers",
+    ),
+    "closure: bytes rows": (
+        lambda: metric_closure(X2, [b"\x00\x01", b"\x01\x00"]),
+        TypeError, "distances must be numbers",
+    ),
+    "function: text constant": (
+        lambda: FiniteFunction.constant(X2, "1"),
+        TypeError, "function values must be numbers, got '1'",
     ),
     # measures
     "measure: weight count": (
@@ -221,6 +233,14 @@ LIBRARY = {
     "hull: mixed dimensions": (
         lambda: hull_membership([(0.0,), (0.0, 1.0)], (0.0,)),
         ValueError, "generators have inconsistent dimensions",
+    ),
+    "hull: text coordinates": (
+        lambda: hull_membership([("1",)], ("1",)),
+        TypeError, "coordinates must be numbers",
+    ),
+    "hull: a bytes point": (
+        lambda: hull_membership([(1.0,)], b"\x01"),
+        TypeError, "coordinates must be numbers",
     ),
     "cloud: text coordinates": (
         lambda: PointCloudSpace(X2, {"a": ("1",), "b": ("2",)}),
@@ -366,6 +386,14 @@ LIBRARY = {
         lambda: FuzzySet(X2, (1.0,)),
         ValueError, "one grade per point required",
     ),
+    "fuzzy: text grades": (
+        lambda: FuzzySet(X2, ("1", "0")),
+        TypeError, "grades must be numbers",
+    ),
+    "fuzzy: bytes grades": (
+        lambda: FuzzySet(X2, b"\x01\x00"),
+        TypeError, "grades must be numbers",
+    ),
     # openness
     "cover pair: empty U": (
         lambda: CoverPair(frozenset(), frozenset("a")),
@@ -395,12 +423,6 @@ LIBRARY = {
         lambda: lift_open_surjection(ONTO, dirac(Y2, "u"), []),
         ValueError, "anchor measure does not live on the source",
     ),
-    "lift: nu0 not the image": (
-        lambda: lift_open_surjection(
-            PointMap(X2, Y2, {"a": "u", "b": "v"}), dirac(X2, "a"), [], nu0=dirac(Y2, "v")
-        ),
-        InfeasibleError, "marginal mismatch: nu0 differs from the image of mu0",
-    ),
     "lift: not onto": (
         lambda: lift_open_surjection(INTO, dirac(space("a"), "a"), []),
         ValueError, "lift requires a surjective map",
@@ -408,6 +430,18 @@ LIBRARY = {
     "lift: sequence off the target": (
         lambda: lift_open_surjection(ONTO, dirac(X2, "a"), [dirac(X2, "a")]),
         ValueError, "sequence measures must live on the target",
+    ),
+    "lift: a collapse for a map": (
+        lambda: lift_open_surjection(CollapseMap(ONTO), dirac(X2, "a"), []),
+        TypeError, "a lifting map must be a PointMap, got CollapseMap",
+    ),
+    "lift: a function for an anchor": (
+        lambda: lift_open_surjection(ONTO, PHI, []),
+        TypeError, "an anchor measure must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "lift: a map in the sequence": (
+        lambda: lift_open_surjection(ONTO, dirac(X2, "a"), [ONTO]),
+        TypeError, "a sequence measure must be an IdempotentMeasure, got PointMap",
     ),
     "factor: not onto": (
         lambda: factor_surjection(INTO),
@@ -434,6 +468,14 @@ LIBRARY = {
     "milyutin: depth 0": (
         lambda: milyutin_build(M2, [LEVEL], 0),
         ValueError, "depth must be at least 1",
+    ),
+    "milyutin: a level for a cover pair": (
+        lambda: milyutin_build(M2, [MilyutinLevel((LEVEL,))], 1),
+        TypeError, "a cover pair must be a CoverPair, got MilyutinLevel",
+    ),
+    "cap coupling: a function": (
+        lambda: pattern_max_coupling(None, PHI, dirac(Y2, "u")),
+        TypeError, "a marginal must be an IdempotentMeasure, got FiniteFunction",
     ),
 }
 

@@ -1255,7 +1255,7 @@ class TestOpenLiftMatchesComposedCollapses:
     def test_collapses(self, instance):
         f, mu0, nus = instance
         c = CollapseMap(f)
-        assert lift_open_collapse(c, mu0, nus, nu0=nus[0]) == _lift_open_collapse_loop(c, mu0, nus)
+        assert lift_open_collapse(c, mu0, nus) == _lift_open_collapse_loop(c, mu0, nus)
 
 
 # ------------------------------------------------------------- products

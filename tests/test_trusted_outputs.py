@@ -2,12 +2,15 @@
 
 `normalize`, `dirac`, `hyperspace_embed`, `fuzzy_embed`,
 `convex_combination`, `pointwise_sup`, `lift_along_surjection`,
-`outer_dirac`, `dirac_lift`, `map_outer`, `pointwise_max` and `precompose`
-build their result with `_trusted`, on the proof in their docstring.  Each
-result must pass its public constructor unchanged, bit for bit, and hold
-no -0.0, which the constructor would turn into 0.0 and `==` would not
-see.  Inputs mix weights k/3 (not dyadic), subnormals and weights near
--1.7e308, whose sums overflow to -inf.
+`outer_dirac`, `dirac_lift`, `map_outer`, `pointwise_max`, `precompose`
+and the openness builders `lift_open_surjection` (with
+`lift_open_collapse`), `bicommutative_lift`, `pattern_max_coupling` and
+`milyutin_build` build their result with `_trusted`, on the proof in their
+docstring.  Each result must pass its public constructor unchanged, bit
+for bit, and hold no -0.0, which the constructor would turn into 0.0 and
+`==` would not see.  The openness outputs must also satisfy the identities
+their docstrings prove, bit for bit.  Inputs mix weights k/3 (not dyadic),
+subnormals and weights near -1.7e308, whose sums overflow to -inf.
 
 The table checks `_as_weights` and `_as_values` read their input once and
 keep its nonzero float objects; the first bad entry decides the exception.
@@ -28,9 +31,11 @@ from maslov.core import (
     _as_weights,
     as_value,
     as_weight,
+    metric_closure,
     pointwise_max,
+    product_space,
 )
-from maslov.functor import PointMap, lift_along_surjection, precompose
+from maslov.functor import PointMap, lift_along_surjection, precompose, pushforward
 from maslov.measures import IdempotentMeasure, convex_combination, dirac, normalize, pointwise_sup
 from maslov.monad import (
     ClosedSet,
@@ -40,7 +45,19 @@ from maslov.monad import (
     fuzzy_embed,
     hyperspace_embed,
     map_outer,
+    marginal,
     outer_dirac,
+)
+from maslov.openness import (
+    CollapseMap,
+    CoverPair,
+    MilyutinLevel,
+    bicommutative_lift,
+    coupling_feasible,
+    lift_open_collapse,
+    lift_open_surjection,
+    milyutin_build,
+    pattern_max_coupling,
 )
 
 SUBNORMAL = 5e-324
@@ -89,8 +106,18 @@ def surjections(draw):
     return PointMap(source, target, dict(zip(source.points, order)))
 
 
+@st.composite
+def collapses(draw):
+    """A map from n + 1 points onto n, merging one pair."""
+    return CollapseMap(draw(surjections().filter(lambda f: len(f.source) == len(f.target) + 1)))
+
+
 def _bits(values):
     return [v.hex() for v in values]
+
+
+def assert_same_measure(got, want):
+    assert got == want and _bits(got.weights) == _bits(want.weights)
 
 
 def _no_negative_zero(values):
@@ -173,6 +200,103 @@ class TestTrustedMeasures:
     def test_lift_along_surjection(self, instance):
         f, nu = instance
         assert_valid_measure(lift_along_surjection(f, nu))
+
+
+def _anchored_lift(f, mu0, nu):
+    """The lift by its definition: per fiber, the first point with the largest
+    anchor weight copies ν; every other point is min(ν(f x), μ0(x))."""
+    lift = []
+    for x in f.source.points:
+        fiber = [p for p in f.source.points if f(p) == f(x)]
+        first = max(fiber, key=mu0.weight)  # max keeps the first on a tie
+        lift.append(nu.weight(f(x)) if x == first else min(nu.weight(f(x)), mu0.weight(x)))
+    return IdempotentMeasure(f.source, tuple(lift))
+
+
+@st.composite
+def couplings_over(draw, mu, f):
+    """A coupling ν on target × target whose first marginal is f_*μ: the
+    rows of a random table with a 0 in each row, capped at f_*μ."""
+    nu1 = pushforward(f, mu)
+    n = len(f.target)
+    rows = [draw(st.lists(weight, min_size=n, max_size=n)) for _ in range(n)]
+    for row in rows:
+        row[draw(st.integers(0, n - 1))] = 0.0
+    cells = tuple(min(a, w) for a, row in zip(nu1.weights, rows) for w in row)
+    return IdempotentMeasure(product_space(f.target, f.target), cells)
+
+
+@st.composite
+def cover_levels(draw, Y):
+    """1-3 levels of cover pairs on Y, with α drawn from the weights."""
+    levels = []
+    for _ in range(draw(st.integers(1, 3))):
+        pairs = []
+        for y in Y.points:  # one pair around each point, so the U-sets cover
+            U = frozenset({y, *draw(st.sets(st.sampled_from(Y.points), max_size=2))})
+            V = U | draw(st.sets(st.sampled_from(Y.points), max_size=3))
+            alpha = {v: draw(weight) for v in V - U}
+            pairs.append(CoverPair(U, V, alpha))
+        levels.append(MilyutinLevel(tuple(draw(st.permutations(pairs)))))
+    return levels
+
+
+class TestTrustedOpenness:
+    @settings(max_examples=300, deadline=None)
+    @given(surjections().flatmap(lambda f: st.tuples(
+        st.just(f), measures(f.source), st.lists(measures(f.target), max_size=3))))
+    def test_lift_open_surjection(self, instance):
+        f, mu0, nus = instance
+        lifts = lift_open_surjection(f, mu0, nus)
+        assert len(lifts) == len(nus)
+        for nu_k, mu_k in zip(nus, lifts):
+            assert_valid_measure(mu_k)
+            assert_same_measure(pushforward(f, mu_k), nu_k)
+            assert_same_measure(mu_k, _anchored_lift(f, mu0, nu_k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(collapses().flatmap(lambda c: st.tuples(
+        st.just(c), measures(c.map.source), st.lists(measures(c.map.target), max_size=3))))
+    def test_lift_open_collapse(self, instance):
+        c, mu0, nus = instance
+        for nu_k, mu_k in zip(nus, lift_open_collapse(c, mu0, nus)):
+            assert_valid_measure(mu_k)
+            assert_same_measure(pushforward(c.map, mu_k), nu_k)
+            assert_same_measure(mu_k, _anchored_lift(c.map, mu0, nu_k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(collapses().flatmap(lambda c: measures(c.map.source).flatmap(
+        lambda mu: st.tuples(st.just(c), st.just(mu), couplings_over(mu, c.map)))))
+    def test_bicommutative_lift(self, instance):
+        c, mu, nu = instance
+        lifted = bicommutative_lift(c, mu, nu)
+        assert_valid_measure(lifted)
+        assert_same_measure(marginal(lifted, 0), mu)
+        prod = lifted.space
+        both = PointMap(prod, nu.space, {(x, xp): (c.map(x), c.map(xp)) for x, xp in prod.points})
+        assert_same_measure(pushforward(both, lifted), nu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(sizes, sizes).flatmap(
+        lambda nm: st.tuples(measures(_space("x", nm[0])), measures(_space("y", nm[1])))))
+    def test_pattern_max_coupling(self, pair):
+        mu1, mu2 = pair
+        cap = pattern_max_coupling(None, mu1, mu2)
+        assert_valid_measure(cap)
+        assert coupling_feasible(cap, mu1, mu2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).map(lambda n: _space("y", n)).flatmap(
+        lambda Y: st.tuples(st.just(Y), cover_levels(Y))), st.data())
+    def test_milyutin_build(self, instance, data):
+        Y, levels = instance
+        depth = data.draw(st.integers(1, len(levels)))
+        M = metric_closure(Y, [[float(i != j) for j in range(len(Y))] for i in range(len(Y))])
+        X, f, selection = milyutin_build(M, levels, depth)
+        assert list(selection) == list(Y.points)
+        for y, s_y in selection.items():
+            assert_valid_measure(s_y)
+            assert_same_measure(pushforward(f, s_y), dirac(Y, y))
 
 
 class TestTrustedOuterMeasures:
