@@ -506,6 +506,14 @@ class MetricSpace(_Value):
     testing d_ij > fl(fl(d_ik + d_kj)·s) for every k, the rule stated
     above, on every input.
 
+    Every table passed to the constructor is checked.  `metric_closure`
+    skips the check only on a raw table whose entries are all multiples
+    of ulp(2M), M the largest: there no path sum rounds, so the output is
+    an exact metric (the proof is in its docstring).  Other closures, of
+    real-valued tables for one, are checked: along a chain of n rounded
+    sums the error reaches about 2n·u, the whole slack, so no proof
+    closes inside it.
+
     `dist` may be any square table of numbers; a float64 array is read as
     it is, without a pass through Python rows.
     """
@@ -601,6 +609,19 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     rounded sum along another by an ulp, so closing the output again may
     move entries by an ulp; the output, and the output of closing it again,
     pass the 1 + n·ε triangle test of `MetricSpace`.
+
+    The output is built without `MetricSpace`'s O(n³) triangle test when an
+    O(n²) certificate proves every sum exact: each raw entry is a multiple
+    of g = ulp(2M), M the largest raw entry.  By induction every entry
+    stays a multiple of g in [0, M], since it never exceeds its raw value,
+    so every sum d_ik + d_kj is a multiple of g in [0, 2M], which a float
+    holds exactly.  The output is then the real shortest-path metric: it
+    meets the triangle inequality exactly, fl(d_ik + d_kj) = d_ik + d_kj,
+    and fl(m·s) ≥ m for s ≥ 1, so the test d > m·(1 + n·ε) never fires.
+    The raw checks give the rest: a zero diagonal, finite nonnegative
+    entries, positive ones off the diagonal, and symmetry, which float +
+    keeps as it commutes.  If 2M overflows, g is inf and the certificate
+    fails.  Other tables are checked by `MetricSpace` as before.
     """
     import numpy as np
 
@@ -616,13 +637,25 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
         raise ValueError("raw dissimilarities must be symmetric")
     if (np.diag(d) != 0).any():
         raise ValueError("raw dissimilarities must vanish on the diagonal")
-    # Floyd-Warshall; row and column k do not change in step k, so one
-    # array step per k makes the same comparisons as the in-place loop.  A
-    # path sum past the float range is +inf and never lowers an entry.
+    if np.count_nonzero(d) != n * n - n:
+        raise ValueError("distinct points must be at positive distance")
+    buf = np.empty_like(d)
+    exact = not np.fmod(d, math.ulp(2.0 * float(d.max())), out=buf).any()
+    # Floyd-Warshall in place: row and column k do not change in step k,
+    # so the sums are those of the unchanged table.  A path sum past the
+    # float range is +inf and never lowers an entry.
     with np.errstate(over="ignore"):
         for k in range(n):
-            d = np.minimum(d, d[:, k, None] + d[None, k, :])
-    return MetricSpace(space, d)
+            np.add(d[:, k, None], d[k], out=buf)
+            np.minimum(d, buf, out=d)
+    if not exact:
+        return MetricSpace(space, d)
+    out = object.__new__(MetricSpace)
+    d.flags.writeable = False
+    object.__setattr__(out, "space", space)
+    object.__setattr__(out, "dist", tuple(map(tuple, d.tolist())))
+    object.__setattr__(out, "_table", d)
+    return out
 
 
 def space(labels: Iterable[str]) -> FiniteSpace:

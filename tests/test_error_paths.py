@@ -119,6 +119,23 @@ LIBRARY = {
         lambda: metric_closure(X2, [[1.0, 1.0], [1.0, 0.0]]),
         ValueError, "raw dissimilarities must vanish on the diagonal",
     ),
+    "closure: zero off the diagonal": (
+        lambda: metric_closure(X2, [[0, 0], [0, 0]]),
+        ValueError, "distinct points must be at positive distance",
+    ),
+    "closure: -0.0 off the diagonal": (
+        lambda: metric_closure(X2, [[0.0, -0.0], [-0.0, 0.0]]),
+        ValueError, "distinct points must be at positive distance",
+    ),
+    # asymmetric before a nonzero diagonal before a zero off the diagonal
+    "closure: asymmetric, nonzero diagonal and a zero": (
+        lambda: metric_closure(space("abc"), [[1, 0, 2], [0, 0, 1], [2, 3, 0]]),
+        ValueError, "raw dissimilarities must be symmetric",
+    ),
+    "closure: nonzero diagonal and a zero": (
+        lambda: metric_closure(space("abc"), [[0, 0, 2], [0, 1, 1], [2, 1, 0]]),
+        ValueError, "raw dissimilarities must vanish on the diagonal",
+    ),
     "closure: text distances": (
         lambda: metric_closure(X2, [["0", "1"], ["1", "0"]]),
         TypeError, "distances must be numbers",

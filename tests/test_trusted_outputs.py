@@ -12,11 +12,21 @@ for bit, and hold no -0.0, which the constructor would turn into 0.0 and
 their docstrings prove, bit for bit.  Inputs mix weights k/3 (not dyadic),
 subnormals and weights near -1.7e308, whose sums overflow to -inf.
 
+`metric_closure` builds its `MetricSpace` without the triangle check when
+every raw entry is a multiple of ulp(2M), M the largest.  Its output must
+equal its rebuild through `MetricSpace`, bit for bit, on that path and on
+the checked one, and on the certified path the exact `Fraction`
+shortest-path table.  Tables of quarters, of k·2^e with k near 2^53 and of
+thirds (off the grid) are drawn; the certificate's boundary is pinned by
+rows at 2^52, at a sum needing 54 bits and at an overflowing 2M.
+
 The table checks `_as_weights` and `_as_values` read their input once and
 keep its nonzero float objects; the first bad entry decides the exception.
 """
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +37,7 @@ from maslov.core import (
     NEG_INF,
     FiniteFunction,
     FiniteSpace,
+    MetricSpace,
     _as_values,
     _as_weights,
     as_value,
@@ -62,6 +73,7 @@ from maslov.openness import (
 
 SUBNORMAL = 5e-324
 HUGE = 1.7e308
+HALF_MAX = sys.float_info.max / 2
 
 # weights ≤ 0: k/3, subnormal, near -max (two of them sum past -max), -inf
 weight = st.one_of(
@@ -329,6 +341,102 @@ class TestTrustedFunctions:
     def test_precompose(self, instance):
         f, phi = instance
         assert_valid_function(precompose(phi, f))
+
+
+def _closure(X, raw):
+    """metric_closure's output, and whether MetricSpace's check ran on it."""
+    check, calls = MetricSpace.__post_init__, []
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    MetricSpace.__post_init__ = counted
+    try:
+        return metric_closure(X, raw), bool(calls)
+    finally:
+        MetricSpace.__post_init__ = check
+
+
+def _on_grid(raw):
+    """Every entry a multiple of ulp(2M), M the largest, in exact arithmetic."""
+    top = max(map(max, raw))
+    if 2 * top == math.inf:
+        return False
+    g = Fraction(math.ulp(2 * top))
+    return all(Fraction(v) % g == 0 for row in raw for v in row)
+
+
+def _exact_closure(raw):
+    """Floyd-Warshall over Fractions: the real shortest-path table."""
+    d = [[Fraction(v) for v in row] for row in raw]
+    for k in range(len(d)):
+        for row in d:
+            for j, via in enumerate(d[k]):
+                row[j] = min(row[j], row[k] + via)
+    return d
+
+
+def assert_valid_closure(X, raw):
+    """The closure equals its checked rebuild, bit for bit, and is checked
+    iff its raw table is off the grid; on the grid it is exact."""
+    out, checked = _closure(X, raw)
+    assert type(out) is MetricSpace and not out._table.flags.writeable
+    again = MetricSpace(X, out.dist)
+    assert again == out and out._table.tobytes() == again._table.tobytes()
+    assert all(type(v) is float for row in out.dist for v in row)
+    assert checked is not _on_grid(raw)
+    if not checked:
+        assert [list(map(Fraction, row)) for row in out.dist] == _exact_closure(raw)
+    return out, checked
+
+
+_upper = np.triu(np.random.default_rng(0).uniform(0.1, 10.0, size=(9, 9)), 1)
+REAL_TABLE = (_upper + _upper.T).tolist()  # uniform(0.1, 10), off every grid
+
+
+@st.composite
+def raw_tables(draw):
+    """Symmetric tables of 1-6 points: quarters, k·2^e with k near the
+    53-bit limit (one scale a table), or thirds."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["quarters", "headroom", "thirds"]))
+    if kind == "quarters":
+        entry = st.integers(1, 32).map(lambda k: k / 4)
+    elif kind == "thirds":
+        entry = st.integers(1, 12).map(lambda k: k / 3)
+    else:
+        scale = 2.0 ** draw(st.sampled_from([-1074, -60, 0, 960, 971]))
+        entry = st.integers(2 ** 50, 2 ** 53 - 1).map(lambda k: k * scale)
+    raw = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            raw[i][j] = raw[j][i] = draw(entry)
+    return raw
+
+
+class TestCertifiedClosure:
+    @settings(max_examples=400, deadline=None)
+    @given(raw_tables())
+    def test_closure_matches_its_rebuild(self, raw):
+        assert_valid_closure(_space("p", len(raw)), raw)
+
+    @pytest.mark.parametrize("raw, certified", [
+        # odd integers up to 2^52 - 1: every sum fits in 53 bits
+        ([[0, 2 ** 51, 3], [2 ** 51, 0, 2 ** 52 - 1], [3, 2 ** 52 - 1, 0]], True),
+        # 2^52 + 1 plus 2^52 + 2 needs 54 bits, so the table is checked
+        ([[0, 2 ** 52 + 1, 2 ** 52 + 2], [2 ** 52 + 1, 0, 2 ** 52 + 1], [2 ** 52 + 2, 2 ** 52 + 1, 0]], False),
+        # 2M past sys.float_info.max overflows to inf
+        ([[0, HALF_MAX * 1.5, HALF_MAX * 1.25], [HALF_MAX * 1.5, 0, HALF_MAX * 1.5],
+          [HALF_MAX * 1.25, HALF_MAX * 1.5, 0]], False),
+        ([[0, 2.0 ** 1022], [2.0 ** 1022, 0]], True),
+        ([[0.0]], True),
+        ([[0, SUBNORMAL, 2 * SUBNORMAL], [SUBNORMAL, 0, SUBNORMAL], [2 * SUBNORMAL, SUBNORMAL, 0]], True),
+        (REAL_TABLE, False),
+    ])
+    def test_certificate_boundary(self, raw, certified):
+        _, checked = assert_valid_closure(_space("p", len(raw)), raw)
+        assert checked is not certified
 
 
 class Counted:
