@@ -622,6 +622,10 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     entries, positive ones off the diagonal, and symmetry, which float +
     keeps as it commutes.  If 2M overflows, g is inf and the certificate
     fails.  Other tables are checked by `MetricSpace` as before.
+
+    The certificate is one pass: with C = 2⁵²·g > M, floats in [C, 2C] are
+    g apart, so for 0 ≤ x ≤ M, fl(x + C) - C = x iff x is a multiple of g
+    (the subtraction is exact by Sterbenz's lemma).
     """
     import numpy as np
 
@@ -640,11 +644,13 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     if np.count_nonzero(d) != n * n - n:
         raise ValueError("distinct points must be at positive distance")
     buf = np.empty_like(d)
-    exact = not np.fmod(d, math.ulp(2.0 * float(d.max())), out=buf).any()
-    # Floyd-Warshall in place: row and column k do not change in step k,
-    # so the sums are those of the unchanged table.  A path sum past the
-    # float range is +inf and never lowers an entry.
+    big = math.ulp(2.0 * float(d.max())) * 2.0**52  # C, inf if 2M overflows
+    # A sum past the float range is +inf: x + C is then off the grid, and a
+    # path sum never lowers an entry.  Floyd-Warshall runs in place: row
+    # and column k do not change in step k, so the sums are those of the
+    # unchanged table.
     with np.errstate(over="ignore"):
+        exact = big < math.inf and np.array_equal(np.subtract(np.add(d, big, out=buf), big, out=buf), d)
         for k in range(n):
             np.add(d[:, k, None], d[k], out=buf)
             np.minimum(d, buf, out=d)

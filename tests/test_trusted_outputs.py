@@ -424,12 +424,16 @@ class TestCertifiedClosure:
     @pytest.mark.parametrize("raw, certified", [
         # odd integers up to 2^52 - 1: every sum fits in 53 bits
         ([[0, 2 ** 51, 3], [2 ** 51, 0, 2 ** 52 - 1], [3, 2 ** 52 - 1, 0]], True),
+        # M = 2^52 puts g at 2, so an odd entry is off the grid
+        ([[0, 2 ** 52, 1], [2 ** 52, 0, 2 ** 52], [1, 2 ** 52, 0]], False),
         # 2^52 + 1 plus 2^52 + 2 needs 54 bits, so the table is checked
         ([[0, 2 ** 52 + 1, 2 ** 52 + 2], [2 ** 52 + 1, 0, 2 ** 52 + 1], [2 ** 52 + 2, 2 ** 52 + 1, 0]], False),
         # 2M past sys.float_info.max overflows to inf
         ([[0, HALF_MAX * 1.5, HALF_MAX * 1.25], [HALF_MAX * 1.5, 0, HALF_MAX * 1.5],
           [HALF_MAX * 1.25, HALF_MAX * 1.5, 0]], False),
         ([[0, 2.0 ** 1022], [2.0 ** 1022, 0]], True),
+        # x + C rounds up to 2^1024, past the float range
+        ([[0, math.nextafter(2.0 ** 1023, 0)], [math.nextafter(2.0 ** 1023, 0), 0]], False),
         ([[0.0]], True),
         ([[0, SUBNORMAL, 2 * SUBNORMAL], [SUBNORMAL, 0, SUBNORMAL], [2 * SUBNORMAL, SUBNORMAL, 0]], True),
         (REAL_TABLE, False),
