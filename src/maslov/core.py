@@ -641,7 +641,7 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
         raise ValueError("raw dissimilarities must be symmetric")
     if (np.diag(d) != 0).any():
         raise ValueError("raw dissimilarities must vanish on the diagonal")
-    if np.count_nonzero(d) != n * n - n:
+    if np.count_nonzero(d) != n * n - n:  # the diagonal is zero here
         raise ValueError("distinct points must be at positive distance")
     buf = np.empty_like(d)
     big = math.ulp(2.0 * float(d.max())) * 2.0**52  # C, inf if 2M overflows
