@@ -35,9 +35,9 @@ in `==`, hash, repr, construction and immutability, and survive copy and
 pickle; a cloud's coordinate columns are not compared, and survive copy
 and pickle.  A frozenset rebuilt by copy or pickle may list two members
 whose hashes collide the other way round, so a copy's repr is compared
-with the members of each frozenset in sorted order.  The dual-distance table is one array pass per row; it is
-compared with the per-pair `dtilde` loop it replaced, on metric and
-pseudometric ground tables.  `outer_dtilde` computes only the block of
+with the members of each frozenset in sorted order.  The dual-distance
+table is one array pass per row; it is compared with the per-pair
+`dtilde` loop it replaced, on metric and pseudometric ground tables.  `outer_dtilde` computes only the block of
 that table from M's support to N's; it is compared with the gap over the
 whole table, with -inf among the outer weights.  The
 triangle check of `MetricSpace` runs on a min-plus square; it is compared
