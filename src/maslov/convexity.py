@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 from operator import add, itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import NEG_INF, FiniteSpace, Label, _Value, _floats, _reject_text, combine
 from .measures import IdempotentMeasure
@@ -131,20 +131,3 @@ def hull_membership(
         return True, lam
     return False, None
 
-
-def affine_map_check(
-    cloud: PointCloudSpace,
-    f: Callable[[TropicalPoint], TropicalPoint],
-    mu: IdempotentMeasure,
-) -> bool:
-    """Whether f commutes with the barycenter on this measure.
-
-    Both sides are computed independently: f applied to the barycenter
-    versus the barycenter taken after re-embedding every cloud point
-    through f.  Exact for max-plus affine maps such as coordinate
-    projections and constant shifts.
-    """
-    lhs = _check_point(f(barycenter(cloud, mu)))
-    moved = PointCloudSpace(cloud.space, {p: f(cloud.embed[p]) for p in cloud.space.points})
-    rhs = barycenter(moved, mu)
-    return lhs == rhs

@@ -416,18 +416,6 @@ def _atomic_factors(space: FiniteSpace) -> tuple[FiniteSpace, ...]:
     return (space,)
 
 
-def flatten_space(space: ProductSpace) -> tuple[ProductSpace, dict[Label, Label]]:
-    """Collapse nested product structure: ((x,y),z) points become (x,y,z).
-
-    Returns the flat product over the atomic factors and the relabeling
-    table realizing the canonical identification.  Both products are
-    row-major over the same atomic factors, so the identification keeps
-    the point order.
-    """
-    flat = product_space(*_atomic_factors(space))
-    return flat, dict(zip(space.points, flat.points))
-
-
 class FiniteFunction(_Value):
     """A real-valued function on a finite space (an element of C(X)).
 
@@ -531,6 +519,7 @@ class MetricSpace(_Value):
     def __post_init__(self) -> None:
         import numpy as np
 
+        _require(self.space, FiniteSpace, "a metric space's point set")
         n = len(self.space)
         d = self.dist
         if not (type(d) is np.ndarray and d.dtype == np.float64 and d.shape == (n, n)):
@@ -629,6 +618,7 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     """
     import numpy as np
 
+    _require(space, FiniteSpace, "a metric closure's point set")
     n = len(space)
     if not (type(raw) is np.ndarray and raw.dtype == np.float64):
         raw = _number_rows(raw)

@@ -88,19 +88,6 @@ def rand_map(rng: random.Random, source: FiniteSpace, target: FiniteSpace) -> Po
     return PointMap(source, target, {x: rng.choice(target.points) for x in source.points})
 
 
-def rand_surjection(rng: random.Random, source: FiniteSpace, target: FiniteSpace) -> PointMap:
-    if len(source) < len(target):
-        raise ValueError("a surjection needs at least as many source points")
-    xs = list(source.points)
-    rng.shuffle(xs)
-    table = {}
-    for x, y in zip(xs, target.points):
-        table[x] = y
-    for x in xs[len(target):]:
-        table[x] = rng.choice(target.points)
-    return PointMap(source, target, table)
-
-
 def _rand_top_weights(rng: random.Random, k: int) -> tuple[float, ...]:
     """k weights of a measure over measures, shifted so the largest is 0."""
     raw = [rand_weight(rng) for _ in range(k)]

@@ -9,10 +9,12 @@ Lipschitz constant at most n.  Two independent evaluators are provided:
   above;
 * a brute-force grid oracle that sweeps Lipschitz-feasible value vectors.
 
-The oracle gates the closed form in the test suite; the closed form is
-what the rest of the library uses.  Both evaluators accept pseudometric
-tables at the array level, which is what the iterated (measure-of-measure)
-distance needs.
+One kernel, `_gaps`, computes the closed form between two stacks of
+weight vectors; `maxmin_gap`, `dhat`, `dtilde`, `inner_distance_table`
+and `outer_dtilde` call it.  The oracle gates the closed form in the test
+suite; the closed form is what the rest of the library uses.  Both
+evaluators accept pseudometric tables at the array level, which is what
+the iterated (measure-of-measure) distance needs.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ if TYPE_CHECKING:
 
 _SLACK_EPS = 1e-9
 _GRID_CAP = 4_000_000
-# _dtilde_block takes the column measures in blocks of at most this many
-# terms (32 MB), or of one measure when one has more; the per-pair loop it
-# replaced held up to p² terms at a time.
+# _gaps takes the column vectors in blocks of at most this many terms
+# (32 MB), or one vector at a time when one has more.
 _BLOCK_TERMS = 1 << 22
 
 
@@ -43,40 +44,80 @@ def maxmin_gap(
 ) -> float:
     """Closed-form dual gap on raw weight vectors over a (pseudo)distance table.
 
-    Each term is (λ_i - κ_j) + n·d_ij, associated in that order, so the
-    result does not depend on how the table is stored.  Where n·d_ij
-    alone would overflow, the terms are taken at half scale (see
-    `_scaled`); a gap past the float maximum raises ValueError.
+    The table is symmetric, with one row per entry of lam and of kap;
+    other sizes raise ValueError.  Each term is (λ_i - κ_j) + n·d_ij,
+    associated in that order, so the result does not depend on how the
+    table is stored.  Where n·d_ij alone would overflow, the terms are
+    taken at half scale (see `_scaled`); a gap past the float maximum
+    raises ValueError.
     """
     import numpy as np
 
     d = np.asarray(dist, dtype=float)
-    nd, scale = _scaled(n, d)
-    a = np.array(lam, dtype=float) / scale
-    b = np.array(kap, dtype=float) / scale
-    sup_l = a > NEG_INF
-    sup_k = b > NEG_INF
-    if not sup_l.any() or not sup_k.any():
+    a, b = np.array([lam], dtype=float), np.array([kap], dtype=float)
+    if not (a > NEG_INF).any() or not (b > NEG_INF).any():
         raise ValueError("weight vectors must each have a finite entry")
-    return _gap(n, d, scale, a[sup_l], b[sup_k], nd[np.ix_(sup_l, sup_k)], nd[np.ix_(sup_k, sup_l)])
+    m = len(lam)
+    if len(kap) != m or d.shape != (m, m):
+        raise ValueError("inconsistent table sizes")
+    return float(_gaps(n, d, a, b)[0, 0])
 
 
-def _gap(
-    n: int, d: np.ndarray, scale: float, a: np.ndarray, b: np.ndarray, ab: np.ndarray, ba: np.ndarray
-) -> float:
-    """The larger one-sided gap at `scale`, from finite weights a and b over
-    the scaled tables ab (a's points by b's) and ba; d is the table named
-    in the overflow error."""
+def _gaps(n: int, d: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The dual gap from every row weight vector to every column one.
+
+    d is a table from row points to column points; each vector of `rows`
+    weighs the row points and each of `cols` the column points, with at
+    least one finite entry.  Entry (i, j) is the larger of the one-sided
+    gaps max_a min_b ((λ_a - κ_b) + n·d_ab), from λ = rows[i] to
+    κ = cols[j], and back from κ to λ over d.T.  It is the gap itself; a
+    caller wanting dtilde divides by n.
+
+    One array pass per row λ: with s its support, the terms
+    (λ_a - κ_b) + n·d_ab for a in s, every column vector κ and every point
+    b are associated in that order, so each entry equals the gap of its
+    pair computed alone, bit for bit.  λ_a is finite on s, so a κ_b of
+    -inf gives a term of +inf, never -inf - -inf: no NaN appears, and the
+    min over b passes over it to the support of κ, which is never empty.
+    The max over a gives the one-sided gap from λ to every κ.  The columns
+    are taken in blocks of at most `_BLOCK_TERMS` terms; a block computes
+    the same terms.  The gaps back from the columns are the transpose when
+    `cols` is `rows` (d is then square and symmetric), and a second pass
+    over d.T otherwise.
+
+    Overflow: the terms are taken at the scale s of `_scaled`, 1 or 2, and
+    the gap x found at that scale is returned as s·x, which is exact, or
+    ValueError names d where s·x passes the float maximum.  So a caller's
+    (s·x)/n rounds the real s·x/n once, as x/(n/s) would.
+    """
     import numpy as np
 
-    def one_sided(x, y, nsub):
-        return ((x[:, None] - y[None, :]) + nsub).min(axis=1).max()
+    nd, scale = _scaled(n, d)
+    A = rows / scale
+    B = A if cols is rows else cols / scale
+
+    def one_sided(P, Q, table):
+        one = np.empty((len(P), len(Q)))
+        for i, row in enumerate(P):
+            s = row > NEG_INF
+            a, ds = row[s, None], table[s]
+            step = max(1, _BLOCK_TERMS // ds.size)
+            for j in range(0, len(Q), step):
+                t = a - Q[j:j + step, None, :]
+                t += ds
+                one[i, j:j + step] = t.min(axis=2).max(axis=1)
+        return one
 
     with np.errstate(over="ignore"):
-        gap = scale * max(one_sided(a, b, ab), one_sided(b, a, ba))
-    if gap == math.inf:
-        raise _overflow(n, d)
-    return float(gap)
+        there = one_sided(A, B, nd)
+        back = there.T if B is A else one_sided(B, A, nd.T).T
+        gap = scale * np.maximum(there, back)
+    if (gap == math.inf).any():
+        raise ValueError(
+            f"the dual gap passes the float maximum: n = {n} on a metric"
+            f" with distances up to {d.max():g}"
+        )
+    return gap
 
 
 def _scaled(n: int, d: np.ndarray) -> tuple[np.ndarray, float]:
@@ -103,13 +144,6 @@ def _scaled(n: int, d: np.ndarray) -> tuple[np.ndarray, float]:
         if np.isinf(nd).any():
             return (n / 2) * d, 2.0
     return nd, 1.0
-
-
-def _overflow(n: int, d: np.ndarray) -> ValueError:
-    return ValueError(
-        f"the dual gap passes the float maximum: n = {n} on a metric"
-        f" with distances up to {d.max():g}"
-    )
 
 
 def _check(n: int, X: MetricSpace, *measures: IdempotentMeasure) -> None:
@@ -232,66 +266,21 @@ def dhat_oracle(
     return grid_gap(X.dist, n, mu.weights, nu.weights, step=step, radius=radius)
 
 
-def _dtilde_block(
-    n: int, X: MetricSpace, rows: Sequence[IdempotentMeasure], cols: Sequence[IdempotentMeasure]
-) -> np.ndarray:
-    """dtilde from every row measure to every column measure, as an array.
-
-    One array pass per row i: with s the support of the row measure λ,
-    the terms (λ_a - κ_b) + n·d_ab for a in s, every column measure κ and
-    every point b are associated in that order, as in `maxmin_gap`, so
-    each entry equals `dtilde` on its pair.  λ_a is finite on the support,
-    so a κ_b of -inf gives a term of +inf, never -inf - -inf: no NaN
-    appears, and the min over b passes over it to the support of κ, which
-    is never empty.  The max over a gives the one-sided gap from λ to
-    every κ.  The columns are taken in blocks of at most `_BLOCK_TERMS`
-    terms; a block computes the same terms.  The gaps back from the
-    columns to the rows are the transpose when `cols` is `rows`, and a
-    second pass otherwise; each entry is the larger of its two sides,
-    divided by n.  Overflow is handled as in `maxmin_gap`: half scale
-    where n·d_ij overflows, and ValueError where a one-sided gap passes
-    the float maximum.
-    """
-    import numpy as np
-
-    nd, scale = _scaled(n, X._table)
-    R = np.array([mu.weights for mu in rows]) / scale
-    C = np.array([mu.weights for mu in cols]) / scale
-
-    def one_sided(A, B):
-        one = np.empty((len(A), len(B)))
-        for i, row in enumerate(A):
-            s = row > NEG_INF
-            a, ds = row[s, None], nd[s]
-            step = max(1, _BLOCK_TERMS // ds.size)
-            for j in range(0, len(B), step):
-                t = a - B[j:j + step, None, :]
-                t += ds
-                one[i, j:j + step] = t.min(axis=2).max(axis=1)
-        if (scale * one == math.inf).any():
-            raise _overflow(n, X._table)
-        return one
-
-    with np.errstate(over="ignore"):
-        there = one_sided(R, C)
-        back = there.T if cols is rows else one_sided(C, R).T
-    return np.maximum(there, back) / (n / scale)
-
-
 def inner_distance_table(
     n: int, X: MetricSpace, measures: Sequence[IdempotentMeasure]
 ) -> list[list[float]]:
     """Pairwise dtilde table over a list of measures (a pseudometric).
 
     Every entry off the diagonal equals `dtilde` on its pair, bit for bit
-    (see `_dtilde_block`, which computes each one-sided gap once); the
-    diagonal is 0.  n and the space of every measure are checked for any
-    number of measures, as `dtilde` checks them.
+    (see `_gaps`, which computes each one-sided gap once); the diagonal
+    is 0.  n and the space of every measure are checked for any number
+    of measures, as `dtilde` checks them.
     """
     _check(n, X, *measures)
     import numpy as np
 
-    table = _dtilde_block(n, X, measures, measures)
+    W = np.array([mu.weights for mu in measures])
+    table = _gaps(n, X._table, W, W) / n
     np.fill_diagonal(table, 0.0)
     return table.tolist()
 
@@ -316,10 +305,9 @@ def outer_dtilde(n: int, X: MetricSpace, M: OuterMeasure, N: OuterMeasure) -> fl
     _check(n, X, *M.inner, *N.inner)
     import numpy as np
 
-    lam, kap = np.array(M.weights), np.array(N.weights)
-    sup_l, sup_k = lam > NEG_INF, kap > NEG_INF
-    cross = _dtilde_block(
-        n, X, [m for m, s in zip(M.inner, sup_l) if s], [m for m, s in zip(N.inner, sup_k) if s]
-    )
-    nd, scale = _scaled(n, cross)
-    return _gap(n, cross, scale, lam[sup_l] / scale, kap[sup_k] / scale, nd, nd.T) / n
+    lam, kap = np.array([M.weights]), np.array([N.weights])
+    sup_l, sup_k = lam[0] > NEG_INF, kap[0] > NEG_INF
+    R = np.array([m.weights for m, s in zip(M.inner, sup_l) if s])
+    C = np.array([m.weights for m, s in zip(N.inner, sup_k) if s])
+    cross = _gaps(n, X._table, R, C) / n
+    return float(_gaps(n, cross, lam[:, sup_l], kap[:, sup_k])[0, 0]) / n

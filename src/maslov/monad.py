@@ -177,12 +177,6 @@ def tensor_many(measures: Sequence[IdempotentMeasure]) -> IdempotentMeasure:
     return IdempotentMeasure._trusted(product_space(*(m.space for m in measures)), tuple(weights))
 
 
-def projection(prod: ProductSpace, axis: int) -> PointMap:
-    """The coordinate projection of a product space onto one factor."""
-    fac = prod.axis(axis)
-    return PointMap(prod, fac, {p: p[axis] for p in prod.points})
-
-
 def marginal(mu: IdempotentMeasure, axis: int) -> IdempotentMeasure:
     """Max over the complementary fibers; equals the pushforward along projection.
 

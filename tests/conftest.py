@@ -1,8 +1,9 @@
 import itertools
+import random
 
 from hypothesis import strategies as st
 
-from maslov import NEG_INF, FiniteFunction, FiniteSpace
+from maslov import NEG_INF, FiniteFunction, FiniteSpace, PointMap
 
 pytest_plugins = ["pytester"]
 
@@ -22,3 +23,13 @@ def function_grid(space: FiniteSpace, values=(-2.0, -1.0, 0.0, 1.0)):
         FiniteFunction(space, vals)
         for vals in itertools.product(values, repeat=len(space))
     ]
+
+
+def rand_surjection(rng: random.Random, source: FiniteSpace, target: FiniteSpace) -> PointMap:
+    """A random map onto target; source has at least as many points."""
+    xs = list(source.points)
+    rng.shuffle(xs)
+    table = dict(zip(xs, target.points))
+    for x in xs[len(target):]:
+        table[x] = rng.choice(target.points)
+    return PointMap(source, target, table)

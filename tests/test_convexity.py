@@ -20,7 +20,6 @@ from maslov import (
     space,
     support,
 )
-from maslov.convexity import affine_map_check
 from maslov.core import FiniteFunction
 from maslov.laws import rand_cloud, rand_outer, rand_space
 
@@ -132,22 +131,3 @@ class TestHullMembership:
         gens = [cl.embed[p] for p in sorted(support(mu), key=X2.index)]
         ok, _ = hull_membership(gens, barycenter(cl, mu))
         assert ok
-
-
-class TestAffineMapCheck:
-    @given(measures_on(X2))
-    def test_projection(self, mu):
-        assert affine_map_check(cloud2(), lambda p: (p[0],), mu)
-
-    @given(measures_on(X2))
-    def test_identity(self, mu):
-        assert affine_map_check(cloud2(), lambda p: p, mu)
-
-    @given(measures_on(X2), dyadic)
-    def test_translation(self, mu, c):
-        assert affine_map_check(cloud2(), lambda p: tuple(v + c for v in p), mu)
-
-    def test_non_affine_map_can_fail(self):
-        # squaring is not max-plus affine; a weighted measure exposes it
-        mu = IdempotentMeasure(X2, (0.0, -1.0))
-        assert not affine_map_check(cloud2(), lambda p: tuple(v * v for v in p), mu)

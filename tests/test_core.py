@@ -20,7 +20,7 @@ from maslov import (
     space,
     weight_distance,
 )
-from maslov.core import flatten_space, pointwise_max
+from maslov.core import _atomic_factors, pointwise_max
 
 
 class TestSemiring:
@@ -127,12 +127,13 @@ class TestProductSpaceInvariant:
         assert left != product_space(A, B, C)
         assert left != FiniteSpace(left.points)
 
-        flat, table = flatten_space(left)
+        # the flat product over the atomic factors keeps the point order
+        flat = product_space(*_atomic_factors(left))
         assert flat == product_space(A, B, C)
-        assert table == {p: (*p[0], p[1]) for p in left.points}
-        flat_r, table_r = flatten_space(product_space(A, product_space(B, C)))
-        assert flat_r == flat
-        assert table_r == {(a, (b, c)): (a, b, c) for a, b, c in flat.points}
+        assert flat.points == tuple((*p[0], p[1]) for p in left.points)
+        right = product_space(A, product_space(B, C))
+        assert product_space(*_atomic_factors(right)) == flat
+        assert flat.points == tuple((a, *bc) for a, bc in right.points)
 
 
 class TestFiniteFunction:

@@ -6,7 +6,6 @@ the exit code, an empty stdout and the `error: …` line on stderr.
 """
 
 import math
-import random
 import re
 
 import pytest
@@ -25,7 +24,6 @@ from maslov.core import (
     space,
 )
 from maslov.functor import PointMap, lift_along_surjection, precompose, pushforward
-from maslov.laws import rand_surjection
 from maslov.measures import (
     IdempotentMeasure,
     convex_combination,
@@ -35,7 +33,7 @@ from maslov.measures import (
     pointwise_sup,
     support,
 )
-from maslov.metrics import grid_gap, inner_distance_table, outer_dtilde
+from maslov.metrics import grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
 from maslov.monad import (
     ClosedSet,
     FuzzySet,
@@ -98,6 +96,14 @@ LIBRARY = {
     "pointwise max: a measure": (
         lambda: pointwise_max(PHI, dirac(X2, "a")),
         TypeError, "a pointwise max's argument must be a FiniteFunction, got IdempotentMeasure",
+    ),
+    "metric: a list of points": (
+        lambda: MetricSpace(["a", "b"], ((0, 1), (1, 0))),
+        TypeError, "a metric space's point set must be a FiniteSpace, got list",
+    ),
+    "closure: a string of points": (
+        lambda: metric_closure("ab", [[0, 1], [1, 0]]),
+        TypeError, "a metric closure's point set must be a FiniteSpace, got str",
     ),
     "metric: text distances": (
         lambda: MetricSpace(X2, (("0", "1"), ("1", "0"))),
@@ -308,6 +314,16 @@ LIBRARY = {
         ),
         ValueError, "oracle grid has 4012009 cells, above the cap 4000000",
     ),
+    # a short weight vector once read a corner of the table, and a long one
+    # raised IndexError
+    "maxmin: a short weight vector": (
+        lambda: maxmin_gap([[0, 1], [1, 0]], 1, [0.0], [0.0, -1.0]),
+        ValueError, "inconsistent table sizes",
+    ),
+    "maxmin: weights longer than the table": (
+        lambda: maxmin_gap([[0, 1], [1, 0]], 1, [0.0, -1.0, 0.0], [0.0, -1.0, 0.0]),
+        ValueError, "inconsistent table sizes",
+    ),
     "inner distance table: n of 0, one measure": (
         lambda: inner_distance_table(0, M2, [dirac(X2, "a")]),
         ValueError, "the Lipschitz class bound n must be a positive integer",
@@ -328,11 +344,6 @@ LIBRARY = {
         lambda: outer_dtilde(1, M2, OuterMeasure(Y2, (dirac(Y2, "u"),), (0.0,)),
                              OuterMeasure(X2, (dirac(X2, "a"),), (0.0,))),
         ValueError, "outer measures must live over the metric space's point set",
-    ),
-    # laws
-    "surjection: too few source points": (
-        lambda: rand_surjection(random.Random(0), space("a"), X2),
-        ValueError, "a surjection needs at least as many source points",
     ),
     # monad
     "outer: text weights": (

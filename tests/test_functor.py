@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import function_grid, weight_tables
+from conftest import function_grid, rand_surjection, weight_tables
 from maslov import (
     NEG_INF,
     FiniteSpace,
@@ -19,7 +19,7 @@ from maslov import (
     support,
 )
 from maslov.functor import identity_map, lies_in_subspace, precompose
-from maslov.laws import rand_map, rand_measure, rand_space, rand_surjection
+from maslov.laws import rand_map, rand_measure, rand_space
 
 X3 = space("abc")
 Y2 = space("uv")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import rand_surjection
 from maslov import (
     NEG_INF,
     CollapseMap,
@@ -32,7 +33,7 @@ from maslov import (
     tight_patterns,
     weight_distance,
 )
-from maslov.laws import rand_measure, rand_space, rand_surjection
+from maslov.laws import rand_measure, rand_space
 from maslov.openness import factor_surjection, lift_open_surjection
 
 
