@@ -44,12 +44,13 @@ def maxmin_gap(
 ) -> float:
     """Closed-form dual gap on raw weight vectors over a (pseudo)distance table.
 
-    The table is symmetric, with one row per entry of lam and of kap;
-    other sizes raise ValueError.  Each term is (λ_i - κ_j) + n·d_ij,
-    associated in that order, so the result does not depend on how the
-    table is stored.  Where n·d_ij alone would overflow, the terms are
-    taken at half scale (see `_scaled`); a gap past the float maximum
-    raises ValueError.
+    The table is symmetric and nonnegative, with one row per entry of lam
+    and of kap; other sizes raise ValueError, but the entries are not
+    checked, and a NaN or -inf among them may give NaN.  Each term is
+    (λ_i - κ_j) + n·d_ij, associated in that order, so the result does not
+    depend on how the table is stored.  Where n·d_ij alone would overflow,
+    the terms are taken at half scale (see `_scaled`); a gap past the
+    float maximum raises ValueError.
     """
     import numpy as np
 
