@@ -32,22 +32,24 @@ class PointCloudSpace(_Value):
     """A finite space embedded in R^n; every coordinate is finite.
 
     Barycenters are undefined on -inf coordinates, so clouds reject them.
-    `_columns` holds the coordinates by axis: entry k lists coordinate k
-    of every point, in point order.
+    The coordinates are stored once, by axis, as `_columns`: entry k lists
+    coordinate k of every point, in point order, which is what the kernels
+    and methods read.  `embed`, the field, is a view: a fresh label-keyed
+    dict of points built from `_columns` on every read, O(n·dim), so
+    writing to it changes nothing.
     """
 
-    __slots__ = ("space", "embed", "_columns")
+    __slots__ = ("space", "_columns")
     space: FiniteSpace
-    embed: Mapping[Label, TropicalPoint]
     _columns: tuple[tuple[float, ...], ...]
 
     def __init__(self, space: FiniteSpace, embed: Mapping[Label, TropicalPoint]) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "embed", embed)
+        object.__setattr__(self, "_columns", embed)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        raw = self.space.dense(self.embed, "embed")
+        raw = self.space.dense(self._columns, "embed")
         # text is rejected as a point and as a coordinate before float() or
         # iteration could read it as numbers (b"1" iterates as the int 49)
         _reject_text(raw, "cloud coordinates must be numbers")
@@ -57,7 +59,6 @@ class PointCloudSpace(_Value):
             raise ValueError("cloud points must have finite coordinates")
         if len({len(q) for q in coords}) != 1:
             raise ValueError("inconsistent coordinate dimensions")
-        object.__setattr__(self, "embed", dict(zip(self.space.points, coords)))
         # one pass per axis: zip(*coords) makes an iterator per point, which
         # on 10^4-point clouds fragments the heap (kernels_large set-up, three
         # workload builds: peak RSS 202 -> 229 MB, against 204 MB this way)
@@ -65,11 +66,18 @@ class PointCloudSpace(_Value):
         object.__setattr__(self, "_columns", tuple(columns))
 
     @property
+    def embed(self) -> dict[Label, TropicalPoint]:
+        return {p: self.point(p) for p in self.space.points}
+
+    @property
     def dim(self) -> int:
-        return len(next(iter(self.embed.values())))
+        return len(self._columns)
 
     def point(self, label: Label) -> TropicalPoint:
-        return self.embed[label]
+        i = self.space._lookup(label)
+        if i is None:
+            raise KeyError(label)
+        return tuple(col[i] for col in self._columns)
 
 
 def barycenter(cloud: PointCloudSpace, mu: IdempotentMeasure) -> TropicalPoint:

@@ -144,26 +144,35 @@ class InfeasibleError(ValueError):
 class _Value:
     """The base of the immutable value classes.
 
-    A subclass names its slots in `__slots__`.  Its compared fields,
-    `_fields`, are the slots without a leading underscore, in slot order;
-    the others (`_index`, `_table`, ...) hold what is derived from the
-    fields.  Equality, hash and repr come from that tuple.  `__eq__` is
+    A subclass names its slots in `__slots__` and writes out its own
+    `__init__`.  Its compared fields, `_fields`, are the parameters of that
+    `__init__`, in order.  A field is a slot, or a read-only property over
+    the slot that stores its table once in the form the kernels read
+    (`PointMap.table` over `_targets`, `PointCloudSpace.embed` over
+    `_columns`, `MetricSpace.dist` over `_table`, `CoverPair.alpha` over
+    `_alpha`).  Such a property builds a fresh dict or tuple on every
+    read, at O(size) cost, so writing to it changes no value; library code
+    reads the slot.  Other private slots (`_index`, `_axes`, ...) hold what
+    is derived from the fields.  Equality, hash and repr come from the
+    tuple of field values.  `__eq__` is
     `NotImplemented` for an instance of another class and otherwise
     compares the two tuples of field values; `__hash__` hashes that
     tuple, a 1-tuple for one field; `__repr__` reads
     `Name(field=value, ...)`.  `__eq__` and `__hash__` are built once per
-    class, when it is created.  The subclass writes out its own `__init__`,
-    which sets the fields with `object.__setattr__` and then calls
-    `__post_init__`, where the class validates and normalizes them.  After
+    class, when it is created.  `__init__` puts its arguments into their
+    slots with `object.__setattr__` and then calls `__post_init__`, where
+    the class validates them and replaces each with its normal form.  After
     `__init__` every assignment or deletion raises `FrozenInstanceError`.
     Copy and pickle rebuild an instance from its filled slots without
     calling `__init__` again.
 
-    A class whose slots are all fields also gets `_trusted(*fields)`,
-    built once per class like `__eq__`: it sets the fields in slot order
-    and skips `__post_init__`.  Public constructors validate; a function
-    builds with `_trusted` only what its docstring proves valid, from
-    inputs whose classes it has checked (`_require`).
+    Each class also gets `_trusted(*slots)`, built once per class like
+    `__eq__`: it fills its own slots in order with values already in
+    normal form and skips `__post_init__`.  Where the slots are the
+    fields, as for `FiniteFunction`, these are the field values.  Public
+    constructors validate; a function builds with `_trusted` only what its
+    docstring proves valid, from inputs whose classes it has checked
+    (`_require`).
     """
 
     __slots__ = ()
@@ -171,7 +180,8 @@ class _Value:
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in vars(cls)["__slots__"] if not name.startswith("_"))
+        init = vars(cls)["__init__"].__code__
+        cls._fields = init.co_varnames[1 : init.co_argcount]
         fields = attrgetter(*cls._fields)
         key = fields if len(cls._fields) > 1 else lambda obj: (fields(obj),)
 
@@ -187,17 +197,16 @@ class _Value:
 
         cls.__eq__ = __eq__  # type: ignore[method-assign]
         cls.__hash__ = __hash__  # type: ignore[method-assign]
-        if len(cls._fields) == len(vars(cls)["__slots__"]):
-            new = object.__new__
-            puts = tuple(vars(cls)[name].__set__ for name in cls._fields)
+        new = object.__new__
+        puts = tuple(vars(cls)[name].__set__ for name in vars(cls)["__slots__"])
 
-            def _trusted(*fields: Any) -> Any:
-                obj = new(cls)
-                for put, value in zip(puts, fields):
-                    put(obj, value)
-                return obj
+        def _trusted(*slots: Any) -> Any:
+            obj = new(cls)
+            for put, value in zip(puts, slots):
+                put(obj, value)
+            return obj
 
-            cls._trusted = staticmethod(_trusted)  # type: ignore[attr-defined]
+        cls._trusted = staticmethod(_trusted)  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -472,9 +481,10 @@ def pointwise_max(phi: FiniteFunction, psi: FiniteFunction) -> FiniteFunction:
 class MetricSpace(_Value):
     """A finite space with a genuine metric, stored as a dense table.
 
-    `dist` is the public tuple table.  The validated float64 array behind it
-    is kept private and read-only for the kernels; `matrix` returns a
-    writable copy.
+    The metric is stored once, as the validated read-only float64 array
+    `_table` that the kernels read.  `dist`, the field, is a view: a fresh
+    tuple of row tuples built from it on every read, O(n²), so writing to
+    it changes nothing.  `matrix` returns a writable copy of the array.
 
     The triangle inequality is checked with a relative slack for rounding:
     d_ij ≤ (d_ik + d_kj)·(1 + n·ε) for all i, j, k, with n the number of
@@ -502,18 +512,17 @@ class MetricSpace(_Value):
     sums the error reaches about 2n·u, the whole slack, so no proof
     closes inside it.
 
-    `dist` may be any square table of numbers; a float64 array is read as
-    it is, without a pass through Python rows.
+    The `dist` argument may be any square table of numbers; a float64
+    array is read as it is, without a pass through Python rows.
     """
 
-    __slots__ = ("space", "dist", "_table")
+    __slots__ = ("space", "_table")
     space: FiniteSpace
-    dist: tuple[tuple[float, ...], ...]
     _table: np.ndarray
 
     def __init__(self, space: FiniteSpace, dist: tuple[tuple[float, ...], ...]) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "_table", dist)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -521,7 +530,7 @@ class MetricSpace(_Value):
 
         _require(self.space, FiniteSpace, "a metric space's point set")
         n = len(self.space)
-        d = self.dist
+        d = self._table
         if not (type(d) is np.ndarray and d.dtype == np.float64 and d.shape == (n, n)):
             d = _number_rows(d)
             if len(d) != n or any(len(r) != n for r in d):
@@ -559,7 +568,6 @@ class MetricSpace(_Value):
                 raise ValueError("triangle inequality fails; run metric_closure on the raw table")
         d.flags.writeable = False
         object.__setattr__(self, "_table", d)
-        object.__setattr__(self, "dist", tuple(map(tuple, d.tolist())))
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         super().__setstate__(state)
@@ -567,15 +575,19 @@ class MetricSpace(_Value):
         self._table.flags.writeable = False
 
     @property
+    def dist(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self._table.tolist()))
+
+    @property
     def matrix(self) -> np.ndarray:
         return self._table.copy()
 
     def d(self, x: Label, y: Label) -> float:
-        return self.dist[self.space.index(x)][self.space.index(y)]
+        return self._table.item(self.space.index(x), self.space.index(y))
 
     @property
     def diameter(self) -> float:
-        return max(max(row) for row in self.dist)
+        return self._table.max().item()
 
 
 def _number_rows(table: Any) -> list[tuple]:
@@ -646,12 +658,8 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
             np.minimum(d, buf, out=d)
     if not exact:
         return MetricSpace(space, d)
-    out = object.__new__(MetricSpace)
     d.flags.writeable = False
-    object.__setattr__(out, "space", space)
-    object.__setattr__(out, "dist", tuple(map(tuple, d.tolist())))
-    object.__setattr__(out, "_table", d)
-    return out
+    return MetricSpace._trusted(space, d)
 
 
 def space(labels: Iterable[str]) -> FiniteSpace:

@@ -9,16 +9,18 @@ from .measures import IdempotentMeasure
 
 
 class PointMap(_Value):
-    """A total function between finite spaces, stored as a label table.
+    """A total function between finite spaces.
 
-    `_targets` holds the target index of each image, in source point order;
-    it is derived from the table and takes no part in `==`, hash or repr.
+    The map is stored once, as `_targets`: the index in `target` of the
+    image of each source point, in source point order, which is what the
+    kernels and methods read.  `table`, the field, is a view: a fresh
+    label-keyed dict built from `_targets` on every read, O(|source|), so
+    writing to it changes nothing.
     """
 
-    __slots__ = ("source", "target", "table", "_targets")
+    __slots__ = ("source", "target", "_targets")
     source: FiniteSpace
     target: FiniteSpace
-    table: Mapping[Label, Label]
     _targets: tuple[int, ...]
 
     def __init__(
@@ -26,21 +28,22 @@ class PointMap(_Value):
     ) -> None:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_targets", table)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        images = self.source.dense(self.table, "map")
+        images = self.source.dense(self._targets, "map")
         targets = tuple(map(self.target._lookup, images))
         if None in targets:
             self.target.require(images, "map values")
-        object.__setattr__(self, "table", dict(zip(self.source.points, images)))
         object.__setattr__(self, "_targets", targets)
 
+    @property
+    def table(self) -> dict[Label, Label]:
+        return dict(zip(self.source.points, map(self.target.points.__getitem__, self._targets)))
+
     def __call__(self, x: Label) -> Label:
-        if x not in self.source:
-            raise ValueError(f"unknown point {x!r}")
-        return self.table[x]
+        return self.target.points[self._targets[self.source.index(x)]]
 
     def then(self, g: "PointMap") -> "PointMap":
         """Composition g ∘ self (apply self first)."""
@@ -49,25 +52,24 @@ class PointMap(_Value):
         return PointMap(self.source, g.target, {x: g(self(x)) for x in self.source.points})
 
     def fiber(self, y: Label) -> frozenset[Label]:
-        if y not in self.target:
-            raise ValueError(f"unknown point {y!r}")
-        return frozenset(x for x in self.source.points if self.table[x] == y)
+        j = self.target.index(y)
+        return frozenset(x for x, k in zip(self.source.points, self._targets) if k == j)
 
     def preimage(self, B: Iterable[Label]) -> frozenset[Label]:
-        bs = self.target.subset(B, "preimage")
-        return frozenset(x for x in self.source.points if self.table[x] in bs)
+        js = set(map(self.target.index, self.target.subset(B, "preimage")))
+        return frozenset(x for x, j in zip(self.source.points, self._targets) if j in js)
 
     def image(self, A: Iterable[Label] | None = None) -> frozenset[Label]:
         pts = self.source.points if A is None else self.source.subset(A, "image")
-        return frozenset(self.table[x] for x in pts)
+        return frozenset(map(self, pts))
 
     @property
     def is_surjective(self) -> bool:
-        return self.image() == frozenset(self.target.points)
+        return len(set(self._targets)) == len(self.target)
 
     @property
     def is_injective(self) -> bool:
-        return len(self.image()) == len(self.source)
+        return len(set(self._targets)) == len(self.source)
 
 
 def identity_map(space: FiniteSpace) -> PointMap:
@@ -100,7 +102,7 @@ def precompose(phi: FiniteFunction, f: PointMap) -> FiniteFunction:
     _require(f, PointMap, "a precomposing map")
     if phi.space != f.target:
         raise ValueError("function does not live on the target of the map")
-    return FiniteFunction._trusted(f.source, tuple(phi(f.table[x]) for x in f.source.points))
+    return FiniteFunction._trusted(f.source, tuple(map(phi.values.__getitem__, f._targets)))
 
 
 def lies_in_subspace(mu: IdempotentMeasure, A: Iterable[Label]) -> bool:
@@ -122,5 +124,5 @@ def lift_along_surjection(f: PointMap, nu: IdempotentMeasure) -> IdempotentMeasu
         raise ValueError("lift requires a surjective map")
     if nu.space != f.target:
         raise ValueError("measure does not live on the target of the map")
-    weights = tuple(nu.weight(f.table[x]) for x in f.source.points)
+    weights = tuple(map(nu.weights.__getitem__, f._targets))
     return IdempotentMeasure._trusted(f.source, weights)

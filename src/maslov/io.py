@@ -264,7 +264,7 @@ def metric_space_doc(ms: MetricSpace, name: str = "X") -> dict:
         "kind": "metric_space",
         "name": name,
         "points": [encode_label(p) for p in ms.space.points],
-        "dist": [list(row) for row in ms.dist],
+        "dist": ms._table.tolist(),
     }
 
 
@@ -281,7 +281,7 @@ def decode_metric_space(obj: Mapping[str, Any], ctx: Context) -> MetricSpace:
 
 def map_doc(f: PointMap, ctx: Context | None = None) -> dict:
     ctx = ctx or Context()
-    pairs = [(x, encode_label(f.table[x])) for x in f.source.points]
+    pairs = [(x, encode_label(f(x))) for x in f.source.points]
     return {
         "kind": "map",
         "source": ctx.name_of(f.source),
@@ -380,7 +380,7 @@ def decode_coupling(obj: Mapping[str, Any], ctx: Context) -> IdempotentMeasure:
 
 def cloud_doc(cloud: PointCloudSpace, ctx: Context | None = None) -> dict:
     ctx = ctx or Context()
-    pairs = [(p, list(cloud.embed[p])) for p in cloud.space.points]
+    pairs = [(p, [col[i] for col in cloud._columns]) for i, p in enumerate(cloud.space.points)]
     return {"kind": "cloud", "space": ctx.name_of(cloud.space), "embed": _pairs_to_atoms(pairs)}
 
 
@@ -411,8 +411,8 @@ def cover_levels_doc(levels: Sequence[MilyutinLevel], space: FiniteSpace, name: 
                     "V": [encode_label(v) for v in sorted(pair.V, key=_label_text)],
                     "alpha": _pairs_to_atoms(
                         [
-                            (p, encode_weight(pair.alpha[p]))  # type: ignore[index]
-                            for p in sorted(pair.alpha, key=_label_text)
+                            (p, encode_weight(pair._alpha[p]))
+                            for p in sorted(pair._alpha, key=_label_text)
                         ]
                     ),
                 }

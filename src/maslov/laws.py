@@ -289,7 +289,7 @@ def check_functor_laws(rng: random.Random, max_points: int) -> str | None:
         return "identity law fails"
     if pushforward(g, pushforward(f, mu)) != pushforward(f.then(g), mu):
         return "composition law fails"
-    if support(pushforward(f, mu)) != frozenset(f.table[x] for x in support(mu)):
+    if support(pushforward(f, mu)) != frozenset(map(f, support(mu))):
         return "support image law fails"
 
 

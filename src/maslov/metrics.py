@@ -44,9 +44,9 @@ def maxmin_gap(
 ) -> float:
     """Closed-form dual gap on raw weight vectors over a (pseudo)distance table.
 
-    The table is symmetric and nonnegative, with one row per entry of lam
-    and of kap; other sizes raise ValueError, but the entries are not
-    checked, and a NaN or -inf among them may give NaN.  Each term is
+    The table is symmetric, finite and nonnegative, with one row per entry
+    of lam and of kap; other sizes, and a table with a NaN, an infinite or
+    a negative entry or that is not symmetric, raise ValueError.  Each term is
     (λ_i - κ_j) + n·d_ij, associated in that order, so the result does not
     depend on how the table is stored.  Where n·d_ij alone would overflow,
     the terms are taken at half scale (see `_scaled`); a gap past the
@@ -61,6 +61,10 @@ def maxmin_gap(
     m = len(lam)
     if len(kap) != m or d.shape != (m, m):
         raise ValueError("inconsistent table sizes")
+    if not (np.isfinite(d) & (d >= 0.0)).all():
+        raise ValueError("distances must be finite and nonnegative")
+    if (d != d.T).any():
+        raise ValueError("distance table must be symmetric")
     return float(_gaps(n, d, a, b)[0, 0])
 
 
@@ -159,9 +163,15 @@ def _check(n: int, X: MetricSpace, *measures: IdempotentMeasure) -> None:
 
 
 def dhat(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
-    """sup |μ(φ) - ν(φ)| over n-Lipschitz φ, via the closed form."""
+    """sup |μ(φ) - ν(φ)| over n-Lipschitz φ, via the closed form.
+
+    X's table was checked when X was built, so it goes to `_gaps` without
+    `maxmin_gap`'s pass over its entries.
+    """
     _check(n, X, mu, nu)
-    return maxmin_gap(X._table, n, mu.weights, nu.weights)
+    import numpy as np
+
+    return float(_gaps(n, X._table, np.array([mu.weights]), np.array([nu.weights]))[0, 0])
 
 
 def dtilde(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:

@@ -95,20 +95,19 @@ def factor_surjection(f: PointMap) -> tuple[list[CollapseMap], PointMap]:
     """
     if not f.is_surjective:
         raise ValueError("only surjections factor into collapses")
-    rep = {}
-    for y in f.target.points:
-        rep[y] = min(f.fiber(y), key=f.source.index)
-    extras = [x for x in f.source.points if x != rep[f.table[x]]]
+    rep: dict[int, Label] = {}  # target index -> first source point of its fiber
+    for x, j in zip(f.source.points, f._targets):
+        rep.setdefault(j, x)
+    extras = [(x, rep[j]) for x, j in zip(f.source.points, f._targets) if x != rep[j]]
 
     collapses = []
     current = f.source
-    for x in extras:
-        mate = rep[f.table[x]]
+    for x, mate in extras:
         smaller = FiniteSpace(tuple(p for p in current.points if p != x))
         table = {p: (mate if p == x else p) for p in current.points}
         collapses.append(CollapseMap(PointMap(current, smaller, table)))
         current = smaller
-    relabel = PointMap(current, f.target, {p: f.table[p] for p in current.points})
+    relabel = PointMap(current, f.target, {p: f(p) for p in current.points})
     return collapses, relabel
 
 
@@ -431,19 +430,25 @@ def counterexample_gap(l: float) -> float:
 
 
 class CoverPair(_Value):
-    """A pair U ⊆ V of subsets with a weight profile that is 0 on U and ≤ 0 on V."""
+    """A pair U ⊆ V of subsets with a weight profile that is 0 on U and ≤ 0 on V.
 
-    __slots__ = ("U", "V", "alpha")
+    The validated profile, one weight per point of V, is stored once as
+    `_alpha`, which `milyutin_build` reads.  `alpha`, the field, is a
+    view: a fresh copy of it on every read, so writing to it changes
+    nothing.
+    """
+
+    __slots__ = ("U", "V", "_alpha")
     U: frozenset[Label]
     V: frozenset[Label]
-    alpha: Mapping[Label, float] | None
+    _alpha: dict[Label, float]
 
     def __init__(
         self, U: frozenset[Label], V: frozenset[Label], alpha: Mapping[Label, float] | None = None
     ) -> None:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_alpha", alpha)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -453,7 +458,7 @@ class CoverPair(_Value):
             raise ValueError("U must be nonempty")
         if not U <= V:
             raise ValueError("U must be contained in V")
-        given = dict(self.alpha) if self.alpha is not None else {}
+        given = dict(self._alpha) if self._alpha is not None else {}
         unknown = [k for k in given if k not in V]
         if unknown:
             raise ValueError(f"alpha defined outside V: {unknown!r}")
@@ -468,7 +473,11 @@ class CoverPair(_Value):
                 raise ValueError("alpha must be exactly 0 on U")
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_alpha", alpha)
+
+    @property
+    def alpha(self) -> dict[Label, float]:
+        return dict(self._alpha)
 
 
 class MilyutinLevel(_Value):
@@ -526,7 +535,7 @@ def milyutin_build(
     for y in base.points:
         per_level = [
             [
-                (str(k), pair.alpha[y])  # type: ignore[index]
+                (str(k), pair._alpha[y])
                 for k, pair in enumerate(level.pairs)
                 if y in pair.V
             ]

@@ -2,7 +2,6 @@ import random
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import dyadic, weight_tables
 from maslov import (

@@ -71,6 +71,11 @@ CLOUD = PointCloudSpace(X2, {"a": (0.0,), "b": (1.0,)})
 PHI = FiniteFunction(X2, (0.0, 1.0))
 
 
+def _three_with(x):
+    """A table on three points whose entries between the first and last are x."""
+    return [[0.0, 1.0, x], [1.0, 0.0, 1.0], [x, 1.0, 0.0]]
+
+
 LIBRARY = {
     # core
     "space: numeric label": (
@@ -323,6 +328,29 @@ LIBRARY = {
     "maxmin: weights longer than the table": (
         lambda: maxmin_gap([[0, 1], [1, 0]], 1, [0.0, -1.0, 0.0], [0.0, -1.0, 0.0]),
         ValueError, "inconsistent table sizes",
+    ),
+    # the table is checked in MetricSpace's words: a NaN or -inf entry
+    # outside both supports once gave a NaN gap, and a table that is not
+    # symmetric was read back over its transpose
+    "maxmin: a NaN distance off the supports": (
+        lambda: maxmin_gap(_three_with(math.nan), 1, [0.0, NEG_INF, NEG_INF], [NEG_INF, 0.0, NEG_INF]),
+        ValueError, "distances must be finite and nonnegative",
+    ),
+    "maxmin: a -inf distance off the supports": (
+        lambda: maxmin_gap(_three_with(NEG_INF), 1, [0.0, NEG_INF, NEG_INF], [NEG_INF, 0.0, NEG_INF]),
+        ValueError, "distances must be finite and nonnegative",
+    ),
+    "maxmin: a +inf distance": (
+        lambda: maxmin_gap(_three_with(math.inf), 1, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        ValueError, "distances must be finite and nonnegative",
+    ),
+    "maxmin: a negative distance": (
+        lambda: maxmin_gap(_three_with(-1.0), 1, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        ValueError, "distances must be finite and nonnegative",
+    ),
+    "maxmin: a table that is not symmetric": (
+        lambda: maxmin_gap([[0, 1], [2, 0]], 1, [0.0, -1.0], [-1.0, 0.0]),
+        ValueError, "distance table must be symmetric",
     ),
     "inner distance table: n of 0, one measure": (
         lambda: inner_distance_table(0, M2, [dirac(X2, "a")]),

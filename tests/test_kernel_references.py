@@ -88,6 +88,7 @@ from maslov import (
     lift_open_collapse,
     marginal,
     metric_closure,
+    milyutin_build,
     multiply,
     normalize,
     pattern_max_coupling,
@@ -98,9 +99,11 @@ from maslov import (
     space,
     tensor,
 )
+import maslov.io as mio
 from maslov.core import _atomic_factors, combine
+from maslov.functor import precompose
 from maslov.io import Context, infer_space
-from maslov.laws import LawReport
+from maslov.laws import LawReport, check_functor_laws
 from maslov.metrics import inner_distance_table, maxmin_gap, outer_dtilde
 from maslov.monad import _ARRAY_POINTS, flatten_measure, tensor_many
 from maslov.openness import (
@@ -713,7 +716,7 @@ def _pseudometric(sp, table):
     for its zero distances between distinct points; built through the copy
     path, which does not validate."""
     X = MetricSpace.__new__(MetricSpace)
-    X.__setstate__({"space": sp, "dist": tuple(map(tuple, table.tolist())), "_table": table})
+    X.__setstate__({"space": sp, "_table": table})
     return X
 
 
@@ -2012,12 +2015,14 @@ class TestValueClassesCopyAndPickle:
             assert np.array_equal(out.matrix, m.matrix) and dhat(1, out, mu, mu) == 0.0
         assert pickle.loads(pickle.dumps(X)).index("b") == 1
 
-    def test_cloud_columns_are_not_compared(self):
+    def test_cloud_columns_are_the_state(self):
         a = PointCloudSpace(space("ab"), {"a": (0, 1), "b": (2, 3)})
         b = copy.copy(a)
-        object.__setattr__(b, "_columns", ((9.0, 9.0), (9.0, 9.0)))
+        object.__setattr__(b, "_columns", ((9.0, 0.0), (9.0, 1.0)))
         assert PointCloudSpace._fields == ("space", "embed") and "_columns" not in repr(a)
-        assert a == b and not a != b and repr(a) == repr(b)
+        assert b.embed == {"a": (9.0, 9.0), "b": (0.0, 1.0)} and b.point("a") == (9.0, 9.0)
+        assert barycenter(b, dirac(b.space, "b")) == b.point("b") == (0.0, 1.0)
+        assert a != b and repr(a) != repr(b)
         assert _hash_outcome(a) == _hash_outcome(b) == _hash_outcome(_old(a))
 
     def test_metric_space_copies_refuse_writes(self):
@@ -2031,3 +2036,91 @@ class TestValueClassesCopyAndPickle:
             with pytest.raises(ValueError, match="read-only"):
                 out._table[0, 2] = 9.0
             assert out.dist == m.dist and out.d("a", "c") == 2.0
+
+
+# ------------------------------------------------- each table stored once
+
+_VIEWS = ((PointMap, "table"), (PointCloudSpace, "embed"), (MetricSpace, "dist"),
+          (CoverPair, "alpha"))
+
+
+def _stored_once_instances():
+    """A map, a cloud, a metric with Milyutin levels over it, and inputs."""
+    X, Y = space("abcd"), space("uvw")
+    f = PointMap(X, Y, {"a": "u", "b": "w", "c": "u", "d": "v"})
+    cloud = PointCloudSpace(X, {"a": (0, 1), "b": (2, -3), "c": (-1, 4), "d": (0.5, 0.25)})
+    M = metric_closure(Y, [[0, 1, 4], [1, 0, 2], [4, 2, 0]])
+    pair = CoverPair({"u"}, {"u", "v"}, {"v": -1.5})
+    levels = [MilyutinLevel((pair, CoverPair({"v", "w"}, {"v", "w"}))),
+              MilyutinLevel((CoverPair({"u", "v", "w"}, {"u", "v", "w"}),))]
+    mu = normalize(X, {"a": -1, "b": 0, "c": -0.5, "d": -2})
+    return f, cloud, M, pair, levels, mu, FiniteFunction(Y, (1.0, 2.0, -3.0))
+
+
+class TestEachTableIsStoredOnce:
+    def test_stored_slots(self):
+        assert PointMap.__slots__ == ("source", "target", "_targets")
+        assert PointCloudSpace.__slots__ == ("space", "_columns")
+        assert MetricSpace.__slots__ == ("space", "_table")
+        assert CoverPair.__slots__ == ("U", "V", "_alpha")
+
+    def test_views_are_fresh_on_every_read(self):
+        f, cloud, M, pair, *_ = _stored_once_instances()
+        assert f.table == f.table and f.table is not f.table
+        assert cloud.embed == cloud.embed and cloud.embed is not cloud.embed
+        assert pair.alpha == pair.alpha and pair.alpha is not pair.alpha
+        assert M.dist == M.dist and M.dist is not M.dist
+
+    def test_writes_to_a_view_change_no_answer(self):
+        f, cloud, M, pair, levels, mu, phi = _stored_once_instances()
+        X, Y = f.source, f.target
+
+        def answers():
+            return (
+                [f(x) for x in X], [f.fiber(y) for y in Y], f.image(), f.image({"b", "c"}),
+                f.preimage({"u", "v"}), pushforward(f, mu), precompose(phi, f),
+                [cloud.point(x) for x in X], barycenter(cloud, mu), milyutin_build(M, levels, 2),
+            )
+
+        before, reprs = answers(), (repr(f), repr(cloud), repr(pair))
+        f.table["a"] = "v"
+        cloud.embed["a"] = (5.0, 5.0)
+        pair.alpha["v"] = 5.0
+        for view in (f.table, cloud.embed, pair.alpha):
+            view.clear()
+        assert answers() == before and (repr(f), repr(cloud), repr(pair)) == reprs
+        selection = before[-1][2]
+        assert all(max(s.weights) == 0.0 for s in selection.values())
+
+    def test_no_library_path_reads_a_view(self, monkeypatch):
+        f, cloud, M, pair, levels, mu, phi = _stored_once_instances()
+        X, Y = f.source, f.target
+        g = PointMap(Y, X, {"u": "a", "v": "b", "w": "a"})
+        onto = PointMap(X, space("uv"), {"a": "u", "b": "v", "c": "u", "d": "u"})
+        nu = normalize(Y, {"u": -1, "v": 0, "w": -2})
+        raw = [[0, 1, 4], [1, 0, 2], [4, 2, 0]]
+        OM = OuterMeasure(Y, (nu, dirac(Y, "u")), (0, -1))
+
+        def run():
+            return (
+                [f(x) for x in X], [f.fiber(y) for y in Y], f.preimage({"v"}),
+                f.image(), f.image({"a"}), f.is_surjective, f.is_injective, f.then(g),
+                precompose(phi, f), lift_along_surjection(f, nu), pushforward(f, mu),
+                [cloud.point(x) for x in X], cloud.dim, barycenter(cloud, mu),
+                M.d("u", "w"), M.diameter, metric_closure(Y, raw)._table.tolist(),
+                dhat(2, M, nu, dirac(Y, "w")), outer_dtilde(2, M, OM, OM),
+                inner_distance_table(1, M, [nu, dirac(Y, "v")]),
+                mio.map_doc(f), mio.cloud_doc(cloud), mio.metric_space_doc(M),
+                mio.cover_levels_doc(levels, Y), milyutin_build(M, levels, 2),
+                check_functor_laws(seed=0, cases=40), factor_surjection(onto),
+                lift_open_surjection(onto, mu, [dirac(onto.target, "v")]),
+            )
+
+        want = run()
+        with monkeypatch.context() as patch:
+            for cls, name in _VIEWS:
+                def fail(self, name=name):
+                    raise AssertionError(f"a library path read the {name!r} view")
+                patch.setattr(cls, name, property(fail))
+            got = run()
+        assert got == want
