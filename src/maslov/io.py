@@ -380,7 +380,7 @@ def decode_coupling(obj: Mapping[str, Any], ctx: Context) -> IdempotentMeasure:
 
 def cloud_doc(cloud: PointCloudSpace, ctx: Context | None = None) -> dict:
     ctx = ctx or Context()
-    pairs = [(p, [col[i] for col in cloud._columns]) for i, p in enumerate(cloud.space.points)]
+    pairs = [(p, list(cloud.point(p))) for p in cloud.space.points]
     return {"kind": "cloud", "space": ctx.name_of(cloud.space), "embed": _pairs_to_atoms(pairs)}
 
 

@@ -59,6 +59,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maslov.io as mio
 from maslov import (
     NEG_INF,
     ClosedSet,
@@ -99,7 +100,6 @@ from maslov import (
     space,
     tensor,
 )
-import maslov.io as mio
 from maslov.core import _atomic_factors, combine
 from maslov.functor import precompose
 from maslov.io import Context, infer_space
@@ -2108,6 +2108,7 @@ class TestEachTableIsStoredOnce:
                 precompose(phi, f), lift_along_surjection(f, nu), pushforward(f, mu),
                 [cloud.point(x) for x in X], cloud.dim, barycenter(cloud, mu),
                 M.d("u", "w"), M.diameter, metric_closure(Y, raw)._table.tolist(),
+                metric_closure(Y, np.array(raw) / 3)._table.tolist(),
                 dhat(2, M, nu, dirac(Y, "w")), outer_dtilde(2, M, OM, OM),
                 inner_distance_table(1, M, [nu, dirac(Y, "v")]),
                 mio.map_doc(f), mio.cloud_doc(cloud), mio.metric_space_doc(M),
