@@ -152,8 +152,9 @@ class _Value:
     `_columns`, `MetricSpace.dist` over `_table`, `CoverPair.alpha` over
     `_alpha`).  Such a property builds a fresh dict or tuple on every
     read, at O(size) cost, so writing to it changes no value; library code
-    reads the slot.  Other private slots (`_index`, `_axes`, ...) hold what
-    is derived from the fields.  Equality, hash and repr come from the
+    reads the slot.  Other private slots (`_index`, `_axes`, the measure
+    weight cache `_array`, ...) hold what is derived from the fields and
+    are never compared.  Equality, hash and repr come from the
     tuple of field values.  `__eq__` is
     `NotImplemented` for an instance of another class and otherwise
     compares the two tuples of field values; `__hash__` hashes that
@@ -406,6 +407,8 @@ class ProductSpace(FiniteSpace):
         return self._position
 
     def axis(self, k: int) -> FiniteSpace:
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise TypeError(f"axis must be an int, got {type(k).__name__}")
         if not 0 <= k < len(self.factors):
             raise ValueError(f"axis {k} out of range for {len(self.factors)} factors")
         return self.factors[k]

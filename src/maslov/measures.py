@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from operator import add
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .core import (
     NEG_INF,
@@ -23,6 +23,9 @@ from .core import (
     as_weight,
     combine,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class IdempotentMeasure(_Value):
@@ -42,11 +45,24 @@ class IdempotentMeasure(_Value):
     `milyutin_build`), check only the classes of their inputs (`_require`)
     and build the result with `_trusted`, without validating it again;
     each states its proof.
+
+    The one derived private slot, `_array`, is a read-only float64 copy of
+    `weights`, bit for bit, or is empty (unfilled or None).  It is a cache
+    of the one weight table, not a second stored table: the kernel that
+    fills it builds `weights` from it in the same call; equality, hash,
+    repr, `io` and every loop kernel read only `weights`; and a measure
+    with the cache equals, hashes and prints as one without it.  Only the
+    array kernels fill and read it, on a table of at least
+    `monad._ARRAY_POINTS` entries when numpy is already loaded:
+    `tensor_many` and `multiply` fill it and read their inputs' caches,
+    `marginal` reduces a cached array, and `flatten_measure` passes it
+    along.  Copy and pickle keep it, read-only.
     """
 
-    __slots__ = ("space", "weights")
+    __slots__ = ("space", "weights", "_array")
     space: FiniteSpace
     weights: tuple[float, ...]
+    _array: np.ndarray | None
 
     def __init__(self, space: FiniteSpace, weights: tuple[float, ...]) -> None:
         object.__setattr__(self, "space", space)
@@ -60,6 +76,12 @@ class IdempotentMeasure(_Value):
         if max(w) != 0.0:
             raise ValueError("measure is not normalized: maximum weight must be 0")
         object.__setattr__(self, "weights", w)
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        super().__setstate__(state)
+        if state.get("_array") is not None:
+            # deepcopy and unpickling hand back a writable array
+            self._array.flags.writeable = False
 
     def weight(self, label: Label) -> float:
         return self.weights[self.space.index(label)]

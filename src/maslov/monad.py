@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from .core import (
     NEG_INF,
@@ -31,11 +31,19 @@ from .core import (
 from .functor import PointMap, pushforward
 from .measures import IdempotentMeasure, dirac, integrate
 
-# The smallest base on which `multiply` mixes numpy arrays, if numpy is
-# loaded.  The array path has a fixed cost per row, so the crossover is a
-# row length, not a table size: on a 2-vCPU Xeon with numpy 2.4 the loop
-# is faster below 64 points and the arrays from 96 points on, for 1 to
-# 100 rows alike.
+if TYPE_CHECKING:
+    import numpy as np
+
+# The smallest table on which the array kernels use numpy, if numpy is
+# loaded: a `multiply` base of this many points, a `tensor_many` product of
+# this many cells.  `multiply`'s array path has a fixed cost per row, so
+# its crossover is a row length, not a table size: on a 2-vCPU Xeon with
+# numpy 2.4 the loop is faster below 64 points and the arrays from 96
+# points on, for 1 to 100 rows alike.  On the same machine a bare two-factor
+# `tensor` is slower on arrays at 8×16 cells (9.1 → 12.5 µs), breaks even
+# between 20×20 and 32×32, and is faster at 64×64 (106 → 89 µs); a tensor
+# followed by both marginals, which reduce its cached array, is faster on
+# arrays at every size from 128 cells on (8×16: 24.3 → 20.5 µs).
 _ARRAY_POINTS = 128
 
 
@@ -99,14 +107,15 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
 
     On a base of at least `_ARRAY_POINTS` points, and only when numpy is
     already loaded, each inner measure of finite outer weight is mixed in
-    as a numpy array; otherwise `combine` mixes them.  numpy is never
-    imported here, so small-n callers never pay for its import.  The two
-    paths agree bit for bit: both take each sum c_i + w_ik with one IEEE
-    addition and keep the largest.  They could differ only on a tie of
-    0.0 with -0.0, where `combine` keeps the first maximal term and
-    `np.maximum` returns its second operand, and no such tie arises:
-    every weight is canonical (`as_weight` maps -0.0 to 0.0), and a sum
-    or max of weights that are not -0.0 is never -0.0.
+    as a numpy array (its `_array` cache, if it has one), and the mixture
+    keeps its array as its own cache; otherwise `combine` mixes them.
+    numpy is never imported here, so small-n callers never pay for its
+    import.  The two paths agree bit for bit: both take each sum
+    c_i + w_ik with one IEEE addition and keep the largest.  They could
+    differ only on a tie of 0.0 with -0.0, where `combine` keeps the
+    first maximal term and `np.maximum` returns its second operand, and
+    no such tie arises: every weight is canonical (`as_weight` maps -0.0
+    to 0.0), and a sum or max of weights that are not -0.0 is never -0.0.
     """
     if not isinstance(M, OuterMeasure):
         raise TypeError(f"multiply needs an OuterMeasure, got {type(M).__name__}")
@@ -115,13 +124,26 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
         return IdempotentMeasure._trusted(M.base, combine(M.weights, (m.weights for m in M.inner)))
     np = sys.modules["numpy"]
     acc = np.full(n, NEG_INF)
+    row = np.empty(n)
     with np.errstate(over="ignore"):  # a sum past -max is -inf, as in the loop
         for c, m in zip(M.weights, M.inner):
             if c > NEG_INF:
-                row = np.fromiter(m.weights, float, n)
-                row += c
+                np.add(_weight_array(m, np), c, out=row)
                 np.maximum(acc, row, out=acc)
-    return IdempotentMeasure._trusted(M.base, tuple(acc.tolist()))
+    return _cached(M.base, acc)
+
+
+def _weight_array(mu: IdempotentMeasure, np: Any) -> np.ndarray:
+    """μ's weights as a float64 array: its `_array` cache, or a fresh array."""
+    arr = getattr(mu, "_array", None)
+    return np.fromiter(mu.weights, float, len(mu.weights)) if arr is None else arr
+
+
+def _cached(space: FiniteSpace, arr: np.ndarray) -> IdempotentMeasure:
+    """The measure whose weights are the array built by an array kernel,
+    with the array, made read-only, kept as its cache."""
+    arr.flags.writeable = False
+    return IdempotentMeasure._trusted(space, tuple(arr.tolist()), arr)
 
 
 def outer_dirac(mu: IdempotentMeasure) -> OuterMeasure:
@@ -167,14 +189,36 @@ def tensor(mu: IdempotentMeasure, nu: IdempotentMeasure) -> IdempotentMeasure:
 
 
 def tensor_many(measures: Sequence[IdempotentMeasure]) -> IdempotentMeasure:
-    """Left-associated tensor over a flat product of all the factors."""
+    """Left-associated tensor over a flat product of all the factors.
+
+    weight(x_1, ..., x_k) = (...(w_1 + w_2) + ...) + w_k, in the row-major
+    order of the product.  On a product of at least `_ARRAY_POINTS`
+    cells, and only when numpy is already loaded, the sums are taken by
+    `np.add.outer` over the factors' arrays (their `_array` caches, if
+    they have them), and the product keeps its flattened array as its
+    cache; otherwise a loop over the weight tuples sums them.  The two
+    paths agree bit for bit, by the argument of `multiply`: each cell is
+    the same IEEE additions in the same order, the loop's start from 0.0
+    changing nothing since 0.0 + w = w for every weight w, which is never
+    -0.0.  A sum past -max is -inf on both paths.
+    """
     if len(measures) < 2:
         raise ValueError("tensor_many needs at least two measures")
-    weights = [0.0]
     for m in measures:
         _require(m, IdempotentMeasure, "a tensor factor")
-        weights = [w + v for w in weights for v in m.weights]
-    return IdempotentMeasure._trusted(product_space(*(m.space for m in measures)), tuple(weights))
+    prod = product_space(*(m.space for m in measures))
+    if len(prod) < _ARRAY_POINTS or "numpy" not in sys.modules:
+        weights = [0.0]
+        for m in measures:
+            weights = [w + v for w in weights for v in m.weights]
+        return IdempotentMeasure._trusted(prod, tuple(weights))
+    np = sys.modules["numpy"]
+    first, *rest = measures
+    arr = _weight_array(first, np)
+    with np.errstate(over="ignore"):
+        for m in rest:
+            arr = np.add.outer(arr, _weight_array(m, np)).ravel()
+    return _cached(prod, arr)
 
 
 def marginal(mu: IdempotentMeasure, axis: int) -> IdempotentMeasure:
@@ -182,16 +226,23 @@ def marginal(mu: IdempotentMeasure, axis: int) -> IdempotentMeasure:
 
     Row-major order makes the fiber of a coordinate a set of strided runs:
     first reduce each run over the later axes, then stride over the earlier.
+    A measure with an `_array` cache is reduced as that array, shaped as
+    (earlier cells, axis, later cells), by one `max` over the outer two
+    axes.  A max is exact and independent of order save for NaN or a tie
+    of 0.0 with -0.0, and no weight is either, so both give the same bits.
     """
     _require(mu, IdempotentMeasure, "a marginal's argument")
     if not isinstance(mu.space, ProductSpace):
         raise ValueError("marginals require a measure on a declared product space")
     fac = mu.space.axis(axis)
     run = math.prod(len(f) for f in mu.space.factors[axis + 1:])
+    m = len(fac)
+    arr = getattr(mu, "_array", None)
+    if arr is not None:
+        return IdempotentMeasure._trusted(fac, tuple(arr.reshape(-1, m, run).max(axis=(0, 2)).tolist()))
     w = mu.weights
     if run > 1:
         w = tuple(max(w[s:s + run]) for s in range(0, len(w), run))
-    m = len(fac)
     return IdempotentMeasure._trusted(fac, tuple(max(w[c::m]) for c in range(m)))
 
 
@@ -199,12 +250,15 @@ def flatten_measure(mu: IdempotentMeasure) -> IdempotentMeasure:
     """Transport μ along the canonical identification ((x,y),z) = (x,y,z).
 
     The nested and the flat product list their points in the same
-    row-major order, so the weights carry over unchanged.
+    row-major order, so the weights, and their `_array` cache if there is
+    one, carry over unchanged.
     """
     _require(mu, IdempotentMeasure, "a flattened measure")
     if not isinstance(mu.space, ProductSpace):
         raise ValueError("only measures on product spaces can be flattened")
-    return IdempotentMeasure._trusted(product_space(*_atomic_factors(mu.space)), mu.weights)
+    return IdempotentMeasure._trusted(
+        product_space(*_atomic_factors(mu.space)), mu.weights, getattr(mu, "_array", None)
+    )
 
 
 class ClosedSet(_Value):

@@ -44,6 +44,7 @@ from maslov.monad import (
     hyperspace_embed,
     hyperspace_union,
     map_outer,
+    marginal,
     outer_dirac,
     tensor,
     tensor_many,
@@ -425,6 +426,14 @@ LIBRARY = {
     "flatten: flat space": (
         lambda: flatten_measure(dirac(X2, "a")),
         ValueError, "only measures on product spaces can be flattened",
+    ),
+    "marginal: a bool axis": (
+        lambda: marginal(tensor(dirac(X2, "a"), dirac(Y2, "u")), True),
+        TypeError, "axis must be an int, got bool",
+    ),
+    "marginal: a float axis": (
+        lambda: marginal(tensor(dirac(X2, "a"), dirac(Y2, "u")), 1.0),
+        TypeError, "axis must be an int, got float",
     ),
     "closed set: empty": (
         lambda: ClosedSet(X2, frozenset()),

@@ -1689,6 +1689,142 @@ class TestMultiplyArrayPath:
         assert len(calls) == 2 and "numpy" not in sys.modules
 
 
+
+def _split(cells, k):
+    """k factor sizes with product `cells`, as even as its divisors allow."""
+    sizes = []
+    for left in range(k, 1, -1):
+        d = max(d for d in range(1, cells + 1) if cells % d == 0 and d ** left <= cells)
+        sizes.append(d)
+        cells //= d
+    return (*sizes, cells)
+
+
+def _factor(gen, prefix, n, values):
+    """A measure on n points with weights drawn from `values` and one 0.0."""
+    w = gen.choice(values, size=n)
+    w[gen.integers(n)] = 0.0
+    return IdempotentMeasure(_labels(prefix, n), tuple(w.tolist()))
+
+
+def _uncached(mu):
+    return IdempotentMeasure(mu.space, mu.weights)
+
+
+class TestTensorMarginalArrayPath:
+    """From `_ARRAY_POINTS` product cells on, with numpy loaded, `tensor_many`
+    sums numpy arrays and keeps the result as the product's `_array` cache,
+    which `marginal` reduces; both must match the loops bit for bit."""
+
+    SIZES = (_ARRAY_POINTS - 1, _ARRAY_POINTS, 8 * _ARRAY_POINTS)
+    THIRDS = np.concatenate([-np.arange(13) / 3.0, [NEG_INF] * 4])
+    TIES = np.array([0.0, -0.0, -1.0, NEG_INF])
+    FAR = np.array([-1e308, -1.5e308, 0.0, NEG_INF])
+
+    def _check(self, measures):
+        out = tensor_many(measures)
+        assert _same_measure(out, _tensor_many_loop(measures)) and _revalidates(out)
+        assert (getattr(out, "_array", None) is not None) is (len(out.space) >= _ARRAY_POINTS)
+        for axis in range(len(measures)):
+            got = marginal(out, axis)
+            assert _same_measure(got, marginal(_uncached(out), axis)) and _revalidates(got)
+            assert _same_measure(got, _marginal_by_projection(out, axis))
+        return out
+
+    def _factors(self, cells, k, values, seed):
+        gen = np.random.default_rng(seed)
+        return [_factor(gen, c, n, values) for c, n in zip("abc", _split(cells, k))]
+
+    @pytest.mark.parametrize("cells", SIZES)
+    @pytest.mark.parametrize("k", (2, 3))
+    @pytest.mark.parametrize("values", ("THIRDS", "TIES", "FAR"))
+    def test_flat_products(self, cells, k, values):
+        # -inf among the weights, k/3 weights, ties at 0 and sums past -max
+        for seed in range(3):
+            self._check(self._factors(cells, k, getattr(self, values), seed))
+
+    @pytest.mark.parametrize("cells", SIZES)
+    @pytest.mark.parametrize("values", ("THIRDS", "TIES", "FAR"))
+    def test_nested_product(self, cells, values):
+        mu, nu, tau = self._factors(cells, 3, getattr(self, values), cells)
+        inner = tensor(mu, nu)
+        rho = self._check([inner, tau])
+        assert rho.space.factors == (inner.space, tau.space)
+        flat = flatten_measure(rho)
+        assert getattr(flat, "_array", None) is getattr(rho, "_array", None)
+        assert _same_measure(flat, _tensor_many_loop([mu, nu, tau]))
+        for axis in range(3):
+            assert _same_measure(marginal(flat, axis), marginal(_uncached(flat), axis))
+
+    @pytest.mark.parametrize("cells", SIZES)
+    def test_sums_overflow_to_minus_inf(self, cells):
+        # and without a RuntimeWarning (the suite turns warnings into errors)
+        a, b = _split(cells, 2)
+        mu = IdempotentMeasure(_labels("a", a), (-1e308,) * (a - 1) + (0.0,))
+        nu = IdempotentMeasure(_labels("b", b), (-1.5e308,) * (b - 1) + (0.0,))
+        out = self._check([mu, nu])
+        assert (NEG_INF in out.weights) is (min(a, b) > 1)
+
+    def test_multiply_reads_and_keeps_the_cache(self):
+        mu, nu = self._factors(_ARRAY_POINTS, 2, self.THIRDS, 0)
+        rows = [tensor(mu, nu), tensor(*self._factors(_ARRAY_POINTS, 2, self.THIRDS, 1))]
+        M = OuterMeasure(rows[0].space, tuple(rows), (-1 / 3, 0.0))
+        out = multiply(M)
+        assert _same_measure(out, _multiply_loop(M)) and _revalidates(out)
+        assert out._array.tolist() == list(out.weights)
+        assert _same_measure(out, multiply(OuterMeasure(M.base, tuple(map(_uncached, rows)), M.weights)))
+
+    def test_path_follows_the_product_size(self, monkeypatch):
+        small, large = (self._factors(cells, 2, self.THIRDS, 0) for cells in self.SIZES[:2])
+        assert getattr(tensor_many(small), "_array", None) is None
+        assert tensor_many(large)._array is not None
+        # without numpy loaded, the loops run at any size and numpy stays unloaded
+        monkeypatch.delitem(sys.modules, "numpy")
+        out = tensor_many(large)
+        assert getattr(out, "_array", None) is None and "numpy" not in sys.modules
+        assert _same_measure(out, _tensor_many_loop(large))
+        assert _same_measure(marginal(out, 1), large[1]) and "numpy" not in sys.modules
+
+
+class TestWeightArrayCache:
+    """A measure's `_array` is a cache of `weights`, not a second stored
+    table: the kernel that fills it builds `weights` from it in the same
+    call, it holds the same floats and is never written, and no comparison,
+    hash, repr or copy tells a cached measure from an uncached one."""
+
+    def _cached(self):
+        gen = np.random.default_rng(5)
+        a, b = _split(_ARRAY_POINTS, 2)
+        mu, nu = _factor(gen, "a", a, [-1 / 3, NEG_INF]), _factor(gen, "b", b, [-2 / 3, -1.0])
+        M = OuterMeasure(product_space(mu.space, nu.space), (tensor(mu, nu),), (0.0,))
+        return [tensor(mu, nu), tensor_many([mu, nu, mu]), multiply(M), flatten_measure(tensor(tensor(mu, nu), mu))]
+
+    def test_slots(self):
+        assert IdempotentMeasure.__slots__ == ("space", "weights", "_array")
+        assert IdempotentMeasure._fields == ("space", "weights")
+
+    def test_read_only_and_equal_to_the_weights(self):
+        for rho in self._cached():
+            assert not rho._array.flags.writeable  # as built, before a copy shares it
+            outs = [rho, copy.copy(rho), copy.deepcopy(rho)]
+            outs += [pickle.loads(pickle.dumps(rho, protocol))
+                     for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for out in outs:
+                assert out._array.dtype == np.float64 and not out._array.flags.writeable
+                assert out._array.tolist() == list(out.weights) and _same_measure(out, rho)
+                with pytest.raises(ValueError, match="read-only"):
+                    out._array[0] = 0.0
+
+    def test_a_cached_measure_is_the_same_value(self):
+        for rho in self._cached():
+            plain = _uncached(rho)
+            assert getattr(plain, "_array", None) is None
+            assert rho == plain and plain == rho and hash(rho) == hash(plain)
+            assert repr(rho) == repr(plain) and mio.measure_doc(rho) == mio.measure_doc(plain)
+            for out in (copy.deepcopy(plain), pickle.loads(pickle.dumps(plain))):
+                assert getattr(out, "_array", None) is None and out == rho
+
+
 # ---------------------------------------------------------- value classes
 
 def _dataclass_definitions():

@@ -6,8 +6,9 @@ resolves its public names on first use.
 
 Max-plus operations on weight tuples need no arrays, so a fresh process
 that imports the package and runs the CLI on such documents never imports
-numpy, not even `zeta` on a base large enough for `multiply` to mix numpy
-arrays when numpy is loaded; `maslov dist` builds a MetricSpace and does.
+numpy, not even `zeta`, `tensor` and `marginal` at sizes large enough for
+`multiply`, `tensor_many` and `marginal` to use numpy arrays when numpy is
+loaded; `maslov dist` builds a MetricSpace and does.
 The package re-exports a fixed set of names, and every name that the
 README, the demos and the benchmark import from it must resolve.  The value classes take `==`, hash
 and repr from their field tuples on `core._Value`, with no class builder,
@@ -87,7 +88,8 @@ def write(tmp_path, name, doc):
 def test_only_metric_commands_load_numpy(tmp_path):
     X, Y = space("ab"), space("uv")
     mu = write(tmp_path, "mu.json", mio.measure_doc(normalize(X, {"a": -1, "b": 0})))
-    nu = write(tmp_path, "nu.json", mio.measure_doc(normalize(Y, {"u": 0, "v": -2})))
+    nu_m = normalize(Y, {"u": 0, "v": -2})
+    nu = write(tmp_path, "nu.json", mio.measure_doc(nu_m))
     phi = write(tmp_path, "phi.json", mio.function_doc(FiniteFunction(X, (3.0, 5.0))))
     ind = write(tmp_path, "ind.json", mio.function_doc(FiniteFunction(X, (1.0, 0.0))))
     f = write(tmp_path, "f.json", mio.map_doc(PointMap(X, Y, {"a": "u", "b": "v"})))
@@ -99,6 +101,11 @@ def test_only_metric_commands_load_numpy(tmp_path):
     ramp = normalize(B, {p: -i for i, p in enumerate(B.points)})
     big = OuterMeasure(B, (dirac(B, "p0"), ramp), (-1.0, 0.0))
     o_big = write(tmp_path, "o_big.json", mio.outer_doc(big))
+    # large enough for tensor's and marginal's array path, likewise
+    C = space([f"c{i}" for i in range(_ARRAY_POINTS // 2)])
+    ramp_c = normalize(C, {p: -i / 3 for i, p in enumerate(C.points)})
+    c_big = write(tmp_path, "c_big.json", mio.measure_doc(ramp_c))
+    t_big = write(tmp_path, "t_big.json", mio.measure_doc(tensor(ramp_c, nu_m)))
     target = write(
         tmp_path, "target.json",
         mio.measure_doc(normalize(product_space(X, Y), {("a", "u"): 0.0, ("b", "v"): 0.0})),
@@ -110,6 +117,8 @@ def test_only_metric_commands_load_numpy(tmp_path):
         ["marginal", t, "--axis", "1"],
         ["zeta", o],
         ["zeta", o_big],
+        ["tensor", c_big, nu],
+        ["marginal", t_big, "--axis", "0"],
         ["hyper", ind],
         ["couplings", mu, nu, "--gap", target],
         ["counterexample", "--l", "7"],
