@@ -133,9 +133,16 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
     return _cached(M.base, acc)
 
 
+def _cache(mu: IdempotentMeasure) -> np.ndarray | None:
+    """μ's `_array` cache, or None.  Only a kernel's output of at least
+    `_ARRAY_POINTS` entries has one, so a smaller table is not looked up:
+    reading an empty slot raises and catches an AttributeError."""
+    return getattr(mu, "_array", None) if len(mu.weights) >= _ARRAY_POINTS else None
+
+
 def _weight_array(mu: IdempotentMeasure, np: Any) -> np.ndarray:
     """μ's weights as a float64 array: its `_array` cache, or a fresh array."""
-    arr = getattr(mu, "_array", None)
+    arr = _cache(mu)
     return np.fromiter(mu.weights, float, len(mu.weights)) if arr is None else arr
 
 
@@ -237,9 +244,10 @@ def marginal(mu: IdempotentMeasure, axis: int) -> IdempotentMeasure:
     fac = mu.space.axis(axis)
     run = math.prod(len(f) for f in mu.space.factors[axis + 1:])
     m = len(fac)
-    arr = getattr(mu, "_array", None)
+    arr = _cache(mu)
     if arr is not None:
-        return IdempotentMeasure._trusted(fac, tuple(arr.reshape(-1, m, run).max(axis=(0, 2)).tolist()))
+        w = arr.reshape(-1, m, run).max(axis=(0, 2))
+        return IdempotentMeasure._trusted(fac, tuple(w.tolist()))
     w = mu.weights
     if run > 1:
         w = tuple(max(w[s:s + run]) for s in range(0, len(w), run))
@@ -256,9 +264,8 @@ def flatten_measure(mu: IdempotentMeasure) -> IdempotentMeasure:
     _require(mu, IdempotentMeasure, "a flattened measure")
     if not isinstance(mu.space, ProductSpace):
         raise ValueError("only measures on product spaces can be flattened")
-    return IdempotentMeasure._trusted(
-        product_space(*_atomic_factors(mu.space)), mu.weights, getattr(mu, "_array", None)
-    )
+    flat = product_space(*_atomic_factors(mu.space))
+    return IdempotentMeasure._trusted(flat, mu.weights, _cache(mu))
 
 
 class ClosedSet(_Value):

@@ -19,7 +19,12 @@ it replaced, bit for bit, as is `combine` on the columns of the {0, -1}
 test family, and the two-factor `tensor` with its own weight sums.
 From `_ARRAY_POINTS` base points on, `multiply` mixes numpy arrays when
 numpy is loaded; it is compared with the loop just below, at and well
-above that size, also on ties of 0.0 with -0.0 in the input.
+above that size, also on ties of 0.0 with -0.0 in the input.  Likewise
+from `_ARRAY_POINTS` product cells on `tensor_many` sums numpy arrays and
+keeps the product's array as its `_array` cache, which `marginal` reduces;
+both are compared with the loops bit for bit on two- and three-factor and
+nested products, and the cache must stay read-only, equal the weights,
+and leave `==`, hash, repr, copy and pickle as they are without it.
 Barycenters read a cloud's coordinate columns; they are compared with the
 loop and with `combine`, bit for bit, also on ties of 0.0 and -0.0.
 The closed-form open lift is compared with the per-collapse lift,
