@@ -130,7 +130,7 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
             if c > NEG_INF:
                 np.add(_weight_array(m, np), c, out=row)
                 np.maximum(acc, row, out=acc)
-    return _cached(M.base, acc)
+    return _from_array(M.base, acc)
 
 
 def _cache(mu: IdempotentMeasure) -> np.ndarray | None:
@@ -146,7 +146,7 @@ def _weight_array(mu: IdempotentMeasure, np: Any) -> np.ndarray:
     return np.fromiter(mu.weights, float, len(mu.weights)) if arr is None else arr
 
 
-def _cached(space: FiniteSpace, arr: np.ndarray) -> IdempotentMeasure:
+def _from_array(space: FiniteSpace, arr: np.ndarray) -> IdempotentMeasure:
     """The measure whose weights are the array built by an array kernel,
     with the array, made read-only, kept as its cache."""
     arr.flags.writeable = False
@@ -225,7 +225,7 @@ def tensor_many(measures: Sequence[IdempotentMeasure]) -> IdempotentMeasure:
     with np.errstate(over="ignore"):
         for m in rest:
             arr = np.add.outer(arr, _weight_array(m, np)).ravel()
-    return _cached(prod, arr)
+    return _from_array(prod, arr)
 
 
 def marginal(mu: IdempotentMeasure, axis: int) -> IdempotentMeasure:

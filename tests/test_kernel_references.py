@@ -1777,7 +1777,8 @@ class TestTensorMarginalArrayPath:
         out = multiply(M)
         assert _same_measure(out, _multiply_loop(M)) and _revalidates(out)
         assert out._array.tolist() == list(out.weights)
-        assert _same_measure(out, multiply(OuterMeasure(M.base, tuple(map(_uncached, rows)), M.weights)))
+        plain = OuterMeasure(M.base, tuple(map(_uncached, rows)), M.weights)
+        assert _same_measure(out, multiply(plain))
 
     def test_path_follows_the_product_size(self, monkeypatch):
         small, large = (self._factors(cells, 2, self.THIRDS, 0) for cells in self.SIZES[:2])
@@ -1797,19 +1798,20 @@ class TestWeightArrayCache:
     call, it holds the same floats and is never written, and no comparison,
     hash, repr or copy tells a cached measure from an uncached one."""
 
-    def _cached(self):
+    def _cached_measures(self):
         gen = np.random.default_rng(5)
         a, b = _split(_ARRAY_POINTS, 2)
         mu, nu = _factor(gen, "a", a, [-1 / 3, NEG_INF]), _factor(gen, "b", b, [-2 / 3, -1.0])
         M = OuterMeasure(product_space(mu.space, nu.space), (tensor(mu, nu),), (0.0,))
-        return [tensor(mu, nu), tensor_many([mu, nu, mu]), multiply(M), flatten_measure(tensor(tensor(mu, nu), mu))]
+        nested = flatten_measure(tensor(tensor(mu, nu), mu))
+        return [tensor(mu, nu), tensor_many([mu, nu, mu]), multiply(M), nested]
 
     def test_slots(self):
         assert IdempotentMeasure.__slots__ == ("space", "weights", "_array")
         assert IdempotentMeasure._fields == ("space", "weights")
 
     def test_read_only_and_equal_to_the_weights(self):
-        for rho in self._cached():
+        for rho in self._cached_measures():
             assert not rho._array.flags.writeable  # as built, before a copy shares it
             outs = [rho, copy.copy(rho), copy.deepcopy(rho)]
             outs += [pickle.loads(pickle.dumps(rho, protocol))
@@ -1821,7 +1823,7 @@ class TestWeightArrayCache:
                     out._array[0] = 0.0
 
     def test_a_cached_measure_is_the_same_value(self):
-        for rho in self._cached():
+        for rho in self._cached_measures():
             plain = _uncached(rho)
             assert getattr(plain, "_array", None) is None
             assert rho == plain and plain == rho and hash(rho) == hash(plain)
