@@ -516,7 +516,12 @@ class MetricSpace(_Value):
     closes inside it.
 
     The `dist` argument may be any square table of numbers; a float64
-    array is read as it is, without a pass through Python rows.
+    array is read as it is, without a pass through Python rows.  The
+    table is read by `_distances`, the one check of a distance table,
+    which `metric_closure` shares: text is a TypeError, and a table that
+    is not square, has a NaN, infinite or negative entry, is not
+    symmetric, is not 0 on the diagonal or has a zero off it is a
+    ValueError, its first defect in row-major order deciding the message.
     """
 
     __slots__ = ("space", "_table")
@@ -533,31 +538,7 @@ class MetricSpace(_Value):
 
         _require(self.space, FiniteSpace, "a metric space's point set")
         n = len(self.space)
-        d = self._table
-        if not (type(d) is np.ndarray and d.dtype == np.float64 and d.shape == (n, n)):
-            d = _number_rows(d)
-            if len(d) != n or any(len(r) != n for r in d):
-                raise ValueError("distance table must be square over the space")
-        d = np.array(d, dtype=float)
-        if d.shape != (n, n):
-            raise TypeError("distances must be numbers")
-        # The first defect in row-major (i, j) order decides the message,
-        # with the diagonal checked first in each row.
-        bad_diag = np.diagonal(d) != 0.0
-        bad_range = ~np.isfinite(d) | (d < 0.0)
-        bad_sym = d != d.T
-        bad_zero = (d == 0.0) & ~np.eye(n, dtype=bool)
-        bad_rows = bad_diag | (bad_range | bad_sym | bad_zero).any(axis=1)
-        if bad_rows.any():
-            i = int(np.argmax(bad_rows))
-            if bad_diag[i]:
-                raise ValueError("distance from a point to itself must be 0")
-            j = int(np.argmax(bad_range[i] | bad_sym[i] | bad_zero[i]))
-            if bad_range[i, j]:
-                raise ValueError("distances must be finite and nonnegative")
-            if bad_sym[i, j]:
-                raise ValueError("distance table must be symmetric")
-            raise ValueError("distinct points must be at positive distance")
+        d = _distances(self._table, n)
         # d is symmetric here, so d_ik + d_kj is read from row k alone.  A
         # sum or product past the float range is +inf, which never lowers a
         # minimum and never fails d ≤ m·s, so overflow is not reported.
@@ -593,26 +574,65 @@ class MetricSpace(_Value):
         return self._table.max().item()
 
 
-def _number_rows(table: Any) -> list[tuple]:
-    """The rows of a distance table as tuples, with text rejected as a row
-    (a bytes row iterates as ints) and as an entry before numpy parses it."""
-    rows = list(table)
-    _reject_text(rows, "distances must be numbers")
-    rows = [tuple(r) for r in rows]
-    _reject_text(chain.from_iterable(rows), "distances must be numbers")
-    return rows
+def _distances(table: Any, n: int, metric: bool = True) -> np.ndarray:
+    """A distance table over n points as a fresh float64 (n, n) array.
+
+    The one check of a distance table.  Text is rejected as the table, as
+    a row (a bytes row iterates as ints) and as an entry, before numpy
+    parses it; a float64 (n, n) array is read as it is, without a pass
+    through Python rows.  The table must be square over the n points,
+    hold numbers, and be finite, nonnegative and symmetric; with `metric`
+    it must also be 0 on the diagonal and positive off it.  The first
+    defect in row-major (i, j) order, with the diagonal checked first in
+    each row, decides the message.
+    """
+    import numpy as np
+
+    if not (type(table) is np.ndarray and table.dtype == np.float64 and table.shape == (n, n)):
+        rows = list(table)
+        _reject_text((table, *rows), "distances must be numbers")
+        table = [tuple(r) for r in rows]
+        _reject_text(chain.from_iterable(table), "distances must be numbers")
+        if len(table) != n or any(len(r) != n for r in table):
+            raise ValueError("distance table must be square over the space")
+    try:
+        d = np.array(table, dtype=float)
+    except ValueError:  # entries that are sequences of different lengths
+        raise TypeError("distances must be numbers") from None
+    if d.shape != (n, n):
+        raise TypeError("distances must be numbers")
+    bad_diag = np.diagonal(d) != 0.0 if metric else np.zeros(n, dtype=bool)
+    bad_range = ~np.isfinite(d) | (d < 0.0)
+    bad_sym = d != d.T
+    bad = bad_range | bad_sym
+    if metric:
+        bad |= (d == 0.0) & ~np.eye(n, dtype=bool)
+    bad_rows = bad_diag | bad.any(axis=1)
+    if bad_rows.any():
+        i = int(np.argmax(bad_rows))
+        if bad_diag[i]:
+            raise ValueError("distance from a point to itself must be 0")
+        j = int(np.argmax(bad[i]))
+        if bad_range[i, j]:
+            raise ValueError("distances must be finite and nonnegative")
+        if bad_sym[i, j]:
+            raise ValueError("distance table must be symmetric")
+        raise ValueError("distinct points must be at positive distance")
+    return d
 
 
 def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarray) -> MetricSpace:
     """Shortest-path closure: the largest metric dominated by a raw dissimilarity.
 
     The raw table must be symmetric, zero on the diagonal and positive off
-    it.  Where no path sum rounds (dyadic tables, for example) the closure
-    is exact and idempotent: closing its output again changes nothing.  On
-    real-valued tables an entry summed along one path can exceed the
-    rounded sum along another by an ulp, so closing the output again may
-    move entries by an ulp; the output, and the output of closing it again,
-    pass the 1 + n·ε triangle test of `MetricSpace`.
+    it.  It is read by `_distances`, as `MetricSpace` reads its table, so
+    a defect raises the error, and the message, that `MetricSpace` raises
+    for it.  Where no path sum rounds (dyadic tables, for example) the
+    closure is exact and idempotent: closing its output again changes
+    nothing.  On real-valued tables an entry summed along one path can
+    exceed the rounded sum along another by an ulp, so closing the output
+    again may move entries by an ulp; the output, and the output of
+    closing it again, pass the 1 + n·ε triangle test of `MetricSpace`.
 
     The output is built without `MetricSpace`'s O(n³) triangle test when an
     O(n²) certificate proves every sum exact: each raw entry is a multiple
@@ -622,7 +642,7 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     holds exactly.  The output is then the real shortest-path metric: it
     meets the triangle inequality exactly, fl(d_ik + d_kj) = d_ik + d_kj,
     and fl(m·s) ≥ m for s ≥ 1, so the test d > m·(1 + n·ε) never fires.
-    The raw checks give the rest: a zero diagonal, finite nonnegative
+    The table check gives the rest: a zero diagonal, finite nonnegative
     entries, positive ones off the diagonal, and symmetry, which float +
     keeps as it commutes.  If 2M overflows, g is inf and the certificate
     fails.  Other tables are checked by `MetricSpace` as before.
@@ -634,20 +654,7 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     import numpy as np
 
     _require(space, FiniteSpace, "a metric closure's point set")
-    n = len(space)
-    if not (type(raw) is np.ndarray and raw.dtype == np.float64):
-        raw = _number_rows(raw)
-    d = np.array(raw, dtype=float)
-    if d.shape != (n, n):
-        raise ValueError("raw table must be square over the space")
-    if np.isnan(d).any() or np.isinf(d).any() or (d < 0).any():
-        raise ValueError("raw dissimilarities must be finite and nonnegative")
-    if not np.array_equal(d, d.T):
-        raise ValueError("raw dissimilarities must be symmetric")
-    if (np.diag(d) != 0).any():
-        raise ValueError("raw dissimilarities must vanish on the diagonal")
-    if np.count_nonzero(d) != n * n - n:  # the diagonal is zero here
-        raise ValueError("distinct points must be at positive distance")
+    d = _distances(raw, len(space))
     buf = np.empty_like(d)
     big = math.ulp(2.0 * float(d.max())) * 2.0**52  # C, inf if 2M overflows
     # A sum past the float range is +inf: x + C is then off the grid, and a
@@ -656,7 +663,7 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
     # unchanged table.
     with np.errstate(over="ignore"):
         exact = big < math.inf and np.array_equal(np.subtract(np.add(d, big, out=buf), big, out=buf), d)
-        for k in range(n):
+        for k in range(len(d)):
             np.add(d[:, k, None], d[k], out=buf)
             np.minimum(d, buf, out=d)
     if not exact:

@@ -23,7 +23,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from .core import NEG_INF, MetricSpace
+from .core import NEG_INF, MetricSpace, _as_weights, _distances
 from .measures import IdempotentMeasure
 
 # numpy is imported inside the array kernels, as in core.
@@ -44,28 +44,40 @@ def maxmin_gap(
 ) -> float:
     """Closed-form dual gap on raw weight vectors over a (pseudo)distance table.
 
-    The table is symmetric, finite and nonnegative, with one row per entry
-    of lam and of kap; other sizes, and a table with a NaN, an infinite or
-    a negative entry or that is not symmetric, raise ValueError.  Each term is
-    (λ_i - κ_j) + n·d_ij, associated in that order, so the result does not
-    depend on how the table is stored.  Where n·d_ij alone would overflow,
-    the terms are taken at half scale (see `_scaled`); a gap past the
-    float maximum raises ValueError.
+    The arguments are checked by `_gap_args`, as `grid_gap`'s are: n, the
+    two weight vectors and the table, a pseudometric with one row per
+    weight.  Each term is (λ_i - κ_j) + n·d_ij, associated in that order,
+    so the result does not depend on how the table is stored.  Where
+    n·d_ij alone would overflow, the terms are taken at half scale (see
+    `_scaled`); a gap past the float maximum raises ValueError.
     """
     import numpy as np
 
-    d = np.asarray(dist, dtype=float)
-    a, b = np.array([lam], dtype=float), np.array([kap], dtype=float)
-    if not (a > NEG_INF).any() or not (b > NEG_INF).any():
-        raise ValueError("weight vectors must each have a finite entry")
+    d, lam, kap = _gap_args(dist, n, lam, kap)
+    return float(_gaps(n, d, np.array([lam]), np.array([kap]))[0, 0])
+
+
+def _gap_args(
+    dist: Sequence[Sequence[float]] | np.ndarray, n: int, lam: Sequence[float], kap: Sequence[float]
+) -> tuple[np.ndarray, tuple[float, ...], tuple[float, ...]]:
+    """The float64 table and the two weight tuples of a dual gap, checked.
+
+    n must pass `_check_n`.  The weights are read by `core._as_weights`,
+    so text is a TypeError and NaN or +inf a ValueError.  The vectors and
+    the table must have one entry and one row per point ("inconsistent
+    table sizes"), and each vector a finite entry.  The table is read by
+    `core._distances` without the metric rules, as the ground tables one
+    level up are pseudometrics: square, finite, nonnegative and symmetric,
+    with the errors `MetricSpace` raises for those defects.
+    """
+    _check_n(n)
+    lam, kap = _as_weights(lam), _as_weights(kap)
     m = len(lam)
-    if len(kap) != m or d.shape != (m, m):
+    if len(kap) != m or len(dist) != m:
         raise ValueError("inconsistent table sizes")
-    if not (np.isfinite(d) & (d >= 0.0)).all():
-        raise ValueError("distances must be finite and nonnegative")
-    if (d != d.T).any():
-        raise ValueError("distance table must be symmetric")
-    return float(_gaps(n, d, a, b)[0, 0])
+    if not any(w > NEG_INF for w in lam) or not any(w > NEG_INF for w in kap):
+        raise ValueError("weight vectors must each have a finite entry")
+    return _distances(dist, m, metric=False), lam, kap
 
 
 def _gaps(n: int, d: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -151,13 +163,19 @@ def _scaled(n: int, d: np.ndarray) -> tuple[np.ndarray, float]:
     return nd, 1.0
 
 
-def _check(n: int, X: MetricSpace, *measures: IdempotentMeasure) -> None:
+def _check_n(n: int) -> None:
+    """Reject a Lipschitz class bound n that is not a positive integer a
+    float holds."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("the Lipschitz class bound n must be a positive integer")
     try:
         float(n)
     except OverflowError:
         raise ValueError("the Lipschitz class bound n is too large for a float") from None
+
+
+def _check(n: int, X: MetricSpace, *measures: IdempotentMeasure) -> None:
+    _check_n(n)
     if any(mu.space != X.space for mu in measures):
         raise ValueError("measures must live on the metric space's point set")
 
@@ -180,7 +198,7 @@ def dtilde(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure)
 
 
 def grid_gap(
-    dist: Sequence[Sequence[float]],
+    dist: Sequence[Sequence[float]] | np.ndarray,
     n: int,
     lam: Sequence[float],
     kap: Sequence[float],
@@ -195,16 +213,16 @@ def grid_gap(
     within [-radius, radius].  Lipschitz feasibility is checked with one
     grid-step of additive slack so the rounded optimizer stays on the
     grid; this keeps the oracle within one step of the true supremum.
+    The arguments are checked by `_gap_args`, as `maxmin_gap`'s are, and
+    then step and radius.
     """
     import numpy as np
 
-    m = len(lam)
-    if len(kap) != m or len(dist) != m:
-        raise ValueError("inconsistent table sizes")
+    d, lam, kap = _gap_args(dist, n, lam, kap)
     if not (0 < step < math.inf and 0 < radius < math.inf):  # NaN fails both
         raise ValueError("step and radius must be finite and positive")
-    if not any(w > NEG_INF for w in lam) or not any(w > NEG_INF for w in kap):
-        raise ValueError("weight vectors must each have a finite entry")
+    rows = d.tolist()
+    m = len(rows)
     if m == 1:
         return 0.0
 
@@ -213,7 +231,7 @@ def grid_gap(
     slack = step + _SLACK_EPS
     ks: list[int] = []
     for i in range(1, m):
-        bound = min(radius + step, n * dist[0][i] + slack)
+        bound = min(radius + step, n * rows[0][i] + slack)
         if bound > _GRID_CAP * step:
             raise ValueError(f"oracle grid has over {_GRID_CAP} cells on axis {i} alone")
         ks.append(int(math.floor(bound / step + 1e-9)))
@@ -231,7 +249,7 @@ def grid_gap(
     feasible = np.ones((), dtype=bool)
     for i in range(1, m):
         for j in range(i + 1, m):
-            feasible = feasible & (np.abs(vs[i] - vs[j]) <= n * dist[i][j] + slack)
+            feasible = feasible & (np.abs(vs[i] - vs[j]) <= n * rows[i][j] + slack)
 
     def evaluate(weights: Sequence[float]) -> np.ndarray:
         acc = None
@@ -274,7 +292,7 @@ def dhat_oracle(
     """Grid-sweep evaluation of the dual gap, independent of the closed form."""
     _check(n, X, mu, nu)
     radius = max(default_radius(n, X, mu, nu), step)
-    return grid_gap(X.dist, n, mu.weights, nu.weights, step=step, radius=radius)
+    return grid_gap(X._table, n, mu.weights, nu.weights, step=step, radius=radius)
 
 
 def inner_distance_table(

@@ -123,13 +123,16 @@ LIBRARY = {
         lambda: MetricSpace(X2, (b"\x00\x01", b"\x01\x00")),
         TypeError, "distances must be numbers",
     ),
+    # metric_closure reads its table through MetricSpace's check, so it
+    # raises MetricSpace's errors, the first defect in row-major order
+    # (the diagonal first in each row) deciding the message
     "closure: not square": (
         lambda: metric_closure(X2, [[0.0]]),
-        ValueError, "raw table must be square over the space",
+        ValueError, "distance table must be square over the space",
     ),
     "closure: nonzero diagonal": (
         lambda: metric_closure(X2, [[1.0, 1.0], [1.0, 0.0]]),
-        ValueError, "raw dissimilarities must vanish on the diagonal",
+        ValueError, "distance from a point to itself must be 0",
     ),
     "closure: zero off the diagonal": (
         lambda: metric_closure(X2, [[0, 0], [0, 0]]),
@@ -139,14 +142,15 @@ LIBRARY = {
         lambda: metric_closure(X2, [[0.0, -0.0], [-0.0, 0.0]]),
         ValueError, "distinct points must be at positive distance",
     ),
-    # asymmetric before a nonzero diagonal before a zero off the diagonal
+    # the nonzero diagonal at (0, 0) comes first
     "closure: asymmetric, nonzero diagonal and a zero": (
         lambda: metric_closure(space("abc"), [[1, 0, 2], [0, 0, 1], [2, 3, 0]]),
-        ValueError, "raw dissimilarities must be symmetric",
+        ValueError, "distance from a point to itself must be 0",
     ),
+    # the zero at (0, 1) comes before the nonzero diagonal at (1, 1)
     "closure: nonzero diagonal and a zero": (
         lambda: metric_closure(space("abc"), [[0, 0, 2], [0, 1, 1], [2, 1, 0]]),
-        ValueError, "raw dissimilarities must vanish on the diagonal",
+        ValueError, "distinct points must be at positive distance",
     ),
     "closure: text distances": (
         lambda: metric_closure(X2, [["0", "1"], ["1", "0"]]),
@@ -351,6 +355,57 @@ LIBRARY = {
     ),
     "maxmin: a table that is not symmetric": (
         lambda: maxmin_gap([[0, 1], [2, 0]], 1, [0.0, -1.0], [-1.0, 0.0]),
+        ValueError, "distance table must be symmetric",
+    ),
+    # the weights are read as measure weights and n as dhat's n: text
+    # weights once gave 0.0, a NaN weight a NaN gap, a +inf weight the
+    # overflow error, and n of nan or -1 a gap of nan or -1.0
+    "maxmin: text weights": (
+        lambda: maxmin_gap([[0, 1], [1, 0]], 1, ["0", "-1"], [0.0, -1.0]),
+        TypeError, "weights must be numbers, got '0'",
+    ),
+    "maxmin: bytes weights": (
+        lambda: maxmin_gap([[0, 1], [1, 0]], 1, [0.0, -1.0], [b"0", b"-1"]),
+        TypeError, "weights must be numbers, got b'0'",
+    ),
+    "maxmin: a NaN weight": (
+        lambda: maxmin_gap([[0, 1], [1, 0]], 1, [0.0, math.nan], [0.0, -1.0]),
+        ValueError, "NaN is not a max-plus weight",
+    ),
+    "maxmin: a +inf weight": (
+        lambda: maxmin_gap([[0, 1], [1, 0]], 1, [0.0, -1.0], [math.inf, 0.0]),
+        ValueError, "+inf is not a max-plus weight",
+    ),
+    "maxmin: n of nan": (
+        lambda: maxmin_gap([[0, 1], [1, 0]], math.nan, [0.0, -1.0], [-1.0, 0.0]),
+        ValueError, "the Lipschitz class bound n must be a positive integer",
+    ),
+    "maxmin: n of -1": (
+        lambda: maxmin_gap([[0, 1], [1, 0]], -1, [0.0, -1.0], [-1.0, 0.0]),
+        ValueError, "the Lipschitz class bound n must be a positive integer",
+    ),
+    "maxmin: n past the float range": (
+        lambda: maxmin_gap([[0, 1], [1, 0]], 10**400, [0.0, -1.0], [-1.0, 0.0]),
+        ValueError, "the Lipschitz class bound n is too large for a float",
+    ),
+    "maxmin: text distances": (
+        lambda: maxmin_gap([["0", "1"], ["1", "0"]], 1, [0.0, -1.0], [-1.0, 0.0]),
+        TypeError, "distances must be numbers",
+    ),
+    "grid: text weights": (
+        lambda: grid_gap([[0.0, 1.0], [1.0, 0.0]], 1, ["0", "-1"], [0.0, -1.0], radius=1.0),
+        TypeError, "weights must be numbers, got '0'",
+    ),
+    "grid: a NaN weight": (
+        lambda: grid_gap([[0.0, 1.0], [1.0, 0.0]], 1, [0.0, -1.0], [0.0, math.nan], radius=1.0),
+        ValueError, "NaN is not a max-plus weight",
+    ),
+    "grid: n of -1": (
+        lambda: grid_gap([[0.0, 1.0], [1.0, 0.0]], -1, [0.0, -1.0], [-1.0, 0.0], radius=1.0),
+        ValueError, "the Lipschitz class bound n must be a positive integer",
+    ),
+    "grid: a table that is not symmetric": (
+        lambda: grid_gap([[0.0, 1.0], [2.0, 0.0]], 1, [0.0, -1.0], [-1.0, 0.0], radius=1.0),
         ValueError, "distance table must be symmetric",
     ),
     "inner distance table: n of 0, one measure": (

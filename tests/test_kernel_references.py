@@ -87,6 +87,7 @@ from maslov import (
     coupling_gap,
     counterexample_instance,
     dhat,
+    dhat_oracle,
     dtilde,
     hull_membership,
     integrate,
@@ -109,7 +110,7 @@ from maslov.core import _atomic_factors, combine
 from maslov.functor import precompose
 from maslov.io import Context, infer_space
 from maslov.laws import LawReport, check_functor_laws
-from maslov.metrics import inner_distance_table, maxmin_gap, outer_dtilde
+from maslov.metrics import grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
 from maslov.monad import _ARRAY_POINTS, flatten_measure, tensor_many
 from maslov.openness import (
     GapResult,
@@ -123,15 +124,14 @@ from maslov.openness import (
 
 # ------------------------------------------------------------ references
 
-def _metric_space_loop(space, dist):
-    """The pure-Python MetricSpace validator, with its triangle slack
-    1 + n·ε; returns the float rows."""
-    n = len(space)
+def _distances_loop(n, dist, metric=True):
+    """The pure-Python first-defect check of a distance table over n
+    points, the diagonal first in each row; returns the float rows."""
     rows = tuple(tuple(float(v) for v in row) for row in dist)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("distance table must be square over the space")
     for i in range(n):
-        if rows[i][i] != 0.0:
+        if metric and rows[i][i] != 0.0:
             raise ValueError("distance from a point to itself must be 0")
         for j in range(n):
             v = rows[i][j]
@@ -139,8 +139,16 @@ def _metric_space_loop(space, dist):
                 raise ValueError("distances must be finite and nonnegative")
             if v != rows[j][i]:
                 raise ValueError("distance table must be symmetric")
-            if i != j and v == 0.0:
+            if metric and i != j and v == 0.0:
                 raise ValueError("distinct points must be at positive distance")
+    return rows
+
+
+def _metric_space_loop(space, dist):
+    """The pure-Python MetricSpace validator, with its triangle slack
+    1 + n·ε; returns the float rows."""
+    n = len(space)
+    rows = _distances_loop(n, dist)
     slack = 1.0 + n * sys.float_info.epsilon
     for i in range(n):
         for j in range(n):
@@ -155,15 +163,7 @@ def _metric_space_loop(space, dist):
 def _metric_closure_loop(space, raw):
     """The triple-loop Floyd-Warshall closure; returns the validated rows."""
     n = len(space)
-    d = np.array(raw, dtype=float)
-    if d.shape != (n, n):
-        raise ValueError("raw table must be square over the space")
-    if np.isnan(d).any() or np.isinf(d).any() or (d < 0).any():
-        raise ValueError("raw dissimilarities must be finite and nonnegative")
-    if not np.array_equal(d, d.T):
-        raise ValueError("raw dissimilarities must be symmetric")
-    if (np.diag(d) != 0).any():
-        raise ValueError("raw dissimilarities must vanish on the diagonal")
+    d = np.array(_distances_loop(n, raw))
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -670,6 +670,106 @@ class TestMetricSpaceMatchesLoop:
         X = _labels("p", 3)
         table = [[0.0 if i == j else far for j in range(3)] for i in range(3)]
         assert MetricSpace(X, table).dist == _metric_space_loop(X, table)
+
+
+# One table check: MetricSpace and metric_closure read a distance table
+# with the metric rules, maxmin_gap and grid_gap with the pseudometric
+# ones, all through core._distances.
+_SQUARE = (ValueError, "distance table must be square over the space")
+_NUMBERS = (TypeError, "distances must be numbers")
+_RANGE = (ValueError, "distances must be finite and nonnegative")
+_SYMMETRIC = (ValueError, "distance table must be symmetric")
+_DIAGONAL = (ValueError, "distance from a point to itself must be 0")
+_POSITIVE = (ValueError, "distinct points must be at positive distance")
+
+# name: (a table on three points, the metric error, the pseudometric error
+# or None where a pseudometric table is valid); the two-defect tables
+# come in both orders
+DEFECT_TABLES = {
+    "ragged": ([[0, 1, 2], [1, 0], [2, 1, 0]], _SQUARE, _SQUARE),
+    "a long row": ([[0, 1, 2, 3], [1, 0, 1], [2, 1, 0]], _SQUARE, _SQUARE),
+    "text row": (["012", (1, 0, 1), (2, 1, 0)], _NUMBERS, _NUMBERS),
+    "bytes row": ([b"\x00\x01\x02", (1, 0, 1), (2, 1, 0)], _NUMBERS, _NUMBERS),
+    "text entry": ([[0, 1, "2"], [1, 0, 1], [2, 1, 0]], _NUMBERS, _NUMBERS),
+    "nested entry": ([[0, 1, [2]], [1, 0, 1], [[2], 1, 0]], _NUMBERS, _NUMBERS),
+    "every entry nested": ([[[0], [1], [2]], [[1], [0], [1]], [[2], [1], [0]]],
+                           _NUMBERS, _NUMBERS),
+    "NaN": ([[0, 1, math.nan], [1, 0, 1], [math.nan, 1, 0]], _RANGE, _RANGE),
+    "+inf": ([[0, 1, math.inf], [1, 0, 1], [math.inf, 1, 0]], _RANGE, _RANGE),
+    "-1": ([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], _RANGE, _RANGE),
+    "asymmetric": ([[0, 1, 2], [1, 0, 1], [3, 1, 0]], _SYMMETRIC, _SYMMETRIC),
+    "nonzero diagonal": ([[0, 1, 2], [1, 5, 1], [2, 1, 0]], _DIAGONAL, None),
+    "zero off the diagonal": ([[0, 0, 2], [0, 0, 1], [2, 1, 0]], _POSITIVE, None),
+    "-0.0 off the diagonal": ([[0, -0.0, 2], [-0.0, 0, 1], [2, 1, 0]], _POSITIVE, None),
+    "asymmetric, then NaN": ([[0, 1, 2], [3, 0, math.nan], [2, math.nan, 0]],
+                             _SYMMETRIC, _SYMMETRIC),
+    "NaN, then asymmetric": ([[0, math.nan, 2], [math.nan, 0, 1], [2, 3, 0]], _RANGE, _RANGE),
+    "zero, then nonzero diagonal": ([[0, 0, 2], [0, 1, 1], [2, 1, 0]], _POSITIVE, None),
+    "nonzero diagonal, then zero": ([[1, 1, 2], [1, 0, 0], [2, 0, 0]], _DIAGONAL, None),
+    "nonzero diagonal, then -1": ([[1, 1, 2], [1, 0, -1], [2, -1, 0]], _DIAGONAL, _RANGE),
+    "-1, then nonzero diagonal": ([[0, -1, 2], [-1, 1, 1], [2, 1, 0]], _RANGE, _RANGE),
+}
+
+
+def _error(fn, *args, **kwargs):
+    """The type and message of the TypeError or ValueError fn raised, or None."""
+    try:
+        fn(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _numbers(table):
+    """Whether the table is rows of ints and floats, which the loops read."""
+    return all(isinstance(r, list) and all(type(v) in (int, float) for v in r) for r in table)
+
+
+def _inputs(table):
+    """The table, and as a float64 array where it is a square one of numbers."""
+    square = _numbers(table) and all(len(r) == len(table) for r in table)
+    return [table, np.array(table, dtype=float)] if square else [table]
+
+
+class TestOneDistanceTableCheck:
+    @pytest.mark.parametrize("name", sorted(DEFECT_TABLES))
+    def test_metric_rules(self, name):
+        table, want, _ = DEFECT_TABLES[name]
+        X = space("abc")
+        for t in _inputs(table):
+            assert _error(MetricSpace, X, t) == want
+            assert _error(metric_closure, X, t) == want
+        if _numbers(table):
+            assert _outcome(_metric_closure_loop, X, table) == ("raised", want[1])
+            assert _outcome(_metric_space_loop, X, table) == ("raised", want[1])
+
+    @pytest.mark.parametrize("name", sorted(DEFECT_TABLES))
+    def test_pseudometric_rules(self, name):
+        table, _, want = DEFECT_TABLES[name]
+        lam, kap = (0.0, -1.0, -2.0), (-2.0, NEG_INF, 0.0)
+        for t in _inputs(table):
+            assert _error(maxmin_gap, t, 1, lam, kap) == want
+            assert _error(grid_gap, t, 1, lam, kap, step=0.25, radius=4.0) == want
+        if want is None:
+            rows = _distances_loop(3, table, metric=False)
+            assert maxmin_gap(table, 1, lam, kap) == _maxmin_gap_loop(rows, 1, lam, kap)
+            assert math.isfinite(grid_gap(table, 1, lam, kap, step=0.25, radius=4.0))
+        elif _numbers(table):
+            assert _outcome(_distances_loop, 3, table, False) == ("raised", want[1])
+
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    def test_closure_loop_on_planted_defects(self, kind):
+        # one entry of a random table set to a value that breaks a rule
+        gen = np.random.default_rng(29)
+        for _ in range(60):
+            n = int(gen.integers(2, 9))
+            X = _labels("p", n)
+            raw = TABLES[kind](gen, n)
+            i, j = (int(v) for v in gen.integers(0, n, size=2))
+            raw[i, j] = gen.choice([math.nan, math.inf, -1.0, raw[i, j] + 0.5, 0.0 if i != j else 1.0])
+            want = _outcome(_metric_closure_loop, X, raw.tolist())
+            assert want[0] == "raised"
+            assert _outcome(metric_closure, X, raw) == _outcome(metric_closure, X, raw.tolist()) == want
 
 
 # ---------------------------------------------------------------- dhat
@@ -2252,7 +2352,8 @@ class TestEachTableIsStoredOnce:
                 [cloud.point(x) for x in X], cloud.dim, barycenter(cloud, mu),
                 M.d("u", "w"), M.diameter, metric_closure(Y, raw)._table.tolist(),
                 metric_closure(Y, np.array(raw) / 3)._table.tolist(),
-                dhat(2, M, nu, dirac(Y, "w")), outer_dtilde(2, M, OM, OM),
+                dhat(2, M, nu, dirac(Y, "w")), dhat_oracle(1, M, nu, dirac(Y, "w"), step=0.25),
+                outer_dtilde(2, M, OM, OM),
                 inner_distance_table(1, M, [nu, dirac(Y, "v")]),
                 mio.map_doc(f), mio.cloud_doc(cloud), mio.metric_space_doc(M),
                 mio.cover_levels_doc(levels, Y), milyutin_build(M, levels, 2),
