@@ -12,7 +12,7 @@ from itertools import chain
 from operator import add, itemgetter
 from typing import Mapping, Sequence
 
-from .core import NEG_INF, FiniteSpace, Label, _Value, _floats, _reject_text, combine
+from .core import NEG_INF, FiniteSpace, Label, _Value, _floats, _tuple, combine
 from .measures import IdempotentMeasure
 from .monad import OuterMeasure, multiply
 
@@ -36,7 +36,7 @@ class PointCloudSpace(_Value):
     coordinate k of every point, in point order, which is what the kernels
     and methods read.  `embed`, the field, is a view: a fresh label-keyed
     dict of points built from `_columns` on every read, O(n·dim), so
-    writing to it changes nothing.
+    writing to it changes nothing.  Each point is read by `core._floats`.
     """
 
     __slots__ = ("space", "_columns")
@@ -50,11 +50,7 @@ class PointCloudSpace(_Value):
 
     def __post_init__(self) -> None:
         raw = self.space.dense(self._columns, "embed")
-        # text is rejected as a point and as a coordinate before float() or
-        # iteration could read it as numbers (b"1" iterates as the int 49)
-        _reject_text(raw, "cloud coordinates must be numbers")
-        _reject_text(chain.from_iterable(raw), "cloud coordinates must be numbers")
-        coords = [tuple(map(float, q)) for q in raw]
+        coords = [_floats(q, "cloud coordinates must be numbers") for q in raw]
         if not all(map(math.isfinite, chain.from_iterable(coords))):
             raise ValueError("cloud points must have finite coordinates")
         if len({len(q) for q in coords}) != 1:
@@ -121,7 +117,7 @@ def hull_membership(
     λ_i = min_k (x_k - g_ik); x belongs to the span iff the combination
     ⊕_i λ_i ⊙ g_i reproduces x exactly, in which case λ is the witness.
     """
-    gens = [_check_point(g) for g in generators]
+    gens = [_check_point(g) for g in _tuple(generators, "coordinates must be numbers")]
     if not gens:
         raise ValueError("need at least one generator")
     dim = len(gens[0])

@@ -13,7 +13,6 @@ import copyreg
 import math
 import sys
 from functools import partial
-from itertools import chain, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -30,15 +29,38 @@ Label = Union[str, tuple]
 _REQUIRED: Any = object()  # dense(): a point the table leaves out is an error
 
 
-_TEXT = (str, bytes, bytearray)  # float() and numpy parse these; no number here is text
+_TEXT = (str, bytes, bytearray, memoryview)  # float() parses these; no number here is text
+_NOT_NUMBERS = (*_TEXT, bool)
 _ZEROS = {0.0: 0.0}  # -0.0 == 0.0 and hashes alike, so .get maps both to this 0.0
 
 
+def _real(value: Any, message: str, what: str = "an integer") -> float:
+    """The float of one input number: the one place where a scalar a caller
+    gave is converted with float().
+
+    Text, which float() would parse, a bool and anything float() refuses
+    (None, a list, a dict) raise TypeError(message.format(value)).  An int
+    past the float range raises ValueError("<what> is too large for a
+    float").
+    """
+    if not isinstance(value, _NOT_NUMBERS):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{what} is too large for a float") from None
+        except TypeError:
+            pass
+    raise TypeError(message.format(value))
+
+
 def as_weight(value: float) -> float:
-    """Validate a max-plus weight: a finite real or -inf, never NaN or +inf."""
-    if isinstance(value, _TEXT):
-        raise TypeError(f"weights must be numbers, got {value!r}")
-    w = float(value)
+    """Validate a max-plus weight: a finite real or -inf, never NaN or +inf.
+
+    The number is read by `_real`: text, a bool, None or a container is a
+    TypeError, and an int too large for a float a ValueError.  -0.0 comes
+    back as 0.0.
+    """
+    w = _real(value, "weights must be numbers, got {!r}")
     if math.isnan(w):
         raise ValueError("NaN is not a max-plus weight")
     if w == math.inf:
@@ -49,10 +71,12 @@ def as_weight(value: float) -> float:
 
 
 def as_value(value: float) -> float:
-    """Validate a test-function value: finite real (no infinities at all)."""
-    if isinstance(value, _TEXT):
-        raise TypeError(f"function values must be numbers, got {value!r}")
-    v = float(value)
+    """Validate a test-function value: finite real (no infinities at all).
+
+    The number is read by `_real`, as `as_weight` reads one; -0.0 comes
+    back as 0.0.
+    """
+    v = _real(value, "function values must be numbers, got {!r}")
     if not math.isfinite(v):
         raise ValueError(f"function values must be finite, got {v!r}")
     if v == 0.0:
@@ -80,18 +104,30 @@ _as_weights = partial(_canonical, as_weight, NEG_INF)
 _as_values = partial(_canonical, as_value, -sys.float_info.max)
 
 
-def _reject_text(values: Iterable[Any], message: str) -> None:
-    """Raise TypeError if some entry is text, which float() and numpy would parse."""
-    if any(map(isinstance, values, repeat(_TEXT))):
-        raise TypeError(message)
+def _tuple(values: Any, message: str) -> tuple:
+    """The entries of a table or a row; text (b"1" iterates as the int 49)
+    or a value that is not iterable raises TypeError(message)."""
+    if not isinstance(values, _TEXT):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise TypeError(message)
 
 
 def _floats(values: Iterable[Any], message: str) -> tuple[float, ...]:
-    """float() of each entry, after text as the table or an entry (b"1"
-    iterates as the int 49) raises TypeError(message)."""
-    table = tuple(values)
-    _reject_text((values, *table), message)
-    return tuple(map(float, table))
+    """A row of numbers as a tuple of floats: the one row reader.
+
+    Text or a non-iterable as the row, and an entry that `_real` refuses,
+    raise TypeError(message); an int past the float range is `_real`'s
+    ValueError.  A row of floats comes back with its own float objects,
+    without a call per entry.
+    """
+    table = _tuple(values, message)
+    for v in table:
+        if type(v) is not float:
+            return tuple([_real(v, message) for v in table])
+    return table
 
 
 def _require(value: object, cls: type, what: str) -> None:
@@ -577,30 +613,26 @@ class MetricSpace(_Value):
 def _distances(table: Any, n: int, metric: bool = True) -> np.ndarray:
     """A distance table over n points as a fresh float64 (n, n) array.
 
-    The one check of a distance table.  Text is rejected as the table, as
-    a row (a bytes row iterates as ints) and as an entry, before numpy
-    parses it; a float64 (n, n) array is read as it is, without a pass
-    through Python rows.  The table must be square over the n points,
-    hold numbers, and be finite, nonnegative and symmetric; with `metric`
-    it must also be 0 on the diagonal and positive off it.  The first
-    defect in row-major (i, j) order, with the diagonal checked first in
-    each row, decides the message.
+    The one check of a distance table.  A float64 (n, n) array is read as
+    it is, without a pass through Python rows; any other table is read
+    row by row by `_floats`, so text or a non-iterable as the table or a
+    row, and an entry that is not a number, is TypeError("distances must
+    be numbers"), and an int past the float range is a ValueError.  The
+    table must be square over the n points, and be finite, nonnegative
+    and symmetric; with `metric` it must also be 0 on the diagonal and
+    positive off it.  The first defect in row-major (i, j) order, with
+    the diagonal checked first in each row, decides the message.  A -0.0
+    entry is stored as 0.0, as weights and function values are.
     """
     import numpy as np
 
     if not (type(table) is np.ndarray and table.dtype == np.float64 and table.shape == (n, n)):
-        rows = list(table)
-        _reject_text((table, *rows), "distances must be numbers")
-        table = [tuple(r) for r in rows]
-        _reject_text(chain.from_iterable(table), "distances must be numbers")
+        message = "distances must be numbers"
+        table = [_floats(row, message) for row in _tuple(table, message)]
         if len(table) != n or any(len(r) != n for r in table):
             raise ValueError("distance table must be square over the space")
-    try:
-        d = np.array(table, dtype=float)
-    except ValueError:  # entries that are sequences of different lengths
-        raise TypeError("distances must be numbers") from None
-    if d.shape != (n, n):
-        raise TypeError("distances must be numbers")
+    d = np.array(table, dtype=float)
+    d += 0.0  # -0.0 + 0.0 is 0.0
     bad_diag = np.diagonal(d) != 0.0 if metric else np.zeros(n, dtype=bool)
     bad_range = ~np.isfinite(d) | (d < 0.0)
     bad_sym = d != d.T

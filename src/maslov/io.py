@@ -7,15 +7,19 @@ of product-like spaces serialize as arrays of labels; since JSON object
 keys must be strings, measures over such spaces switch from an atom
 object to a list of [point, weight] pairs.
 
-This module is the decoder.  schemas/document.schema.json describes the
-same format for other tools; nothing here reads it.
+This module is the decoder.  It reads a document's JSON structure and the
+"-inf" spelling; the constructors it calls read the numbers, so a JSON
+true, null, object or array where a number belongs is their TypeError, an
+integer too large for a float their ValueError, and `decode` raises both
+as a DocumentError.  schemas/document.schema.json describes the same
+format for other tools; nothing here reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .core import (
     NEG_INF,
@@ -56,27 +60,9 @@ def encode_weight(w: float) -> Any:
     return "-inf" if w == NEG_INF else w
 
 
-def decode_weight(v: Any) -> float:
-    """A JSON number or "-inf"; the constructors reject NaN and +inf."""
-    if v == "-inf":
-        return NEG_INF
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DocumentError(f"weights must be numbers or \"-inf\", got {v!r}")
-    return _as_float(v)
-
-
-def decode_value(v: Any) -> float:
-    """A JSON number; the constructors reject NaN and infinities."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DocumentError(f"function values must be numbers, got {v!r}")
-    return _as_float(v)
-
-
-def _as_float(v: int | float) -> float:
-    try:
-        return float(v)
-    except OverflowError:
-        raise DocumentError("a JSON integer is too large for a float") from None
+def decode_weight(v: Any) -> Any:
+    """-inf for "-inf", else the JSON value, which the constructors read."""
+    return NEG_INF if v == "-inf" else v
 
 
 def encode_label(label: Label) -> Any:
@@ -201,9 +187,7 @@ def _entries(obj: Any, what: str) -> dict[Label, Any]:
     return table
 
 
-def _table(
-    obj: Any, ctx: Context, ref: Any, entry: Callable[[Any], Any], what: str
-) -> tuple[FiniteSpace, tuple]:
+def _table(obj: Any, ctx: Context, ref: Any, what: str) -> tuple[FiniteSpace, tuple]:
     """Decode a dense point table into a tuple in the canonical order of its space.
 
     The space reference is resolved with the table's points, so an unknown
@@ -212,7 +196,7 @@ def _table(
     """
     table = _entries(obj, what)
     space = ctx.resolve(ref, list(table))
-    return space, tuple(map(entry, space.dense(table, what)))
+    return space, space.dense(table, what)
 
 
 def _pairs_to_atoms(pairs: Sequence[tuple[Label, Any]]) -> Any:
@@ -231,7 +215,8 @@ def measure_doc(mu: IdempotentMeasure, ctx: Context | None = None) -> dict:
 
 def decode_measure(obj: Mapping[str, Any], ctx: Context) -> IdempotentMeasure:
     _require(obj, "measure", "space", "atoms")
-    return IdempotentMeasure(*_table(obj["atoms"], ctx, obj["space"], decode_weight, "atoms"))
+    space, atoms = _table(obj["atoms"], ctx, obj["space"], "atoms")
+    return IdempotentMeasure(space, tuple(map(decode_weight, atoms)))
 
 
 # ------------------------------------------------------------------ functions
@@ -244,7 +229,7 @@ def function_doc(phi: FiniteFunction, ctx: Context | None = None) -> dict:
 
 def decode_function(obj: Mapping[str, Any], ctx: Context) -> FiniteFunction:
     _require(obj, "function", "space", "values")
-    return FiniteFunction(*_table(obj["values"], ctx, obj["space"], decode_value, "values"))
+    return FiniteFunction(*_table(obj["values"], ctx, obj["space"], "values"))
 
 
 # ------------------------------------------------------------------ spaces
@@ -270,11 +255,7 @@ def metric_space_doc(ms: MetricSpace, name: str = "X") -> dict:
 
 def decode_metric_space(obj: Mapping[str, Any], ctx: Context) -> MetricSpace:
     _require(obj, "metric_space", "dist")
-    dist = obj["dist"]
-    if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
-        raise DocumentError("dist must be a matrix (list of rows)")
-    rows = tuple(tuple(decode_value(v) for v in row) for row in dist)
-    return MetricSpace(decode_space(obj, ctx), rows)
+    return MetricSpace(decode_space(obj, ctx), obj["dist"])
 
 
 # ------------------------------------------------------------------ maps
@@ -295,7 +276,8 @@ def decode_map(obj: Mapping[str, Any], ctx: Context) -> PointMap:
     from .functor import PointMap
 
     _require(obj, "map", "source", "target", "table")
-    source, images = _table(obj["table"], ctx, obj["source"], decode_label, "table")
+    source, table = _table(obj["table"], ctx, obj["source"], "table")
+    images = tuple(map(decode_label, table))
     if "target_points" in obj:
         target_points = _label_array(obj["target_points"], "target_points")
         target = ctx.resolve(obj["target"], target_points)
@@ -335,8 +317,8 @@ def decode_outer(obj: Mapping[str, Any], ctx: Context) -> OuterMeasure:
     for comp in comps:
         if not isinstance(comp, dict) or "weight" not in comp or "atoms" not in comp:
             raise DocumentError("each component needs weight and atoms")
-        space, atoms = _table(comp["atoms"], ctx, obj["space"], decode_weight, "atoms")
-        inner.append(IdempotentMeasure(space, atoms))
+        space, atoms = _table(comp["atoms"], ctx, obj["space"], "atoms")
+        inner.append(IdempotentMeasure(space, tuple(map(decode_weight, atoms))))
         weights.append(decode_weight(comp["weight"]))
     return OuterMeasure(space, tuple(inner), tuple(weights))
 
@@ -368,11 +350,11 @@ def decode_coupling(obj: Mapping[str, Any], ctx: Context) -> IdempotentMeasure:
     table = obj["table"]
     if not isinstance(table, dict) or not all(isinstance(row, dict) for row in table.values()):
         raise DocumentError("coupling table must be a nested object")
-    rows, row_tables = _table(table, ctx, obj["rows"], dict, "coupling rows")
+    rows, row_tables = _table(table, ctx, obj["rows"], "coupling rows")
     weights: list[float] = []
     for row in row_tables:
-        cols, ws = _table(row, ctx, obj["cols"], decode_weight, "coupling columns")
-        weights.extend(ws)
+        cols, ws = _table(row, ctx, obj["cols"], "coupling columns")
+        weights.extend(map(decode_weight, ws))
     return IdempotentMeasure(product_space(rows, cols), tuple(weights))
 
 
@@ -384,17 +366,11 @@ def cloud_doc(cloud: PointCloudSpace, ctx: Context | None = None) -> dict:
     return {"kind": "cloud", "space": ctx.name_of(cloud.space), "embed": _pairs_to_atoms(pairs)}
 
 
-def _coords(v: Any) -> tuple[float, ...]:
-    if not isinstance(v, list):
-        raise DocumentError("cloud coordinates must be arrays")
-    return tuple(decode_value(x) for x in v)
-
-
 def decode_cloud(obj: Mapping[str, Any], ctx: Context) -> PointCloudSpace:
     from .convexity import PointCloudSpace
 
     _require(obj, "cloud", "space", "embed")
-    space, coords = _table(obj["embed"], ctx, obj["space"], _coords, "embed")
+    space, coords = _table(obj["embed"], ctx, obj["space"], "embed")
     return PointCloudSpace(space, dict(zip(space.points, coords)))
 
 
@@ -478,7 +454,7 @@ def decode(obj: Mapping[str, Any], ctx: Context, expect: str | None = None):
         return _DECODERS[kind](obj, ctx)
     except DocumentError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DocumentError(str(exc)) from None
 
 

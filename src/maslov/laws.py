@@ -160,10 +160,9 @@ def _suite(name: str) -> Callable[[Case], Callable[..., LawReport]]:
     """
     def register(case: Case) -> Callable[..., LawReport]:
         def check(seed: Seed = 0, cases: int = 200, max_points: int = 4) -> LawReport:
-            if cases < 1:
-                raise ValueError(f"cases must be at least 1, got {cases}")
-            if max_points < 1:
-                raise ValueError(f"max_points must be at least 1, got {max_points}")
+            for bound, value in (("cases", cases), ("max_points", max_points)):
+                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                    raise ValueError(f"{bound} must be at least 1, got {value!r}")
             rng = _rng(seed)
             for k in range(cases):
                 counterexample = case(rng, max_points)

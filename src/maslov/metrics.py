@@ -23,7 +23,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from .core import NEG_INF, MetricSpace, _as_weights, _distances
+from .core import NEG_INF, MetricSpace, _as_weights, _distances, _real
 from .measures import IdempotentMeasure
 
 # numpy is imported inside the array kernels, as in core.
@@ -166,12 +166,9 @@ def _scaled(n: int, d: np.ndarray) -> tuple[np.ndarray, float]:
 def _check_n(n: int) -> None:
     """Reject a Lipschitz class bound n that is not a positive integer a
     float holds."""
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("the Lipschitz class bound n must be a positive integer")
-    try:
-        float(n)
-    except OverflowError:
-        raise ValueError("the Lipschitz class bound n is too large for a float") from None
+    _real(n, "", "the Lipschitz class bound n")
 
 
 def _check(n: int, X: MetricSpace, *measures: IdempotentMeasure) -> None:

@@ -513,7 +513,7 @@ def milyutin_build(
     other weight over y is a sum of canonical nonpositive α: ≤ 0, and never
     NaN or -0.0.  Points off the fiber over y weigh -inf.
     """
-    if depth < 1:
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
         raise ValueError("depth must be at least 1")
     if len(levels) < depth:
         raise ValueError(f"need {depth} levels, got {len(levels)}")

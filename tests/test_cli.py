@@ -323,14 +323,25 @@ class TestOversizedIntegers:
     HUGE = -(10**400)  # a JSON integer beyond the float range
 
     def test_decode_rejects(self):
-        ctx = mio.Context()
-        ctx.register("X", X2)
-        doc = {"kind": "measure", "space": "X", "atoms": {"a": 0, "b": self.HUGE}}
-        with pytest.raises(mio.DocumentError, match="too large"):
-            mio.decode(doc, ctx, "measure")
-        doc = {"kind": "function", "space": "X", "values": {"a": 0, "b": -self.HUGE}}
-        with pytest.raises(mio.DocumentError, match="too large"):
-            mio.decode(doc, ctx, "function")
+        # every document kind that holds a number, with the integer in one place
+        h = self.HUGE
+        docs = [
+            {"kind": "measure", "space": "X", "atoms": {"a": 0, "b": h}},
+            {"kind": "function", "space": "X", "values": {"a": 0, "b": -h}},
+            {"kind": "metric_space", "name": "M", "points": ["a", "b"], "dist": [[0, -h], [-h, 0]]},
+            {"kind": "cloud", "space": "X", "embed": {"a": [0, 1], "b": [h, 1]}},
+            {"kind": "outer_measure", "space": "X", "components": [{"weight": h, "atoms": {"a": 0, "b": 0}}]},
+            {"kind": "outer_measure", "space": "X", "components": [{"weight": 0, "atoms": {"a": h, "b": 0}}]},
+            {"kind": "coupling", "rows": "X", "cols": "X",
+             "table": {"a": {"a": 0, "b": h}, "b": {"a": 0, "b": 0}}},
+            {"kind": "cover_levels", "space": "X",
+             "levels": [[{"U": ["a"], "V": ["a", "b"], "alpha": {"b": h}}]]},
+        ]
+        for doc in docs:
+            ctx = mio.Context()
+            ctx.register("X", X2)
+            with pytest.raises(mio.DocumentError, match="^an integer is too large for a float$"):
+                mio.decode(doc, ctx, doc["kind"])
 
     def test_cli_exits_one(self, tmp_path, capsys):
         m = tmp_path / "m.json"

@@ -19,9 +19,12 @@ from maslov.core import (
     FiniteSpace,
     MetricSpace,
     metric_closure,
+    odot,
+    oplus,
     pointwise_max,
     product_space,
     space,
+    weight_distance,
 )
 from maslov.functor import PointMap, lift_along_surjection, precompose, pushforward
 from maslov.measures import (
@@ -33,7 +36,8 @@ from maslov.measures import (
     pointwise_sup,
     support,
 )
-from maslov.metrics import grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
+from maslov.laws import check_monad_laws
+from maslov.metrics import dhat, grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
 from maslov.monad import (
     ClosedSet,
     FuzzySet,
@@ -289,6 +293,11 @@ LIBRARY = {
     ),
     "cloud: a non-numeric text point": (
         lambda: PointCloudSpace(X2, {"a": "x", "b": "y"}),
+        TypeError, "cloud coordinates must be numbers",
+    ),
+    # float() parses a memoryview of text, as it parses bytes
+    "cloud: a memoryview coordinate": (
+        lambda: PointCloudSpace(X2, {"a": (0.0,), "b": (memoryview(b"1"),)}),
         TypeError, "cloud coordinates must be numbers",
     ),
     "cloud: mixed dimensions": (
@@ -597,7 +606,123 @@ LIBRARY = {
         lambda: pattern_max_coupling(None, PHI, dirac(Y2, "u")),
         TypeError, "a marginal must be an IdempotentMeasure, got FiniteFunction",
     ),
+    # an integer parameter is an int, never a bool: a bool or a non-int
+    # gets the site's bound error
+    "dhat: n of True": (
+        lambda: dhat(True, M2, dirac(X2, "a"), dirac(X2, "b")),
+        ValueError, "the Lipschitz class bound n must be a positive integer",
+    ),
+    "maxmin: n of True": (
+        lambda: maxmin_gap([[0, 1], [1, 0]], True, [0.0, -1.0], [-1.0, 0.0]),
+        ValueError, "the Lipschitz class bound n must be a positive integer",
+    ),
+    "milyutin: depth True": (
+        lambda: milyutin_build(M2, [LEVEL], True),
+        ValueError, "depth must be at least 1",
+    ),
+    "milyutin: depth 1.5": (
+        lambda: milyutin_build(M2, [LEVEL, LEVEL], 1.5),
+        ValueError, "depth must be at least 1",
+    ),
+    "milyutin: depth None": (
+        lambda: milyutin_build(M2, [LEVEL], None),
+        ValueError, "depth must be at least 1",
+    ),
+    "laws: cases True": (
+        lambda: check_monad_laws(cases=True),
+        ValueError, "cases must be at least 1, got True",
+    ),
+    "laws: cases 2.5": (
+        lambda: check_monad_laws(cases=2.5),
+        ValueError, "cases must be at least 1, got 2.5",
+    ),
+    "laws: max_points True": (
+        lambda: check_monad_laws(max_points=True),
+        ValueError, "max_points must be at least 1, got True",
+    ),
+    # a flat table once leaked "'int' object is not iterable"
+    "metric: a flat table": (
+        lambda: MetricSpace(X2, [0, 1]),
+        TypeError, "distances must be numbers",
+    ),
+    "closure: a flat table": (
+        lambda: metric_closure(X2, [0, 1]),
+        TypeError, "distances must be numbers",
+    ),
+    "maxmin: a flat table": (
+        lambda: maxmin_gap([0, 1], 1, [0.0, -1.0], [-1.0, 0.0]),
+        TypeError, "distances must be numbers",
+    ),
+    "cloud: numbers for points": (
+        lambda: PointCloudSpace(X2, {"a": 0, "b": 1}),
+        TypeError, "cloud coordinates must be numbers",
+    ),
+    "fuzzy: a number for the grades": (
+        lambda: FuzzySet(X2, 5),
+        TypeError, "grades must be numbers",
+    ),
+    "hull: a number for the generators": (
+        lambda: hull_membership(5, (0.0,)),
+        TypeError, "coordinates must be numbers",
+    ),
 }
+
+# Every reader of a number, given a bool, None, a container and an int past
+# the float range: the site's TypeError for the first three and one
+# ValueError for the last, never OverflowError or Python's own message.
+HUGE = 10**400
+BAD_NUMBERS = {"True": True, "None": None, "[0]": [0], "10**400": HUGE}
+_WEIGHTS = "weights must be numbers, got {!r}"
+_VALUES = "function values must be numbers, got {!r}"
+_DISTANCES = "distances must be numbers"
+# name: (a call that reads x as a number, its TypeError message for x)
+NUMBER_READERS = {
+    "measure": (lambda x: IdempotentMeasure(X2, (0.0, x)), _WEIGHTS),
+    "normalize": (lambda x: normalize(X2, [x, 0.0]), _WEIGHTS),
+    "outer weight": (
+        lambda x: OuterMeasure(X2, (dirac(X2, "a"), dirac(X2, "b")), (0.0, x)), _WEIGHTS,
+    ),
+    "convex combination": (
+        lambda x: convex_combination(x, dirac(X2, "a"), 0.0, dirac(X2, "b")), _WEIGHTS,
+    ),
+    "oplus": (lambda x: oplus(x, 0.0), _WEIGHTS),
+    "odot": (lambda x: odot(0.0, x), _WEIGHTS),
+    "weight distance": (lambda x: weight_distance(x, 0.0), _WEIGHTS),
+    "cover pair alpha": (lambda x: CoverPair(frozenset("a"), frozenset("ab"), {"b": x}), _WEIGHTS),
+    "maxmin weight": (lambda x: maxmin_gap([[0, 1], [1, 0]], 1, [0.0, x], [0.0, -1.0]), _WEIGHTS),
+    "function": (lambda x: FiniteFunction(X2, (0.0, x)), _VALUES),
+    "function constant": (lambda x: FiniteFunction.constant(X2, x), _VALUES),
+    "metric": (lambda x: MetricSpace(X2, [[0, x], [x, 0]]), _DISTANCES),
+    "closure": (lambda x: metric_closure(X2, [[0, x], [x, 0]]), _DISTANCES),
+    "maxmin distance": (
+        lambda x: maxmin_gap([[0, x], [x, 0]], 1, [0.0, -1.0], [-1.0, 0.0]), _DISTANCES,
+    ),
+    "grid distance": (
+        lambda x: grid_gap([[0, x], [x, 0]], 1, [0.0, -1.0], [-1.0, 0.0], radius=1.0), _DISTANCES,
+    ),
+    "cloud": (
+        lambda x: PointCloudSpace(X2, {"a": (0.0,), "b": (x,)}), "cloud coordinates must be numbers",
+    ),
+    "hull generator": (
+        lambda x: hull_membership([(0.0, x)], (0.0, 0.0)), "coordinates must be numbers",
+    ),
+    "hull point": (lambda x: hull_membership([(0.0,)], (x,)), "coordinates must be numbers"),
+    "fuzzy": (lambda x: FuzzySet(X2, (1.0, x)), "grades must be numbers"),
+}
+LIBRARY.update(
+    {
+        f"{name}: {label}": (
+            lambda call=call, x=x: call(x),
+            *(
+                (ValueError, "an integer is too large for a float")
+                if x is HUGE
+                else (TypeError, message.format(x))
+            ),
+        )
+        for name, (call, message) in NUMBER_READERS.items()
+        for label, x in BAD_NUMBERS.items()
+    }
+)
 
 
 @pytest.mark.parametrize("case", sorted(LIBRARY))
@@ -630,9 +755,10 @@ DECODE = {
         "function", {"kind": "function", "space": "X", "values": {"a": 0, "b": True}},
         "function values must be numbers, got True",
     ),
+    # io reads no number: MetricSpace and PointCloudSpace reject a flat table
     "dist not a matrix": (
         "metric_space", {"kind": "metric_space", "name": "M", "points": ["a", "b"], "dist": [0, 1]},
-        "dist must be a matrix (list of rows)",
+        "distances must be numbers",
     ),
     "metric points repeated": (
         "metric_space",
@@ -663,7 +789,7 @@ DECODE = {
     ),
     "coordinates as a number": (
         "cloud", {"kind": "cloud", "space": "X", "embed": {"a": 0, "b": 1}},
-        "cloud coordinates must be arrays",
+        "cloud coordinates must be numbers",
     ),
     "no levels": (
         "cover_levels", {"kind": "cover_levels", "space": "X", "levels": []},
@@ -678,6 +804,59 @@ DECODE = {
         "each cover pair needs U and V",
     ),
 }
+
+# JSON true, null, {} and an integer past the float range where a number
+# belongs: io passes the value on, and the constructor's TypeError or
+# ValueError is raised as a DocumentError
+BAD_JSON = {"true": True, "null": None, "{}": {}, "an integer past the float range": HUGE}
+# name: (kind, a document with x where a number belongs, its TypeError message)
+NUMBER_DOCUMENTS = {
+    "measure atom": (
+        "measure", lambda x: {"kind": "measure", "space": "X", "atoms": {"a": 0, "b": x}}, _WEIGHTS,
+    ),
+    "function value": (
+        "function", lambda x: {"kind": "function", "space": "X", "values": {"a": 0, "b": x}}, _VALUES,
+    ),
+    "dist entry": (
+        "metric_space",
+        lambda x: {"kind": "metric_space", "name": "M", "points": ["a", "b"], "dist": [[0, x], [x, 0]]},
+        _DISTANCES,
+    ),
+    "cloud coordinate": (
+        "cloud",
+        lambda x: {"kind": "cloud", "space": "X", "embed": {"a": [0], "b": [x]}},
+        "cloud coordinates must be numbers",
+    ),
+    "outer weight": (
+        "outer_measure",
+        lambda x: {"kind": "outer_measure", "space": "X", "components": [
+            {"weight": 0, "atoms": {"a": 0, "b": 0}}, {"weight": x, "atoms": {"a": 0, "b": 0}}]},
+        _WEIGHTS,
+    ),
+    "coupling cell": (
+        "coupling",
+        lambda x: {"kind": "coupling", "rows": "X", "cols": "Y",
+                   "table": {"a": {"u": 0, "v": x}, "b": {"u": "-inf", "v": "-inf"}}},
+        _WEIGHTS,
+    ),
+    "cover alpha": (
+        "cover_levels",
+        lambda x: {"kind": "cover_levels", "space": "X",
+                   "levels": [[{"U": ["a"], "V": ["a", "b"], "alpha": {"b": x}}]]},
+        _WEIGHTS,
+    ),
+}
+DECODE.update(
+    {
+        f"{name}: {label}": (
+            kind,
+            doc(x),
+            "an integer is too large for a float" if x is HUGE else message.format(x),
+        )
+        for name, (kind, doc, message) in NUMBER_DOCUMENTS.items()
+        for label, x in BAD_JSON.items()
+    }
+)
 
 
 @pytest.mark.parametrize("case", sorted(DECODE))
@@ -778,6 +957,18 @@ CLI = {
             "oracle grid has over 4000000 cells on axis 1 alone",
         )
         for n in (1, 2)
+    },
+    # a number io no longer reads: the constructor's TypeError, exit 1
+    **{
+        f"integrate on an atom {text}": (
+            lambda t, text=text: [
+                "integrate",
+                _write(t, "m.json", '{"kind": "measure", "space": "X", "atoms": {"a": 0, "b": %s}}' % text),
+                _doc(t, "f.json", mio.function_doc(PHI, mio.Context({"X": X2}))),
+            ],
+            f"weights must be numbers, got {value!r}",
+        )
+        for text, value in (("true", True), ("null", None))
     },
     "cover_levels on another space": (
         lambda t: [

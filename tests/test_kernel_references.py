@@ -110,7 +110,7 @@ from maslov.core import _atomic_factors, combine
 from maslov.functor import precompose
 from maslov.io import Context, infer_space
 from maslov.laws import LawReport, check_functor_laws
-from maslov.metrics import grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
+from maslov.metrics import _gap_args, grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
 from maslov.monad import _ARRAY_POINTS, flatten_measure, tensor_many
 from maslov.openness import (
     GapResult,
@@ -731,7 +731,31 @@ def _inputs(table):
     return [table, np.array(table, dtype=float)] if square else [table]
 
 
+# A -0.0 in a distance table is stored as 0.0, as a weight or a function
+# value is: name -> (a read of the stored table, a table with -0.0 entries)
+_ZERO_DIAGONAL = [[-0.0, 1.0, 2.0], [1.0, -0.0, 1.0], [2.0, 1.0, -0.0]]
+NEGATIVE_ZERO_READS = {
+    "MetricSpace": (lambda t: MetricSpace(space("abc"), t).dist, _ZERO_DIAGONAL),
+    "metric_closure": (lambda t: metric_closure(space("abc"), t).dist, _ZERO_DIAGONAL),
+    "metric_space_doc": (
+        lambda t: mio.metric_space_doc(MetricSpace(space("abc"), t))["dist"], _ZERO_DIAGONAL,
+    ),
+    # a pseudometric table holds -0.0 off the diagonal too
+    "maxmin_gap": (
+        lambda t: _gap_args(t, 1, [0.0] * 3, [0.0] * 3)[0].tolist(),
+        [[-0.0, -0.0, 2.0], [-0.0, -0.0, 1.0], [2.0, 1.0, -0.0]],
+    ),
+}
+
+
 class TestOneDistanceTableCheck:
+    @pytest.mark.parametrize("name", sorted(NEGATIVE_ZERO_READS))
+    def test_negative_zero_is_stored_as_zero(self, name):
+        read, table = NEGATIVE_ZERO_READS[name]
+        for t in (table, np.array(table)):
+            rows = read(t)
+            assert all(math.copysign(1.0, v) == 1.0 for row in rows for v in row), rows
+
     @pytest.mark.parametrize("name", sorted(DEFECT_TABLES))
     def test_metric_rules(self, name):
         table, want, _ = DEFECT_TABLES[name]
