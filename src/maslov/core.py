@@ -116,18 +116,13 @@ def _tuple(values: Any, message: str) -> tuple:
 
 
 def _floats(values: Iterable[Any], message: str) -> tuple[float, ...]:
-    """A row of numbers as a tuple of floats: the one row reader.
+    """A row of numbers as a fresh tuple of floats: the one row reader.
 
     Text or a non-iterable as the row, and an entry that `_real` refuses,
     raise TypeError(message); an int past the float range is `_real`'s
-    ValueError.  A row of floats comes back with its own float objects,
-    without a call per entry.
+    ValueError.  A float entry is kept as it is, without a call.
     """
-    table = _tuple(values, message)
-    for v in table:
-        if type(v) is not float:
-            return tuple([_real(v, message) for v in table])
-    return table
+    return tuple([v if type(v) is float else _real(v, message) for v in _tuple(values, message)])
 
 
 def _require(value: object, cls: type, what: str) -> None:

@@ -168,7 +168,7 @@ def _check_n(n: int) -> None:
     float holds."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("the Lipschitz class bound n must be a positive integer")
-    _real(n, "", "the Lipschitz class bound n")
+    _real(n, "", "the Lipschitz class bound n")  # an int: only its size can fail
 
 
 def _check(n: int, X: MetricSpace, *measures: IdempotentMeasure) -> None:
