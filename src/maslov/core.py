@@ -32,6 +32,8 @@ _REQUIRED: Any = object()  # dense(): a point the table leaves out is an error
 _TEXT = (str, bytes, bytearray, memoryview)  # float() parses these; no number here is text
 _NOT_NUMBERS = (*_TEXT, bool)
 _ZEROS = {0.0: 0.0}  # -0.0 == 0.0 and hashes alike, so .get maps both to this 0.0
+_WEIGHTS = "weights must be numbers, got {!r}"
+_VALUES = "function values must be numbers, got {!r}"
 
 
 def _real(value: Any, message: str, what: str = "an integer") -> float:
@@ -60,7 +62,7 @@ def as_weight(value: float) -> float:
     TypeError, and an int too large for a float a ValueError.  -0.0 comes
     back as 0.0.
     """
-    w = _real(value, "weights must be numbers, got {!r}")
+    w = _real(value, _WEIGHTS)
     if math.isnan(w):
         raise ValueError("NaN is not a max-plus weight")
     if w == math.inf:
@@ -76,7 +78,7 @@ def as_value(value: float) -> float:
     The number is read by `_real`, as `as_weight` reads one; -0.0 comes
     back as 0.0.
     """
-    v = _real(value, "function values must be numbers, got {!r}")
+    v = _real(value, _VALUES)
     if not math.isfinite(v):
         raise ValueError(f"function values must be finite, got {v!r}")
     if v == 0.0:
@@ -84,8 +86,12 @@ def as_value(value: float) -> float:
     return v
 
 
-def _canonical(check: Callable[[Any], float], low: float, values: Iterable[Any]) -> tuple:
-    """`check` over a table, which is read once.
+def _canonical(
+    check: Callable[[Any], float], low: float, message: str, values: Iterable[Any]
+) -> tuple:
+    """`check` over a table, which is read once by `_tuple`: text or a
+    value that is not iterable as the table raises
+    TypeError(message.format(values)), in `check`'s own words.
 
     A table of floats in [low, +inf) is checked without a call per entry:
     it comes back with its own float objects, except that each zero, -0.0
@@ -93,26 +99,27 @@ def _canonical(check: Callable[[Any], float], low: float, values: Iterable[Any])
     every entry in order, so the first bad one raises its exception and
     message.
     """
-    table = tuple(values)
+    table = _tuple(values, message)
     for v in table:
         if type(v) is not float or not low <= v < math.inf:
             return tuple(map(check, table))
     return tuple(map(_ZEROS.get, table, table))
 
 
-_as_weights = partial(_canonical, as_weight, NEG_INF)
-_as_values = partial(_canonical, as_value, -sys.float_info.max)
+_as_weights = partial(_canonical, as_weight, NEG_INF, _WEIGHTS)
+_as_values = partial(_canonical, as_value, -sys.float_info.max, _VALUES)
 
 
 def _tuple(values: Any, message: str) -> tuple:
     """The entries of a table or a row; text (b"1" iterates as the int 49)
-    or a value that is not iterable raises TypeError(message)."""
+    or a value that is not iterable raises TypeError(message.format(values)),
+    as `_real` formats its message."""
     if not isinstance(values, _TEXT):
         try:
             return tuple(values)
         except TypeError:
             pass
-    raise TypeError(message)
+    raise TypeError(message.format(values))
 
 
 def _floats(values: Iterable[Any], message: str) -> tuple[float, ...]:
@@ -185,8 +192,10 @@ class _Value:
     read, at O(size) cost, so writing to it changes no value; library code
     reads the slot.  Other private slots (`_index`, `_axes`, the measure
     weight cache `_array`, ...) hold what is derived from the fields and
-    are never compared.  Equality, hash and repr come from the
-    tuple of field values.  `__eq__` is
+    are never compared, hashed or printed; `_array` is filled by the
+    kernel that builds it or by the first array kernel that reads the
+    measure, and never changed once set.  Equality, hash and repr come
+    from the tuple of field values.  `__eq__` is
     `NotImplemented` for an instance of another class and otherwise
     compares the two tuples of field values; `__hash__` hashes that
     tuple, a 1-tuple for one field; `__repr__` reads
@@ -496,7 +505,9 @@ class FiniteFunction(_Value):
         return self.values[self.space.index(label)]
 
     def shift(self, c: float) -> "FiniteFunction":
-        """c ⊙ φ: add the constant c to every value."""
+        """c ⊙ φ: add the constant c to every value.  c is read by `_real`,
+        as `constant` reads its value."""
+        c = _real(c, _VALUES)
         return FiniteFunction(self.space, tuple(v + c for v in self.values))
 
 

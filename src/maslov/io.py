@@ -446,7 +446,7 @@ _DECODERS = {
 def decode(obj: Mapping[str, Any], ctx: Context, expect: str | None = None):
     """Decode one document; every validation failure raises DocumentError."""
     kind = obj.get("kind")
-    if kind not in _DECODERS:
+    if type(kind) is not str or kind not in _DECODERS:  # an array or object kind is unhashable
         raise DocumentError(f"unknown document kind {kind!r}")
     if expect is not None and kind != expect:
         raise DocumentError(f"expected a {expect} document, got {kind!r}")

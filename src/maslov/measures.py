@@ -48,15 +48,17 @@ class IdempotentMeasure(_Value):
 
     The one derived private slot, `_array`, is a read-only float64 copy of
     `weights`, bit for bit, or is empty (unfilled or None).  It is a cache
-    of the one weight table, not a second stored table: the kernel that
-    fills it builds `weights` from it in the same call; equality, hash,
-    repr, `io` and every loop kernel read only `weights`; and a measure
-    with the cache equals, hashes and prints as one without it.  Only the
-    array kernels fill and read it, on a table of at least
+    of the one weight table, not a second stored table.  It is filled by
+    the kernel that builds it, which builds `weights` from it in the same
+    call, or by the first array kernel that reads the measure; it is never
+    changed once set; and it is never compared, hashed or printed:
+    equality, hash, repr, `io` and every loop kernel read only `weights`,
+    so a measure with the cache equals, hashes and prints as one without
+    it.  Only the array kernels fill and read it, on a table of at least
     `monad._ARRAY_POINTS` entries when numpy is already loaded:
-    `tensor_many` and `multiply` fill it and read their inputs' caches,
-    `marginal` reduces a cached array, and `flatten_measure` passes it
-    along.  Copy and pickle keep it, read-only.
+    `tensor_many` and `multiply` fill it on their outputs and on their
+    inputs, `marginal` reduces a cached array, and `flatten_measure`
+    passes it along.  Copy and pickle keep it, read-only.
     """
 
     __slots__ = ("space", "weights", "_array")

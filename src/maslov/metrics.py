@@ -23,7 +23,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from .core import NEG_INF, MetricSpace, _as_weights, _distances, _real
+from .core import NEG_INF, MetricSpace, _as_weights, _distances, _real, _tuple
 from .measures import IdempotentMeasure
 
 # numpy is imported inside the array kernels, as in core.
@@ -63,15 +63,21 @@ def _gap_args(
     """The float64 table and the two weight tuples of a dual gap, checked.
 
     n must pass `_check_n`.  The weights are read by `core._as_weights`,
-    so text is a TypeError and NaN or +inf a ValueError.  The vectors and
-    the table must have one entry and one row per point ("inconsistent
+    so text is a TypeError and NaN or +inf a ValueError.  A table that is
+    not an array is read once by `core._tuple`, so text or a value that is
+    not iterable is TypeError("distances must be numbers").  The vectors
+    and the table must have one entry and one row per point ("inconsistent
     table sizes"), and each vector a finite entry.  The table is read by
     `core._distances` without the metric rules, as the ground tables one
     level up are pseudometrics: square, finite, nonnegative and symmetric,
     with the errors `MetricSpace` raises for those defects.
     """
+    import numpy as np
+
     _check_n(n)
     lam, kap = _as_weights(lam), _as_weights(kap)
+    if not (isinstance(dist, np.ndarray) and dist.ndim):
+        dist = _tuple(dist, "distances must be numbers")
     m = len(lam)
     if len(kap) != m or len(dist) != m:
         raise ValueError("inconsistent table sizes")
@@ -211,13 +217,16 @@ def grid_gap(
     grid-step of additive slack so the rounded optimizer stays on the
     grid; this keeps the oracle within one step of the true supremum.
     The arguments are checked by `_gap_args`, as `maxmin_gap`'s are, and
-    then step and radius.
+    then step and radius, which are read by `core._real`: one that is not
+    a number is a TypeError in the words of the bound it must meet.
     """
     import numpy as np
 
     d, lam, kap = _gap_args(dist, n, lam, kap)
+    message = "step and radius must be finite and positive"
+    step, radius = _real(step, message), _real(radius, message)
     if not (0 < step < math.inf and 0 < radius < math.inf):  # NaN fails both
-        raise ValueError("step and radius must be finite and positive")
+        raise ValueError(message)
     rows = d.tolist()
     m = len(rows)
     if m == 1:

@@ -107,10 +107,11 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
 
     On a base of at least `_ARRAY_POINTS` points, and only when numpy is
     already loaded, each inner measure of finite outer weight is mixed in
-    as a numpy array (its `_array` cache, if it has one), and the mixture
-    keeps its array as its own cache; otherwise `combine` mixes them.
-    numpy is never imported here, so small-n callers never pay for its
-    import.  The two paths agree bit for bit: both take each sum
+    as a numpy array, its `_array` cache, which the first array kernel to
+    read it fills, so a later call converts no inner measure again; the
+    mixture keeps its array as its own cache.  Otherwise `combine` mixes
+    them.  numpy is never imported here, so small-n callers never pay for
+    its import.  The two paths agree bit for bit: both take each sum
     c_i + w_ik with one IEEE addition and keep the largest.  They could
     differ only on a tie of 0.0 with -0.0, where `combine` keeps the
     first maximal term and `np.maximum` returns its second operand, and
@@ -134,16 +135,25 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
 
 
 def _cache(mu: IdempotentMeasure) -> np.ndarray | None:
-    """μ's `_array` cache, or None.  Only a kernel's output of at least
-    `_ARRAY_POINTS` entries has one, so a smaller table is not looked up:
-    reading an empty slot raises and catches an AttributeError."""
+    """μ's `_array` cache, or None.  Only a table of at least
+    `_ARRAY_POINTS` entries ever has one, so a smaller table is not looked
+    up: reading an empty slot raises and catches an AttributeError."""
     return getattr(mu, "_array", None) if len(mu.weights) >= _ARRAY_POINTS else None
 
 
 def _weight_array(mu: IdempotentMeasure, np: Any) -> np.ndarray:
-    """μ's weights as a float64 array: its `_array` cache, or a fresh array."""
+    """μ's weights as a float64 array: its `_array` cache, filled here on
+    first use when μ has at least `_ARRAY_POINTS` entries, so a later array
+    kernel reads the same array; a smaller table gets a fresh array each
+    time.  Two threads filling one cache at once store equal read-only
+    arrays, and a slot store is atomic."""
     arr = _cache(mu)
-    return np.fromiter(mu.weights, float, len(mu.weights)) if arr is None else arr
+    if arr is None:
+        arr = np.fromiter(mu.weights, float, len(mu.weights))
+        if len(arr) >= _ARRAY_POINTS:
+            arr.flags.writeable = False
+            object.__setattr__(mu, "_array", arr)
+    return arr
 
 
 def _from_array(space: FiniteSpace, arr: np.ndarray) -> IdempotentMeasure:
@@ -201,13 +211,14 @@ def tensor_many(measures: Sequence[IdempotentMeasure]) -> IdempotentMeasure:
     weight(x_1, ..., x_k) = (...(w_1 + w_2) + ...) + w_k, in the row-major
     order of the product.  On a product of at least `_ARRAY_POINTS`
     cells, and only when numpy is already loaded, the sums are taken by
-    `np.add.outer` over the factors' arrays (their `_array` caches, if
-    they have them), and the product keeps its flattened array as its
-    cache; otherwise a loop over the weight tuples sums them.  The two
-    paths agree bit for bit, by the argument of `multiply`: each cell is
-    the same IEEE additions in the same order, the loop's start from 0.0
-    changing nothing since 0.0 + w = w for every weight w, which is never
-    -0.0.  A sum past -max is -inf on both paths.
+    `np.add.outer` over the factors' arrays (their `_array` caches, filled
+    here for a factor of at least `_ARRAY_POINTS` points that has none),
+    and the product keeps its flattened array as its cache; otherwise a
+    loop over the weight tuples sums them.  The two paths agree bit for
+    bit, by the argument of `multiply`: each cell is the same IEEE
+    additions in the same order, the loop's start from 0.0 changing
+    nothing since 0.0 + w = w for every weight w, which is never -0.0.  A
+    sum past -max is -inf on both paths.
     """
     if len(measures) < 2:
         raise ValueError("tensor_many needs at least two measures")

@@ -33,6 +33,7 @@ from .core import (
     MetricSpace,
     ProductSpace,
     _Value,
+    _real,
     _require,
     as_weight,
     product_space,
@@ -405,8 +406,10 @@ def counterexample_instance(
 
     The target couples (x1,y1) and (x2,y2) with weight 0; the perturbed
     marginals tilt x1 and y2 down by 1/l.  l = inf gives the target's own
-    marginals.
+    marginals.  l is read by `core._real`: one that is not a number is a
+    TypeError in the words of its bound.
     """
+    l = _real(l, "l must be at least 1")
     if l < 1:
         raise ValueError("l must be at least 1")
     X = FiniteSpace(("x1", "x2"))

@@ -60,6 +60,7 @@ from maslov.openness import (
     bicommutative_lift,
     coupling_feasible,
     coupling_gap,
+    counterexample_instance,
     factor_surjection,
     lift_open_surjection,
     milyutin_build,
@@ -173,9 +174,10 @@ LIBRARY = {
         lambda: IdempotentMeasure(X2, (0.0,)),
         ValueError, "one weight per point required",
     ),
+    # text as the table is rejected whole, as `_floats` rejects a text row
     "measure: text weights": (
         lambda: IdempotentMeasure(X2, "00"),
-        TypeError, "weights must be numbers, got '0'",
+        TypeError, "weights must be numbers, got '00'",
     ),
     "normalize: text weights": (
         lambda: normalize(X2, ["3", "-inf"]),
@@ -665,6 +667,32 @@ LIBRARY = {
         lambda: hull_membership(5, (0.0,)),
         TypeError, "coordinates must be numbers",
     ),
+    # a table that is not iterable once leaked Python's message, and bytes
+    # were read as their byte values
+    "measure: a number for the weights": (
+        lambda: IdempotentMeasure(X2, 5),
+        TypeError, "weights must be numbers, got 5",
+    ),
+    "measure: bytes weights": (
+        lambda: IdempotentMeasure(X2, b"\x00\x00"),
+        TypeError, "weights must be numbers, got b'\\x00\\x00'",
+    ),
+    "normalize: a number for the weights": (
+        lambda: normalize(X2, 5),
+        TypeError, "weights must be numbers, got 5",
+    ),
+    "function: None for the values": (
+        lambda: FiniteFunction(X2, None),
+        TypeError, "function values must be numbers, got None",
+    ),
+    "maxmin: None for the table": (
+        lambda: maxmin_gap(None, 1, [0.0, -1.0], [-1.0, 0.0]),
+        TypeError, "distances must be numbers",
+    ),
+    "maxmin: None for a weight vector": (
+        lambda: maxmin_gap([[0, 1], [1, 0]], 1, None, [-1.0, 0.0]),
+        TypeError, "weights must be numbers, got None",
+    ),
 }
 
 # Every reader of a number, given a bool, None, a container and an int past
@@ -708,6 +736,16 @@ NUMBER_READERS = {
     ),
     "hull point": (lambda x: hull_membership([(0.0,)], (x,)), "coordinates must be numbers"),
     "fuzzy": (lambda x: FuzzySet(X2, (1.0, x)), "grades must be numbers"),
+    "shift": (lambda x: PHI.shift(x), _VALUES),
+    "counterexample l": (lambda x: counterexample_instance(x), "l must be at least 1"),
+    "grid step": (
+        lambda x: grid_gap([[0, 1], [1, 0]], 1, [0.0, -1.0], [-1.0, 0.0], step=x, radius=1.0),
+        "step and radius must be finite and positive",
+    ),
+    "grid radius": (
+        lambda x: grid_gap([[0, 1], [1, 0]], 1, [0.0, -1.0], [-1.0, 0.0], radius=x),
+        "step and radius must be finite and positive",
+    ),
 }
 LIBRARY.update(
     {
@@ -802,6 +840,15 @@ DECODE = {
     "cover pair without V": (
         "cover_levels", {"kind": "cover_levels", "space": "X", "levels": [[{"U": ["a"]}]]},
         "each cover pair needs U and V",
+    ),
+    # an array or object kind once raised "unhashable type"
+    "kind as an array": (
+        "measure", {"kind": [], "space": "X", "atoms": {"a": 0, "b": -1}},
+        "unknown document kind []",
+    ),
+    "kind as an object": (
+        "measure", {"kind": {}, "space": "X", "atoms": {"a": 0, "b": -1}},
+        "unknown document kind {}",
     ),
 }
 
@@ -970,6 +1017,14 @@ CLI = {
         )
         for text, value in (("true", True), ("null", None))
     },
+    "integrate on a document whose kind is []": (
+        lambda t: [
+            "integrate",
+            _write(t, "m.json", '{"kind": [], "space": "X", "atoms": {"a": 0, "b": -1}}'),
+            _doc(t, "f.json", mio.function_doc(PHI, mio.Context({"X": X2}))),
+        ],
+        "unknown document kind []",
+    ),
     "cover_levels on another space": (
         lambda t: [
             "milyutin",

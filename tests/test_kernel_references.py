@@ -24,7 +24,10 @@ from `_ARRAY_POINTS` product cells on `tensor_many` sums numpy arrays and
 keeps the product's array as its `_array` cache, which `marginal` reduces;
 both are compared with the loops bit for bit on two- and three-factor and
 nested products, and the cache must stay read-only, equal the weights,
-and leave `==`, hash, repr, copy and pickle as they are without it.
+and leave `==`, hash, repr, copy and pickle as they are without it.  The
+first array kernel that reads an input of `_ARRAY_POINTS` entries or more
+fills that input's cache, and a second `multiply` converts no inner
+measure again.
 Barycenters read a cloud's coordinate columns; they are compared with the
 loop and with `combine`, bit for bit, also on ties of 0.0 and -0.0.
 The closed-form open lift is compared with the per-collapse lift,
@@ -58,6 +61,7 @@ import math
 import pickle
 import random
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -1918,9 +1922,13 @@ class TestTensorMarginalArrayPath:
 
 class TestWeightArrayCache:
     """A measure's `_array` is a cache of `weights`, not a second stored
-    table: the kernel that fills it builds `weights` from it in the same
-    call, it holds the same floats and is never written, and no comparison,
-    hash, repr or copy tells a cached measure from an uncached one."""
+    table: the kernel that builds a measure fills it, or the first array
+    kernel that reads a measure of at least `_ARRAY_POINTS` entries does,
+    and later kernels read that array; it holds the same floats and is
+    never written, and no comparison, hash, repr or copy tells a cached
+    measure from an uncached one."""
+
+    THIRDS = TestMultiplyArrayPath.THIRDS
 
     def _cached_measures(self):
         gen = np.random.default_rng(5)
@@ -1928,7 +1936,73 @@ class TestWeightArrayCache:
         mu, nu = _factor(gen, "a", a, [-1 / 3, NEG_INF]), _factor(gen, "b", b, [-2 / 3, -1.0])
         M = OuterMeasure(product_space(mu.space, nu.space), (tensor(mu, nu),), (0.0,))
         nested = flatten_measure(tensor(tensor(mu, nu), mu))
-        return [tensor(mu, nu), tensor_many([mu, nu, mu]), multiply(M), nested]
+        # inputs built by the public constructor, cached by the kernel that reads them
+        inner, factor = (_factor(gen, c, _ARRAY_POINTS, [-1 / 3, NEG_INF]) for c in "qr")
+        multiply(OuterMeasure(inner.space, (inner,), (0.0,)))
+        tensor(factor, nu)
+        return [tensor(mu, nu), tensor_many([mu, nu, mu]), multiply(M), nested, inner, factor]
+
+    def _outer(self, n, lam):
+        return _outer_from(*_outer_draw(np.random.default_rng(n), n, len(lam), self.THIRDS)[:2], np.array(lam))
+
+    def test_multiply_fills_the_inner_caches(self):
+        M = self._outer(_ARRAY_POINTS, [-1 / 3, 0.0, NEG_INF, -2 / 3])
+        assert all(getattr(m, "_array", None) is None for m in M.inner)
+        multiply(M)
+        for lam, m in zip(M.weights, M.inner):
+            if lam == NEG_INF:
+                assert getattr(m, "_array", None) is None
+            else:
+                assert m._array.dtype == np.float64 and not m._array.flags.writeable
+                assert m._array.tolist() == list(m.weights)
+
+    def test_a_second_multiply_reads_the_same_arrays(self, monkeypatch):
+        M = self._outer(8 * _ARRAY_POINTS, [-1 / 3, 0.0, NEG_INF, -2 / 3])
+        first = multiply(M)
+        arrays = [getattr(m, "_array", None) for m in M.inner]
+        conversions = []
+        monkeypatch.setattr(np, "fromiter", lambda *args: conversions.append(1) or np.array(args[0]))
+        second = multiply(M)
+        assert not conversions
+        assert all(getattr(m, "_array", None) is arr for m, arr in zip(M.inner, arrays))
+        assert [w.hex() for w in second.weights] == [w.hex() for w in first.weights]
+        assert _same_measure(second, _multiply_loop(M))
+
+    def test_threads_fill_one_cache_alike(self):
+        M = self._outer(8 * _ARRAY_POINTS, [-1 / 3, 0.0, -2 / 3, -1.0])
+        want = _multiply_loop(M)
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: outs.append(multiply(M))) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(outs) == len(threads)
+        assert all(_same_measure(out, want) for out in outs)
+        for m in M.inner:
+            assert not m._array.flags.writeable and m._array.tolist() == list(m.weights)
+
+    def test_no_cache_below_the_size_or_without_numpy(self, monkeypatch):
+        small = self._outer(_ARRAY_POINTS - 1, [0.0, -1 / 3])
+        multiply(small)
+        assert all(getattr(m, "_array", None) is None for m in small.inner)
+        # a product past the size whose factors are each below it
+        gen = np.random.default_rng(0)
+        mu, nu = _factor(gen, "a", 12, self.THIRDS), _factor(gen, "b", 12, self.THIRDS)
+        assert tensor(mu, nu)._array is not None
+        assert getattr(mu, "_array", None) is None and getattr(nu, "_array", None) is None
+        monkeypatch.delitem(sys.modules, "numpy")
+        large = self._outer(_ARRAY_POINTS, [0.0, -1 / 3])
+        big = _factor(gen, "c", _ARRAY_POINTS, self.THIRDS)
+        multiply(large)
+        tensor(big, mu)
+        assert all(getattr(m, "_array", None) is None for m in (*large.inner, big))
+        assert "numpy" not in sys.modules
 
     def test_slots(self):
         assert IdempotentMeasure.__slots__ == ("space", "weights", "_array")
