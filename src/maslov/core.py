@@ -99,7 +99,8 @@ def _canonical(
     every entry in order, so the first bad one raises its exception and
     message.
     """
-    table = _tuple(values, message)
+    # a tuple or a list is iterable and not text, so it is read without a call
+    table = tuple(values) if type(values) in (tuple, list) else _tuple(values, message)
     for v in table:
         if type(v) is not float or not low <= v < math.inf:
             return tuple(map(check, table))
