@@ -99,8 +99,7 @@ def _canonical(
     every entry in order, so the first bad one raises its exception and
     message.
     """
-    # a tuple or a list is iterable and not text, so it is read without a call
-    table = tuple(values) if type(values) in (tuple, list) else _tuple(values, message)
+    table = _tuple(values, message)
     for v in table:
         if type(v) is not float or not low <= v < math.inf:
             return tuple(map(check, table))
@@ -206,7 +205,9 @@ class _Value:
     the class validates them and replaces each with its normal form.  After
     `__init__` every assignment or deletion raises `FrozenInstanceError`.
     Copy and pickle rebuild an instance from its filled slots without
-    calling `__init__` again.
+    calling `__init__` again, save the `_array` cache, which they leave
+    out: a value copies and pickles alike whether or not a kernel has
+    filled it, and the next array kernel to read the copy fills it anew.
 
     Each class also gets `_trusted(*slots)`, built once per class like
     `__eq__`: it fills its own slots in order with values already in
@@ -265,6 +266,8 @@ class _Value:
         state = {}
         for klass in cls.__mro__:
             for name in vars(klass).get("__slots__", ()):
+                if name == "_array":  # a cache, refilled on first use
+                    continue
                 try:
                     state[name] = object.__getattribute__(self, name)
                 except AttributeError:  # not filled yet, as a product's points

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from operator import add
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
     NEG_INF,
@@ -58,7 +58,8 @@ class IdempotentMeasure(_Value):
     `monad._ARRAY_POINTS` entries when numpy is already loaded:
     `tensor_many` and `multiply` fill it on their outputs and on their
     inputs, `marginal` reduces a cached array, and `flatten_measure`
-    passes it along.  Copy and pickle keep it, read-only.
+    passes it along.  Copy and pickle leave it out, so a measure copies
+    and pickles alike before and after an array kernel reads it.
     """
 
     __slots__ = ("space", "weights", "_array")
@@ -78,12 +79,6 @@ class IdempotentMeasure(_Value):
         if max(w) != 0.0:
             raise ValueError("measure is not normalized: maximum weight must be 0")
         object.__setattr__(self, "weights", w)
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        super().__setstate__(state)
-        if state.get("_array") is not None:
-            # deepcopy and unpickling hand back a writable array
-            self._array.flags.writeable = False
 
     def weight(self, label: Label) -> float:
         return self.weights[self.space.index(label)]

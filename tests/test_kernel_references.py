@@ -1925,8 +1925,8 @@ class TestWeightArrayCache:
     table: the kernel that builds a measure fills it, or the first array
     kernel that reads a measure of at least `_ARRAY_POINTS` entries does,
     and later kernels read that array; it holds the same floats and is
-    never written, and no comparison, hash, repr or copy tells a cached
-    measure from an uncached one."""
+    never written, and no comparison, hash, repr, copy or pickle tells a
+    cached measure from an uncached one: copy and pickle leave it out."""
 
     THIRDS = TestMultiplyArrayPath.THIRDS
 
@@ -2010,15 +2010,31 @@ class TestWeightArrayCache:
 
     def test_read_only_and_equal_to_the_weights(self):
         for rho in self._cached_measures():
-            assert not rho._array.flags.writeable  # as built, before a copy shares it
-            outs = [rho, copy.copy(rho), copy.deepcopy(rho)]
+            outs = [copy.copy(rho), copy.deepcopy(rho)]
             outs += [pickle.loads(pickle.dumps(rho, protocol))
                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            # a copy leaves the cache out; the next array kernel to read it fills it anew
+            assert all(getattr(out, "_array", None) is None for out in outs)
             for out in outs:
+                multiply(OuterMeasure(out.space, (out,), (0.0,)))
+            for out in [rho, *outs]:
                 assert out._array.dtype == np.float64 and not out._array.flags.writeable
                 assert out._array.tolist() == list(out.weights) and _same_measure(out, rho)
                 with pytest.raises(ValueError, match="read-only"):
                     out._array[0] = 0.0
+
+    def test_copies_and_pickles_alike_before_and_after_a_kernel_reads_it(self):
+        gen = np.random.default_rng(7)
+        inner, factor = (_factor(gen, c, _ARRAY_POINTS, self.THIRDS) for c in "qr")
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        before = [[pickle.dumps(mu, protocol) for protocol in protocols] for mu in (inner, factor)]
+        multiply(OuterMeasure(inner.space, (inner,), (0.0,)))
+        tensor(factor, inner)
+        assert inner._array is not None and factor._array is not None
+        after = [[pickle.dumps(mu, protocol) for protocol in protocols] for mu in (inner, factor)]
+        assert after == before
+        for mu in (inner, factor):
+            assert all(getattr(out, "_array", None) is None for out in (copy.copy(mu), copy.deepcopy(mu)))
 
     def test_a_cached_measure_is_the_same_value(self):
         for rho in self._cached_measures():
@@ -2026,6 +2042,7 @@ class TestWeightArrayCache:
             assert getattr(plain, "_array", None) is None
             assert rho == plain and plain == rho and hash(rho) == hash(plain)
             assert repr(rho) == repr(plain) and mio.measure_doc(rho) == mio.measure_doc(plain)
+            assert pickle.dumps(rho) == pickle.dumps(plain)
             for out in (copy.deepcopy(plain), pickle.loads(pickle.dumps(plain))):
                 assert getattr(out, "_array", None) is None and out == rho
 
