@@ -178,23 +178,23 @@ def cmd_fuzzy(args) -> int:
 
 
 def cmd_lift_open(args) -> int:
-    from .openness import CollapseMap, lift_open_collapse
+    from .openness import lift_open_surjection
 
     ctx, f, mu0, *nus = _documents(
         (args.map, "map"), (args.anchor, "measure"), *((path, "measure") for path in args.sequence)
     )
-    lifts = lift_open_collapse(CollapseMap(f), mu0, nus)
+    lifts = lift_open_surjection(f, mu0, nus)
     _emit({"lifts": [mio.measure_doc(m, ctx) for m in lifts]})
     return 0
 
 
 def cmd_bicommute(args) -> int:
-    from .openness import CollapseMap, bicommutative_lift
+    from .openness import bicommutative_lift
 
     ctx, f, mu, nu = _documents(
         (args.map, "map"), (args.measure, "measure"), (args.coupling, "coupling")
     )
-    _emit(mio.coupling_doc(bicommutative_lift(CollapseMap(f), mu, nu), ctx))
+    _emit(mio.coupling_doc(bicommutative_lift(f, mu, nu), ctx))
     return 0
 
 
@@ -362,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grades")
     p.set_defaults(fn=cmd_fuzzy)
 
-    p = sub.add_parser("lift-open", help="lift a measure sequence through a collapse map")
+    p = sub.add_parser("lift-open", help="lift a measure sequence through a surjection")
     p.add_argument("map")
     p.add_argument("anchor")
     p.add_argument("sequence", nargs="+")
     p.set_defaults(fn=cmd_lift_open)
 
-    p = sub.add_parser("bicommute", help="lift a coupling through a collapse on both axes")
+    p = sub.add_parser("bicommute", help="lift a coupling through a surjection on both axes")
     p.add_argument("map")
     p.add_argument("measure")
     p.add_argument("coupling")

@@ -330,8 +330,9 @@ class FiniteSpace(_Value):
             raise ValueError(f"{what}: points outside the space {outside!r}")
 
     def subset(self, labels: Iterable[Label], what: str) -> frozenset[Label]:
-        """The labels as a set of points; a label outside the space is an error."""
-        labels = tuple(labels)
+        """The labels as a set of points; a label outside the space is an error,
+        and text or a value that is not iterable is a TypeError."""
+        labels = _tuple(labels, f"{what}: points must be a collection of labels, got {{!r}}")
         self.require(labels, what)
         return frozenset(labels)
 
@@ -357,7 +358,7 @@ class FiniteSpace(_Value):
     def index(self, label: Label) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable label is no point either
             raise ValueError(f"unknown point {label!r}") from None
 
     def __contains__(self, label: Label) -> bool:

@@ -39,12 +39,12 @@ class IdempotentMeasure(_Value):
     weights of validated measures by max and + alone (`tensor_many`,
     `marginal`, `multiply`, `pushforward`, `flatten_measure`,
     `convex_combination`, `pointwise_sup`, `lift_along_surjection`, and
-    with max and min `lift_open_surjection`, `bicommutative_lift` and
-    `pattern_max_coupling`), and those whose table is valid by
-    construction (`normalize`, `dirac`, `hyperspace_embed`, `fuzzy_embed`,
-    `milyutin_build`), check only the classes of their inputs (`_require`)
-    and build the result with `_trusted`, without validating it again;
-    each states its proof.
+    with max and min `lift_open_surjection` and `bicommutative_lift`,
+    through any surjection, and `pattern_max_coupling`), and those whose
+    table is valid by construction (`normalize`, `dirac`,
+    `hyperspace_embed`, `fuzzy_embed`, `milyutin_build`), check only the
+    classes of their inputs (`_require`) and build the result with
+    `_trusted`, without validating it again; each states its proof.
 
     The one derived private slot, `_array`, is a read-only float64 copy of
     `weights`, bit for bit, or is empty (unfilled or None).  It is a cache

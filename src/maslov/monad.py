@@ -25,6 +25,7 @@ from .core import (
     _atomic_factors,
     _floats,
     _require,
+    _tuple,
     combine,
     product_space,
 )
@@ -72,7 +73,7 @@ class OuterMeasure(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        inner = tuple(self.inner)
+        inner = _tuple(self.inner, "inner components must be a sequence of measures, got {!r}")
         w = _as_weights(self.weights)
         if not inner:
             raise ValueError("an outer measure needs at least one component")

@@ -2,10 +2,9 @@
 
 Three computational devices live here:
 
-* sequence lifting through a finite surjection in closed form, with the
-  collapse map (one doubled fiber) as its special case, plus the
-  factorization of a surjection into collapses;
-* lifting of couplings through a collapse applied to both coordinates,
+* sequence lifting through a finite surjection in closed form (on a
+  finite space every surjection is open);
+* lifting of couplings through a surjection applied to both coordinates,
   with the two characteristic identities proven exact on every float;
 * the max-marginal coupling correspondence: feasibility, tight-pattern
   enumeration of the (non-convex) feasible set, and an exact best
@@ -60,56 +59,16 @@ class CollapseMap(_Value):
         if not f.is_surjective:
             raise ValueError("a collapse map must be surjective")
 
-    @property
-    def doubled(self) -> tuple[Label, Label]:
-        """The two source points sharing a fiber, in canonical source order."""
-        f = self.map
-        p, q = sorted(f.fiber(self.merged_target), key=f.source.index)
-        return p, q
 
-    @property
-    def merged_target(self) -> Label:
-        # one more source than target point, all fibers nonempty: one fiber has two
-        return next(y for y in self.map.target.points if len(self.map.fiber(y)) == 2)
-
-
-def lift_open_collapse(
-    f: CollapseMap, mu0: IdempotentMeasure, nu_seq: Sequence[IdempotentMeasure]
-) -> list[IdempotentMeasure]:
-    """Lift a sequence of target measures through a collapse, anchored at μ0.
-
-    The one-doubled-fiber case of `lift_open_surjection`, with its proof
-    and guarantees: the doubled-fiber atom with the larger μ0-weight (the
-    first in source order on a tie) tracks the image weight exactly; the
-    other is clipped at min(ν_k(y), μ0(x)) ≤ ν_k(y), so each lift pushes
-    forward to its ν_k exactly.
-    """
-    return lift_open_surjection(f.map, mu0, nu_seq)
-
-
-def factor_surjection(f: PointMap) -> tuple[list[CollapseMap], PointMap]:
-    """Factor a finite surjection into single-point collapses and a bijection.
-
-    Returns (collapses, relabel) with f = relabel ∘ c_k ∘ ... ∘ c_1,
-    applying c_1 first.  Each collapse merges one non-representative point
-    into the first source point of its fiber.
-    """
+def _surjection(f: PointMap | CollapseMap) -> PointMap:
+    """The map both lifts read, which must be onto: a `PointMap`, or the
+    map of a `CollapseMap`, the one-doubled-fiber case callers may still wrap."""
+    if isinstance(f, CollapseMap):
+        f = f.map
+    _require(f, PointMap, "a lifting map")
     if not f.is_surjective:
-        raise ValueError("only surjections factor into collapses")
-    rep: dict[int, Label] = {}  # target index -> first source point of its fiber
-    for x, j in zip(f.source.points, f._targets):
-        rep.setdefault(j, x)
-    extras = [(x, rep[j]) for x, j in zip(f.source.points, f._targets) if x != rep[j]]
-
-    collapses = []
-    current = f.source
-    for x, mate in extras:
-        smaller = FiniteSpace(tuple(p for p in current.points if p != x))
-        table = {p: (mate if p == x else p) for p in current.points}
-        collapses.append(CollapseMap(PointMap(current, smaller, table)))
-        current = smaller
-    relabel = PointMap(current, f.target, {p: f(p) for p in current.points})
-    return collapses, relabel
+        raise ValueError("lift requires a surjective map")
+    return f
 
 
 def lift_open_surjection(
@@ -124,26 +83,26 @@ def lift_open_surjection(
     (atomwise in the exponential weight metric) whenever ν_k converges to
     the image of μ0.
 
-    This is the composite of the collapse lifts along `factor_surjection`,
-    in closed form.  Each collapse merges a point into the first point r of
-    its fiber.  Lifting back through it, the one of the two with the larger
-    anchor weight (r on a tie) keeps r's lifted weight, and the other is
-    clipped at its anchor weight.  The anchor weight of r there is the
-    largest μ0-weight among r and the points merged into it earlier, so the
-    point never clipped is the first with the largest μ0-weight, and every
-    other point x ends at min(ν_k(f x), μ0(x)).
+    This is the closed form of a composite of collapse lifts.  Write f as
+    the collapses that merge each point into the first point r of its
+    fiber, one at a time in source order, followed by a relabelling
+    bijection.  Lifting back through one collapse, the one of the two
+    points with the larger anchor weight (r on a tie) keeps r's lifted
+    weight, and the other is clipped at its anchor weight.  The anchor
+    weight of r there is the largest μ0-weight among r and the points
+    merged into it earlier, so the point never clipped is the first with
+    the largest μ0-weight, and every other point x ends at
+    min(ν_k(f x), μ0(x)).
 
     Built trusted, each weight being one of ν_k or of μ0: in the fiber over
     y the tracking point copies ν_k(y) and every other point is clipped to
     min(ν_k(y), μ0(x)) ≤ ν_k(y), so the fiber max is ν_k(y), and since f is
     onto, ν_k's 0 appears in the lift.
     """
-    _require(f, PointMap, "a lifting map")
+    f = _surjection(f)
     _require(mu0, IdempotentMeasure, "an anchor measure")
     if mu0.space != f.source:
         raise ValueError("anchor measure does not live on the source")
-    if not f.is_surjective:
-        raise ValueError("lift requires a surjective map")
     images = f._targets
     # per target index, the index of its fiber's tracking point
     tracking: dict[int, int] = {}
@@ -165,10 +124,13 @@ def lift_open_surjection(
     return lifts
 
 
+lift_open_collapse = lift_open_surjection  # the name of its one-doubled-fiber case
+
+
 def bicommutative_lift(
-    f: CollapseMap, mu: IdempotentMeasure, nu: IdempotentMeasure
+    f: PointMap, mu: IdempotentMeasure, nu: IdempotentMeasure
 ) -> IdempotentMeasure:
-    """Lift a coupling through a collapse applied to both coordinates.
+    """Lift a coupling through a finite surjection applied to both coordinates.
 
     Given μ on the source and a coupling ν on target × target whose first
     marginal equals the image of μ, produce ν' on source × source with
@@ -177,13 +139,17 @@ def bicommutative_lift(
 
     via the row-capped pullback λ'(x, x') = min(μ(x), ν(f x, f x')).  Both
     identities are proven with max and min alone, so they are exact on
-    every float.  As f is onto, the first marginal at x is
+    every float.  min(a, ·) commutes with a max over a nonempty set, and as
+    f is onto, every fiber is nonempty.  So the first marginal at x is
     min(μ(x), ν₁(f x)) = μ(x), since ν₁ = f_*μ is at least μ(x) at f x; the
-    image at (y, y') is min(ν₁(y), ν(y, y')) = ν(y, y'), since ν₁ is the
-    row max of ν.  So the result is built trusted: its weights are weights
-    of μ or ν, and its first marginal μ has a 0.
+    image at (y, y') is min(ν₁(y), ν(y, y')) = ν(y, y'), since ν₁(y) is the
+    max of μ over the fiber of y and the row max of ν.  So the result is
+    built trusted: its weights are weights of μ or ν, and its first
+    marginal μ has a 0.
     """
-    pm = f.map
+    pm = _surjection(f)
+    _require(mu, IdempotentMeasure, "a source measure")
+    _require(nu, IdempotentMeasure, "a coupling")
     if mu.space != pm.source:
         raise ValueError("measure does not live on the source")
     if not isinstance(nu.space, ProductSpace) or nu.space.factors != (pm.target, pm.target):
@@ -200,6 +166,9 @@ def coupling_feasible(
     coupling: IdempotentMeasure, mu1: IdempotentMeasure, mu2: IdempotentMeasure
 ) -> bool:
     """Whether both marginals of a coupling match the prescribed measures exactly."""
+    _require(coupling, IdempotentMeasure, "a coupling")
+    _require(mu1, IdempotentMeasure, "a marginal")
+    _require(mu2, IdempotentMeasure, "a marginal")
     sp = coupling.space
     if not isinstance(sp, ProductSpace) or len(sp.factors) != 2:
         raise ValueError("a coupling lives on a two-factor product space")
@@ -368,6 +337,9 @@ def coupling_gap(
     the first maximizer is whichever box has the lexicographically larger
     membership vector (φ = 0 exactly on it).
     """
+    _require(mu1, IdempotentMeasure, "a marginal")
+    _require(mu2, IdempotentMeasure, "a marginal")
+    _require(target, IdempotentMeasure, "a target coupling")
     prod = product_space(mu1.space, mu2.space)
     if target.space != prod:
         raise ValueError("target must live on the product of the marginal spaces")

@@ -25,6 +25,7 @@ from maslov import (
     OuterMeasure,
     PointCloudSpace,
     PointMap,
+    bicommutative_lift,
     dirac,
     metric_closure,
     normalize,
@@ -34,6 +35,7 @@ from maslov import (
     tensor,
 )
 from maslov.laws import LawReport
+from maslov.openness import lift_open_surjection
 
 X2 = space("ab")
 
@@ -520,6 +522,24 @@ class TestCommands:
         code, out = run(capsys, ["bicommute", gdoc, mu, nu])
         assert code == 0
         assert out["table"] == {"y0": {"y0": -1.0, "y1": -1.0}, "y1": {"y0": 0.0, "y1": 0.0}}
+
+    def test_lift_open_and_bicommute_through_a_surjection(self, tmp_path, capsys):
+        # 4 -> 2 with two doubled fibers: {x0, x2} over y1 and {x1, x3} over y2
+        src, tgt = space(["x0", "x1", "x2", "x3"]), space(["y1", "y2"])
+        f = PointMap(src, tgt, {"x0": "y1", "x1": "y2", "x2": "y1", "x3": "y2"})
+        mu0 = IdempotentMeasure(src, (-1.0 / 3.0, -0.5, -2.0 / 3.0, 0.0))
+        nus = [IdempotentMeasure(tgt, (0.0, -0.75)), IdempotentMeasure(tgt, (-4.0 / 3.0, 0.0))]
+        nu = tensor(pushforward(f, mu0), IdempotentMeasure(tgt, (-0.25, 0.0)))
+        fdoc = write(tmp_path, "f.json", mio.map_doc(f))
+        mu0doc = write(tmp_path, "mu0.json", mio.measure_doc(mu0))
+        nudocs = [write(tmp_path, f"nu{k}.json", mio.measure_doc(v)) for k, v in enumerate(nus)]
+        assert cli.main(["lift-open", fdoc, mu0doc, *nudocs]) == 0
+        lifts = lift_open_surjection(f, mu0, nus)
+        assert capsys.readouterr().out == mio.dumps({"lifts": [mio.measure_doc(m) for m in lifts]})
+        coupling = write(tmp_path, "nu.json", mio.coupling_doc(nu))
+        assert cli.main(["bicommute", fdoc, mu0doc, coupling]) == 0
+        want = mio.dumps(mio.coupling_doc(bicommutative_lift(f, mu0, nu)))
+        assert capsys.readouterr().out == want
 
     def test_couplings_check_and_gap(self, tmp_path, capsys):
         X, Y = space(["x1", "x2"]), space(["y1", "y2"])

@@ -61,7 +61,6 @@ from maslov.openness import (
     coupling_feasible,
     coupling_gap,
     counterexample_instance,
-    factor_surjection,
     lift_open_surjection,
     milyutin_build,
     pattern_max_coupling,
@@ -190,6 +189,10 @@ LIBRARY = {
     "dirac: not a space": (
         lambda: dirac("ab", "a"),
         TypeError, "a Dirac measure's space must be a FiniteSpace, got str",
+    ),
+    "dirac: a list for a point": (
+        lambda: dirac(X2, []),
+        ValueError, "unknown point []",
     ),
     "integrate: a function for the measure": (
         lambda: integrate(PHI, dirac(X2, "a")),
@@ -469,6 +472,10 @@ LIBRARY = {
         lambda: fuzzy_embed(dirac(X2, "a")),
         TypeError, "an embedded fuzzy set must be a FuzzySet, got IdempotentMeasure",
     ),
+    "outer: an int for the components": (
+        lambda: OuterMeasure(X2, 5, (0.0,)),
+        TypeError, "inner components must be a sequence of measures, got 5",
+    ),
     "outer: no component": (
         lambda: OuterMeasure(X2, (), ()),
         ValueError, "an outer measure needs at least one component",
@@ -504,6 +511,10 @@ LIBRARY = {
     "closed set: empty": (
         lambda: ClosedSet(X2, frozenset()),
         ValueError, "closed sets are nonempty",
+    ),
+    "closed set: an int for the members": (
+        lambda: ClosedSet(X2, 5),
+        TypeError, "closed set: points must be a collection of labels, got 5",
     ),
     "union: two spaces": (
         lambda: hyperspace_union([ClosedSet(X2, frozenset("a")), ClosedSet(Y2, frozenset("u"))]),
@@ -562,9 +573,9 @@ LIBRARY = {
         lambda: lift_open_surjection(ONTO, dirac(X2, "a"), [dirac(X2, "a")]),
         ValueError, "sequence measures must live on the target",
     ),
-    "lift: a collapse for a map": (
-        lambda: lift_open_surjection(CollapseMap(ONTO), dirac(X2, "a"), []),
-        TypeError, "a lifting map must be a PointMap, got CollapseMap",
+    "lift: a table for a map": (
+        lambda: lift_open_surjection(ONTO.table, dirac(X2, "a"), []),
+        TypeError, "a lifting map must be a PointMap, got dict",
     ),
     "lift: a function for an anchor": (
         lambda: lift_open_surjection(ONTO, PHI, []),
@@ -574,13 +585,25 @@ LIBRARY = {
         lambda: lift_open_surjection(ONTO, dirac(X2, "a"), [ONTO]),
         TypeError, "a sequence measure must be an IdempotentMeasure, got PointMap",
     ),
-    "factor: not onto": (
-        lambda: factor_surjection(INTO),
-        ValueError, "only surjections factor into collapses",
-    ),
     "bicommute: measure off the source": (
         lambda: bicommutative_lift(CollapseMap(ONTO), dirac(Y2, "u"), dirac(Y2, "u")),
         ValueError, "measure does not live on the source",
+    ),
+    "bicommute: not onto": (
+        lambda: bicommutative_lift(INTO, dirac(space("a"), "a"), dirac(product_space(X2, X2), ("a", "a"))),
+        ValueError, "lift requires a surjective map",
+    ),
+    "bicommute: ints for the measures": (
+        lambda: bicommutative_lift(ONTO, 5, 5),
+        TypeError, "a source measure must be an IdempotentMeasure, got int",
+    ),
+    "gap: ints for the measures": (
+        lambda: coupling_gap(5, 5, 5),
+        TypeError, "a marginal must be an IdempotentMeasure, got int",
+    ),
+    "coupling: ints for the measures": (
+        lambda: coupling_feasible(5, 5, 5),
+        TypeError, "a coupling must be an IdempotentMeasure, got int",
     ),
     "gap: target off the product": (
         lambda: coupling_gap(dirac(X2, "a"), dirac(Y2, "u"), dirac(X2, "a")),

@@ -31,7 +31,8 @@ measure again.
 Barycenters read a cloud's coordinate columns; they are compared with the
 loop and with `combine`, bit for bit, also on ties of 0.0 and -0.0.
 The closed-form open lift is compared with the per-collapse lift,
-composed along `factor_surjection` for an arbitrary surjection.
+composed along `_factor_surjection`, the factorization of a surjection
+into single-point collapses, which lives here and nowhere in the library.
 Flattening and `tensor_many` read the row-major point order of a product
 instead of its labels; they are compared with the label-walking relabel
 and the per-coordinate weight lookups, and `infer_space` must rebuild
@@ -69,6 +70,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maslov.io as mio
+from conftest import rand_surjection
 from maslov import (
     NEG_INF,
     ClosedSet,
@@ -87,6 +89,7 @@ from maslov import (
     ProductSpace,
     algebra_law_check,
     barycenter,
+    bicommutative_lift,
     convex_combination,
     coupling_gap,
     counterexample_instance,
@@ -113,14 +116,13 @@ from maslov import (
 from maslov.core import _atomic_factors, combine
 from maslov.functor import precompose
 from maslov.io import Context, infer_space
-from maslov.laws import LawReport, check_functor_laws
+from maslov.laws import LawReport, check_functor_laws, rand_space
 from maslov.metrics import _gap_args, grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
 from maslov.monad import _ARRAY_POINTS, flatten_measure, tensor_many
 from maslov.openness import (
     GapResult,
     TightPattern,
     _box,
-    factor_surjection,
     lift_open_surjection,
     tight_patterns,
 )
@@ -365,7 +367,8 @@ def _lift_open_collapse_loop(f, mu0, nu_seq):
     anchor weight (the first on a tie) takes the merged weight, and the
     other that weight clipped at its own anchor weight."""
     pm = f.map
-    p, q = f.doubled
+    (doubled,) = (pm.fiber(y) for y in pm.target.points if len(pm.fiber(y)) == 2)
+    p, q = sorted(doubled, key=pm.source.index)
     if mu0.weight(p) >= mu0.weight(q):
         hi, lo = p, q
     else:
@@ -387,10 +390,35 @@ def _lift_open_collapse_loop(f, mu0, nu_seq):
     return lifts
 
 
+def _factor_surjection(f):
+    """Factor a finite surjection into single-point collapses and a bijection.
+
+    Returns (collapses, relabel) with f = relabel ∘ c_k ∘ ... ∘ c_1,
+    applying c_1 first.  Each collapse merges one non-representative point
+    into the first source point of its fiber.
+    """
+    if not f.is_surjective:
+        raise ValueError("only surjections factor into collapses")
+    rep = {}  # image -> first source point of its fiber
+    for x in f.source.points:
+        rep.setdefault(f(x), x)
+    extras = [(x, rep[f(x)]) for x in f.source.points if x != rep[f(x)]]
+
+    collapses = []
+    current = f.source
+    for x, mate in extras:
+        smaller = FiniteSpace(tuple(p for p in current.points if p != x))
+        table = {p: (mate if p == x else p) for p in current.points}
+        collapses.append(CollapseMap(PointMap(current, smaller, table)))
+        current = smaller
+    relabel = PointMap(current, f.target, {p: f(p) for p in current.points})
+    return collapses, relabel
+
+
 def _lift_open_composed(f, mu0, nu_seq):
-    """The collapse lifts composed along `factor_surjection`, each stage
+    """The collapse lifts composed along `_factor_surjection`, each stage
     anchored at the image of μ0 reached so far."""
-    collapses, relabel = factor_surjection(f)
+    collapses, relabel = _factor_surjection(f)
     anchors = [mu0]
     for c in collapses:
         anchors.append(pushforward(c.map, anchors[-1]))
@@ -1397,6 +1425,22 @@ class TestOpenLiftMatchesComposedCollapses:
         f, mu0, nus = instance
         c = CollapseMap(f)
         assert lift_open_collapse(c, mu0, nus) == _lift_open_collapse_loop(c, mu0, nus)
+
+    def test_factorization_composes_to_the_map(self):
+        rng = random.Random(19)
+        for _ in range(50):
+            Y = rand_space(rng, 3, "y")
+            X = FiniteSpace(tuple(f"x{i}" for i in range(len(Y) + rng.randint(0, 3))))
+            f = rand_surjection(rng, X, Y)
+            collapses, relabel = _factor_surjection(f)
+            composed = relabel
+            for c in reversed(collapses):
+                composed = c.map.then(composed)
+            assert composed.table == f.table
+
+    def test_factorization_rejects_a_map_not_onto(self):
+        with pytest.raises(ValueError, match="^only surjections factor into collapses$"):
+            _factor_surjection(PointMap(space("a"), space("ab"), {"a": "a"}))
 
 
 # ------------------------------------------------------------- products
@@ -2472,8 +2516,9 @@ class TestEachTableIsStoredOnce:
                 inner_distance_table(1, M, [nu, dirac(Y, "v")]),
                 mio.map_doc(f), mio.cloud_doc(cloud), mio.metric_space_doc(M),
                 mio.cover_levels_doc(levels, Y), milyutin_build(M, levels, 2),
-                check_functor_laws(seed=0, cases=40), factor_surjection(onto),
+                check_functor_laws(seed=0, cases=40),
                 lift_open_surjection(onto, mu, [dirac(onto.target, "v")]),
+                bicommutative_lift(onto, mu, tensor(pushforward(onto, mu), dirac(onto.target, "v"))),
             )
 
         want = run()

@@ -6,7 +6,8 @@
 and the openness builders `lift_open_surjection` (with
 `lift_open_collapse`), `bicommutative_lift`, `pattern_max_coupling` and
 `milyutin_build` build their result with `_trusted`, on the proof in their
-docstring.  Each result must pass its public constructor unchanged, bit
+docstring.  Both lifts are drawn through collapses and through every
+surjection of 1-5 points onto 1-3.  Each result must pass its public constructor unchanged, bit
 for bit, and hold no -0.0, which the constructor would turn into 0.0 and
 `==` would not see.  The openness outputs must also satisfy the identities
 their docstrings prove, bit for bit.  Inputs mix weights k/3 (not dyadic),
@@ -286,6 +287,20 @@ class TestTrustedOpenness:
         assert_same_measure(marginal(lifted, 0), mu)
         prod = lifted.space
         both = PointMap(prod, nu.space, {(x, xp): (c.map(x), c.map(xp)) for x, xp in prod.points})
+        assert_same_measure(pushforward(both, lifted), nu)
+
+    @settings(max_examples=300, deadline=None)
+    @given(surjections().flatmap(lambda f: measures(f.source).flatmap(lambda mu: st.tuples(
+        st.just(f), st.just(mu), st.lists(measures(f.target), max_size=3), couplings_over(mu, f)))))
+    def test_both_lifts_through_surjections(self, instance):
+        f, mu, nus, nu = instance
+        for nu_k, mu_k in zip(nus, lift_open_surjection(f, mu, nus)):
+            assert_same_measure(pushforward(f, mu_k), nu_k)
+        lifted = bicommutative_lift(f, mu, nu)
+        assert_valid_measure(lifted)
+        assert_same_measure(marginal(lifted, 0), mu)
+        prod = lifted.space
+        both = PointMap(prod, nu.space, {(x, xp): (f(x), f(xp)) for x, xp in prod.points})
         assert_same_measure(pushforward(both, lifted), nu)
 
     @settings(max_examples=200, deadline=None)
