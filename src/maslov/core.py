@@ -136,7 +136,7 @@ def _require(value: object, cls: type, what: str) -> None:
     """Reject an argument of another class, which a trusted build would not catch."""
     if not isinstance(value, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise TypeError(f"{what} must be {article} {cls.__name__}, got {type(value).__name__}")
+        raise TypeError(f"{what} must be {article} {cls.__name__}, got {value.__class__.__name__}")
 
 
 def oplus(a: float, b: float) -> float:
@@ -204,10 +204,16 @@ class _Value:
     slots with `object.__setattr__` and then calls `__post_init__`, where
     the class validates them and replaces each with its normal form.  After
     `__init__` every assignment or deletion raises `FrozenInstanceError`.
-    Copy and pickle rebuild an instance from its filled slots without
-    calling `__init__` again, save the `_array` cache, which they leave
-    out: a value copies and pickles alike whether or not a kernel has
-    filled it, and the next array kernel to read the copy fills it anew.
+    Copy and pickle rebuild an instance of its `__class__` from its slots
+    without calling `__init__` again.  They read each field slot through
+    `getattr`, so a measure whose `weights` tuple is built on its first
+    read (`measures._ArrayMeasure`) builds it and copies and pickles to
+    the same bytes as one built with it; they take every other slot only
+    if it is filled (a product's `points` may not be), and leave the
+    `_array` cache out: a value copies and pickles alike whether or not a
+    kernel has filled it, and the next array kernel to read the copy
+    fills it anew.  A subclass that writes no `__init__` of its own adds
+    no field and keeps its base's `_fields`, `==`, hash and `_trusted`.
 
     Each class also gets `_trusted(*slots)`, built once per class like
     `__eq__`: it fills its own slots in order with values already in
@@ -223,6 +229,8 @@ class _Value:
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
+        if "__init__" not in vars(cls):  # no field of its own: the base's value
+            return
         init = vars(cls)["__init__"].__code__
         cls._fields = init.co_varnames[1 : init.co_argcount]
         fields = attrgetter(*cls._fields)
@@ -262,11 +270,14 @@ class _Value:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        cls = type(self)
+        cls = self.__class__
         state = {}
         for klass in cls.__mro__:
             for name in vars(klass).get("__slots__", ()):
                 if name == "_array":  # a cache, refilled on first use
+                    continue
+                if name in cls._fields:  # built on this read if still empty
+                    state[name] = getattr(self, name)
                     continue
                 try:
                     state[name] = object.__getattribute__(self, name)
@@ -362,7 +373,10 @@ class FiniteSpace(_Value):
             raise ValueError(f"unknown point {label!r}") from None
 
     def __contains__(self, label: Label) -> bool:
-        return label in self._index
+        try:
+            return label in self._index
+        except TypeError:  # an unhashable label is no point either
+            return False
 
     def __len__(self) -> int:
         return len(self.points)
@@ -428,11 +442,14 @@ class ProductSpace(FiniteSpace):
         if not isinstance(label, tuple) or len(label) != len(axes):
             return None
         i = 0
-        for (lookup, n), part in zip(axes, label):
-            j = lookup(part)
-            if j is None:
-                return None
-            i = i * n + j
+        try:
+            for (lookup, n), part in zip(axes, label):
+                j = lookup(part)
+                if j is None:
+                    return None
+                i = i * n + j
+        except TypeError:  # an unhashable coordinate is no point either
+            return None
         return i
 
     def index(self, label: Label) -> int:

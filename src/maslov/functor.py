@@ -33,7 +33,10 @@ class PointMap(_Value):
 
     def __post_init__(self) -> None:
         images = self.source.dense(self._targets, "map")
-        targets = tuple(map(self.target._lookup, images))
+        try:
+            targets = tuple(map(self.target._lookup, images))
+        except TypeError:  # an unhashable image is no point either
+            targets = (None,)
         if None in targets:
             self.target.require(images, "map values")
         object.__setattr__(self, "_targets", targets)
@@ -82,7 +85,7 @@ def pushforward(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
     Satisfies pushforward(f, μ)(φ) = μ(φ ∘ f) for every φ on the target.
     """
     if not isinstance(f, PointMap):
-        raise TypeError(f"pushforward needs a PointMap, got {type(f).__name__}")
+        raise TypeError(f"pushforward needs a PointMap, got {f.__class__.__name__}")
     _require(mu, IdempotentMeasure, "a pushed-forward measure")
     if mu.space != f.source:
         raise ValueError("measure does not live on the source of the map")

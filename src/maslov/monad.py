@@ -30,7 +30,7 @@ from .core import (
     product_space,
 )
 from .functor import PointMap, pushforward
-from .measures import IdempotentMeasure, dirac, integrate
+from .measures import IdempotentMeasure, _ArrayMeasure, dirac, integrate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,9 +110,10 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
     already loaded, each inner measure of finite outer weight is mixed in
     as a numpy array, its `_array` cache, which the first array kernel to
     read it fills, so a later call converts no inner measure again; the
-    mixture keeps its array as its own cache.  Otherwise `combine` mixes
-    them.  numpy is never imported here, so small-n callers never pay for
-    its import.  The two paths agree bit for bit: both take each sum
+    mixture keeps its array as its own cache and builds its `weights`
+    tuple from it on the first read (`_from_array`).  Otherwise `combine`
+    mixes them.  numpy is never imported here, so small-n callers never
+    pay for its import.  The two paths agree bit for bit: both take each sum
     c_i + w_ik with one IEEE addition and keep the largest.  They could
     differ only on a tie of 0.0 with -0.0, where `combine` keeps the
     first maximal term and `np.maximum` returns its second operand, and
@@ -120,7 +121,7 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
     to 0.0), and a sum or max of weights that are not -0.0 is never -0.0.
     """
     if not isinstance(M, OuterMeasure):
-        raise TypeError(f"multiply needs an OuterMeasure, got {type(M).__name__}")
+        raise TypeError(f"multiply needs an OuterMeasure, got {M.__class__.__name__}")
     n = len(M.base)
     if n < _ARRAY_POINTS or "numpy" not in sys.modules:
         return IdempotentMeasure._trusted(M.base, combine(M.weights, (m.weights for m in M.inner)))
@@ -138,8 +139,10 @@ def multiply(M: OuterMeasure) -> IdempotentMeasure:
 def _cache(mu: IdempotentMeasure) -> np.ndarray | None:
     """μ's `_array` cache, or None.  Only a table of at least
     `_ARRAY_POINTS` entries ever has one, so a smaller table is not looked
-    up: reading an empty slot raises and catches an AttributeError."""
-    return getattr(mu, "_array", None) if len(mu.weights) >= _ARRAY_POINTS else None
+    up: reading an empty slot raises and catches an AttributeError.  The
+    size is read from the space, so an array-built μ keeps its `weights`
+    slot empty."""
+    return getattr(mu, "_array", None) if len(mu.space) >= _ARRAY_POINTS else None
 
 
 def _weight_array(mu: IdempotentMeasure, np: Any) -> np.ndarray:
@@ -158,10 +161,17 @@ def _weight_array(mu: IdempotentMeasure, np: Any) -> np.ndarray:
 
 
 def _from_array(space: FiniteSpace, arr: np.ndarray) -> IdempotentMeasure:
-    """The measure whose weights are the array built by an array kernel,
-    with the array, made read-only, kept as its cache."""
+    """The measure whose weights are the array built by an array kernel.
+
+    The array, made read-only, is kept as its cache, and the `weights`
+    slot is left empty: the first read of `weights` builds the tuple from
+    the array (`measures._ArrayMeasure`), so a kernel that reads only the
+    cache, as `marginal` does, never builds it."""
     arr.flags.writeable = False
-    return IdempotentMeasure._trusted(space, tuple(arr.tolist()), arr)
+    mu = object.__new__(_ArrayMeasure)
+    object.__setattr__(mu, "space", space)
+    object.__setattr__(mu, "_array", arr)
+    return mu
 
 
 def outer_dirac(mu: IdempotentMeasure) -> OuterMeasure:
@@ -214,7 +224,8 @@ def tensor_many(measures: Sequence[IdempotentMeasure]) -> IdempotentMeasure:
     cells, and only when numpy is already loaded, the sums are taken by
     `np.add.outer` over the factors' arrays (their `_array` caches, filled
     here for a factor of at least `_ARRAY_POINTS` points that has none),
-    and the product keeps its flattened array as its cache; otherwise a
+    and the product keeps its flattened array as its cache and builds its
+    `weights` tuple from it on the first read (`_from_array`); otherwise a
     loop over the weight tuples sums them.  The two paths agree bit for
     bit, by the argument of `multiply`: each cell is the same IEEE
     additions in the same order, the loop's start from 0.0 changing
@@ -270,14 +281,19 @@ def flatten_measure(mu: IdempotentMeasure) -> IdempotentMeasure:
     """Transport μ along the canonical identification ((x,y),z) = (x,y,z).
 
     The nested and the flat product list their points in the same
-    row-major order, so the weights, and their `_array` cache if there is
-    one, carry over unchanged.
+    row-major order, so the weights carry over unchanged.  A measure with
+    an `_array` cache passes that array on, and its image builds its
+    `weights` tuple from it on the first read (`_from_array`), so a
+    measure whose tuple is not built yet does not build it here.
     """
     _require(mu, IdempotentMeasure, "a flattened measure")
     if not isinstance(mu.space, ProductSpace):
         raise ValueError("only measures on product spaces can be flattened")
     flat = product_space(*_atomic_factors(mu.space))
-    return IdempotentMeasure._trusted(flat, mu.weights, _cache(mu))
+    arr = _cache(mu)
+    if arr is None:
+        return IdempotentMeasure._trusted(flat, mu.weights)
+    return _from_array(flat, arr)
 
 
 class ClosedSet(_Value):

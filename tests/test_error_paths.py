@@ -26,7 +26,13 @@ from maslov.core import (
     space,
     weight_distance,
 )
-from maslov.functor import PointMap, lift_along_surjection, precompose, pushforward
+from maslov.functor import (
+    PointMap,
+    lies_in_subspace,
+    lift_along_surjection,
+    precompose,
+    pushforward,
+)
 from maslov.measures import (
     IdempotentMeasure,
     convex_combination,
@@ -193,6 +199,35 @@ LIBRARY = {
     "dirac: a list for a point": (
         lambda: dirac(X2, []),
         ValueError, "unknown point []",
+    ),
+    # an unhashable label is no point: the library's message, not Python's
+    "dirac: a list in a product point": (
+        lambda: dirac(product_space(X2, X2), ([], "a")),
+        ValueError, "unknown point ([], 'a')",
+    ),
+    "dirac: a list in a nested product point": (
+        lambda: dirac(product_space(X2, product_space(X2, Y2)), ("a", ([], "u"))),
+        ValueError, "unknown point ('a', ([], 'u'))",
+    ),
+    "closed set: a list for a point": (
+        lambda: ClosedSet(X2, [[]]),
+        ValueError, "closed set: points outside the space [[]]",
+    ),
+    "subspace: a list for a point": (
+        lambda: lies_in_subspace(dirac(X2, "a"), [[]]),
+        ValueError, "subspace: points outside the space [[]]",
+    ),
+    "map: preimage of a list": (
+        lambda: ONTO.preimage([[]]),
+        ValueError, "preimage: points outside the space [[]]",
+    ),
+    "map: image of a list": (
+        lambda: ONTO.image([[]]),
+        ValueError, "image: points outside the space [[]]",
+    ),
+    "map: a list for a value": (
+        lambda: PointMap(X2, Y2, {"a": "u", "b": []}),
+        ValueError, "map values: points outside the space [[]]",
     ),
     "integrate: a function for the measure": (
         lambda: integrate(PHI, dirac(X2, "a")),

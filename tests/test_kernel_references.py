@@ -27,7 +27,10 @@ nested products, and the cache must stay read-only, equal the weights,
 and leave `==`, hash, repr, copy and pickle as they are without it.  The
 first array kernel that reads an input of `_ARRAY_POINTS` entries or more
 fills that input's cache, and a second `multiply` converts no inner
-measure again.
+measure again.  A measure that an array kernel builds builds its `weights`
+tuple from its array on the first read: `marginal` and `flatten_measure`
+leave it unbuilt, and it equals, hashes, prints, encodes, copies and
+pickles to the same bytes as the measure built with its tuple.
 Barycenters read a cloud's coordinate columns; they are compared with the
 loop and with `combine`, bit for bit, also on ties of 0.0 and -0.0.
 The closed-form open lift is compared with the per-collapse lift,
@@ -2089,6 +2092,132 @@ class TestWeightArrayCache:
             assert pickle.dumps(rho) == pickle.dumps(plain)
             for out in (copy.deepcopy(plain), pickle.loads(pickle.dumps(plain))):
                 assert getattr(out, "_array", None) is None and out == rho
+
+
+def _unbuilt(mu):
+    """Whether μ's `weights` slot is still empty."""
+    try:
+        object.__getattribute__(mu, "weights")
+    except AttributeError:
+        return True
+    return False
+
+
+class TestLazyWeights:
+    """A measure that an array kernel builds holds its `_array` and builds
+    its `weights` tuple from it on the first read: a kernel that reads only
+    the array, as `marginal` and `flatten_measure` do, leaves the tuple
+    unbuilt, and no comparison, hash, repr, `io` encoding, copy or pickle
+    tells such a measure from one built with its tuple."""
+
+    THIRDS = TestMultiplyArrayPath.THIRDS
+
+    def _makers(self):
+        """Builders of fresh array-built measures, each with its loop reference."""
+        gen = np.random.default_rng(11)
+        a, b = _split(_ARRAY_POINTS, 2)
+        mu, nu = _factor(gen, "a", a, self.THIRDS), _factor(gen, "b", b, self.THIRDS)
+        M = self._outer(_ARRAY_POINTS)
+        return {
+            "tensor": (lambda: tensor(mu, nu), _tensor_many_loop([mu, nu])),
+            "tensor_many": (lambda: tensor_many([mu, nu, mu]), _tensor_many_loop([mu, nu, mu])),
+            "multiply": (lambda: multiply(M), _multiply_loop(M)),
+            "flatten": (lambda: flatten_measure(tensor(tensor(mu, nu), mu)), _tensor_many_loop([mu, nu, mu])),
+        }
+
+    def _outer(self, n):
+        return _outer_from(*_outer_draw(np.random.default_rng(n), n, 3, self.THIRDS)[:2], np.array([-1 / 3, 0.0, -1.0]))
+
+    @pytest.mark.parametrize("cells", (_ARRAY_POINTS, 8 * _ARRAY_POINTS))
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_marginals_leave_the_product_tuple_unbuilt(self, cells, k):
+        factors = [_factor(np.random.default_rng(cells), c, n, self.THIRDS) for c, n in zip("abc", _split(cells, k))]
+        out, ref = tensor_many(factors), _tensor_many_loop(factors)
+        assert _unbuilt(out) and not out._array.flags.writeable
+        for axis in range(k):
+            assert _same_measure(marginal(out, axis), marginal(ref, axis))
+        assert _unbuilt(out)
+        # the first read builds the tuple from the array and stores it
+        assert _same_measure(out, ref)
+        assert object.__getattribute__(out, "weights") is out.weights
+
+    def test_flatten_keeps_a_lazy_input_lazy(self):
+        gen = np.random.default_rng(3)
+        mu, nu, tau = (_factor(gen, c, n, self.THIRDS) for c, n in zip("abc", _split(8 * _ARRAY_POINTS, 3)))
+        rho = tensor(tensor(mu, nu), tau)
+        flat = flatten_measure(rho)
+        assert _unbuilt(rho) and _unbuilt(flat) and flat._array is rho._array
+        for axis in range(3):
+            marginal(flat, axis)
+        assert _unbuilt(flat)
+        assert _same_measure(flat, _tensor_many_loop([mu, nu, tau])) and _unbuilt(rho)
+
+    @pytest.mark.parametrize("kernel", ("tensor", "tensor_many", "multiply", "flatten"))
+    def test_a_lazy_measure_is_the_eager_value(self, kernel):
+        make, ref = self._makers()[kernel]
+        weights = tuple(make()._array.tolist())
+
+        def pair():
+            """A fresh lazy measure and its eager rebuild on the same space."""
+            out = make()
+            eager = IdempotentMeasure(out.space, weights)
+            assert _unbuilt(out) and _same_measure(eager, ref)
+            return out, eager
+
+        lazy, eager = pair()
+        assert lazy == eager and hash(lazy) == hash(eager)
+        lazy, eager = pair()
+        assert eager == lazy and repr(lazy) == repr(eager)
+        lazy, eager = pair()
+        assert mio.measure_doc(lazy) == mio.measure_doc(eager)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            lazy, eager = pair()
+            assert pickle.dumps(lazy, protocol) == pickle.dumps(eager, protocol)
+        for clone in (copy.copy, copy.deepcopy):
+            lazy, eager = pair()
+            out, again = clone(lazy), clone(eager)
+            assert getattr(out, "_array", None) is None
+            assert pickle.dumps(out) == pickle.dumps(again) and _same_measure(out, eager)
+        lazy, eager = pair()
+        loaded = pickle.loads(pickle.dumps(lazy))
+        assert getattr(loaded, "_array", None) is None and _same_measure(loaded, eager)
+
+    def test_it_reads_as_an_idempotent_measure(self):
+        out = self._makers()["tensor"][0]()
+        assert out.__class__ is IdempotentMeasure and isinstance(out, IdempotentMeasure)
+        with pytest.raises(AttributeError, match="^'IdempotentMeasure' object has no attribute 'nope'$"):
+            out.nope
+        with pytest.raises(TypeError, match="^an integrated function must be a FiniteFunction, got IdempotentMeasure$"):
+            integrate(out, out)
+        with pytest.raises(TypeError, match="^multiply needs an OuterMeasure, got IdempotentMeasure$"):
+            multiply(out)
+        with pytest.raises(TypeError, match="^pushforward needs a PointMap, got IdempotentMeasure$"):
+            pushforward(out, out)
+        assert _unbuilt(out) and getattr(_uncached(out), "_array", None) is None
+
+    def test_threads_read_equal_tuples(self):
+        M = self._outer(8 * _ARRAY_POINTS)
+        want = _multiply_loop(M).weights
+        for _ in range(5):
+            out = multiply(M)
+            reads = []
+            barrier = threading.Barrier(8)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=lambda: barrier.wait(timeout=60) is None or reads.append(out.weights))
+                    for _ in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads) and len(reads) == len(threads)
+            assert all(_bits(w) == _bits(want) for w in reads)
+            assert _bits(out.weights) == _bits(want)
 
 
 # ---------------------------------------------------------- value classes
