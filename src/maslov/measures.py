@@ -107,7 +107,7 @@ class _ArrayMeasure(IdempotentMeasure):
     class with `__getattr__` loses CPython's specialized attribute reads:
     with it there, each read of `space` or `weights` on every measure took
     about 33 ns against 8-14 ns, and the small-n law batches about 2-3%
-    longer.
+    longer (CPython 3.11, 2-vCPU Xeon).
     """
 
     __slots__ = ()

@@ -27,7 +27,7 @@ nested products, and the cache must stay read-only, equal the weights,
 and leave `==`, hash, repr, copy and pickle as they are without it.  The
 first array kernel that reads an input of `_ARRAY_POINTS` entries or more
 fills that input's cache, and a second `multiply` converts no inner
-measure again.  A measure that an array kernel builds builds its `weights`
+measure again.  A measure built by an array kernel builds its `weights`
 tuple from its array on the first read: `marginal` and `flatten_measure`
 leave it unbuilt, and it equals, hashes, prints, encodes, copies and
 pickles to the same bytes as the measure built with its tuple.
@@ -2202,13 +2202,15 @@ class TestLazyWeights:
             out = multiply(M)
             reads = []
             barrier = threading.Barrier(8)
+
+            def read():
+                barrier.wait(timeout=60)
+                reads.append(out.weights)
+
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                threads = [
-                    threading.Thread(target=lambda: barrier.wait(timeout=60) is None or reads.append(out.weights))
-                    for _ in range(8)
-                ]
+                threads = [threading.Thread(target=read) for _ in range(8)]
                 for t in threads:
                     t.start()
                 for t in threads:
