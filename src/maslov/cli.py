@@ -4,8 +4,20 @@ Exit codes: 0 success, 1 usage, validation or schema error, 2 infeasible
 instance, 3 law violation found by check-laws.  A file argument of "-"
 reads the document from standard input.
 
-Each command imports its kernels in its own body, so a call loads only the
-modules that its subcommand reads.
+Each subcommand is declared once, by `_command` above its run function:
+its name, its help and its arguments.  An argument is
+`_arg(name, kind, **options)`: its argparse name and options, and for a
+file argument the kind of document it holds.  `build_parser` builds the
+subparsers from that table, in declaration order.
+
+`main` alone runs the phases of a call: it parses the arguments, reads and
+decodes the documents (`_documents`), calls the run function, encodes the
+result (`mio.dumps`), writes it to standard output and maps errors to exit
+codes.  A run function takes the parsed arguments, the `Context` and the
+decoded documents in declaration order (a repeated argument's documents
+last, one by one), and returns the output document, or the document and a
+nonzero exit code.  It imports its kernels in its own body, so a call
+loads only the modules that its subcommand reads.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ import io
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import io as mio
 from .core import InfeasibleError
@@ -50,6 +62,8 @@ def _read_json(path: str) -> Any:
         return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), **strict)
     except json.JSONDecodeError as exc:
         raise mio.DocumentError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise mio.DocumentError(f"{path}: document nested too deeply") from None
     except (mio.DocumentError, OSError, UnicodeDecodeError) as exc:
         raise mio.DocumentError(f"{path}: {exc}") from None
 
@@ -73,145 +87,144 @@ def _documents(*specs: tuple[str | None, str]) -> list[Any]:
     ]
 
 
-def _emit(doc: Any) -> None:
-    sys.stdout.write(mio.dumps(doc))
+# name -> (help, arguments, run function), in declaration order
+_COMMANDS: dict[str, tuple[str, tuple[tuple[str, str | None, dict], ...], Callable]] = {}
 
 
-def cmd_integrate(args) -> int:
+def _arg(name: str, kind: str | None = None, **options: Any) -> tuple[str, str | None, dict]:
+    return name, kind, options
+
+
+def _command(name: str, help_text: str, *arguments: tuple[str, str | None, dict]):
+    def declare(run: Callable) -> Callable:
+        _COMMANDS[name] = (help_text, arguments, run)
+        return run
+
+    return declare
+
+
+@_command("integrate", "Maslov integral of a function against a measure",
+          _arg("measure", "measure"), _arg("function", "function"))
+def _integrate(args, ctx, mu, phi):
     from .measures import integrate
 
-    _, mu, phi = _documents((args.measure, "measure"), (args.function, "function"))
-    _emit({"value": integrate(mu, phi)})
-    return 0
+    return {"value": integrate(mu, phi)}
 
 
-def cmd_push(args) -> int:
+@_command("push", "pushforward of a measure along a map",
+          _arg("map", "map"), _arg("measure", "measure"))
+def _push(args, ctx, f, mu):
     from .functor import pushforward
 
-    ctx, f, mu = _documents((args.map, "map"), (args.measure, "measure"))
-    _emit(mio.measure_doc(pushforward(f, mu), ctx))
-    return 0
+    return mio.measure_doc(pushforward(f, mu), ctx)
 
 
-def cmd_lift(args) -> int:
+@_command("lift", "maximal lift of a measure through a surjection",
+          _arg("map", "map"), _arg("measure", "measure"))
+def _lift(args, ctx, f, nu):
     from .functor import lift_along_surjection
 
-    ctx, f, nu = _documents((args.map, "map"), (args.measure, "measure"))
-    _emit(mio.measure_doc(lift_along_surjection(f, nu), ctx))
-    return 0
+    return mio.measure_doc(lift_along_surjection(f, nu), ctx)
 
 
-def cmd_tensor(args) -> int:
+@_command("tensor", "sum-weight coupling of two measures",
+          _arg("left", "measure"), _arg("right", "measure"))
+def _tensor(args, ctx, mu, nu):
     from .monad import tensor
 
-    ctx, mu, nu = _documents((args.left, "measure"), (args.right, "measure"))
-    _emit(mio.measure_doc(tensor(mu, nu), ctx))
-    return 0
+    return mio.measure_doc(tensor(mu, nu), ctx)
 
 
-def cmd_zeta(args) -> int:
+@_command("zeta", "collapse a measure of measures by max-plus mixing",
+          _arg("outer", "outer_measure"))
+def _zeta(args, ctx, M):
     from .monad import multiply
 
-    ctx, M = _documents((args.outer, "outer_measure"))
-    _emit(mio.measure_doc(multiply(M), ctx))
-    return 0
+    return mio.measure_doc(multiply(M), ctx)
 
 
-def cmd_marginal(args) -> int:
+@_command("marginal", "axis marginal of a measure on a product",
+          _arg("measure", "measure"), _arg("--axis", type=int, default=0))
+def _marginal(args, ctx, mu):
     from .monad import marginal
 
-    ctx, mu = _documents((args.measure, "measure"))
-    _emit(mio.measure_doc(marginal(mu, args.axis), ctx))
-    return 0
+    return mio.measure_doc(marginal(mu, args.axis), ctx)
 
 
-def cmd_barycenter(args) -> int:
+@_command("barycenter", "idempotent barycenter of a measure over a cloud",
+          _arg("cloud", "cloud"), _arg("measure", "measure"))
+def _barycenter(args, ctx, cloud, mu):
     from .convexity import barycenter
 
-    _, cloud, mu = _documents((args.cloud, "cloud"), (args.measure, "measure"))
-    _emit({"point": list(barycenter(cloud, mu))})
-    return 0
+    return {"point": list(barycenter(cloud, mu))}
 
 
-def cmd_dist(args) -> int:
+@_command("dist", "Lipschitz-dual pseudometric between two measures",
+          _arg("metric", "metric_space"), _arg("left", "measure"), _arg("right", "measure"),
+          _arg("--n", type=int, default=1),
+          _arg("--oracle", action="store_true", help="also run the grid oracle"),
+          _arg("--step", type=float, default=0.01))
+def _dist(args, ctx, X, mu, nu):
     from .metrics import dhat, dhat_oracle
 
-    _, X, mu, nu = _documents(
-        (args.metric, "metric_space"), (args.left, "measure"), (args.right, "measure")
-    )
     value = dhat(args.n, X, mu, nu)
     out: dict[str, Any] = {"n": args.n, "dhat": value, "dtilde": value / args.n}
     if args.oracle:
         out["oracle"] = dhat_oracle(args.n, X, mu, nu, step=args.step)
         out["step"] = args.step
-    _emit(out)
-    return 0
+    return out
 
 
-def cmd_sup(args) -> int:
+@_command("sup", "pointwise supremum of measures", _arg("measures", "measure", nargs="+"))
+def _sup(args, ctx, *measures):
     from .measures import pointwise_sup
 
-    ctx, *measures = _documents(*((path, "measure") for path in args.measures))
-    _emit(mio.measure_doc(pointwise_sup(measures), ctx))
-    return 0
+    return mio.measure_doc(pointwise_sup(measures), ctx)
 
 
-def cmd_hyper(args) -> int:
+@_command("hyper", "embed a 0/1 indicator set as a measure", _arg("indicator", "function"))
+def _hyper(args, ctx, chi):
     from .monad import ClosedSet, hyperspace_embed
 
-    ctx, chi = _documents((args.indicator, "function"))
     if any(v not in (0.0, 1.0) for v in chi.values):
         raise mio.DocumentError("hyper expects a 0/1 indicator function")
     members = frozenset(p for p, v in zip(chi.space.points, chi.values) if v == 1.0)
     if not members:
         raise mio.DocumentError("the indicated set is empty")
-    _emit(mio.measure_doc(hyperspace_embed(ClosedSet(chi.space, members)), ctx))
-    return 0
+    return mio.measure_doc(hyperspace_embed(ClosedSet(chi.space, members)), ctx)
 
 
-def cmd_fuzzy(args) -> int:
+@_command("fuzzy", "embed a [0,1]-graded fuzzy set as a measure", _arg("grades", "function"))
+def _fuzzy(args, ctx, chi):
     from .monad import FuzzySet, fuzzy_embed
 
-    ctx, chi = _documents((args.grades, "function"))
-    _emit(mio.measure_doc(fuzzy_embed(FuzzySet(chi.space, chi.values)), ctx))
-    return 0
+    return mio.measure_doc(fuzzy_embed(FuzzySet(chi.space, chi.values)), ctx)
 
 
-def cmd_lift_open(args) -> int:
+@_command("lift-open", "lift a measure sequence through a surjection",
+          _arg("map", "map"), _arg("anchor", "measure"), _arg("sequence", "measure", nargs="+"))
+def _lift_open(args, ctx, f, mu0, *nus):
     from .openness import lift_open_surjection
 
-    ctx, f, mu0, *nus = _documents(
-        (args.map, "map"), (args.anchor, "measure"), *((path, "measure") for path in args.sequence)
-    )
-    lifts = lift_open_surjection(f, mu0, nus)
-    _emit({"lifts": [mio.measure_doc(m, ctx) for m in lifts]})
-    return 0
+    return {"lifts": [mio.measure_doc(m, ctx) for m in lift_open_surjection(f, mu0, nus)]}
 
 
-def cmd_bicommute(args) -> int:
+@_command("bicommute", "lift a coupling through a surjection on both axes",
+          _arg("map", "map"), _arg("measure", "measure"), _arg("coupling", "coupling"))
+def _bicommute(args, ctx, f, mu, nu):
     from .openness import bicommutative_lift
 
-    ctx, f, mu, nu = _documents(
-        (args.map, "map"), (args.measure, "measure"), (args.coupling, "coupling")
-    )
-    _emit(mio.coupling_doc(bicommutative_lift(f, mu, nu), ctx))
-    return 0
+    return mio.coupling_doc(bicommutative_lift(f, mu, nu), ctx)
 
 
-def cmd_couplings(args) -> int:
-    from .openness import (
-        coupling_feasible,
-        coupling_gap,
-        pattern_max_coupling,
-        tight_patterns,
-    )
+@_command("couplings", "feasibility and enumeration for max-marginal couplings",
+          _arg("left", "measure"), _arg("right", "measure"),
+          _arg("--check", "coupling", help="coupling document to test for feasibility"),
+          _arg("--enumerate", action="store_true", help="list tight patterns"),
+          _arg("--gap", "measure", help="target measure for the best-approximation gap"))
+def _couplings(args, ctx, mu1, mu2, coupling, target):
+    from .openness import coupling_feasible, coupling_gap, pattern_max_coupling, tight_patterns
 
-    ctx, mu1, mu2, coupling, target = _documents(
-        (args.left, "measure"),
-        (args.right, "measure"),
-        (args.check, "coupling"),
-        (args.gap, "measure"),
-    )
     out: dict[str, Any] = {}
     if coupling is not None:
         out["feasible"] = coupling_feasible(coupling, mu1, mu2)
@@ -234,11 +247,12 @@ def cmd_couplings(args) -> int:
         out["best_coupling"] = mio.coupling_doc(result.coupling, ctx)
     if not out:
         out["feasible"] = True  # the min-cap coupling always exists for valid marginals
-    _emit(out)
-    return 2 if out.get("feasible") is False else 0
+    return out, 2 if out.get("feasible") is False else 0
 
 
-def cmd_counterexample(args) -> int:
+@_command("counterexample", "the marginal-tracking gap at the two-point instance",
+          _arg("--l", default="1"))
+def _counterexample(args, ctx):
     from .openness import counterexample_instance, coupling_gap
 
     try:
@@ -250,46 +264,44 @@ def cmd_counterexample(args) -> int:
         raise mio.DocumentError("--l must be a positive integer or 'inf'")
     mu1, mu2, target = counterexample_instance(l)
     result = coupling_gap(mu1, mu2, target)
-    ctx = mio.Context({"X": mu1.space, "Y": mu2.space})
-    _emit(
-        {
-            "l": "inf" if l == math.inf else int(l),
-            "gap": result.gap,
-            "witness_phi": mio.function_doc(result.phi, ctx),
-            "best_coupling": mio.coupling_doc(result.coupling, ctx),
-        }
-    )
-    return 0
+    ctx.spaces.update(X=mu1.space, Y=mu2.space)
+    return {
+        "l": "inf" if l == math.inf else int(l),
+        "gap": result.gap,
+        "witness_phi": mio.function_doc(result.phi, ctx),
+        "best_coupling": mio.coupling_doc(result.coupling, ctx),
+    }
 
 
-def cmd_milyutin(args) -> int:
+@_command("milyutin", "fiber-product cover space with a measure selection",
+          _arg("metric", "metric_space"), _arg("covers", "cover_levels"),
+          _arg("--depth", type=int, default=1))
+def _milyutin(args, ctx, Y, levels):
     from .openness import milyutin_build
 
-    ctx, Y, levels = _documents((args.metric, "metric_space"), (args.covers, "cover_levels"))
     X, f, selection = milyutin_build(Y, levels, args.depth)
     cover_name = f"cover({ctx.name_of(Y.space)})"
     ctx.register(cover_name, X)
-    _emit(
-        {
-            "space": mio.space_doc(X, cover_name),
-            "map": mio.map_doc(f, ctx),
-            "selection": [
-                {"y": mio.encode_label(y), "measure": mio.measure_doc(selection[y], ctx)}
-                for y in Y.space.points
-            ],
-        }
-    )
-    return 0
+    return {
+        "space": mio.space_doc(X, cover_name),
+        "map": mio.map_doc(f, ctx),
+        "selection": [
+            {"y": mio.encode_label(y), "measure": mio.measure_doc(selection[y], ctx)}
+            for y in Y.space.points
+        ],
+    }
 
 
-def cmd_check_laws(args) -> int:
+@_command("check-laws", "run the algebraic law harness",
+          _arg("--seed", type=int, default=0), _arg("--cases", type=int, default=200),
+          _arg("--max-points", type=int, default=4))
+def _check_laws(args, ctx):
     from .laws import run_all_laws
 
     reports = run_all_laws(seed=args.seed, cases=args.cases, max_points=args.max_points)
     out = {"seed": args.seed, "cases": args.cases}
     out.update({name: report.status for name, report in reports.items()})
-    _emit(out)
-    return 0 if all(r.ok for r in reports.values()) else 3
+    return out, 0 if all(r.ok for r in reports.values()) else 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,106 +318,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Max-plus (idempotent) measure toolkit over finite spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("integrate", help="Maslov integral of a function against a measure")
-    p.add_argument("measure")
-    p.add_argument("function")
-    p.set_defaults(fn=cmd_integrate)
-
-    p = sub.add_parser("push", help="pushforward of a measure along a map")
-    p.add_argument("map")
-    p.add_argument("measure")
-    p.set_defaults(fn=cmd_push)
-
-    p = sub.add_parser("lift", help="maximal lift of a measure through a surjection")
-    p.add_argument("map")
-    p.add_argument("measure")
-    p.set_defaults(fn=cmd_lift)
-
-    p = sub.add_parser("tensor", help="sum-weight coupling of two measures")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(fn=cmd_tensor)
-
-    p = sub.add_parser("zeta", help="collapse a measure of measures by max-plus mixing")
-    p.add_argument("outer")
-    p.set_defaults(fn=cmd_zeta)
-
-    p = sub.add_parser("marginal", help="axis marginal of a measure on a product")
-    p.add_argument("measure")
-    p.add_argument("--axis", type=int, default=0)
-    p.set_defaults(fn=cmd_marginal)
-
-    p = sub.add_parser("barycenter", help="idempotent barycenter of a measure over a cloud")
-    p.add_argument("cloud")
-    p.add_argument("measure")
-    p.set_defaults(fn=cmd_barycenter)
-
-    p = sub.add_parser("dist", help="Lipschitz-dual pseudometric between two measures")
-    p.add_argument("metric")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--oracle", action="store_true", help="also run the grid oracle")
-    p.add_argument("--step", type=float, default=0.01)
-    p.set_defaults(fn=cmd_dist)
-
-    p = sub.add_parser("sup", help="pointwise supremum of measures")
-    p.add_argument("measures", nargs="+")
-    p.set_defaults(fn=cmd_sup)
-
-    p = sub.add_parser("hyper", help="embed a 0/1 indicator set as a measure")
-    p.add_argument("indicator")
-    p.set_defaults(fn=cmd_hyper)
-
-    p = sub.add_parser("fuzzy", help="embed a [0,1]-graded fuzzy set as a measure")
-    p.add_argument("grades")
-    p.set_defaults(fn=cmd_fuzzy)
-
-    p = sub.add_parser("lift-open", help="lift a measure sequence through a surjection")
-    p.add_argument("map")
-    p.add_argument("anchor")
-    p.add_argument("sequence", nargs="+")
-    p.set_defaults(fn=cmd_lift_open)
-
-    p = sub.add_parser("bicommute", help="lift a coupling through a surjection on both axes")
-    p.add_argument("map")
-    p.add_argument("measure")
-    p.add_argument("coupling")
-    p.set_defaults(fn=cmd_bicommute)
-
-    p = sub.add_parser("couplings", help="feasibility and enumeration for max-marginal couplings")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--check", help="coupling document to test for feasibility")
-    p.add_argument("--enumerate", action="store_true", help="list tight patterns")
-    p.add_argument("--gap", help="target measure for the best-approximation gap")
-    p.set_defaults(fn=cmd_couplings)
-
-    p = sub.add_parser("counterexample", help="the marginal-tracking gap at the two-point instance")
-    p.add_argument("--l", default="1")
-    p.set_defaults(fn=cmd_counterexample)
-
-    p = sub.add_parser("milyutin", help="fiber-product cover space with a measure selection")
-    p.add_argument("metric")
-    p.add_argument("covers")
-    p.add_argument("--depth", type=int, default=1)
-    p.set_defaults(fn=cmd_milyutin)
-
-    p = sub.add_parser("check-laws", help="run the algebraic law harness")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--max-points", type=int, default=4)
-    p.set_defaults(fn=cmd_check_laws)
-
+    for name, (help_text, arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg_name, _, options in arguments:
+            p.add_argument(arg_name, **options)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, arguments, run = _COMMANDS[args.command]
+    specs = []
+    for name, kind, _ in arguments:
+        if kind:  # a file argument: a path, None (an option not given) or a list of paths
+            paths = getattr(args, name.lstrip("-").replace("-", "_"))
+            specs += [(p, kind) for p in (paths if isinstance(paths, list) else [paths])]
     try:
-        return args.fn(args)
+        ctx, *docs = _documents(*specs)
+        out = run(args, ctx, *docs)
+        out, code = out if isinstance(out, tuple) else (out, 0)
+        sys.stdout.write(mio.dumps(out))
+        return code
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

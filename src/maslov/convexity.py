@@ -70,9 +70,7 @@ class PointCloudSpace(_Value):
         return len(self._columns)
 
     def point(self, label: Label) -> TropicalPoint:
-        i = self.space._lookup(label)
-        if i is None:
-            raise KeyError(label)
+        i = self.space.index(label)
         return tuple(col[i] for col in self._columns)
 
 

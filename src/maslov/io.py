@@ -456,6 +456,8 @@ def decode(obj: Mapping[str, Any], ctx: Context, expect: str | None = None):
         raise
     except (TypeError, ValueError) as exc:
         raise DocumentError(str(exc)) from None
+    except RecursionError:
+        raise DocumentError("document nested too deeply") from None
 
 
 def dumps(doc: Any) -> str:

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import importlib.resources as res
 import io as std_io
 import json
@@ -6,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -930,6 +933,11 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: maslov")
 
+    def test_help_and_usage_golden(self):
+        # every help and usage text, byte for byte, with its exit code
+        golden = json.loads((GOLDEN / "cli_help.json").read_text(encoding="utf-8"))
+        assert help_outcomes() == golden
+
     def test_infeasible_check_exits_two(self, tmp_path, capsys):
         X, Y = space("ab"), space("uv")
         mu1 = write(tmp_path, "mu1.json", mio.measure_doc(normalize(X, {"a": 0, "b": -1})))
@@ -957,3 +965,23 @@ class TestDeterminism:
         text = mio.dumps(doc)
         again = mio.dumps(json.loads(text))
         assert text == again
+
+
+def help_outcomes():
+    """stdout, stderr and exit code of `maslov --help`, bare `maslov`, and
+    `maslov <cmd> --help` and `maslov <cmd> --bogus` for every subcommand,
+    at 80 columns; `tests/golden/cli_help.json` is this dict as JSON."""
+    parser = cli.build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    argvs = [["--help"], []] + [[c, flag] for c in commands for flag in ("--help", "--bogus")]
+    outcomes = {}
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in argvs:
+            out, err = std_io.StringIO(), std_io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            outcomes[" ".join(argv)] = {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+    return outcomes

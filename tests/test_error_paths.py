@@ -344,6 +344,11 @@ LIBRARY = {
         lambda: PointCloudSpace(X2, {"a": (0.0,), "b": (0.0, 1.0)}),
         ValueError, "inconsistent coordinate dimensions",
     ),
+    # the cloud reads a label as the space does
+    **{
+        f"cloud point: {name}": (lambda label=label: CLOUD.point(label), ValueError, f"unknown point {label!r}")
+        for name, label in (("label outside", "z"), ("a tuple", ("a",)), ("an array", []))
+    },
     "barycenter: measure off the cloud": (
         lambda: barycenter(CLOUD, dirac(Y2, "u")),
         ValueError, "measure does not live on the cloud's space",
@@ -828,6 +833,12 @@ def test_library_rejects(case):
         call()
 
 
+# a label 500 arrays deep: JSON parses it, and reading it as a label passes
+# the recursion limit
+DEEP_LABEL = "a"
+for _ in range(500):
+    DEEP_LABEL = [DEEP_LABEL]
+
 # Documents that `io.decode` rejects, each with the kind it is decoded as.
 # The context knows X = {a, b} and Y = {u, v}.
 DECODE = {
@@ -907,6 +918,10 @@ DECODE = {
     "kind as an object": (
         "measure", {"kind": {}, "space": "X", "atoms": {"a": 0, "b": -1}},
         "unknown document kind {}",
+    ),
+    "label 500 arrays deep": (
+        "measure", {"kind": "measure", "space": "X", "atoms": [["a", 0], [DEEP_LABEL, -1]]},
+        "document nested too deeply",
     ),
 }
 
@@ -1006,6 +1021,7 @@ FAR = {"kind": "metric_space", "points": ["a", "b", "c"],
        "dist": [[0.0 if i == j else 1e308 for j in range(3)] for i in range(3)]}
 
 # argv builders over a temporary directory, and the stderr each one prints
+# (or a function of the directory that gives it)
 CLI = {
     "hyper on a non-indicator": (
         lambda t: ["hyper", _doc(t, "f.json", mio.function_doc(FiniteFunction(X2, (1.0, 0.5))))],
@@ -1083,6 +1099,23 @@ CLI = {
         ],
         "unknown document kind []",
     ),
+    "integrate on a document 100,000 arrays deep": (
+        lambda t: [
+            "integrate",
+            _write(t, "deep.json", "[" * 100_000 + "]" * 100_000),
+            _doc(t, "f.json", mio.function_doc(PHI, mio.Context({"X": X2}))),
+        ],
+        lambda t: f"{t / 'deep.json'}: document nested too deeply",
+    ),
+    "integrate on a label 500 arrays deep": (
+        lambda t: [
+            "integrate",
+            _write(t, "m.json", '{"kind": "measure", "space": "X", "atoms": [["a", 0], [%s, -1]]}'
+                   % ("[" * 500 + '"a"' + "]" * 500)),
+            _doc(t, "f.json", mio.function_doc(PHI, mio.Context({"X": X2}))),
+        ],
+        "document nested too deeply",
+    ),
     "cover_levels on another space": (
         lambda t: [
             "milyutin",
@@ -1099,6 +1132,8 @@ CLI = {
 def test_cli_exits_one(tmp_path, capsys, case):
     argv, message = CLI[case]
     code = cli.main(argv(tmp_path))
+    if callable(message):
+        message = message(tmp_path)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

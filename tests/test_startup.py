@@ -17,6 +17,7 @@ it pulls in; no other class writes `==` or hash, and only two value
 classes write their own repr.  Every name a module imports is read in it.
 """
 
+import argparse
 import ast
 import json
 import os
@@ -226,8 +227,9 @@ def argvs(tmp_path_factory):
 
 
 def test_every_subcommand_pinned():
-    commands = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
-    assert set(MODULES) == commands
+    parser = cli.build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(MODULES) == set(commands)
 
 
 @pytest.mark.parametrize("command", sorted(MODULES))
