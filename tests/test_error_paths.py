@@ -5,6 +5,7 @@ run `cli.main` on documents written to a temporary directory and assert
 the exit code, an empty stdout and the `error: …` line on stderr.
 """
 
+import json
 import math
 import re
 
@@ -346,7 +347,9 @@ LIBRARY = {
     ),
     # the cloud reads a label as the space does
     **{
-        f"cloud point: {name}": (lambda label=label: CLOUD.point(label), ValueError, f"unknown point {label!r}")
+        f"cloud point: {name}": (
+            lambda label=label: CLOUD.point(label), ValueError, f"unknown point {label!r}",
+        )
         for name, label in (("label outside", "z"), ("a tuple", ("a",)), ("an array", []))
     },
     "barycenter: measure off the cloud": (
@@ -1110,8 +1113,7 @@ CLI = {
     "integrate on a label 500 arrays deep": (
         lambda t: [
             "integrate",
-            _write(t, "m.json", '{"kind": "measure", "space": "X", "atoms": [["a", 0], [%s, -1]]}'
-                   % ("[" * 500 + '"a"' + "]" * 500)),
+            _write(t, "m.json", json.dumps(DECODE["label 500 arrays deep"][1])),
             _doc(t, "f.json", mio.function_doc(PHI, mio.Context({"X": X2}))),
         ],
         "document nested too deeply",
