@@ -12,7 +12,7 @@ from itertools import chain
 from operator import add, itemgetter
 from typing import Mapping, Sequence
 
-from .core import NEG_INF, FiniteSpace, Label, _Value, _floats, _tuple, combine
+from .core import NEG_INF, FiniteSpace, Label, _Value, _floats, _require, _tuple, combine
 from .measures import IdempotentMeasure
 from .monad import OuterMeasure, multiply
 
@@ -49,6 +49,7 @@ class PointCloudSpace(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        _require(self.space, FiniteSpace, "a cloud's space")
         raw = self.space.dense(self._columns, "embed")
         coords = [_floats(q, "cloud coordinates must be numbers") for q in raw]
         if not all(map(math.isfinite, chain.from_iterable(coords))):
@@ -87,6 +88,8 @@ def barycenter(cloud: PointCloudSpace, mu: IdempotentMeasure) -> TropicalPoint:
     sum is -inf, as the coordinates are finite, and a sum of -inf is never
     maximal, as the weights (never NaN) hold a 0.0, whose sum is finite.
     """
+    _require(cloud, PointCloudSpace, "a barycenter's cloud")
+    _require(mu, IdempotentMeasure, "a barycenter's measure")
     if mu.space != cloud.space:
         raise ValueError("measure does not live on the cloud's space")
     return tuple([max(map(add, mu.weights, col)) for col in cloud._columns])
@@ -99,6 +102,8 @@ def algebra_law_check(cloud: PointCloudSpace, M: OuterMeasure) -> bool:
     Right side: barycenter of M pushed along the barycenter map, computed
     independently as the coordinatewise max over components.
     """
+    _require(cloud, PointCloudSpace, "an algebra law's cloud")
+    _require(M, OuterMeasure, "an algebra law's outer measure")
     if M.base != cloud.space:
         raise ValueError("outer measure does not live over the cloud's space")
     left = barycenter(cloud, multiply(M))

@@ -509,6 +509,7 @@ class FiniteFunction(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        _require(self.space, FiniteSpace, "a function's space")
         vals = _as_values(self.values)
         if len(vals) != len(self.space):
             raise ValueError("one value per point required")

@@ -32,6 +32,8 @@ class PointMap(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        _require(self.source, FiniteSpace, "a map's source")
+        _require(self.target, FiniteSpace, "a map's target")
         images = self.source.dense(self._targets, "map")
         try:
             targets = tuple(map(self.target._lookup, images))

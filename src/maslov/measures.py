@@ -77,6 +77,7 @@ class IdempotentMeasure(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        _require(self.space, FiniteSpace, "a measure's space")
         w = _as_weights(self.weights)
         if len(w) != len(self.space):
             raise ValueError("one weight per point required")

@@ -23,7 +23,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from .core import NEG_INF, MetricSpace, _as_weights, _distances, _real, _tuple
+from .core import NEG_INF, MetricSpace, _as_weights, _distances, _real, _require, _tuple
 from .measures import IdempotentMeasure
 
 # numpy is imported inside the array kernels, as in core.
@@ -178,7 +178,12 @@ def _check_n(n: int) -> None:
 
 
 def _check(n: int, X: MetricSpace, *measures: IdempotentMeasure) -> None:
+    """Check n, the class of X and of each measure, and that each measure
+    lives on X's points."""
     _check_n(n)
+    _require(X, MetricSpace, "a dual distance's metric")
+    for mu in measures:
+        _require(mu, IdempotentMeasure, "a compared measure")
     if any(mu.space != X.space for mu in measures):
         raise ValueError("measures must live on the metric space's point set")
 
@@ -330,14 +335,19 @@ def outer_dtilde(n: int, X: MetricSpace, M: OuterMeasure, N: OuterMeasure) -> fl
     from M's support to N's support, so only that p×q block of the
     ground table is computed: the result equals
     `maxmin_gap(inner_distance_table(n, X, M.inner + N.inner), n,
-    λ‖-inf, -inf‖κ) / n` wherever that returns.  n and every inner
-    measure are checked.  A pair the gap does not read (within M, within
-    N, or with an inner measure of weight -inf) is not computed, so a
-    gap past the float maximum there raises nothing.
+    λ‖-inf, -inf‖κ) / n` wherever that returns.  n and the classes of X,
+    M and N are checked, and that M and N live over X's points, as every
+    inner measure then does.  A pair the gap does not read (within M,
+    within N, or with an inner measure of weight -inf) is not computed, so
+    a gap past the float maximum there raises nothing.
     """
+    from .monad import OuterMeasure  # here, so `maslov dist` loads no monad
+
+    _check(n, X)
+    _require(M, OuterMeasure, "an outer dtilde's argument")
+    _require(N, OuterMeasure, "an outer dtilde's argument")
     if M.base != X.space or N.base != X.space:
         raise ValueError("outer measures must live over the metric space's point set")
-    _check(n, X, *M.inner, *N.inner)
     import numpy as np
 
     lam, kap = np.array([M.weights]), np.array([N.weights])

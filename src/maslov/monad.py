@@ -73,6 +73,7 @@ class OuterMeasure(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        _require(self.base, FiniteSpace, "an outer measure's base")
         inner = _tuple(self.inner, "inner components must be a sequence of measures, got {!r}")
         w = _as_weights(self.weights)
         if not inner:
@@ -309,6 +310,7 @@ class ClosedSet(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        _require(self.space, FiniteSpace, "a closed set's space")
         members = self.space.subset(self.members, "closed set")
         if not members:
             raise ValueError("closed sets are nonempty")
@@ -369,6 +371,7 @@ class FuzzySet(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        _require(self.space, FiniteSpace, "a fuzzy set's space")
         g = _floats(self.grades, "grades must be numbers")
         if len(g) != len(self.space):
             raise ValueError("one grade per point required")

@@ -1,11 +1,23 @@
 import itertools
+import os
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from maslov import NEG_INF, FiniteFunction, FiniteSpace, PointMap
 
 pytest_plugins = ["pytester"]
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def child_env(**overrides):
+    """The environment of a child Python process that imports maslov from
+    this checkout's src, with the given variables set."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 # Dyadic quarters: float max/+ are exact on these, so law tests can use ==.
 dyadic = st.integers(-16, 16).map(lambda k: k / 4.0)

@@ -19,6 +19,7 @@ except ImportError:  # optional test dependency; the schema checks skip without 
 
 import maslov.cli as cli
 import maslov.io as mio
+from conftest import child_env
 from maslov import (
     CoverPair,
     FiniteFunction,
@@ -58,7 +59,6 @@ CHECK_LAWS_SEED0_CASES50 = """{
 
 # Golden stdout, byte for byte, for the coupling-gap commands.
 GOLDEN = Path(__file__).resolve().parent / "golden"
-ROOT = GOLDEN.parent.parent
 
 SCHEMA = json.loads(res.files("maslov.schemas").joinpath("document.schema.json").read_text())
 KINDS = SCHEMA["properties"]["kind"]["enum"]
@@ -284,9 +284,18 @@ class TestMalformedTables:
     # raw text that a plain json.load reads leniently: the last repeated key
     # wins, and -Infinity parses although the format writes -inf as "-inf"
     RAW = {
-        "repeated atom": '{"kind": "measure", "space": "X", "atoms": {"a": -1, "a": 0, "b": -2}}',
-        "repeated kind": '{"kind": "function", "kind": "measure", "space": "X", "atoms": {"a": 0}}',
-        "-Infinity weight": '{"kind": "measure", "space": "X", "atoms": {"a": 0, "b": -Infinity}}',
+        "repeated atom": (
+            '{"kind": "measure", "space": "X", "atoms": {"a": -1, "a": 0, "b": -2}}',
+            "key 'a' repeated in an object",
+        ),
+        "repeated kind": (
+            '{"kind": "function", "kind": "measure", "space": "X", "atoms": {"a": 0}}',
+            "key 'kind' repeated in an object",
+        ),
+        "-Infinity weight": (
+            '{"kind": "measure", "space": "X", "atoms": {"a": 0, "b": -Infinity}}',
+            "-Infinity is not a JSON number",
+        ),
     }
 
     @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
@@ -294,17 +303,18 @@ class TestMalformedTables:
     def test_cli_rejects_raw_text(self, tmp_path, capsys, monkeypatch, case, stdin):
         ms = write(tmp_path, "ms.json", mio.metric_space_doc(metric_closure(X2, [[0, 1], [1, 0]]), "X"))
         good = write(tmp_path, "good.json", mio.measure_doc(dirac(X2, "a")))
+        text, message = self.RAW[case]
         if stdin:
             bad = "-"
-            monkeypatch.setattr("sys.stdin", _byte_stdin(self.RAW[case].encode("utf-8")))
+            monkeypatch.setattr("sys.stdin", _byte_stdin(text.encode("utf-8")))
         else:
             bad = str(tmp_path / "bad.json")
-            Path(bad).write_text(self.RAW[case], encoding="utf-8")
+            Path(bad).write_text(text, encoding="utf-8")
         code = cli.main(["dist", ms, bad, good])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {bad}: ")
+        assert captured.err == f"error: {bad}: {message}\n"
 
     @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
     def test_cli_rejects_non_utf8(self, tmp_path, capsys, monkeypatch, stdin):
@@ -758,6 +768,9 @@ class TestErrorPaths:
             mio.coupling_doc(dirac(product_space(cj2, cj2), ("x1", "x1"))),
         )
         assert cli.main(["bicommute", g2, mu2, nu2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "infeasible: first marginal of the coupling differs from the image of mu\n"
 
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
         f = write(tmp_path, "f.json", mio.function_doc(FiniteFunction(X2, (3.0, 5.0))))
@@ -774,8 +787,7 @@ class TestErrorPaths:
         m.write_text(json.dumps(mio.measure_doc(normalize(E, {"é": 0, "b": -1})), ensure_ascii=False),
                      encoding="utf-8")
         f = write(tmp_path, "f.json", mio.function_doc(FiniteFunction(E, (4.0, 1.0))))
-        env = dict(os.environ, PYTHONIOENCODING="latin-1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        env = child_env(PYTHONIOENCODING="latin-1")
 
         def fresh(argv):
             proc = subprocess.run(
@@ -795,11 +807,9 @@ class TestHashSeed:
 
     @staticmethod
     def _fresh(argv, seed):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "maslov.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=child_env(PYTHONHASHSEED=seed), capture_output=True, text=True, timeout=120,
         )
         return proc.returncode, proc.stdout
 

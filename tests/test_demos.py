@@ -1,13 +1,12 @@
 """Every narrative script under demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, child_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,9 +16,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], env=child_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr

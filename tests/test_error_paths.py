@@ -44,7 +44,7 @@ from maslov.measures import (
     support,
 )
 from maslov.laws import check_monad_laws
-from maslov.metrics import dhat, grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
+from maslov.metrics import dhat, dhat_oracle, grid_gap, inner_distance_table, maxmin_gap, outer_dtilde
 from maslov.monad import (
     ClosedSet,
     FuzzySet,
@@ -759,6 +759,82 @@ LIBRARY = {
         lambda: maxmin_gap([[0, 1], [1, 0]], 1, None, [-1.0, 0.0]),
         TypeError, "weights must be numbers, got None",
     ),
+    # a space of another class once built a value whose later reads raised
+    # AttributeError, or leaked AttributeError or another check's message
+    "measure: a string for the space": (
+        lambda: IdempotentMeasure("ab", (0.0, -1.0)),
+        TypeError, "a measure's space must be a FiniteSpace, got str",
+    ),
+    "function: a string for the space": (
+        lambda: FiniteFunction("ab", (0.0, 1.0)),
+        TypeError, "a function's space must be a FiniteSpace, got str",
+    ),
+    "fuzzy: a string for the space": (
+        lambda: FuzzySet("ab", (1.0, 0.5)),
+        TypeError, "a fuzzy set's space must be a FiniteSpace, got str",
+    ),
+    "outer: a string for the base": (
+        lambda: OuterMeasure("ab", (dirac(X2, "a"),), (0.0,)),
+        TypeError, "an outer measure's base must be a FiniteSpace, got str",
+    ),
+    "closed set: a string for the space": (
+        lambda: ClosedSet("ab", {"a"}),
+        TypeError, "a closed set's space must be a FiniteSpace, got str",
+    ),
+    "cloud: a string for the space": (
+        lambda: PointCloudSpace("ab", {"a": (0.0,), "b": (1.0,)}),
+        TypeError, "a cloud's space must be a FiniteSpace, got str",
+    ),
+    "map: a tuple for the source": (
+        lambda: PointMap(X2.points, Y2, {"a": "u", "b": "v"}),
+        TypeError, "a map's source must be a FiniteSpace, got tuple",
+    ),
+    "map: a string for the target": (
+        lambda: PointMap(X2, "uv", {"a": "u", "b": "v"}),
+        TypeError, "a map's target must be a FiniteSpace, got str",
+    ),
+    # a metric, measure, cloud or outer measure of another class once
+    # leaked AttributeError
+    "dhat: a space for the metric": (
+        lambda: dhat(1, X2, dirac(X2, "a"), dirac(X2, "a")),
+        TypeError, "a dual distance's metric must be a MetricSpace, got FiniteSpace",
+    ),
+    "dhat: a function for a measure": (
+        lambda: dhat(1, M2, PHI, dirac(X2, "a")),
+        TypeError, "a compared measure must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "dhat oracle: a function for a measure": (
+        lambda: dhat_oracle(1, M2, PHI, dirac(X2, "a")),
+        TypeError, "a compared measure must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "inner distance table: a function for a measure": (
+        lambda: inner_distance_table(1, M2, [PHI]),
+        TypeError, "a compared measure must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "outer dtilde: a measure for the first outer measure": (
+        lambda: outer_dtilde(1, M2, dirac(X2, "a"), OuterMeasure(X2, (dirac(X2, "a"),), (0.0,))),
+        TypeError, "an outer dtilde's argument must be an OuterMeasure, got IdempotentMeasure",
+    ),
+    "outer dtilde: a measure for the second outer measure": (
+        lambda: outer_dtilde(1, M2, OuterMeasure(X2, (dirac(X2, "a"),), (0.0,)), dirac(X2, "a")),
+        TypeError, "an outer dtilde's argument must be an OuterMeasure, got IdempotentMeasure",
+    ),
+    "barycenter: a space for the cloud": (
+        lambda: barycenter(X2, dirac(X2, "a")),
+        TypeError, "a barycenter's cloud must be a PointCloudSpace, got FiniteSpace",
+    ),
+    "barycenter: a function for the measure": (
+        lambda: barycenter(CLOUD, PHI),
+        TypeError, "a barycenter's measure must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "algebra law: a space for the cloud": (
+        lambda: algebra_law_check(X2, OuterMeasure(X2, (dirac(X2, "a"),), (0.0,))),
+        TypeError, "an algebra law's cloud must be a PointCloudSpace, got FiniteSpace",
+    ),
+    "algebra law: a measure for the outer measure": (
+        lambda: algebra_law_check(CLOUD, dirac(X2, "a")),
+        TypeError, "an algebra law's outer measure must be an OuterMeasure, got IdempotentMeasure",
+    ),
 }
 
 # Every reader of a number, given a bool, None, a container and an int past
@@ -1094,14 +1170,17 @@ CLI = {
         )
         for text, value in (("true", True), ("null", None))
     },
-    "integrate on a document whose kind is []": (
-        lambda t: [
-            "integrate",
-            _write(t, "m.json", '{"kind": [], "space": "X", "atoms": {"a": 0, "b": -1}}'),
-            _doc(t, "f.json", mio.function_doc(PHI, mio.Context({"X": X2}))),
-        ],
-        "unknown document kind []",
-    ),
+    **{
+        f"integrate on a document whose kind is {kind}": (
+            lambda t, kind=kind: [
+                "integrate",
+                _write(t, "m.json", '{"kind": %s, "space": "X", "atoms": {"a": 0, "b": -1}}' % kind),
+                _doc(t, "f.json", mio.function_doc(PHI, mio.Context({"X": X2}))),
+            ],
+            f"unknown document kind {kind}",
+        )
+        for kind in ("[]", "{}")
+    },
     "integrate on a document 100,000 arrays deep": (
         lambda t: [
             "integrate",

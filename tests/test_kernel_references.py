@@ -2377,7 +2377,7 @@ def _value_samples():
                            FiniteFunction(X, (2, 1))],
         "MetricSpace": [metric_closure(X, [[0, 1], [1, 0]]), MetricSpace(X2, ((0, 1), (1, 0))),
                         MetricSpace(X, ((0, 2), (2, 0)))],
-        "IdempotentMeasure": [mu, mu2, nu, dirac(X, "b")],
+        "IdempotentMeasure": [mu, mu2, nu, dirac(X, "b"), dirac(product_space(X, Y), ("a", "v"))],
         "PointMap": [f, PointMap(X2, Y, {"b": "v", "a": "u"}),
                      PointMap(X, Y, {"a": "u", "b": "u"})],
         "OuterMeasure": [OuterMeasure(X, (mu, dirac(X, "b")), (0, -1)),

@@ -20,17 +20,16 @@ classes write their own repr.  Every name a module imports is read in it.
 import argparse
 import ast
 import json
-import os
 import re
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import pytest
 
 import maslov.cli as cli
 import maslov.io as mio
+from conftest import ROOT, child_env
 from maslov import (
     CoverPair,
     FiniteFunction,
@@ -49,8 +48,6 @@ from maslov import (
 )
 from maslov.monad import _ARRAY_POINTS
 
-ROOT = Path(__file__).resolve().parent.parent
-
 # Runs each argv through cli.main in one fresh process and prints, per call,
 # the exit code and whether numpy was loaded after it.
 CHILD = """
@@ -63,12 +60,6 @@ for argv in json.loads(sys.argv[1]):
     loaded.append([argv[0], code, "numpy" in sys.modules])
 print(json.dumps(loaded))
 """
-
-
-def child_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return env
 
 
 def run_fresh(calls):
