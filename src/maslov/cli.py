@@ -23,8 +23,6 @@ loads only the modules that its subcommand reads.
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import math
 import sys
 from typing import Any, Callable, Sequence
@@ -33,57 +31,33 @@ from . import io as mio
 from .core import InfeasibleError
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        repeated = next(k for k in keys if keys.count(k) > 1)
-        raise mio.DocumentError(f"key {repeated!r} repeated in an object")
-    return obj
-
-
-def _no_constant(name: str) -> None:
-    raise mio.DocumentError(f"{name} is not a JSON number")
-
-
-def _read_json(path: str) -> Any:
-    """Read a UTF-8 document strictly: no repeated key in any object, no NaN or Infinity.
-
-    Standard input is read as bytes and decoded exactly as a file is, not in
-    the locale's encoding.
-    """
-    strict = {"object_pairs_hook": _unique_keys, "parse_constant": _no_constant}
+def _read(path: str) -> Any:
+    """The parsed document at a path, or on standard input for "-", read as
+    bytes and parsed by `mio.loads` whatever the locale; a read error names
+    the path."""
     try:
         if path == "-":
-            raw = sys.stdin.buffer.read()
-        else:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), **strict)
-    except json.JSONDecodeError as exc:
-        raise mio.DocumentError(f"{path}: invalid JSON ({exc})") from None
-    except RecursionError:
-        raise mio.DocumentError(f"{path}: document nested too deeply") from None
-    except (mio.DocumentError, OSError, UnicodeDecodeError) as exc:
+            return mio.loads(sys.stdin.buffer.read())
+        with open(path, "rb") as fh:
+            return mio.loads(fh.read())
+    except (mio.DocumentError, OSError) as exc:
         raise mio.DocumentError(f"{path}: {exc}") from None
 
 
 def _documents(*specs: tuple[str | None, str]) -> list[Any]:
-    """Read, check and decode documents given as (path, kind) pairs.
+    """Read and decode documents given as (path, kind) pairs.
 
     Returns the context and then one decoded object per pair; a None path
-    (an option not given) decodes to None.  Every document is read and
-    checked before any is decoded.  Decoding is one pass in argument order
-    into a fresh context, so a space name is defined by the first document
-    that uses it, and every document is decoded before any command computes.
+    (an option not given) decodes to None.  Every document is parsed before
+    any is decoded.  Decoding is one pass in argument order into a fresh
+    context, so a space name is defined by the first document that uses it,
+    and every document is decoded before any command computes.
     """
-    objs = [None if path is None else _read_json(path) for path, _ in specs]
-    if not all(obj is None or isinstance(obj, dict) for obj in objs):
-        raise mio.DocumentError("every document must be a JSON object")
+    objs = [None if path is None else _read(path) for path, _ in specs]
     ctx = mio.Context()
     return [ctx] + [
-        None if obj is None else mio.decode(obj, ctx, kind)
-        for obj, (_, kind) in zip(objs, specs)
+        None if path is None else mio.decode(obj, ctx, kind)
+        for obj, (path, kind) in zip(objs, specs)
     ]
 
 

@@ -7,16 +7,23 @@ of product-like spaces serialize as arrays of labels; since JSON object
 keys must be strings, measures over such spaces switch from an atom
 object to a list of [point, weight] pairs.
 
-This module is the decoder.  It reads a document's JSON structure and the
-"-inf" spelling; the constructors it calls read the numbers, so a JSON
-true, null, object or array where a number belongs is their TypeError, an
-integer too large for a float their ValueError, and `decode` raises both
-as a DocumentError.  schemas/document.schema.json describes the same
-format for other tools; nothing here reads it.
+This module is the one owner of the format.  `loads` parses a document's
+bytes strictly and `dumps` writes them.  `decode` reads a document's JSON
+structure and the "-inf" spelling; the constructors it calls read the
+numbers, so a JSON true, null, object or array where a number belongs is
+their TypeError, an integer too large for a float their ValueError, and
+`decode` raises both as a DocumentError.  schemas/document.schema.json,
+shipped beside this module, describes the same structures for other
+tools: the decoder accepts what the schema accepts, and rejects beyond it
+only what a schema cannot state (normalization, the metric and
+square-table rules, coordinate dimensions, U ⊆ V and the alpha rules of a
+cover pair, and references between tables and spaces).  The tests check
+that the two agree.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -420,9 +427,9 @@ def decode_cover_levels(obj: Mapping[str, Any], ctx: Context) -> list[MilyutinLe
         for entry in level:
             if not isinstance(entry, dict) or "U" not in entry or "V" not in entry:
                 raise DocumentError("each cover pair needs U and V")
-            alpha = entry.get("alpha")
-            if alpha is not None:
-                alpha = {p: decode_weight(v) for p, v in _entries(alpha, "alpha").items()}
+            alpha = None  # the library default; a JSON null is not an alpha table
+            if "alpha" in entry:
+                alpha = {p: decode_weight(v) for p, v in _entries(entry["alpha"], "alpha").items()}
             U = frozenset(_label_array(entry["U"], "U"))
             V = frozenset(_label_array(entry["V"], "V"))
             pairs.append(CoverPair(U, V, alpha))
@@ -443,8 +450,10 @@ _DECODERS = {
 }
 
 
-def decode(obj: Mapping[str, Any], ctx: Context, expect: str | None = None):
-    """Decode one document; every validation failure raises DocumentError."""
+def decode(obj: Any, ctx: Context, expect: str | None = None):
+    """Decode one parsed document; every validation failure raises DocumentError."""
+    if not isinstance(obj, Mapping):
+        raise DocumentError("every document must be a JSON object")
     kind = obj.get("kind")
     if type(kind) is not str or kind not in _DECODERS:  # an array or object kind is unhashable
         raise DocumentError(f"unknown document kind {kind!r}")
@@ -458,6 +467,34 @@ def decode(obj: Mapping[str, Any], ctx: Context, expect: str | None = None):
         raise DocumentError(str(exc)) from None
     except RecursionError:
         raise DocumentError("document nested too deeply") from None
+
+
+def loads(raw: bytes) -> Any:
+    """Parse a document's bytes, the inverse of `dumps`: strictly UTF-8, with
+    no repeated key in any object and no NaN or Infinity (a plain
+    `json.loads` keeps the last of a repeated key and reads both constants).
+    """
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated = next(k for k in keys if keys.count(k) > 1)
+            raise DocumentError(f"key {repeated!r} repeated in an object")
+        return obj
+
+    def no_constant(name: str) -> None:
+        raise DocumentError(f"{name} is not a JSON number")
+
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    try:
+        return json.load(text, object_pairs_hook=unique_keys, parse_constant=no_constant)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"invalid JSON ({exc})") from None
+    except RecursionError:
+        raise DocumentError("document nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def dumps(doc: Any) -> str:

@@ -20,6 +20,7 @@ from .core import (
     _Value,
     _as_weights,
     _require,
+    _tuple,
     as_weight,
     combine,
 )
@@ -204,7 +205,7 @@ def pointwise_sup(measures: Iterable[IdempotentMeasure]) -> IdempotentMeasure:
 
     Built trusted: each weight is a weight of some member.
     """
-    ms = list(measures)
+    ms = _tuple(measures, "members of a sup must be a sequence of measures, got {!r}")
     if not ms:
         raise ValueError("sup of an empty family")
     for m in ms:

@@ -233,6 +233,7 @@ def tensor_many(measures: Sequence[IdempotentMeasure]) -> IdempotentMeasure:
     nothing since 0.0 + w = w for every weight w, which is never -0.0.  A
     sum past -max is -inf on both paths.
     """
+    measures = _tuple(measures, "tensor factors must be a sequence of measures, got {!r}")
     if len(measures) < 2:
         raise ValueError("tensor_many needs at least two measures")
     for m in measures:
@@ -333,9 +334,11 @@ def hyperspace_embed(A: ClosedSet) -> IdempotentMeasure:
 
 def hyperspace_union(family: Iterable[ClosedSet]) -> ClosedSet:
     """The union of a nonempty family of sets on one space."""
-    fam = list(family)
+    fam = _tuple(family, "members of a union must be a sequence of closed sets, got {!r}")
     if not fam:
         raise ValueError("union of an empty family")
+    for A in fam:
+        _require(A, ClosedSet, "a member of a union")
     sp = fam[0].space
     if any(A.space != sp for A in fam):
         raise ValueError("sets live on different spaces")

@@ -211,8 +211,11 @@ def tight_patterns(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> Iterator[T
     column y a row x with a[x] >= b[y].  A cell picked both ways has
     a[x] = b[y], so every choice is a pattern and every pinned value is
     its cell cap, read from `_caps`.  Rows, columns and pinned cells come
-    in point order.
+    in point order.  The arguments are checked when it is called, before
+    the first pattern is asked for.
     """
+    _require(mu1, IdempotentMeasure, "a marginal")
+    _require(mu2, IdempotentMeasure, "a marginal")
     xs, ys = mu1.space.points, mu2.space.points
     if len(xs) > _PATTERN_CAP or len(ys) > _PATTERN_CAP:
         raise ValueError(f"tight-pattern enumeration is capped at {_PATTERN_CAP}x{_PATTERN_CAP}")
@@ -223,14 +226,18 @@ def tight_patterns(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> Iterator[T
         (tuple((y, x) for x, y in map(cells.__getitem__, pick)), pick)
         for pick in itertools.product(*col_choices)
     ]
-    for pick in itertools.product(*row_choices):
-        rows = tuple(map(cells.__getitem__, pick))
-        for cols, col_pick in col_picks:
-            yield TightPattern(
-                rows=rows,
-                cols=cols,
-                fixed=tuple((cells[k], caps[k]) for k in sorted({*pick, *col_pick})),
-            )
+
+    def patterns() -> Iterator[TightPattern]:
+        for pick in itertools.product(*row_choices):
+            rows = tuple(map(cells.__getitem__, pick))
+            for cols, col_pick in col_picks:
+                yield TightPattern(
+                    rows=rows,
+                    cols=cols,
+                    fixed=tuple((cells[k], caps[k]) for k in sorted({*pick, *col_pick})),
+                )
+
+    return patterns()
 
 
 def _caps(mu1: IdempotentMeasure, mu2: IdempotentMeasure) -> list[float]:

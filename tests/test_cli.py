@@ -5,6 +5,7 @@ import io as std_io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -220,29 +221,84 @@ class TestSchemas:
         },
     }
 
+    SAMPLES = {
+        "space": mio.space_doc(X2),
+        "metric_space": mio.metric_space_doc(metric_closure(X2, [[0, 1], [1, 0]]), "M"),
+        "measure": mio.measure_doc(dirac(X2, "a")),
+        "map": mio.map_doc(PointMap(X2, X2, {"a": "a", "b": "a"})),
+        "function": mio.function_doc(FiniteFunction(X2, (0.0, 1.5))),
+        "outer_measure": mio.outer_doc(OuterMeasure(X2, (dirac(X2, "a"),), (0.0,))),
+        "coupling": mio.coupling_doc(tensor(dirac(X2, "a"), dirac(X2, "b"))),
+        "cloud": mio.cloud_doc(PointCloudSpace(X2, {"a": (0.0,), "b": (1.0,)})),
+        "cover_levels": mio.cover_levels_doc(
+            [MilyutinLevel((CoverPair(frozenset("ab"), frozenset("ab")),))], X2
+        ),
+    }
+    PRODUCT = mio.measure_doc(tensor(dirac(X2, "a"), normalize(space("uv"), {"u": 0, "v": -2})))
+
     def test_documents_validate_against_shipped_schemas(self):
         pytest.importorskip("jsonschema")
         jsonschema.Draft202012Validator.check_schema(SCHEMA)
-        samples = {
-            "space": mio.space_doc(X2),
-            "metric_space": mio.metric_space_doc(
-                metric_closure(X2, [[0, 1], [1, 0]]), "M"
-            ),
-            "measure": mio.measure_doc(dirac(X2, "a")),
-            "map": mio.map_doc(PointMap(X2, X2, {"a": "a", "b": "a"})),
-            "function": mio.function_doc(FiniteFunction(X2, (0.0, 1.5))),
-            "outer_measure": mio.outer_doc(OuterMeasure(X2, (dirac(X2, "a"),), (0.0,))),
-            "coupling": mio.coupling_doc(tensor(dirac(X2, "a"), dirac(X2, "b"))),
-            "cloud": mio.cloud_doc(PointCloudSpace(X2, {"a": (0.0,), "b": (1.0,)})),
-            "cover_levels": mio.cover_levels_doc(
-                [MilyutinLevel((CoverPair(frozenset("ab"), frozenset("ab")),))], X2
-            ),
-        }
-        assert sorted(samples) == sorted(KINDS)
-        product = mio.measure_doc(tensor(dirac(X2, "a"), normalize(space("uv"), {"u": 0, "v": -2})))
-        assert isinstance(product["atoms"], list)
-        for doc in [*samples.values(), product]:
+        assert sorted(self.SAMPLES) == sorted(KINDS)
+        assert isinstance(self.PRODUCT["atoms"], list)
+        for doc in [*self.SAMPLES.values(), self.PRODUCT]:
             VALIDATOR.validate(doc)
+
+    # the values that a one-edit mutant sets a node to
+    EDITS = (None, True, 5, 2.5, "x", "-inf", [], {}, [None], {"k": None})
+    # The rules that the decoder checks and a schema cannot state, each with
+    # the decoder's messages for it.  No structural rule belongs here: the
+    # schema states those.
+    DECODER_ONLY = {
+        "normalization": r"(outer )?measure is not normalized: maximum weight must be 0",
+        "metric and square-table rules": r"distance table must be (square over the space|symmetric)"
+        r"|distance from a point to itself must be 0|distances must be finite and nonnegative"
+        r"|distinct points must be at positive distance|triangle inequality fails; .*",
+        "coordinate dimension": r"inconsistent coordinate dimensions",
+        "U ⊆ V": r"U must be contained in V",
+        "alpha rules": r"alpha must be (nonpositive|exactly 0 on U)|alpha defined outside V: .*",
+        "cross-reference": r"[\w ]+: (points outside the space|no entry for points) \[.*\]",
+    }
+
+    @classmethod
+    def mutants(cls, node):
+        """Every document one edit away from `node`: a node set to a value of
+        EDITS, a node deleted, or a key added to an object."""
+        yield from cls.EDITS
+        if isinstance(node, dict):
+            yield {**node, "k": 0}
+            for key, child in node.items():
+                yield {k: v for k, v in node.items() if k != key}
+                for m in cls.mutants(child):
+                    yield {**node, key: m}
+        elif isinstance(node, list):
+            for i, child in enumerate(node):
+                yield node[:i] + node[i + 1:]
+                for m in cls.mutants(child):
+                    yield [*node[:i], m, *node[i + 1:]]
+
+    def test_decoder_accepts_what_the_schema_accepts(self):
+        """The decoder accepts no mutant that the schema rejects, rejects
+        every mutant it rejects with a DocumentError, and rejects a mutant
+        the schema accepts only for a rule in DECODER_ONLY."""
+        pytest.importorskip("jsonschema")
+        decoder_only = re.compile("|".join(f"(?:{rule})" for rule in self.DECODER_ONLY.values()))
+        accepted_beyond_schema, not_document_errors, unlisted = [], [], []
+        for seed in [*self.SAMPLES.values(), self.PRODUCT]:
+            for doc in self.mutants(seed):
+                try:
+                    mio.decode(doc, mio.Context())
+                except mio.DocumentError as exc:
+                    if VALIDATOR.is_valid(doc) and not decoder_only.fullmatch(str(exc)):
+                        unlisted.append((doc, str(exc)))
+                except Exception as exc:  # any other class fails the test
+                    not_document_errors.append((doc, repr(exc)))
+                else:
+                    if not VALIDATOR.is_valid(doc):
+                        accepted_beyond_schema.append(doc)
+        assert accepted_beyond_schema == []
+        assert not_document_errors == []
+        assert unlisted == []
 
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_bad_documents_rejected(self, case):

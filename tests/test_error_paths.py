@@ -71,6 +71,7 @@ from maslov.openness import (
     lift_open_surjection,
     milyutin_build,
     pattern_max_coupling,
+    tight_patterns,
 )
 
 X2 = space("ab")
@@ -249,6 +250,10 @@ LIBRARY = {
     "sup: a function": (
         lambda: pointwise_sup([PHI]),
         TypeError, "a member of a sup must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "sup: a measure for the family": (
+        lambda: pointwise_sup(dirac(X2, "a")),
+        TypeError, f"members of a sup must be a sequence of measures, got {dirac(X2, 'a')!r}",
     ),
     "normalize: weight count": (
         lambda: normalize(X2, [0.0]),
@@ -539,6 +544,10 @@ LIBRARY = {
         lambda: tensor_many([dirac(X2, "a")]),
         ValueError, "tensor_many needs at least two measures",
     ),
+    "tensor_many: a measure for the factors": (
+        lambda: tensor_many(dirac(X2, "a")),
+        TypeError, f"tensor factors must be a sequence of measures, got {dirac(X2, 'a')!r}",
+    ),
     "flatten: flat space": (
         lambda: flatten_measure(dirac(X2, "a")),
         ValueError, "only measures on product spaces can be flattened",
@@ -563,6 +572,15 @@ LIBRARY = {
         lambda: hyperspace_union([ClosedSet(X2, frozenset("a")), ClosedSet(Y2, frozenset("u"))]),
         ValueError, "sets live on different spaces",
     ),
+    "union: a set for the family": (
+        lambda: hyperspace_union(ClosedSet(X2, frozenset("a"))),
+        TypeError,
+        f"members of a union must be a sequence of closed sets, got {ClosedSet(X2, frozenset('a'))!r}",
+    ),
+    "union: a measure": (
+        lambda: hyperspace_union([dirac(X2, "a")]),
+        TypeError, "a member of a union must be a ClosedSet, got IdempotentMeasure",
+    ),
     "map outer: base off the source": (
         lambda: map_outer(ONTO, OuterMeasure(Y2, (dirac(Y2, "u"),), (0.0,))),
         ValueError, "outer measure does not live over the source of the map",
@@ -579,7 +597,15 @@ LIBRARY = {
         lambda: FuzzySet(X2, b"\x01\x00"),
         TypeError, "grades must be numbers",
     ),
-    # openness
+    # openness; a generator checks its arguments when called, not when first iterated
+    "tight patterns: a function": (
+        lambda: tight_patterns(PHI, dirac(X2, "a")),
+        TypeError, "a marginal must be an IdempotentMeasure, got FiniteFunction",
+    ),
+    "tight patterns: a string": (
+        lambda: tight_patterns("ab", dirac(X2, "a")),
+        TypeError, "a marginal must be an IdempotentMeasure, got str",
+    ),
     "cover pair: empty U": (
         lambda: CoverPair(frozenset(), frozenset("a")),
         ValueError, "U must be nonempty",
@@ -1002,6 +1028,17 @@ DECODE = {
         "measure", {"kind": "measure", "space": "X", "atoms": [["a", 0], [DEEP_LABEL, -1]]},
         "document nested too deeply",
     ),
+    # a root that is not an object once raised AttributeError
+    **{
+        f"root {root!r}": ("measure", root, "every document must be a JSON object")
+        for root in (None, 5, [], "x")
+    },
+    # a null alpha once passed as no alpha; the schema and the library default say omit it
+    "cover pair with a null alpha": (
+        "cover_levels",
+        {"kind": "cover_levels", "space": "X", "levels": [[{"U": ["a"], "V": ["a", "b"], "alpha": None}]]},
+        "alpha must be an object or a list of pairs",
+    ),
 }
 
 # JSON true, null, {} and an integer past the float range where a number
@@ -1115,6 +1152,20 @@ CLI = {
         lambda t: ["marginal", _write(t, "a.json", "[1, 2]")],
         "every document must be a JSON object",
     ),
+    # a file holding null once decoded to None, as an option not given does
+    "integrate on a null document": (
+        lambda t: ["integrate", _write(t, "null.json", "null"),
+                   _doc(t, "f.json", mio.function_doc(PHI, mio.Context({"X": X2})))],
+        "every document must be a JSON object",
+    ),
+    **{
+        f"couplings {flag} on a null document": (
+            lambda t, flag=flag: ["couplings", _doc(t, "mu.json", MEASURE), _doc(t, "mu.json", MEASURE),
+                                  flag, _write(t, "null.json", "null")],
+            "every document must be a JSON object",
+        )
+        for flag in ("--check", "--gap")
+    },
     "repeated metric points": (
         lambda t: [
             "dist",
