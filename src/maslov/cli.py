@@ -215,10 +215,7 @@ def _couplings(args, ctx, mu1, mu2, coupling, target):
             for pattern in patterns
         ]
     if target is not None:
-        result = coupling_gap(mu1, mu2, target)
-        out["gap"] = result.gap
-        out["witness_phi"] = mio.function_doc(result.phi, ctx)
-        out["best_coupling"] = mio.coupling_doc(result.coupling, ctx)
+        out.update(mio.gap_doc(coupling_gap(mu1, mu2, target), ctx))
     if not out:
         out["feasible"] = True  # the min-cap coupling always exists for valid marginals
     return out, 2 if out.get("feasible") is False else 0
@@ -239,12 +236,7 @@ def _counterexample(args, ctx):
     mu1, mu2, target = counterexample_instance(l)
     result = coupling_gap(mu1, mu2, target)
     ctx.spaces.update(X=mu1.space, Y=mu2.space)
-    return {
-        "l": "inf" if l == math.inf else int(l),
-        "gap": result.gap,
-        "witness_phi": mio.function_doc(result.phi, ctx),
-        "best_coupling": mio.coupling_doc(result.coupling, ctx),
-    }
+    return {"l": "inf" if l == math.inf else int(l), **mio.gap_doc(result, ctx)}
 
 
 @_command("milyutin", "fiber-product cover space with a measure selection",

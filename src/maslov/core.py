@@ -12,9 +12,10 @@ from __future__ import annotations
 import copyreg
 import math
 import sys
+from collections.abc import Mapping
 from functools import partial
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, Union
 
 # numpy is imported inside the array kernels (MetricSpace validation and
 # metric_closure), so a process that builds no metric space never loads it.
@@ -27,6 +28,7 @@ NEG_INF = float("-inf")
 Label = Union[str, tuple]
 
 _REQUIRED: Any = object()  # dense(): a point the table leaves out is an error
+_TABLE = "{}: a table must be a mapping keyed by point labels, got {!r}"
 
 
 _TEXT = (str, bytes, bytearray, memoryview)  # float() parses these; no number here is text
@@ -137,6 +139,20 @@ def _require(value: object, cls: type, what: str) -> None:
     if not isinstance(value, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise TypeError(f"{what} must be {article} {cls.__name__}, got {value.__class__.__name__}")
+
+
+def _members(values: Any, cls: type, what: str, message: str) -> tuple:
+    """A family of library values as a tuple: the one family reader.
+
+    The family is read once by `_tuple`, so text or a value that is not
+    iterable raises TypeError(message.format(values)), and each member is
+    checked by `_require`, as `what`.
+    """
+    family = _tuple(values, message)
+    for value in family:
+        if not isinstance(value, cls):  # a call per member only to raise
+            _require(value, cls, what)
+    return family
 
 
 def oplus(a: float, b: float) -> float:
@@ -306,7 +322,10 @@ class FiniteSpace(_Value):
     Every table in the library (measure atoms, function values, metric rows)
     is kept in this order, which makes equality checks exact and serialized
     output deterministic.  The label-to-index table `_index` is built once,
-    at construction, and doubles as the distinctness check.
+    at construction, and doubles as the distinctness check.  A tuple of
+    points is taken as it is; any other collection is read by `_tuple`, so
+    text or a value that is not iterable is a TypeError (`space("abc")`
+    is the shorthand that reads text as its characters).
     """
 
     __slots__ = ("points", "_index")
@@ -319,7 +338,8 @@ class FiniteSpace(_Value):
 
     def __post_init__(self) -> None:
         if not isinstance(self.points, tuple):
-            object.__setattr__(self, "points", tuple(self.points))
+            points = _tuple(self.points, "a space's points must be a collection of labels, got {!r}")
+            object.__setattr__(self, "points", points)
         if not self.points:
             raise ValueError("a finite space needs at least one point")
         for p in self.points:
@@ -350,16 +370,20 @@ class FiniteSpace(_Value):
     def dense(self, table: Mapping[Label, Any], what: str, default: Any = _REQUIRED) -> tuple:
         """The entries of a label-keyed table as a tuple in canonical point order.
 
-        A key outside the space is an error.  A point the table leaves out
-        gets `default`, or is an error when no default is given.
+        A table that is not a `Mapping` is a TypeError, checked only once
+        the fast path for a table naming every point has failed.  A key
+        outside the space is an error.  A point the table leaves out gets
+        `default`, or is an error when no default is given.
         """
         if default is _REQUIRED:
             try:
                 values = tuple(map(table.__getitem__, self.points))
                 if len(table) == len(values):  # every point found and no other key
                     return values
-            except KeyError:
+            except (LookupError, TypeError, AttributeError):  # the checks below say why
                 pass
+        if not isinstance(table, Mapping):
+            raise TypeError(_TABLE.format(what, table))
         self.require(table, what)
         if default is _REQUIRED:
             missing = [p for p in self.points if p not in table]
@@ -734,5 +758,9 @@ def metric_closure(space: FiniteSpace, raw: Sequence[Sequence[float]] | np.ndarr
 
 
 def space(labels: Iterable[str]) -> FiniteSpace:
-    """Shorthand constructor: space("abc") or space(["a", "b"])."""
-    return FiniteSpace(tuple(labels))
+    """Shorthand constructor: space("abc") or space(["a", "b"]).
+
+    Text is read as its characters here only; any other argument is read
+    as `FiniteSpace` reads its points.
+    """
+    return FiniteSpace(tuple(labels) if isinstance(labels, str) else labels)

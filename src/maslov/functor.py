@@ -52,6 +52,7 @@ class PointMap(_Value):
 
     def then(self, g: "PointMap") -> "PointMap":
         """Composition g ∘ self (apply self first)."""
+        _require(g, PointMap, "a composed map")
         if g.source != self.target:
             raise ValueError("composition mismatch: inner target differs from outer source")
         return PointMap(self.source, g.target, {x: g(self(x)) for x in self.source.points})
@@ -112,6 +113,7 @@ def precompose(phi: FiniteFunction, f: PointMap) -> FiniteFunction:
 
 def lies_in_subspace(mu: IdempotentMeasure, A: Iterable[Label]) -> bool:
     """Whether the support of μ is contained in the given point set."""
+    _require(mu, IdempotentMeasure, "a subspace test's measure")
     pts = mu.space.subset(A, "subspace")
     return all(w == NEG_INF or p in pts for p, w in zip(mu.space.points, mu.weights))
 

@@ -45,7 +45,7 @@ if TYPE_CHECKING:
     from .convexity import PointCloudSpace
     from .functor import PointMap
     from .monad import OuterMeasure
-    from .openness import MilyutinLevel
+    from .openness import GapResult, MilyutinLevel
 
 
 class DocumentError(ValueError):
@@ -350,6 +350,13 @@ def coupling_doc(mu: IdempotentMeasure, ctx: Context | None = None) -> dict:
         "cols": ctx.name_of(cols),
         "table": table,
     }
+
+
+def gap_doc(result: GapResult, ctx: Context) -> dict:
+    """The entries of a `coupling_gap` result: the gap, its witness test
+    function and its best coupling, in that order."""
+    return {"gap": result.gap, "witness_phi": function_doc(result.phi, ctx),
+            "best_coupling": coupling_doc(result.coupling, ctx)}
 
 
 def decode_coupling(obj: Mapping[str, Any], ctx: Context) -> IdempotentMeasure:

@@ -19,8 +19,8 @@ from .core import (
     Label,
     _Value,
     _as_weights,
+    _members,
     _require,
-    _tuple,
     as_weight,
     combine,
 )
@@ -205,11 +205,10 @@ def pointwise_sup(measures: Iterable[IdempotentMeasure]) -> IdempotentMeasure:
 
     Built trusted: each weight is a weight of some member.
     """
-    ms = _tuple(measures, "members of a sup must be a sequence of measures, got {!r}")
+    ms = _members(measures, IdempotentMeasure, "a member of a sup",
+                  "members of a sup must be a sequence of measures, got {!r}")
     if not ms:
         raise ValueError("sup of an empty family")
-    for m in ms:
-        _require(m, IdempotentMeasure, "a member of a sup")
     sp = ms[0].space
     if any(m.space != sp for m in ms):
         raise ValueError("measures live on different spaces")

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .core import NEG_INF, MetricSpace, _as_weights, _distances, _real, _require, _tuple
+# Only metric-space work imports this module, and that work loads numpy anyway.
+import numpy as np
+
+from .core import NEG_INF, MetricSpace, _as_weights, _distances, _members, _real, _require, _tuple
 from .measures import IdempotentMeasure
 
-# numpy is imported inside the array kernels, as in core.
 if TYPE_CHECKING:
-    import numpy as np
-
     from .monad import OuterMeasure
 
 _SLACK_EPS = 1e-9
@@ -51,8 +51,6 @@ def maxmin_gap(
     n·d_ij alone would overflow, the terms are taken at half scale (see
     `_scaled`); a gap past the float maximum raises ValueError.
     """
-    import numpy as np
-
     d, lam, kap = _gap_args(dist, n, lam, kap)
     return float(_gaps(n, d, np.array([lam]), np.array([kap]))[0, 0])
 
@@ -72,8 +70,6 @@ def _gap_args(
     level up are pseudometrics: square, finite, nonnegative and symmetric,
     with the errors `MetricSpace` raises for those defects.
     """
-    import numpy as np
-
     _check_n(n)
     lam, kap = _as_weights(lam), _as_weights(kap)
     if not (isinstance(dist, np.ndarray) and dist.ndim):
@@ -113,8 +109,6 @@ def _gaps(n: int, d: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     ValueError names d where s·x passes the float maximum.  So a caller's
     (s·x)/n rounds the real s·x/n once, as x/(n/s) would.
     """
-    import numpy as np
-
     nd, scale = _scaled(n, d)
     A = rows / scale
     B = A if cols is rows else cols / scale
@@ -160,8 +154,6 @@ def _scaled(n: int, d: np.ndarray) -> tuple[np.ndarray, float]:
     keeps a positive subnormal distance positive; d_ij/2 would round it
     to 0.
     """
-    import numpy as np
-
     with np.errstate(over="ignore"):
         nd = n * d
         if np.isinf(nd).any():
@@ -177,15 +169,17 @@ def _check_n(n: int) -> None:
     _real(n, "", "the Lipschitz class bound n")  # an int: only its size can fail
 
 
-def _check(n: int, X: MetricSpace, *measures: IdempotentMeasure) -> None:
-    """Check n, the class of X and of each measure, and that each measure
-    lives on X's points."""
+def _check(n: int, X: MetricSpace, measures: Any = (), message: str = "") -> tuple:
+    """Check n and the class of X, then read the measures with
+    `core._members` (`message` is its error for a family that is not a
+    sequence) and check that each lives on X's points; the measures come
+    back as a tuple."""
     _check_n(n)
     _require(X, MetricSpace, "a dual distance's metric")
-    for mu in measures:
-        _require(mu, IdempotentMeasure, "a compared measure")
+    measures = _members(measures, IdempotentMeasure, "a compared measure", message)
     if any(mu.space != X.space for mu in measures):
         raise ValueError("measures must live on the metric space's point set")
+    return measures
 
 
 def dhat(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
@@ -194,9 +188,7 @@ def dhat(n: int, X: MetricSpace, mu: IdempotentMeasure, nu: IdempotentMeasure) -
     X's table was checked when X was built, so it goes to `_gaps` without
     `maxmin_gap`'s pass over its entries.
     """
-    _check(n, X, mu, nu)
-    import numpy as np
-
+    _check(n, X, (mu, nu))
     return float(_gaps(n, X._table, np.array([mu.weights]), np.array([nu.weights]))[0, 0])
 
 
@@ -225,8 +217,6 @@ def grid_gap(
     then step and radius, which are read by `core._real`: one that is not
     a number is a TypeError in the words of the bound it must meet.
     """
-    import numpy as np
-
     d, lam, kap = _gap_args(dist, n, lam, kap)
     message = "step and radius must be finite and positive"
     step, radius = _real(step, message), _real(radius, message)
@@ -301,7 +291,7 @@ def dhat_oracle(
     step: float = 0.01,
 ) -> float:
     """Grid-sweep evaluation of the dual gap, independent of the closed form."""
-    _check(n, X, mu, nu)
+    _check(n, X, (mu, nu))
     radius = max(default_radius(n, X, mu, nu), step)
     return grid_gap(X._table, n, mu.weights, nu.weights, step=step, radius=radius)
 
@@ -316,9 +306,7 @@ def inner_distance_table(
     is 0.  n and the space of every measure are checked for any number
     of measures, as `dtilde` checks them.
     """
-    _check(n, X, *measures)
-    import numpy as np
-
+    measures = _check(n, X, measures, "compared measures must be a sequence of measures, got {!r}")
     W = np.array([mu.weights for mu in measures])
     table = _gaps(n, X._table, W, W) / n
     np.fill_diagonal(table, 0.0)
@@ -348,8 +336,6 @@ def outer_dtilde(n: int, X: MetricSpace, M: OuterMeasure, N: OuterMeasure) -> fl
     _require(N, OuterMeasure, "an outer dtilde's argument")
     if M.base != X.space or N.base != X.space:
         raise ValueError("outer measures must live over the metric space's point set")
-    import numpy as np
-
     lam, kap = np.array([M.weights]), np.array([N.weights])
     sup_l, sup_k = lam[0] > NEG_INF, kap[0] > NEG_INF
     R = np.array([m.weights for m, s in zip(M.inner, sup_l) if s])

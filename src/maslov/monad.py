@@ -24,8 +24,8 @@ from .core import (
     _as_weights,
     _atomic_factors,
     _floats,
+    _members,
     _require,
-    _tuple,
     combine,
     product_space,
 )
@@ -74,18 +74,17 @@ class OuterMeasure(_Value):
 
     def __post_init__(self) -> None:
         _require(self.base, FiniteSpace, "an outer measure's base")
-        inner = _tuple(self.inner, "inner components must be a sequence of measures, got {!r}")
+        inner = _members(self.inner, IdempotentMeasure, "an inner component",
+                         "inner components must be a sequence of measures, got {!r}")
         w = _as_weights(self.weights)
         if not inner:
             raise ValueError("an outer measure needs at least one component")
-        shared = True
-        for m in inner:
-            _require(m, IdempotentMeasure, "an inner component")
-            shared = shared and m.space == self.base
         if len(w) != len(inner):
             raise ValueError("one weight per inner measure required")
-        if not shared:
-            raise ValueError("inner measures must share the base space")
+        # `==` is one call on a value class, `!=` two (object.__ne__ calls it)
+        for m in inner:
+            if not m.space == self.base:
+                raise ValueError("inner measures must share the base space")
         if max(w) != 0.0:
             raise ValueError("outer measure is not normalized: maximum weight must be 0")
         object.__setattr__(self, "inner", inner)
@@ -94,6 +93,7 @@ class OuterMeasure(_Value):
 
 def outer_eval(M: OuterMeasure, phi: FiniteFunction) -> float:
     """M(φ̄): the outer measure applied to the evaluation functional of φ."""
+    _require(M, OuterMeasure, "an evaluated outer measure")
     return max(
         lam + integrate(m, phi)
         for lam, m in zip(M.weights, M.inner)
@@ -233,11 +233,10 @@ def tensor_many(measures: Sequence[IdempotentMeasure]) -> IdempotentMeasure:
     nothing since 0.0 + w = w for every weight w, which is never -0.0.  A
     sum past -max is -inf on both paths.
     """
-    measures = _tuple(measures, "tensor factors must be a sequence of measures, got {!r}")
+    measures = _members(measures, IdempotentMeasure, "a tensor factor",
+                        "tensor factors must be a sequence of measures, got {!r}")
     if len(measures) < 2:
         raise ValueError("tensor_many needs at least two measures")
-    for m in measures:
-        _require(m, IdempotentMeasure, "a tensor factor")
     prod = product_space(*(m.space for m in measures))
     if len(prod) < _ARRAY_POINTS or "numpy" not in sys.modules:
         weights = [0.0]
@@ -332,13 +331,14 @@ def hyperspace_embed(A: ClosedSet) -> IdempotentMeasure:
     )
 
 
+_UNION = "members of a union must be a sequence of closed sets, got {!r}"
+
+
 def hyperspace_union(family: Iterable[ClosedSet]) -> ClosedSet:
     """The union of a nonempty family of sets on one space."""
-    fam = _tuple(family, "members of a union must be a sequence of closed sets, got {!r}")
+    fam = _members(family, ClosedSet, "a member of a union", _UNION)
     if not fam:
         raise ValueError("union of an empty family")
-    for A in fam:
-        _require(A, ClosedSet, "a member of a union")
     sp = fam[0].space
     if any(A.space != sp for A in fam):
         raise ValueError("sets live on different spaces")
@@ -351,13 +351,9 @@ def hyperspace_square(family: Sequence[ClosedSet]) -> tuple[IdempotentMeasure, I
     Left: embed every member set, mix the resulting measure family.
     Right: embed the union.  The two agree exactly for every family.
     """
-    fam = list(family)
+    fam = _members(family, ClosedSet, "a member of a union", _UNION)
     union = hyperspace_union(fam)
-    M = OuterMeasure(
-        union.space,
-        tuple(hyperspace_embed(A) for A in fam),
-        (0.0,) * len(fam),
-    )
+    M = OuterMeasure(union.space, tuple(map(hyperspace_embed, fam)), (0.0,) * len(fam))
     return multiply(M), hyperspace_embed(union)
 
 

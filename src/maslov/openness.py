@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Iterator, Sequence
 
 from .core import (
     NEG_INF,
@@ -31,9 +32,12 @@ from .core import (
     Label,
     MetricSpace,
     ProductSpace,
+    _TABLE,
     _Value,
+    _members,
     _real,
     _require,
+    _tuple,
     as_weight,
     product_space,
 )
@@ -54,6 +58,7 @@ class CollapseMap(_Value):
 
     def __post_init__(self) -> None:
         f = self.map
+        _require(f, PointMap, "a collapsing map")
         if len(f.source) != len(f.target) + 1:
             raise ValueError("a collapse map drops exactly one point")
         if not f.is_surjective:
@@ -103,6 +108,8 @@ def lift_open_surjection(
     _require(mu0, IdempotentMeasure, "an anchor measure")
     if mu0.space != f.source:
         raise ValueError("anchor measure does not live on the source")
+    nus = _members(nu_seq, IdempotentMeasure, "a sequence measure",
+                   "sequence measures must be a sequence of measures, got {!r}")
     images = f._targets
     # per target index, the index of its fiber's tracking point
     tracking: dict[int, int] = {}
@@ -114,8 +121,7 @@ def lift_open_surjection(
         caps[i] = math.inf  # never clipped
 
     lifts = []
-    for nu_k in nu_seq:
-        _require(nu_k, IdempotentMeasure, "a sequence measure")
+    for nu_k in nus:
         if nu_k.space != f.target:
             raise ValueError("sequence measures must live on the target")
         w = nu_k.weights
@@ -414,8 +420,11 @@ def counterexample_gap(l: float) -> float:
 class CoverPair(_Value):
     """A pair U ⊆ V of subsets with a weight profile that is 0 on U and ≤ 0 on V.
 
-    The validated profile, one weight per point of V, is stored once as
-    `_alpha`, which `milyutin_build` reads.  `alpha`, the field, is a
+    U and V are read by `core._tuple`, so text or a value that is not
+    iterable is a TypeError, and `alpha`, when given, must be a mapping,
+    in the words of `FiniteSpace.dense`.  The validated profile, one
+    weight per point of V, is stored once as `_alpha`, which
+    `milyutin_build` reads.  `alpha`, the field, is a
     view: a fresh copy of it on every read, so writing to it changes
     nothing.
     """
@@ -434,13 +443,15 @@ class CoverPair(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        U = frozenset(self.U)
-        V = frozenset(self.V)
+        U = frozenset(_tuple(self.U, "U must be a collection of labels, got {!r}"))
+        V = frozenset(_tuple(self.V, "V must be a collection of labels, got {!r}"))
         if not U:
             raise ValueError("U must be nonempty")
         if not U <= V:
             raise ValueError("U must be contained in V")
-        given = dict(self._alpha) if self._alpha is not None else {}
+        given = {} if self._alpha is None else self._alpha
+        if not isinstance(given, Mapping):
+            raise TypeError(_TABLE.format("alpha", given))
         unknown = [k for k in given if k not in V]
         if unknown:
             raise ValueError(f"alpha defined outside V: {unknown!r}")
@@ -463,7 +474,10 @@ class CoverPair(_Value):
 
 
 class MilyutinLevel(_Value):
-    """One refinement stage: a list of cover pairs whose U-sets cover the base."""
+    """One refinement stage: a list of cover pairs whose U-sets cover the base.
+
+    The pairs are read by `core._members`: each must be a `CoverPair`.
+    """
 
     __slots__ = ("pairs",)
     pairs: tuple[CoverPair, ...]
@@ -473,7 +487,8 @@ class MilyutinLevel(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        pairs = tuple(self.pairs)
+        pairs = _members(self.pairs, CoverPair, "a cover pair",
+                         "a level's pairs must be a sequence of cover pairs, got {!r}")
         if not pairs:
             raise ValueError("a level needs at least one cover pair")
         object.__setattr__(self, "pairs", pairs)
@@ -495,15 +510,17 @@ def milyutin_build(
     other weight over y is a sum of canonical nonpositive α: ≤ 0, and never
     NaN or -0.0.  Points off the fiber over y weigh -inf.
     """
+    _require(Y, MetricSpace, "a Milyutin base")
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
         raise ValueError("depth must be at least 1")
+    levels = _members(levels, MilyutinLevel, "a Milyutin level",
+                      "levels must be a sequence of Milyutin levels, got {!r}")
     if len(levels) < depth:
         raise ValueError(f"need {depth} levels, got {len(levels)}")
     base = Y.space
     used = levels[:depth]
     for i, level in enumerate(used):
         for pair in level.pairs:
-            _require(pair, CoverPair, "a cover pair")
             base.require(pair.V, f"level {i}")
         covered = frozenset().union(*(pair.U for pair in level.pairs))
         if covered != frozenset(base.points):

@@ -53,10 +53,12 @@ from maslov.monad import (
     flatten_measure,
     fuzzy_embed,
     hyperspace_embed,
+    hyperspace_square,
     hyperspace_union,
     map_outer,
     marginal,
     outer_dirac,
+    outer_eval,
     tensor,
     tensor_many,
 )
@@ -861,6 +863,100 @@ LIBRARY = {
         lambda: algebra_law_check(CLOUD, dirac(X2, "a")),
         TypeError, "an algebra law's outer measure must be an OuterMeasure, got IdempotentMeasure",
     ),
+    # an argument of another class once leaked AttributeError or Python's
+    # "not iterable"
+    "subspace: None for the measure": (
+        lambda: lies_in_subspace(None, ["a"]),
+        TypeError, "a subspace test's measure must be an IdempotentMeasure, got NoneType",
+    ),
+    "outer eval: a measure for the outer measure": (
+        lambda: outer_eval(dirac(X2, "a"), PHI),
+        TypeError, "an evaluated outer measure must be an OuterMeasure, got IdempotentMeasure",
+    ),
+    "milyutin: a space for the metric": (
+        lambda: milyutin_build(X2, [LEVEL], 1),
+        TypeError, "a Milyutin base must be a MetricSpace, got FiniteSpace",
+    ),
+    "map then: an int": (
+        lambda: ONTO.then(5),
+        TypeError, "a composed map must be a PointMap, got int",
+    ),
+    "collapse: None for the map": (
+        lambda: CollapseMap(None),
+        TypeError, "a collapsing map must be a PointMap, got NoneType",
+    ),
+    "space shorthand: an int": (
+        lambda: space(5),
+        TypeError, "a space's points must be a collection of labels, got 5",
+    ),
+    # a collection argument is read by core._members, core._tuple or
+    # FiniteSpace.dense; text is no collection of labels, save in space("ab")
+    "space: an int for the points": (
+        lambda: FiniteSpace(5),
+        TypeError, "a space's points must be a collection of labels, got 5",
+    ),
+    "space: text for the points": (
+        lambda: FiniteSpace("ab"),
+        TypeError, "a space's points must be a collection of labels, got 'ab'",
+    ),
+    "cover pair: text for U": (
+        lambda: CoverPair("a", frozenset("ab")),
+        TypeError, "U must be a collection of labels, got 'a'",
+    ),
+    "cover pair: an int for V": (
+        lambda: CoverPair(frozenset("a"), 5),
+        TypeError, "V must be a collection of labels, got 5",
+    ),
+    "cover pair: a list for alpha": (
+        lambda: CoverPair(frozenset("a"), frozenset("ab"), [None]),
+        TypeError, "alpha: a table must be a mapping keyed by point labels, got [None]",
+    ),
+    "map: text for the table": (
+        lambda: PointMap(X2, Y2, "ab"),
+        TypeError, "map: a table must be a mapping keyed by point labels, got 'ab'",
+    ),
+    "cloud: a list for the embedding": (
+        lambda: PointCloudSpace(X2, [(0.0,), (1.0,)]),
+        TypeError, "embed: a table must be a mapping keyed by point labels, got [(0.0,), (1.0,)]",
+    ),
+    "function from a table: None": (
+        lambda: FiniteFunction.from_mapping(X2, None),
+        TypeError, "values: a table must be a mapping keyed by point labels, got None",
+    ),
+    "fuzzy from a table: text": (
+        lambda: FuzzySet.from_mapping(X2, "ab"),
+        TypeError, "grades: a table must be a mapping keyed by point labels, got 'ab'",
+    ),
+    "level: an int for the pairs": (
+        lambda: MilyutinLevel(5),
+        TypeError, "a level's pairs must be a sequence of cover pairs, got 5",
+    ),
+    "level: None for a pair": (
+        lambda: MilyutinLevel([None]),
+        TypeError, "a cover pair must be a CoverPair, got NoneType",
+    ),
+    "milyutin: an int for the levels": (
+        lambda: milyutin_build(M2, 5, 1),
+        TypeError, "levels must be a sequence of Milyutin levels, got 5",
+    ),
+    "milyutin: a pair for a level": (
+        lambda: milyutin_build(M2, [CoverPair(frozenset("ab"), frozenset("ab"))], 1),
+        TypeError, "a Milyutin level must be a MilyutinLevel, got CoverPair",
+    ),
+    "lift: a measure for the sequence": (
+        lambda: lift_open_surjection(ONTO, dirac(X2, "a"), dirac(space("u"), "u")),
+        TypeError,
+        f"sequence measures must be a sequence of measures, got {dirac(space('u'), 'u')!r}",
+    ),
+    "inner distance table: an int for the measures": (
+        lambda: inner_distance_table(1, M2, 5),
+        TypeError, "compared measures must be a sequence of measures, got 5",
+    ),
+    "square: a set for the family": (
+        lambda: hyperspace_square(ClosedSet(X2, frozenset("a"))),
+        TypeError,
+        f"members of a union must be a sequence of closed sets, got {ClosedSet(X2, frozenset('a'))!r}",
+    ),
 }
 
 # Every reader of a number, given a bool, None, a container and an int past
@@ -936,6 +1032,52 @@ def test_library_rejects(case):
     call, exc, message = LIBRARY[case]
     with pytest.raises(exc, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Every collection argument, given values that are not a collection of the
+# right members: a TypeError or ValueError in the library's words, never
+# one of Python's own and never a value built from them.
+MU = dirac(X2, "a")
+BAD_COLLECTIONS = {
+    "None": None, "5": 5, "2.5": 2.5, "True": True, "'ab'": "ab", "b'ab'": b"ab",
+    "object()": object(), "[None]": [None], "(5,)": (5,), "[mu, 5]": [MU, 5],
+}
+# name: a call that reads x as the collection argument
+COLLECTION_ARGUMENTS = {
+    "sup family": pointwise_sup,
+    "tensor factors": tensor_many,
+    "union family": hyperspace_union,
+    "square family": hyperspace_square,
+    "outer measure inner components": lambda x: OuterMeasure(X2, x, (0.0,)),
+    "level pairs": MilyutinLevel,
+    "milyutin levels": lambda x: milyutin_build(M2, x, 1),
+    "lift sequence": lambda x: lift_open_surjection(ONTO, MU, x),
+    "inner distance table measures": lambda x: inner_distance_table(1, M2, x),
+    "space points": FiniteSpace,
+    "cover pair U": lambda x: CoverPair(x, frozenset("ab")),
+    "cover pair V": lambda x: CoverPair(frozenset("a"), x),
+    "cover pair alpha": lambda x: CoverPair(frozenset("a"), frozenset("ab"), x),
+    "map table": lambda x: PointMap(X2, Y2, x),
+    "cloud embedding": lambda x: PointCloudSpace(X2, x),
+    "function table": lambda x: FiniteFunction.from_mapping(X2, x),
+    "fuzzy table": lambda x: FuzzySet.from_mapping(X2, x),
+}
+PYTHON_WORDINGS = re.compile(
+    r"not iterable|has no attribute|has no len|indices must be|not subscriptable"
+    r"|unhashable type|dictionary update|after \*"
+)
+
+
+@pytest.mark.parametrize("name", COLLECTION_ARGUMENTS)
+@pytest.mark.parametrize("label", BAD_COLLECTIONS)
+def test_collection_argument_rejects(name, label):
+    call, x = COLLECTION_ARGUMENTS[name], BAD_COLLECTIONS[label]
+    if name == "cover pair alpha" and x is None:  # the library default
+        assert call(x) == CoverPair(frozenset("a"), frozenset("ab"))
+        return
+    with pytest.raises((TypeError, ValueError)) as caught:
+        call(x)
+    assert not PYTHON_WORDINGS.search(str(caught.value)), caught.value
 
 
 # a label 500 arrays deep: JSON parses it, and reading it as a label passes
